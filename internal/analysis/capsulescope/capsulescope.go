@@ -16,10 +16,16 @@
 //     RunOnAll/NewArray/NewBlockArray) from inside a capsule. Those
 //     operations bypass the engine's cost accounting and fault injection
 //     and mutate runtime structure mid-run.
+//   - Letting an ephemeral slice escape. The results of Array.Slice/Gather/
+//     GatherAt and Ctx.Scratch/ScratchSpans live in the worker's ephemeral
+//     memory, which is rewound at the capsule's control transfer and lost on
+//     a fault; one stored into captured host state or sent on a channel is
+//     overwritten by the next capsule while the host still holds it.
 package capsulescope
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 
 	"repro/internal/analysis"
@@ -29,7 +35,8 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "capsulescope",
 	Doc: "flag capsules that capture a stale Ctx, mutate captured host " +
-		"state, or call harness-side API mid-run",
+		"state, call harness-side API mid-run, or let an ephemeral slice " +
+		"outlive the capsule",
 	Run: run,
 }
 
@@ -50,6 +57,7 @@ func declaredInside(fn analysis.FuncInfo, obj types.Object) bool {
 
 func checkCapsule(pass *analysis.Pass, fn analysis.FuncInfo) {
 	info := pass.TypesInfo
+	eph := ephemeralLocals(info, fn)
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
@@ -69,8 +77,22 @@ func checkCapsule(pass *analysis.Pass, fn analysis.FuncInfo) {
 						"only for the single capsule execution it was passed to", n.Name)
 			}
 		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				checkMutation(pass, fn, lhs)
+			for i, lhs := range n.Lhs {
+				root := captured(pass, fn, lhs)
+				if root == nil {
+					continue // writes to locals are fine
+				}
+				if len(n.Lhs) == len(n.Rhs) {
+					if src, ok := eph.source(info, n.Rhs[i]); ok {
+						reportEscape(pass, lhs.Pos(), src, "stored into "+root.Name)
+						continue
+					}
+				}
+				reportMutation(pass, lhs.Pos(), root)
+			}
+		case *ast.SendStmt:
+			if src, ok := eph.source(info, n.Value); ok {
+				reportEscape(pass, n.Value.Pos(), src, "sent on a channel")
 			}
 		case *ast.IncDecStmt:
 			checkMutation(pass, fn, n.X)
@@ -90,20 +112,116 @@ func checkCapsule(pass *analysis.Pass, fn analysis.FuncInfo) {
 // outside the capsule. Writes to locals are fine; writes to captured or
 // package-level host state bypass persistent memory.
 func checkMutation(pass *analysis.Pass, fn analysis.FuncInfo, lhs ast.Expr) {
-	root := rootIdent(lhs)
-	if root == nil {
-		return
+	if root := captured(pass, fn, lhs); root != nil {
+		reportMutation(pass, lhs.Pos(), root)
 	}
-	obj, isVar := pass.TypesInfo.Uses[root].(*types.Var)
-	if !isVar || declaredInside(fn, obj) {
-		return
-	}
+}
+
+func reportMutation(pass *analysis.Pass, pos token.Pos, root *ast.Ident) {
 	// Reassigning a captured Array variable is as bad as any other captured
 	// write, so no ppm-type exemptions here.
-	pass.Reportf(lhs.Pos(),
+	pass.Reportf(pos,
 		"capsule mutates %q, host state captured from outside the capsule: it is "+
 			"not replayed after faults and races across workers — keep shared state "+
 			"in a ppm.Array", root.Name)
+}
+
+// captured returns the base identifier of an assignment target when it is a
+// variable declared outside the capsule, else nil.
+func captured(pass *analysis.Pass, fn analysis.FuncInfo, lhs ast.Expr) *ast.Ident {
+	root := rootIdent(lhs)
+	if root == nil {
+		return nil
+	}
+	obj, isVar := pass.TypesInfo.Uses[root].(*types.Var)
+	if !isVar || declaredInside(fn, obj) {
+		return nil
+	}
+	return root
+}
+
+func reportEscape(pass *analysis.Pass, pos token.Pos, src, how string) {
+	pass.Reportf(pos,
+		"%s result escapes the capsule (%s): it lives in ephemeral memory, rewound at "+
+			"the capsule's control transfer and lost on a fault — copy what must survive "+
+			"into a ppm.Array", src, how)
+}
+
+// ephemerals maps each capsule-local variable bound to an ephemeral slice to
+// the call that produced it ("Array.Slice", "Ctx.Scratch", ...).
+type ephemerals map[types.Object]string
+
+// ephemeralLocals finds the capsule's locals that hold ephemeral slices:
+// assigned from one of the producing calls, from a reslice or append-in-place
+// of one, or from another such local. Iterated to a fixed point so the order
+// of declarations does not matter.
+func ephemeralLocals(info *types.Info, fn analysis.FuncInfo) ephemerals {
+	eph := ephemerals{}
+	for changed := true; changed; {
+		changed = false
+		bind := func(lhs, rhs ast.Expr) {
+			id, ok := lhs.(*ast.Ident)
+			if !ok {
+				return
+			}
+			obj := info.Defs[id]
+			if obj == nil {
+				obj = info.Uses[id]
+			}
+			if obj == nil || !declaredInside(fn, obj) || eph[obj] != "" {
+				return
+			}
+			if src, ok := eph.source(info, rhs); ok {
+				eph[obj] = src
+				changed = true
+			}
+		}
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncLit:
+				if analysis.HasOwnCtxParam(info, n) {
+					return false
+				}
+			case *ast.AssignStmt:
+				if len(n.Lhs) == len(n.Rhs) {
+					for i := range n.Lhs {
+						bind(n.Lhs[i], n.Rhs[i])
+					}
+				}
+			case *ast.ValueSpec:
+				if len(n.Names) == len(n.Values) {
+					for i := range n.Names {
+						bind(n.Names[i], n.Values[i])
+					}
+				}
+			}
+			return true
+		})
+	}
+	return eph
+}
+
+// source reports whether e evaluates to an ephemeral slice, and which call
+// produced it.
+func (eph ephemerals) source(info *types.Info, e ast.Expr) (string, bool) {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		src, ok := eph[info.Uses[e]]
+		return src, ok
+	case *ast.SliceExpr:
+		return eph.source(info, e.X)
+	case *ast.CallExpr:
+		if src, ok := analysis.EphemeralCall(info, e); ok {
+			return src, true
+		}
+		// append(x, ...) returns x's storage whenever the capacity allows.
+		if id, ok := ast.Unparen(e.Fun).(*ast.Ident); ok && len(e.Args) > 0 {
+			if b, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin && b.Name() == "append" {
+				return eph.source(info, e.Args[0])
+			}
+		}
+	}
+	return "", false
 }
 
 // rootIdent walks to the base identifier of an assignment target

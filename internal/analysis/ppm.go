@@ -166,7 +166,7 @@ type AccessKind int
 
 const (
 	// ReadAccess is an exposed-read candidate: Array.{Get,Slice,Range,
-	// Gather} or Ctx.Read.
+	// Gather,GatherAt} or Ctx.Read.
 	ReadAccess AccessKind = iota
 	// WriteAccess is a persistent write: Array.{Set,SetRange,Scatter},
 	// Ctx.Write, or Ctx.CAM (the model counts CAM as a write).
@@ -193,7 +193,7 @@ type Access struct {
 }
 
 var arrayReads = map[string]bool{
-	"Get": true, "Slice": true, "Range": true, "Gather": true,
+	"Get": true, "Slice": true, "Range": true, "Gather": true, "GatherAt": true,
 }
 var arrayWrites = map[string]bool{
 	"Set": true, "SetRange": true, "Scatter": true,
@@ -334,6 +334,24 @@ func HarnessCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 		case "Register", "Run", "RunOnAll", "NewArray", "NewBlockArray":
 			return "Runtime." + name, true
 		}
+	}
+	return "", false
+}
+
+// EphemeralCall reports calls whose result lives in the capsule's ephemeral
+// memory — Array.{Slice,Gather,GatherAt} and Ctx.{Scratch,ScratchSpans}. On
+// the native engine those slices are rewound at the capsule's control
+// transfer and lost on a fault, so they must not outlive the capsule.
+func EphemeralCall(info *types.Info, call *ast.CallExpr) (string, bool) {
+	_, name, recvType, ok := methodCall(info, call)
+	if !ok {
+		return "", false
+	}
+	switch {
+	case IsArray(recvType) && (name == "Slice" || name == "Gather" || name == "GatherAt"):
+		return "Array." + name, true
+	case IsCtx(recvType) && (name == "Scratch" || name == "ScratchSpans"):
+		return "Ctx." + name, true
 	}
 	return "", false
 }

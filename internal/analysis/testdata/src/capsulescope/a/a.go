@@ -1,5 +1,6 @@
 // Fixture for the capsulescope analyzer: stale Ctx capture, mutation of
-// captured host state, and harness-side API inside capsules.
+// captured host state, harness-side API inside capsules, and ephemeral
+// slices escaping their capsule.
 package a
 
 import "repro/ppm"
@@ -42,6 +43,36 @@ func register(rt *ppm.Runtime) {
 			c2.Done()
 		}
 		_ = inner
+		c.Done()
+	})
+
+	var kept []uint64
+	_ = kept
+	keptByKey := map[int][]uint64{}
+	results := make(chan []uint64, 1)
+	rt.Register("escapes", func(c ppm.Ctx) {
+		kept = arr.Slice(c, 0, 4)             // want `Array\.Slice result escapes the capsule \(stored into kept\)`
+		hostSlice = arr.GatherAt(c, nil, nil) // want `Array\.GatherAt result escapes the capsule`
+		vals := c.Scratch(8)
+		head := vals[:2]
+		keptByKey[0] = head // want `Ctx\.Scratch result escapes the capsule \(stored into keptByKey\)`
+		grown := append(arr.Gather(c, nil, nil), 1)
+		results <- grown // want `Array\.Gather result escapes the capsule \(sent on a channel\)`
+		c.Done()
+	})
+
+	rt.Register("stays", func(c ppm.Ctx) {
+		// Ephemeral slices used inside the capsule, and copied out through
+		// persistent memory, are the intended shape.
+		vals := arr.Slice(c, 0, 4)
+		spans := c.ScratchSpans(2)
+		spans[0] = [2]int{0, 2}
+		more := arr.Gather(c, spans, vals[:0])
+		local := more
+		arr.SetRange(c, 0, local)
+		// Copying the words (not the slice) into host state is still a host
+		// mutation, but it is not an escape.
+		hostSlice = append(hostSlice, vals...) // want `capsule mutates "hostSlice"`
 		c.Done()
 	})
 

@@ -31,6 +31,8 @@ func (c Ctx) Read(a Addr) uint64              { return 0 }
 func (c Ctx) Write(a Addr, v uint64)          {}
 func (c Ctx) CAM(a Addr, old, new uint64)     {}
 func (c Ctx) Alloc(n int) Array               { return Array{} }
+func (c Ctx) Scratch(n int) []uint64          { return nil }
+func (c Ctx) ScratchSpans(n int) [][2]int     { return nil }
 func (c Ctx) Done()                           {}
 func (c Ctx) Halt()                           {}
 func (c Ctx) Then(next Call)                  {}
@@ -60,6 +62,7 @@ func (a Array) Set(c Ctx, i int, v uint64)                          {}
 func (a Array) Range(c Ctx, lo, hi int, fn func(i int, v uint64))   {}
 func (a Array) Slice(c Ctx, lo, hi int) []uint64                    { return nil }
 func (a Array) Gather(c Ctx, spans [][2]int, dst []uint64) []uint64 { return nil }
+func (a Array) GatherAt(c Ctx, idx []uint64, dst []uint64) []uint64 { return nil }
 func (a Array) Scatter(c Ctx, spans [][2]int, src []uint64)         {}
 func (a Array) SetRange(c Ctx, lo int, vals []uint64)               {}
 

@@ -75,6 +75,17 @@ func rangeThenWrite(c ppm.Ctx) {
 	c.Done()
 }
 
+// GatherAt is a read of the whole array, like Gather: writing the array it
+// indexed conflicts, writing another one with what it fetched is the scan
+// leaves' clean shape.
+func gatherAtThenWrite(c ppm.Ctx) {
+	idx := c.Scratch(4)
+	vals := src.GatherAt(c, idx, nil)
+	dst.SetRange(c, 0, vals)
+	src.Set(c, 0, vals[0]) // want `write-after-read conflict`
+	c.Done()
+}
+
 // Helpers with extra parameters are analyzed too: their accesses happen
 // inside whichever capsule calls them.
 func helperWAR(c ppm.Ctx, i int) uint64 {

@@ -370,6 +370,32 @@ func (rt *Runtime) MemWrite(a pmem.Addr, v uint64) {
 	atomic.StoreUint64(&rt.mem[a], v)
 }
 
+// MemReadRange copies the words at [a, a+len(dst)) into dst (harness-side):
+// one range check and one copy. Like every harness access it must not
+// overlap a run.
+func (rt *Runtime) MemReadRange(a pmem.Addr, dst []uint64) {
+	if len(dst) == 0 {
+		return
+	}
+	rt.check(a)
+	rt.check(a + pmem.Addr(len(dst)-1))
+	copy(dst, rt.mem[a:])
+}
+
+// MemWriteRange stores vals at [a, a+len(vals)) (harness-side), suppressed
+// in rebuild mode exactly like MemWrite.
+func (rt *Runtime) MemWriteRange(a pmem.Addr, vals []uint64) {
+	if len(vals) == 0 {
+		return
+	}
+	rt.check(a)
+	rt.check(a + pmem.Addr(len(vals)-1))
+	if rt.rebuild.Load() {
+		return
+	}
+	copy(rt.mem[a:], vals)
+}
+
 // HeapAllocBlocks reserves n words starting at a block boundary. This is
 // the harness-side (setup-time) allocator and draws directly from the
 // global region; capsule-side Alloc goes through the per-shard segments.
@@ -653,6 +679,11 @@ type Ctx struct {
 	cur  *task
 	next *task
 
+	// Ephemeral memory (see arena): word buffers for Slice, Gather, GatherAt
+	// and Scratch, span vectors for ScratchSpans. Rewound by runTask.
+	eph      arena[uint64]
+	ephSpans arena[[2]int]
+
 	// war tracks the current task's block-granular access sequence when
 	// Config.WARCheck is on; warLog accumulates formatted conflicts (bounded).
 	war    *warcheck.Tracker
@@ -818,12 +849,14 @@ func (w *Ctx) execute(t *task) {
 
 // runTask runs one task body, replaying it from the start whenever soft-fault
 // emulation aborts it (sound for WAR-free capsules, Theorem 3.1). Ephemeral
-// state is the body's locals, which the abort discards — exactly the model's
-// failure semantics, at hardware speed.
+// state is the body's locals and the worker's arena, both discarded by the
+// abort — exactly the model's failure semantics, at hardware speed.
 func (w *Ctx) runTask(t *task) {
 	for {
 		w.taskWork = 0
 		w.transferred = false
+		w.eph.reset()
+		w.ephSpans.reset()
 		if w.track {
 			w.dirtyLo, w.dirtyHi = 0, 0
 		}
@@ -1060,7 +1093,14 @@ func (w *Ctx) CAM(a pmem.Addr, old, new uint64) {
 	if w.track {
 		w.dirty(a, a+1)
 	}
-	atomic.CompareAndSwapUint64(&w.rt.mem[a], old, new)
+	// Test before CAS: a CAM never reports its outcome, so one that has
+	// already lost need not take the cache line exclusive — most of a BFS
+	// round's claims lose.
+	p := &w.rt.mem[a]
+	if atomic.LoadUint64(p) != old {
+		return
+	}
+	atomic.CompareAndSwapUint64(p, old, new)
 }
 
 // Alloc reserves n fresh zeroed words from this worker's allocator shard —
@@ -1105,17 +1145,33 @@ func (w *Ctx) ReadRange(base pmem.Addr, lo, hi int, fn func(idx int, v uint64)) 
 	w.taskWork += n
 }
 
-// ReadInto bulk-copies base[lo,hi) into dst — the hot path of leaf sorts
-// and merges, kept free of per-word closure dispatch.
-func (w *Ctx) ReadInto(base pmem.Addr, lo, hi int, dst []uint64) {
+// Scratch returns n zeroed words of ephemeral memory: a capsule-local vector
+// that dies with the capsule, like every buffer the arena hands out.
+func (w *Ctx) Scratch(n int) []uint64 {
+	s := w.eph.alloc(n)
+	clear(s)
+	return s
+}
+
+// ScratchSpans is Scratch for the span vectors Gather and Scatter take.
+func (w *Ctx) ScratchSpans(n int) [][2]int {
+	s := w.ephSpans.alloc(n)
+	clear(s)
+	return s
+}
+
+// Slice bulk-copies base[lo,hi) into ephemeral memory — the hot path of leaf
+// sorts and merges, kept free of per-word closure dispatch.
+func (w *Ctx) Slice(base pmem.Addr, lo, hi int) []uint64 {
 	if lo >= hi {
-		return
+		return nil
 	}
 	w.rt.check(base + pmem.Addr(lo))
 	w.rt.check(base + pmem.Addr(hi-1))
 	if w.faultThresh != 0 {
 		w.maybeFault(int64(hi - lo))
 	}
+	dst := w.eph.alloc(hi - lo)
 	copy(dst, w.rt.mem[base+pmem.Addr(lo):base+pmem.Addr(hi)])
 	n := int64(hi - lo)
 	w.reads += n
@@ -1123,12 +1179,23 @@ func (w *Ctx) ReadInto(base pmem.Addr, lo, hi int, dst []uint64) {
 	if w.war.Enabled() {
 		w.warReadSpan(base+pmem.Addr(lo), base+pmem.Addr(hi))
 	}
+	return dst
 }
 
 // Gather appends the words of k disjoint spans of base to dst in one tight
 // loop — the batched edge-read path of the graph workloads, where per-span
-// call overhead would dominate the (often tiny) spans themselves.
+// call overhead would dominate the (often tiny) spans themselves. A nil dst
+// is taken from ephemeral memory, sized to the batch.
 func (w *Ctx) Gather(base pmem.Addr, spans [][2]int, dst []uint64) []uint64 {
+	if dst == nil {
+		total := 0
+		for _, s := range spans {
+			if s[1] > s[0] {
+				total += s[1] - s[0]
+			}
+		}
+		dst = w.eph.alloc(total)[:0]
+	}
 	var n int64
 	for _, s := range spans {
 		lo, hi := s[0], s[1]
@@ -1149,6 +1216,45 @@ func (w *Ctx) Gather(base pmem.Addr, spans [][2]int, dst []uint64) []uint64 {
 	w.reads += n
 	w.taskWork += n
 	return dst
+}
+
+// GatherAt appends base[i] for every i of idx to dst: one indexed loop over
+// the n-word window at base, one scaled fault draw for the batch. It is the
+// scattered-read path of the scan leaves (the label or contribution of every
+// arc target). ok is false, with nothing counted, when an index lies outside
+// the window. A nil dst is taken from ephemeral memory.
+func (w *Ctx) GatherAt(base pmem.Addr, n int, idx []uint64, dst []uint64) (out []uint64, ok bool) {
+	if len(idx) == 0 {
+		return dst, true
+	}
+	w.rt.check(base)
+	w.rt.check(base + pmem.Addr(n-1))
+	if w.faultThresh != 0 {
+		w.maybeFault(int64(len(idx)))
+	}
+	win := w.rt.mem[base : base+pmem.Addr(n)]
+	at := len(dst)
+	if dst == nil {
+		dst = w.eph.alloc(len(idx))
+	} else {
+		dst = append(dst, idx...) // room for the values; overwritten below
+	}
+	vals := dst[at:][:len(idx)]
+	for k, i := range idx {
+		if i >= uint64(len(win)) {
+			return nil, false
+		}
+		vals[k] = win[i]
+	}
+	k := int64(len(idx))
+	w.reads += k
+	w.taskWork += k
+	if w.war.Enabled() {
+		for _, i := range idx {
+			w.warRead(base + pmem.Addr(i))
+		}
+	}
+	return dst, true
 }
 
 // Scatter writes consecutive words of src over k disjoint spans of base in

@@ -105,6 +105,14 @@ func (s *Scheduler) StartRoot(root pmem.Addr) {
 	for p := 0; p < s.m.P(); p++ {
 		mem.Write(s.l.TopAddr(p), 0)
 		mem.Write(s.l.BotAddr(p), 0)
+		// Rewinding top/bot alone leaves the previous run's tags and states
+		// in the entry words: a thread stolen in the new run would then CAM
+		// its receiving entry from Empty against a stale word, fail, and
+		// re-push forever. A finished run holds no live steal, so every entry
+		// goes back to the zero word a fresh machine starts with.
+		for i := 0; i < s.l.Entries; i++ {
+			mem.Write(s.l.EntryAddr(p, i), 0)
+		}
 	}
 	// Proc 0 runs the root thread, tracked by a local entry (Lemma A.2).
 	mem.Write(s.l.EntryAddr(0, 0), deque.Pack(1, deque.Local, 0))

@@ -44,9 +44,7 @@ func (a Array) Load(vals []uint64) {
 	if len(vals) != a.n {
 		panic("ppm: Load length mismatch")
 	}
-	for i, v := range vals {
-		a.rt.eng.memWrite(a.At(i), v)
-	}
+	a.loadAt(0, vals)
 }
 
 // LoadAt bulk-writes vals into elements [lo, lo+len(vals)) at setup time
@@ -56,8 +54,18 @@ func (a Array) LoadAt(lo int, vals []uint64) {
 	if lo < 0 || lo+len(vals) > a.n {
 		panic("ppm: LoadAt out of range")
 	}
-	for i, v := range vals {
-		a.rt.eng.memWrite(a.At(lo+i), v)
+	a.loadAt(lo, vals)
+}
+
+// loadAt stages vals at element lo: one bulk engine call for a word-packed
+// array, one per element for a block-spaced one.
+func (a Array) loadAt(lo int, vals []uint64) {
+	if a.stride == 1 {
+		a.rt.eng.memWriteRange(a.base+Addr(lo), vals)
+		return
+	}
+	for i := range vals {
+		a.rt.eng.memWriteRange(a.At(lo+i), vals[i:i+1])
 	}
 }
 
@@ -74,8 +82,12 @@ func (a Array) SnapshotRange(lo, hi int) []uint64 {
 		panic("ppm: SnapshotRange out of range")
 	}
 	out := make([]uint64, hi-lo)
+	if a.stride == 1 {
+		a.rt.eng.memReadRange(a.base+Addr(lo), out)
+		return out
+	}
 	for i := range out {
-		out[i] = a.rt.eng.memRead(a.At(lo + i))
+		a.rt.eng.memReadRange(a.At(lo+i), out[i:i+1])
 	}
 	return out
 }
@@ -100,23 +112,26 @@ func (a Array) Range(c Ctx, lo, hi int, fn func(i int, v uint64)) {
 	c.e.ReadRange(a.base, lo, hi, fn)
 }
 
-// Slice copies elements [lo, hi) into a fresh capsule-local slice — the
-// bulk read path of leaf sorts and merges. Charged like Range on the model
-// engine; on the native engine it is a tight copy loop with no per-element
-// dispatch. Only for word-packed arrays.
+// Slice copies elements [lo, hi) into a capsule-local slice — the bulk read
+// path of leaf sorts and merges. Charged like Range on the model engine; on
+// the native engine it is one copy into the worker's ephemeral memory. The
+// result is the capsule's own (sort it, overwrite it) and is valid until
+// this capsule's control transfer; it is lost on a fault, like the paper's
+// ephemeral memory, so it must not be kept in host state. Only for
+// word-packed arrays.
 func (a Array) Slice(c Ctx, lo, hi int) []uint64 {
 	a.needPacked()
 	if lo < 0 || hi > a.n || lo > hi {
 		panic("ppm: array range out of range")
 	}
-	dst := make([]uint64, hi-lo)
-	c.e.ReadInto(a.base, lo, hi, dst)
-	return dst
+	return c.e.Slice(a.base, lo, hi)
 }
 
 // Gather reads k ranges {[lo, hi)} in one batched operation, appending their
-// elements to dst in span order and returning the extended slice (pass nil
-// to allocate, or reuse a buffer across calls). On the model engine the k
+// elements to dst in span order and returning the extended slice. Pass nil
+// to take the buffer from ephemeral memory — valid until this capsule's
+// control transfer; lost on fault, like the paper's ephemeral memory — or
+// reuse a buffer of the capsule's own across calls. On the model engine the k
 // spans are issued as a single round of block transfers — each touched block
 // costs one transfer, exactly like k separate Ranges, but as one logical
 // operation; on the native engine the whole batch is one tight copy loop
@@ -131,6 +146,24 @@ func (a Array) Gather(c Ctx, spans [][2]int, dst []uint64) []uint64 {
 		}
 	}
 	return c.e.Gather(a.base, spans, dst)
+}
+
+// GatherAt reads the elements at the given indices in one batched
+// operation, appending a[idx[0]], a[idx[1]], … to dst and returning the
+// extended slice; a nil dst comes from ephemeral memory, with Gather's
+// lifetime. Indices may repeat and need no order. It is the scattered-read
+// primitive of the graph scan leaves: after one Slice of a vertex range's
+// adjacency, GatherAt fetches the label or contribution of every arc target.
+// The model engine charges one block transfer per index — what Gather
+// charges the same batch written as one-word spans; the native engine runs
+// one bounds-checked indexed loop. Only for word-packed arrays.
+func (a Array) GatherAt(c Ctx, idx []uint64, dst []uint64) []uint64 {
+	a.needPacked()
+	out, ok := c.e.GatherAt(a.base, a.n, idx, dst)
+	if !ok {
+		panic("ppm: Gather span out of range")
+	}
+	return out
 }
 
 // Scatter writes consecutive elements of src over k ranges {[lo, hi)} in

@@ -70,6 +70,17 @@ func (c Ctx) Alloc(n int) Array {
 	return Array{rt: c.rt, base: c.e.Alloc(n), n: n, stride: 1}
 }
 
+// Scratch returns n zeroed words of capsule-local memory for a leaf's working
+// vectors (the values it will SetRange, an index list for GatherAt). On the
+// native engine they come from the worker's ephemeral memory, not the Go
+// heap: valid until this capsule's control transfer; lost on fault, like the
+// paper's ephemeral memory. Use c.Scratch(n)[:0] for an append buffer of
+// capacity n.
+func (c Ctx) Scratch(n int) []uint64 { return c.e.Scratch(n) }
+
+// ScratchSpans is Scratch for the span vectors Gather and Scatter take.
+func (c Ctx) ScratchSpans(n int) [][2]int { return c.e.ScratchSpans(n) }
+
 // Raw exposes the untyped capsule environment for code that needs the full
 // simulated-machine interface (block transfers, ephemeral memory, install
 // primitives). Model engine only; returns nil on the native engine.

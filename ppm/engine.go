@@ -55,8 +55,8 @@ type engine interface {
 	close() error
 	isClosed() bool
 	heapAllocBlocks(n int) Addr
-	memRead(a Addr) uint64
-	memWrite(a Addr, v uint64)
+	memReadRange(a Addr, dst []uint64)   // harness-side: dst = words [a, a+len(dst))
+	memWriteRange(a Addr, vals []uint64) // harness-side: words [a, a+len(vals)) = vals
 	engineStats() Stats
 	allocStats() AllocStats // zero-valued on engines without sharded allocation
 	schedStats() SchedStats // zero-valued on engines without a native scheduler
@@ -82,8 +82,11 @@ type capCtx interface {
 	Alloc(n int) pmem.Addr
 	ReadAt(base pmem.Addr, idx int) uint64
 	ReadRange(base pmem.Addr, lo, hi int, fn func(idx int, v uint64))
-	ReadInto(base pmem.Addr, lo, hi int, dst []uint64)
+	Slice(base pmem.Addr, lo, hi int) []uint64
 	Gather(base pmem.Addr, spans [][2]int, dst []uint64) []uint64
+	GatherAt(base pmem.Addr, n int, idx []uint64, dst []uint64) ([]uint64, bool)
+	Scratch(n int) []uint64
+	ScratchSpans(n int) [][2]int
 	Scatter(base pmem.Addr, spans [][2]int, src []uint64)
 	WriteRange(base pmem.Addr, lo, hi int, vals []uint64)
 	Done()
@@ -172,8 +175,6 @@ func (m *modelEngine) runOnAll(fn FuncRef, args []uint64) {
 }
 
 func (m *modelEngine) heapAllocBlocks(n int) Addr { return m.rt.Machine.HeapAllocBlocks(n) }
-func (m *modelEngine) memRead(a Addr) uint64      { return m.rt.Machine.Mem.Read(a) }
-func (m *modelEngine) memWrite(a Addr, v uint64)  { m.rt.Machine.Mem.Write(a, v) }
 func (m *modelEngine) engineStats() Stats         { return m.rt.Stats() }
 func (m *modelEngine) allocStats() AllocStats     { return AllocStats{} }
 func (m *modelEngine) schedStats() SchedStats     { return SchedStats{} }
@@ -181,6 +182,18 @@ func (m *modelEngine) procs() int                 { return m.rt.Machine.P() }
 func (m *modelEngine) blockWords() int            { return m.rt.Machine.BlockWords() }
 func (m *modelEngine) warViolations() []string    { return m.rt.Machine.WARViolations() }
 func (m *modelEngine) machine() *machine.Machine  { return m.rt.Machine }
+
+func (m *modelEngine) memReadRange(a Addr, dst []uint64) {
+	for i := range dst {
+		dst[i] = m.rt.Machine.Mem.Read(a + Addr(i))
+	}
+}
+
+func (m *modelEngine) memWriteRange(a Addr, vals []uint64) {
+	for i, v := range vals {
+		m.rt.Machine.Mem.Write(a+Addr(i), v)
+	}
+}
 
 // modelCtx adapts capsule.Env + the fork-join layer to the capCtx surface.
 // Every persistent access below is charged block transfers and is a
@@ -210,8 +223,16 @@ func (m *modelCtx) ReadRange(base pmem.Addr, lo, hi int, fn func(int, uint64)) {
 	blockio.ReadRange(m.e, m.b, base, lo, hi, fn)
 }
 
-func (m *modelCtx) ReadInto(base pmem.Addr, lo, hi int, dst []uint64) {
+// The model engine's capsule-local vectors are ordinary Go slices: its
+// ephemeral memory is the simulated one behind Raw(), and what it charges is
+// block transfers, which these do not touch.
+func (m *modelCtx) Scratch(n int) []uint64      { return make([]uint64, n) }
+func (m *modelCtx) ScratchSpans(n int) [][2]int { return make([][2]int, n) }
+
+func (m *modelCtx) Slice(base pmem.Addr, lo, hi int) []uint64 {
+	dst := make([]uint64, hi-lo)
 	blockio.ReadRange(m.e, m.b, base, lo, hi, func(idx int, v uint64) { dst[idx-lo] = v })
+	return dst
 }
 
 // Gather issues the k spans as one batched round of block transfers: each
@@ -229,6 +250,18 @@ func (m *modelCtx) Gather(base pmem.Addr, spans [][2]int, dst []uint64) []uint64
 		blockio.ReadRange(m.e, m.b, base, lo, hi, func(idx int, v uint64) { dst[at+idx-lo] = v })
 	}
 	return dst
+}
+
+// GatherAt charges one block transfer per index, exactly what Gather charges
+// a batch of one-word spans at the same positions.
+func (m *modelCtx) GatherAt(base pmem.Addr, n int, idx []uint64, dst []uint64) ([]uint64, bool) {
+	for _, i := range idx {
+		if i >= uint64(n) {
+			return nil, false
+		}
+		dst = append(dst, blockio.ReadAt(m.e, m.b, base, int(i)))
+	}
+	return dst, true
 }
 
 func (m *modelCtx) WriteRange(base pmem.Addr, lo, hi int, vals []uint64) {

@@ -12,12 +12,14 @@ const (
 	nilParent = ^uint64(0)
 )
 
-// Capsule grain sizes. The model requires f < 1/(2C) for the largest
-// capsule work C, so leaves whose cost is per-arc (claims, scattered label
-// gathers) stay small enough that C remains bounded by a few hundred block
-// transfers at typical degrees — otherwise a soft-fault sweep would replay
-// them forever. Dense bulk leaves move whole blocks and can afford more
-// vertices per capsule.
+// Capsule grain sizes, in vertices (frontier slots for the claim leaves).
+// The model requires f < 1/(2C) for the largest capsule work C, so leaves
+// whose cost is per-arc (claims, the scattered label GatherAt — one block
+// transfer per arc on the model) stay small enough that C remains bounded by
+// a few hundred block transfers at typical degrees — otherwise a soft-fault
+// sweep would replay them forever. Dense bulk leaves move whole blocks and
+// can afford more vertices per capsule. The native engine would take larger
+// ones (a leaf costs ~5 ns per arc against ~0.2 µs to spawn and join it).
 const (
 	frontierGrain = 8   // claim leaves: two CAMs per arc dominate
 	scanGrain     = 16  // per-arc gather leaves (cc scan, pagerank scan)
@@ -80,10 +82,7 @@ func (a *bfsAlgo) Build(rt *ppm.Runtime) {
 
 	initLeaf := rt.Register(name+"/init", func(c ppm.Ctx) {
 		lo, hi := c.Int(0), c.Int(1)
-		vals := make([]uint64, hi-lo)
-		for i := range vals {
-			vals[i] = inf
-		}
+		vals := fillVec(c, hi-lo, inf)
 		a.level.SetRange(c, lo, vals)
 		a.parent.SetRange(c, lo, vals)
 		c.Done()
@@ -124,7 +123,7 @@ func (a *bfsAlgo) Build(rt *ppm.Runtime) {
 	flagLeaf := rt.Register(name+"/flag", func(c ppm.Ctx) {
 		lo, hi, d := c.Int(0), c.Int(1), c.Uint(2)
 		lv := a.level.Slice(c, lo, hi)
-		vals := make([]uint64, hi-lo)
+		vals := c.Scratch(hi - lo)
 		for i, x := range lv {
 			if x == d {
 				vals[i] = 1

@@ -67,7 +67,7 @@ func (a *ccAlgo) Build(rt *ppm.Runtime) {
 
 	initLeaf := rt.Register(name+"/init", func(c ppm.Ctx) {
 		lo, hi := c.Int(0), c.Int(1)
-		a.labels[0].SetRange(c, lo, iotaVec(lo, hi-lo))
+		a.labels[0].SetRange(c, lo, iotaVec(c, lo, hi-lo))
 		c.Done()
 	})
 	initP := rt.Register(name+"/initP", func(c ppm.Ctx) {
@@ -83,24 +83,18 @@ func (a *ccAlgo) Build(rt *ppm.Runtime) {
 		lo, hi, parity := c.Int(0), c.Int(1), c.Int(2)
 		cur, next := a.labels[parity], a.labels[1-parity]
 		mine := cur.Slice(c, lo, hi)
-		spans, nbrs := cs.gatherAdjRange(c, lo, hi)
-		// One more batched round: the labels of every arc target.
-		lspans := make([][2]int, len(nbrs))
-		for i, e := range nbrs {
-			lspans[i] = [2]int{int(e), int(e) + 1}
-		}
-		nlab := cur.Gather(c, lspans, nil)
-		vals := make([]uint64, hi-lo)
+		offs, arcs := cs.adjRange(c, lo, hi)
+		// One more batched round: the label of every arc target.
+		nlab := cur.GatherAt(c, arcs, nil)
+		vals := c.Scratch(hi - lo)
 		lowered := false
 		i := 0
-		for idx := range mine {
-			m := mine[idx]
-			for j := spans[idx][0]; j < spans[idx][1]; j++ {
-				if nlab[i] < m {
-					m = nlab[i]
-				}
-				i++
+		for idx, m := range mine {
+			end := i + int(offs[idx+1]-offs[idx])
+			for _, l := range nlab[i:end] {
+				m = min(m, l)
 			}
+			i = end
 			vals[idx] = m
 			if m != mine[idx] {
 				lowered = true

@@ -10,10 +10,13 @@
 // same program runs on the model engine (block-transfer cost accounting,
 // fault injection and replay) and on the native goroutine engine unchanged;
 // vertices discovered racily use CAM, the model's only safe read-modify-
-// write. The bulk edge reads go through Array.Gather: a leaf batches the
-// adjacency lists of all its vertices into one multi-range operation, which
-// the model charges as a single round of block transfers and the native
-// engine executes as one tight copy loop.
+// write. The bulk edge reads are batched: a frontier leaf Gathers the
+// adjacency lists of all its vertices in one multi-range operation, and a
+// scan leaf over a contiguous vertex range reads its arcs as one Slice and
+// the per-arc labels or contributions with one GatherAt. The model charges
+// each as a single round of block transfers; the native engine runs each as
+// one tight loop into the worker's ephemeral memory, so a leaf allocates
+// nothing on the Go heap.
 //
 // Importing this package (even blank) registers bfs, cc, and pagerank in
 // ppm.Catalog(), so catalog-driven benchmarks, fault sweeps, and tests pick
@@ -223,34 +226,27 @@ func loadCSR(rt *ppm.Runtime, g *Graph) csr {
 }
 
 // gatherAdj batches the adjacency lists of the (arbitrary, e.g. frontier)
-// vertices vs into one Gather round: first the 2-word offset pairs of every
-// vertex, then every arc list. It returns the per-vertex spans (into the
-// adjacency array) and the concatenated arc targets. BFS claim leaves use
-// this; contiguous-range leaves use gatherAdjRange below.
+// vertices vs; see gatherAdjAt. The BFS claim leaves use this.
 func (cs csr) gatherAdj(c ppm.Ctx, vs []uint64) (spans [][2]int, nbrs []uint64) {
-	ospans := make([][2]int, len(vs))
-	for i, u := range vs {
-		ospans[i] = [2]int{int(u), int(u) + 2}
-	}
-	ovals := cs.offs.Gather(c, ospans, nil)
-	spans = make([][2]int, len(vs))
-	for i := range vs {
-		spans[i] = [2]int{int(ovals[2*i]), int(ovals[2*i+1])}
-	}
-	return spans, cs.adj.Gather(c, spans, nil)
+	return gatherAdjAt(c, cs.offs, cs.adj, 0, 0, vs)
 }
 
-// gatherAdjRange is gatherAdj for a contiguous vertex range [lo, hi): the
-// per-vertex offset pairs collapse into one bulk read of offs[lo, hi], so
-// the model charges ~(hi-lo)/B transfers for the offsets instead of one to
-// two per vertex. The dense scan leaves (cc, pagerank) use this.
-func (cs csr) gatherAdjRange(c ppm.Ctx, lo, hi int) (spans [][2]int, nbrs []uint64) {
-	ovals := cs.offs.Slice(c, lo, hi+1)
-	spans = make([][2]int, hi-lo)
-	for i := range spans {
-		spans[i] = [2]int{int(ovals[i]), int(ovals[i+1])}
+// gatherAdjAt batches the adjacency lists of the vertices vs into two Gather
+// rounds over a CSR whose offsets start at element ob of offs and whose arcs
+// at element ab of adj: first the 2-word offset pair of every vertex, then
+// every arc list. It returns the per-vertex spans (into adj) and the
+// concatenated arc targets, both in ephemeral memory; the offset spans are
+// dead once gathered, so their vector is reused for the arc spans.
+func gatherAdjAt(c ppm.Ctx, offs, adj ppm.Array, ob, ab int, vs []uint64) (spans [][2]int, nbrs []uint64) {
+	spans = c.ScratchSpans(len(vs))
+	for i, u := range vs {
+		spans[i] = [2]int{ob + int(u), ob + int(u) + 2}
 	}
-	return spans, cs.adj.Gather(c, spans, nil)
+	ovals := offs.Gather(c, spans, nil)
+	for i := range vs {
+		spans[i] = [2]int{ab + int(ovals[2*i]), ab + int(ovals[2*i+1])}
+	}
+	return spans, adj.Gather(c, spans, nil)
 }
 
 // vcsr is a slot-versioned view over a Resident's CSR ring: offs holds
@@ -287,32 +283,33 @@ func (v vcsr) bases(c ppm.Ctx) (int, int) {
 // gatherAdj is csr.gatherAdj over the run's slot.
 func (v vcsr) gatherAdj(c ppm.Ctx, vs []uint64) (spans [][2]int, nbrs []uint64) {
 	ob, ab := v.bases(c)
-	ospans := make([][2]int, len(vs))
-	for i, u := range vs {
-		ospans[i] = [2]int{ob + int(u), ob + int(u) + 2}
-	}
-	ovals := v.offs.Gather(c, ospans, nil)
-	spans = make([][2]int, len(vs))
-	for i := range vs {
-		spans[i] = [2]int{ab + int(ovals[2*i]), ab + int(ovals[2*i+1])}
-	}
-	return spans, v.adj.Gather(c, spans, nil)
+	return gatherAdjAt(c, v.offs, v.adj, ob, ab, vs)
 }
 
-// gatherAdjRange is csr.gatherAdjRange over the run's slot.
-func (v vcsr) gatherAdjRange(c ppm.Ctx, lo, hi int) (spans [][2]int, nbrs []uint64) {
+// adjRange reads the adjacency of the contiguous vertex range [lo, hi) of
+// the run's slot: its hi-lo+1 offsets and, because consecutive vertices'
+// lists are consecutive in a CSR, every arc as ONE Slice. Vertex lo+i owns
+// the next offs[i+1]-offs[i] words of arcs. The dense scan leaves (cc,
+// pagerank) walk arcs with that running cursor and fetch the per-arc words
+// with GatherAt(arcs).
+func (v vcsr) adjRange(c ppm.Ctx, lo, hi int) (offs, arcs []uint64) {
 	ob, ab := v.bases(c)
-	ovals := v.offs.Slice(c, ob+lo, ob+hi+1)
-	spans = make([][2]int, hi-lo)
-	for i := range spans {
-		spans[i] = [2]int{ab + int(ovals[i]), ab + int(ovals[i+1])}
-	}
-	return spans, v.adj.Gather(c, spans, nil)
+	offs = v.offs.Slice(c, ob+lo, ob+hi+1)
+	return offs, v.adj.Slice(c, ab+int(offs[0]), ab+int(offs[hi-lo]))
 }
 
-// iotaVec returns [lo, lo+k) as uint64s.
-func iotaVec(lo, k int) []uint64 {
-	out := make([]uint64, k)
+// fillVec returns k words of ephemeral memory, each set to x.
+func fillVec(c ppm.Ctx, k int, x uint64) []uint64 {
+	out := c.Scratch(k)
+	for i := range out {
+		out[i] = x
+	}
+	return out
+}
+
+// iotaVec returns [lo, lo+k) as uint64s, in ephemeral memory.
+func iotaVec(c ppm.Ctx, lo, k int) []uint64 {
+	out := c.Scratch(k)
 	for i := range out {
 		out[i] = uint64(lo + i)
 	}

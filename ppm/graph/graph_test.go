@@ -246,3 +246,35 @@ func TestGraphFaultTolerance(t *testing.T) {
 		})
 	}
 }
+
+// TestScanLeavesAllocateNothing: on the native engine a graph leaf takes
+// every vector — its slices, gathers and result buffers — from the worker's
+// ephemeral memory. What a run still allocates is the scheduler's: a task
+// and its argument words per capsule, two objects. Leaves are a quarter of a
+// ParallelFor tree's capsules, so a leaf that took even one vector per
+// execution from the Go heap would add 0.25 objects per capsule.
+func TestScanLeavesAllocateNothing(t *testing.T) {
+	g := graph.Rand(1<<12, 1<<14, 3)
+	for _, tc := range []struct {
+		name string
+		algo ppm.Algorithm
+	}{
+		{"cc", graph.Components("alloc", g)},
+		{"pagerank", graph.PageRank("alloc", g, 4)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := newRT(ppm.EngineNative, 1)
+			defer rt.Close()
+			tc.algo.Build(rt)
+			tc.algo.Run() // first use sizes the arena
+			before := rt.Stats().Capsules
+			tc.algo.Run()
+			capsules := float64(rt.Stats().Capsules - before)
+			allocs := testing.AllocsPerRun(3, func() { tc.algo.Run() })
+			if per := allocs / capsules; per > 2.1 {
+				t.Fatalf("%.0f objects over %.0f capsules = %.2f per capsule; the scheduler's share is 2",
+					allocs, capsules, per)
+			}
+		})
+	}
+}

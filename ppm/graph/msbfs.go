@@ -93,11 +93,7 @@ func (a *MultiBFS) Build(rt *ppm.Runtime) {
 	// batch extent wn passed as its argument.
 	initLeaf := rt.Register(name+"/init", func(c ppm.Ctx) {
 		lo, hi := c.Int(0), c.Int(1)
-		vals := make([]uint64, hi-lo)
-		for i := range vals {
-			vals[i] = inf
-		}
-		a.level.SetRange(c, lo, vals)
+		a.level.SetRange(c, lo, fillVec(c, hi-lo, inf))
 		c.Done()
 	})
 	initP := rt.Register(name+"/initP", func(c ppm.Ctx) {
@@ -130,7 +126,7 @@ func (a *MultiBFS) Build(rt *ppm.Runtime) {
 		lo, hi := c.Int(0), c.Int(1)
 		d, parity := c.Uint(2), c.Int(3)
 		ids := front[parity].Slice(c, lo, hi)
-		vs := make([]uint64, len(ids))
+		vs := c.Scratch(len(ids))
 		for i, id := range ids {
 			vs[i] = id % uint64(n)
 		}
@@ -154,7 +150,7 @@ func (a *MultiBFS) Build(rt *ppm.Runtime) {
 	flagLeaf := rt.Register(name+"/flag", func(c ppm.Ctx) {
 		lo, hi, d := c.Int(0), c.Int(1), c.Uint(2)
 		lv := a.level.Slice(c, lo, hi)
-		vals := make([]uint64, hi-lo)
+		vals := c.Scratch(hi - lo)
 		for i, x := range lv {
 			if x == d {
 				vals[i] = 1

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/ppm"
@@ -248,33 +249,21 @@ func (r *Resident) Build(rt *ppm.Runtime) {
 		mw := r.mutW.Slice(c, 0, 2)
 		srcOB, srcAB := int(mw[0])*(n+1), int(mw[0])*r.arcCap
 		ovals := r.offs.Slice(c, srcOB+lo, srcOB+hi+1)
-		spans := make([][2]int, hi-lo)
-		for i := range spans {
-			spans[i] = [2]int{srcAB + int(ovals[i]), srcAB + int(ovals[i+1])}
-		}
-		old := r.adj.Gather(c, spans, nil)
+		// Consecutive vertices' lists are consecutive in the slot: one Slice.
+		old := r.adj.Slice(c, srcAB+int(ovals[0]), srcAB+int(ovals[hi-lo]))
 		iO := r.insO.Slice(c, lo, hi+1)
 		dO := r.delO.Slice(c, lo, hi+1)
 		var dels []uint64
 		if dO[hi-lo] > dO[0] {
 			dels = r.delT.Slice(c, int(dO[0]), int(dO[hi-lo]))
 		}
-		vals := make([]uint64, hi-lo)
+		vals := c.Scratch(hi - lo)
 		ai := 0
 		for i := range vals {
 			dv := dels[int(dO[i]-dO[0]):int(dO[i+1]-dO[0])]
 			keep := 0
-			for j := spans[i][0]; j < spans[i][1]; j++ {
-				t := old[ai]
-				ai++
-				drop := false
-				for _, d := range dv {
-					if d == t {
-						drop = true
-						break
-					}
-				}
-				if !drop {
+			for end := ai + int(ovals[i+1]-ovals[i]); ai < end; ai++ {
+				if !slices.Contains(dv, old[ai]) {
 					keep++
 				}
 			}
@@ -317,11 +306,7 @@ func (r *Resident) Build(rt *ppm.Runtime) {
 		srcOB, srcAB := int(mw[0])*(n+1), int(mw[0])*r.arcCap
 		dstAB := int(mw[1]) * r.arcCap
 		ovals := r.offs.Slice(c, srcOB+lo, srcOB+hi+1)
-		spans := make([][2]int, hi-lo)
-		for i := range spans {
-			spans[i] = [2]int{srcAB + int(ovals[i]), srcAB + int(ovals[i+1])}
-		}
-		old := r.adj.Gather(c, spans, nil)
+		old := r.adj.Slice(c, srcAB+int(ovals[0]), srcAB+int(ovals[hi-lo]))
 		iO := r.insO.Slice(c, lo, hi+1)
 		dO := r.delO.Slice(c, lo, hi+1)
 		var inss, dels []uint64
@@ -335,28 +320,19 @@ func (r *Resident) Build(rt *ppm.Runtime) {
 		if lo > 0 {
 			start = r.ndeg.Get(c, lo-1)
 		}
-		var out []uint64
+		out := c.Scratch(len(old) + len(inss))[:0] // every survivor plus every insert
 		ai := 0
 		for i := 0; i < hi-lo; i++ {
 			dv := dels[int(dO[i]-dO[0]):int(dO[i+1]-dO[0])]
-			for j := spans[i][0]; j < spans[i][1]; j++ {
-				t := old[ai]
-				ai++
-				drop := false
-				for _, d := range dv {
-					if d == t {
-						drop = true
-						break
-					}
-				}
-				if !drop {
+			for end := ai + int(ovals[i+1]-ovals[i]); ai < end; ai++ {
+				if t := old[ai]; !slices.Contains(dv, t) {
 					out = append(out, t)
 				}
 			}
 			out = append(out, inss[int(iO[i]-iO[0]):int(iO[i+1]-iO[0])]...)
 		}
 		if len(out) > 0 {
-			//ppm:allow warfree the Gather above reads the SOURCE slot's arc range and this writes the DESTINATION slot's; the slot bases (srcAB vs dstAB) are distinct ring slots of one array, so the regions are disjoint and replay re-reads unchanged words
+			//ppm:allow warfree the Slice above reads the SOURCE slot's arc range and this writes the DESTINATION slot's; the slot bases (srcAB vs dstAB) are distinct ring slots of one array, so the regions are disjoint and replay re-reads unchanged words
 			r.adj.SetRange(c, dstAB+int(start), out)
 		}
 		c.Done()

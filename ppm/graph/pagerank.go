@@ -108,12 +108,7 @@ func (a *prAlgo) Build(rt *ppm.Runtime) {
 
 	initLeaf := rt.Register(name+"/init", func(c ppm.Ctx) {
 		lo, hi := c.Int(0), c.Int(1)
-		vals := make([]uint64, hi-lo)
-		r0 := math.Float64bits(1 / float64(n))
-		for i := range vals {
-			vals[i] = r0
-		}
-		a.ranks[0].SetRange(c, lo, vals)
+		a.ranks[0].SetRange(c, lo, fillVec(c, hi-lo, math.Float64bits(1/float64(n))))
 		c.Done()
 	})
 	initP := rt.Register(name+"/initP", func(c ppm.Ctx) {
@@ -129,14 +124,14 @@ func (a *prAlgo) Build(rt *ppm.Runtime) {
 			// degree array would go stale under committed mutation batches.
 			ob, _ := rev.bases(c)
 			ovals := rev.offs.Slice(c, ob+lo, ob+hi+1)
-			d = make([]uint64, hi-lo)
+			d = c.Scratch(hi - lo)
 			for i := range d {
 				d[i] = ovals[i+1] - ovals[i]
 			}
 		} else {
 			d = outdeg.Slice(c, lo, hi)
 		}
-		vals := make([]uint64, hi-lo)
+		vals := c.Scratch(hi - lo)
 		for i := range vals {
 			if d[i] > 0 {
 				vals[i] = math.Float64bits(math.Float64frombits(r[i]) / float64(d[i]))
@@ -151,21 +146,19 @@ func (a *prAlgo) Build(rt *ppm.Runtime) {
 
 	scanLeaf := rt.Register(name+"/scan", func(c ppm.Ctx) {
 		lo, hi, parity := c.Int(0), c.Int(1), c.Int(2)
-		spans, srcs := rev.gatherAdjRange(c, lo, hi)
-		cspans := make([][2]int, len(srcs))
-		for i, u := range srcs {
-			cspans[i] = [2]int{int(u), int(u) + 1}
-		}
-		cvals := contrib.Gather(c, cspans, nil)
+		offs, srcs := rev.adjRange(c, lo, hi)
+		// One more batched round: the contribution of every in-neighbour.
+		cvals := contrib.GatherAt(c, srcs, nil)
 		base := (1 - damping) / float64(n)
-		vals := make([]uint64, hi-lo)
+		vals := c.Scratch(hi - lo)
 		i := 0
 		for idx := range vals {
 			sum := 0.0
-			for j := spans[idx][0]; j < spans[idx][1]; j++ {
-				sum += math.Float64frombits(cvals[i])
-				i++
+			end := i + int(offs[idx+1]-offs[idx])
+			for _, cv := range cvals[i:end] {
+				sum += math.Float64frombits(cv)
 			}
+			i = end
 			vals[idx] = math.Float64bits(base + damping*sum)
 		}
 		a.ranks[1-parity].SetRange(c, lo, vals)

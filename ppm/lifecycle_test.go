@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // busyWork registers a parallel-for heavy enough that a concurrent TryRun
@@ -168,6 +169,42 @@ func TestRuntimeReuseAcrossRuns(t *testing.T) {
 	}
 }
 
+// TestModelRerunAfterSteals re-runs a model runtime many times after runs
+// whose threads were stolen. A finished run leaves its tags and states in
+// the deque entry words; unless the scheduler clears them when it starts the
+// next root, a thread stolen in a later run fails to claim its receiving
+// entry and re-pushes until the closure pool is exhausted (or forever).
+func TestModelRerunAfterSteals(t *testing.T) {
+	rt := New(WithProcs(2), WithMemWords(1<<22), WithPoolWords(1<<20))
+	defer rt.Close()
+	root, out := busyWork(rt, 256, 50)
+	var want []uint64
+	for rep := 0; rep <= 24; rep++ {
+		done := make(chan bool, 1) // the run's one result, so a late run can still finish
+		go func() { done <- rt.Run(root) }()
+		select {
+		case ok := <-done:
+			if !ok {
+				t.Fatalf("rep %d: did not complete", rep)
+			}
+		case <-time.After(time.Minute):
+			t.Fatalf("rep %d: run hung", rep)
+		}
+		got := out.Snapshot()
+		if rep == 0 {
+			want = got
+			if rt.Stats().Steals == 0 {
+				t.Skip("no steal in the first run on this machine; nothing to re-run after")
+			}
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("rep %d: out[%d] = %d, want %d", rep, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestModelRerunFreshResults(t *testing.T) {
 	// The model machine supports serialized re-runs: ResetRun zeroes the
 	// dirtied pool words between runs, so run 2's join cells are fresh and
@@ -209,8 +246,10 @@ func TestModelRerunFreshResults(t *testing.T) {
 
 func TestModelRerunRefusedAfterHardFault(t *testing.T) {
 	// A hard-faulted processor never restarts; a re-run on such a machine
-	// would strand work, so TryRun refuses it with a defined error.
-	rt := New(WithProcs(2), WithHardFault(1, 50), WithMemWords(1<<22), WithPoolWords(1<<20))
+	// would strand work, so TryRun refuses it with a defined error. Proc 0
+	// is the one killed: it starts the root thread, so it always reaches its
+	// 50th access, where an idle proc 1 may finish the run without dying.
+	rt := New(WithProcs(2), WithHardFault(0, 50), WithMemWords(1<<22), WithPoolWords(1<<20))
 	defer rt.Close()
 	root, _ := busyWork(rt, 512, 50)
 	if ok, err := rt.TryRun(root); err != nil || !ok {

@@ -105,8 +105,6 @@ func (n *nativeEngine) runOnAll(fn FuncRef, args []uint64) {
 }
 
 func (n *nativeEngine) heapAllocBlocks(nw int) Addr { return n.rt.HeapAllocBlocks(nw) }
-func (n *nativeEngine) memRead(a Addr) uint64       { return n.rt.MemRead(a) }
-func (n *nativeEngine) memWrite(a Addr, v uint64)   { n.rt.MemWrite(a, v) }
 func (n *nativeEngine) engineStats() Stats          { return n.rt.Stats() }
 func (n *nativeEngine) allocStats() AllocStats      { return n.rt.AllocStats() }
 func (n *nativeEngine) schedStats() SchedStats      { return n.rt.SchedStats() }
@@ -114,6 +112,9 @@ func (n *nativeEngine) procs() int                  { return n.rt.P() }
 func (n *nativeEngine) blockWords() int             { return n.rt.BlockWords() }
 func (n *nativeEngine) warViolations() []string     { return n.rt.WARViolations() }
 func (n *nativeEngine) machine() *machine.Machine   { return nil }
+
+func (n *nativeEngine) memReadRange(a Addr, dst []uint64)   { n.rt.MemReadRange(a, dst) }
+func (n *nativeEngine) memWriteRange(a Addr, vals []uint64) { n.rt.MemWriteRange(a, vals) }
 
 // persistPoints exposes the native persistence-point counter (0 elsewhere).
 func (n *nativeEngine) persistPoints() int64 { return n.rt.PersistPoints() }

@@ -7,39 +7,59 @@ import (
 	"repro/ppm"
 )
 
-// TestWARCheckCrossEngine plants the same WAR-conflicted capsule on both
-// engines and asserts both dynamic checkers flag it, naming the capsule the
-// same way — the cross-validation that makes WithNativeWARCheck trustworthy.
+// TestWARCheckCrossEngine plants the same WAR-conflicted capsules on both
+// engines — a word read then rewritten, and an indexed GatherAt followed by a
+// Set into a block it read — and asserts both dynamic checkers flag each,
+// naming the capsule the same way: the cross-validation that makes
+// WithNativeWARCheck trustworthy.
 func TestWARCheckCrossEngine(t *testing.T) {
-	cases := []struct {
+	engines := []struct {
 		eng ppm.Engine
 		opt ppm.Option
 	}{
 		{ppm.EngineModel, ppm.WithWARCheck()},
 		{ppm.EngineNative, ppm.WithNativeWARCheck()},
 	}
-	for _, tc := range cases {
-		t.Run(string(tc.eng), func(t *testing.T) {
-			rt := ppm.New(ppm.WithEngine(tc.eng), tc.opt)
-			cell := rt.NewArray(1)
-			bad := rt.Register("war/incr", func(c ppm.Ctx) {
-				v := c.Read(cell.At(0))
+	plants := []struct {
+		name string
+		body func(cells ppm.Array) ppm.Func
+	}{
+		{"war/incr", func(cells ppm.Array) ppm.Func {
+			return func(c ppm.Ctx) {
+				v := c.Read(cells.At(0))
 				//ppm:allow warfree this test plants the conflict both dynamic checkers must flag
-				c.Write(cell.At(0), v+1)
+				c.Write(cells.At(0), v+1)
 				c.Halt()
+			}
+		}},
+		{"war/gatherat", func(cells ppm.Array) ppm.Func {
+			return func(c ppm.Ctx) {
+				got := cells.GatherAt(c, []uint64{40, 3, 40}, nil)
+				//ppm:allow warfree this test plants the conflict both dynamic checkers must flag
+				cells.Set(c, 41, got[0]+got[1])
+				c.Halt()
+			}
+		}},
+	}
+	for _, tc := range engines {
+		for _, p := range plants {
+			t.Run(string(tc.eng)+"/"+p.name, func(t *testing.T) {
+				rt := ppm.New(ppm.WithEngine(tc.eng), tc.opt)
+				defer rt.Close()
+				bad := rt.Register(p.name, p.body(rt.NewArray(64)))
+				rt.RunOnAll(bad)
+				vs := rt.WARViolations()
+				if len(vs) == 0 {
+					t.Fatal("planted WAR conflict not flagged")
+				}
+				if !strings.Contains(vs[0], p.name) {
+					t.Errorf("violation %q does not name the capsule", vs[0])
+				}
+				if !strings.Contains(vs[0], "write-after-read conflict") {
+					t.Errorf("violation %q missing the conflict description", vs[0])
+				}
 			})
-			rt.RunOnAll(bad)
-			vs := rt.WARViolations()
-			if len(vs) == 0 {
-				t.Fatal("planted WAR conflict not flagged")
-			}
-			if !strings.Contains(vs[0], "war/incr") {
-				t.Errorf("violation %q does not name the capsule", vs[0])
-			}
-			if !strings.Contains(vs[0], "write-after-read conflict") {
-				t.Errorf("violation %q missing the conflict description", vs[0])
-			}
-		})
+		}
 	}
 }
 

@@ -66,7 +66,7 @@ func buildPrefixTree(rt *Runtime, name string, n, leaf int, src, dst Array) Func
 	down = rt.Register(name+"/down", func(c Ctx) {
 		node, lo, hi, t := c.Int(0), c.Int(1), c.Int(2), c.Uint(3)
 		if hi-lo <= leaf {
-			vals := make([]uint64, hi-lo)
+			vals := c.Scratch(hi - lo)
 			acc := t
 			src.Range(c, lo, hi, func(idx int, v uint64) {
 				acc += v
@@ -134,10 +134,11 @@ func (a *prefixSumAlgo) Verify() error {
 
 // ---- merge (Theorem 7.2) ----
 
-// seqMerge merges two sorted slices (capsule-local, free on the model; a
-// native hot path, so indexed writes and tail copies instead of appends).
-func seqMerge(a, b []uint64) []uint64 {
-	out := make([]uint64, len(a)+len(b))
+// seqMerge merges two sorted slices into ephemeral memory (capsule-local,
+// free on the model; a native hot path, so indexed writes and tail copies
+// instead of appends).
+func seqMerge(c Ctx, a, b []uint64) []uint64 {
+	out := c.Scratch(len(a) + len(b))
 	i, j, k := 0, 0, 0
 	for i < len(a) && j < len(b) {
 		if a[i] <= b[j] {
@@ -163,7 +164,7 @@ func registerMergeNode(rt *Runtime, name string, srcA, srcB, dst Array, leaf int
 	node = rt.Register(name, func(c Ctx) {
 		alo, ahi, blo, bhi, olo := c.Int(0), c.Int(1), c.Int(2), c.Int(3), c.Int(4)
 		if (ahi-alo)+(bhi-blo) <= leaf {
-			merged := seqMerge(srcA.Slice(c, alo, ahi), srcB.Slice(c, blo, bhi))
+			merged := seqMerge(c, srcA.Slice(c, alo, ahi), srcB.Slice(c, blo, bhi))
 			dst.SetRange(c, olo, merged)
 			c.Done()
 			return
@@ -354,17 +355,17 @@ func (s *sortAlgo) buildSample(rt *Runtime) {
 	}
 	// bucketOf is shared by the count and scatter phases so both see the
 	// exact same partition of a sorted chunk against the splitters.
-	bucketSegments := func(vals, spl []uint64) []int {
+	bucketSegments := func(c Ctx, vals, spl []uint64) []uint64 {
 		// Returns k+1 fenceposts into vals: bucket b is vals[f[b]:f[b+1]].
-		f := make([]int, k+1)
+		f := c.Scratch(k + 1)
 		idx := 0
 		for b := 0; b < k-1; b++ {
 			for idx < len(vals) && vals[idx] < spl[b] {
 				idx++
 			}
-			f[b+1] = idx
+			f[b+1] = uint64(idx)
 		}
-		f[k] = len(vals)
+		f[k] = uint64(len(vals))
 		return f
 	}
 
@@ -380,7 +381,7 @@ func (s *sortAlgo) buildSample(rt *Runtime) {
 	sampleChunk := rt.Register(name+"/sample", func(c Ctx) {
 		for ci := c.Int(0); ci < c.Int(1); ci++ {
 			lo, hi := chunkRange(ci)
-			vals := make([]uint64, oversample)
+			vals := c.Scratch(oversample)
 			for t := 0; t < oversample; t++ {
 				pos := lo + (t+1)*(hi-lo)/(oversample+1)
 				if pos >= hi {
@@ -396,7 +397,7 @@ func (s *sortAlgo) buildSample(rt *Runtime) {
 		if k > 1 {
 			all := samp.Slice(c, 0, samp.Len())
 			slices.Sort(all)
-			spl := make([]uint64, k-1)
+			spl := c.Scratch(k - 1)
 			for j := 1; j < k; j++ {
 				spl[j-1] = all[j*len(all)/k]
 			}
@@ -408,9 +409,9 @@ func (s *sortAlgo) buildSample(rt *Runtime) {
 		for ci := c.Int(0); ci < c.Int(1); ci++ {
 			lo, hi := chunkRange(ci)
 			spl := splitters.Slice(c, 0, k-1)
-			f := bucketSegments(parts.Slice(c, lo, hi), spl)
+			f := bucketSegments(c, parts.Slice(c, lo, hi), spl)
 			for b := 0; b < k; b++ {
-				counts.Set(c, b*chunks+ci, uint64(f[b+1]-f[b]))
+				counts.Set(c, b*chunks+ci, f[b+1]-f[b])
 			}
 		}
 		c.Done()
@@ -427,15 +428,15 @@ func (s *sortAlgo) buildSample(rt *Runtime) {
 			lo, hi := chunkRange(ci)
 			spl := splitters.Slice(c, 0, k-1)
 			vals := parts.Slice(c, lo, hi)
-			f := bucketSegments(vals, spl)
+			f := bucketSegments(c, vals, spl)
 			// One batched Scatter per chunk: bucket b's segment
 			// vals[f[b]:f[b+1]] lands at its exclusive offset. Spans are
 			// disjoint across chunks by construction of the offset matrix.
-			spans := make([][2]int, 0, k)
+			spans := c.ScratchSpans(k)[:0]
 			for b := 0; b < k; b++ {
 				if f[b+1] > f[b] {
 					off := exclusive(c, b*chunks+ci)
-					spans = append(spans, [2]int{off, off + f[b+1] - f[b]})
+					spans = append(spans, [2]int{off, off + int(f[b+1]-f[b])})
 				}
 			}
 			in.Scatter(c, spans, vals)
@@ -548,7 +549,7 @@ func (m *matMulAlgo) Build(rt *Runtime) {
 		for idx := c.Int(0); idx < c.Int(1); idx++ {
 			q, r := idx/h, idx%h
 			qr, qc := q>>1, q&1
-			row := make([]uint64, h)
+			row := c.Scratch(h)
 			t0 := sbase + 2*q*h*h + r*h
 			S.Range(c, t0, t0+h, func(i int, v uint64) { row[i-t0] = v })
 			t1 := sbase + (2*q+1)*h*h + r*h
@@ -574,15 +575,15 @@ func (m *matMulAlgo) Build(rt *Runtime) {
 		d, sel := c.Int(4), c.Int(5)
 		dstOff, stride, sbase := c.Int(6), c.Int(7), c.Int(8)
 		if d <= base {
-			av := make([]uint64, d*d)
-			bv := make([]uint64, d*d)
+			av := c.Scratch(d * d)
+			bv := c.Scratch(d * d)
 			for i := 0; i < d; i++ {
 				o := (ar+i)*dim + ac
 				A.Range(c, o, o+d, func(j int, v uint64) { av[i*d+j-o] = v })
 				o = (br+i)*dim + bc
 				B.Range(c, o, o+d, func(j int, v uint64) { bv[i*d+j-o] = v })
 			}
-			row := make([]uint64, d)
+			row := c.Scratch(d)
 			for i := 0; i < d; i++ {
 				for j := 0; j < d; j++ {
 					var acc uint64
