@@ -5,21 +5,25 @@
 // one MAP_SHARED mapping so ordinary stores land in the page cache and an
 // msync drains them to the file.
 //
-// Flush discipline exposed to callers:
+// Flush discipline — what is guaranteed, and by what:
 //
-//   - Sync*(..., false) issues MS_ASYNC — schedule the span for writeback
-//     without blocking. Used for per-capsule frontier/span flushes where
-//     throughput matters and the kill(-9) failure model already preserves
-//     the page cache.
-//   - Sync*(..., true) issues MS_SYNC — block until the span is on stable
-//     storage. Used at run boundaries, phase commits, and Close, where the
-//     power-failure story requires a real barrier.
+//   - kill -9: every completed store survives, because the page cache of a
+//     MAP_SHARED mapping outlives the process. No call buys this, so a
+//     persistence point (WriteFrontier) is stores only.
+//   - Power cut: the file holds at least everything stored before the last
+//     MS_SYNC barrier that returned (SyncWords(.., true), SyncMeta, SyncAll,
+//     Close). Callers advance the committed index between two of them, data
+//     then index, so it never runs ahead; a barrier that fails returns its
+//     error and the caller must not commit.
+//   - MS_ASYNC (SyncWords(.., false)) buys neither — a no-op since Linux
+//     2.6.19 — and remains only as the arm the benchmark prices.
 //
-// All header, frontier, and chain words are accessed with atomics so
-// concurrent workers and the committing worker never race.
+// Header and chain words are accessed with atomics; a frontier record is
+// plain stores by its one owner, published by its epoch word.
 package durable
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"sync/atomic"
@@ -72,6 +76,20 @@ const (
 	msSync  = 0x4 // MS_SYNC
 )
 
+// Test seams; nothing outside a test assigns them.
+var (
+	// Msync is msync(2), raw: the stdlib has no wrapper. A test swaps it to
+	// fail the k-th barrier.
+	Msync = func(addr, length, flags uintptr) syscall.Errno {
+		_, _, errno := syscall.Syscall(syscall.SYS_MSYNC, addr, length, flags)
+		return errno
+	}
+	// AfterBarrier, when set, runs after every MS_SYNC that succeeded.
+	// Barriers are issued at quiescent points only, so the file then equals
+	// what was synced and a test may copy it.
+	AfterBarrier func(*Region)
+)
+
 // ChainStep is one recorded step of a root Seq chain.
 type ChainStep struct {
 	Fid  uint64
@@ -85,12 +103,13 @@ type Region struct {
 	hdr     []uint64 // header page
 	chain   []uint64 // chain area
 	words   []uint64 // the PPM word memory
+	fr      []uint64 // frontier area, frontierBytes/8 words per worker
 	dataOff int
-	frOff   int // frontier area byte offset
 	p       int
 	mem     int
 	block   int
 	closed  atomic.Bool
+	syncs   atomic.Int64 // MS_SYNC barriers issued
 }
 
 func layout(p, memWords int) (frOff, chainOff, dataOff, total int) {
@@ -137,7 +156,10 @@ func Create(path string, p, memWords, blockWords int) (*Region, error) {
 	// Magic last: a crash between Truncate and here leaves a file Open
 	// rejects instead of a half-initialized header it would trust.
 	atomic.StoreUint64(&r.hdr[hMagic], regionMagic)
-	r.SyncMeta(true)
+	if err := r.SyncMeta(); err != nil {
+		r.Close()
+		return nil, err
+	}
 	return r, nil
 }
 
@@ -194,8 +216,8 @@ func mapRegion(f *os.File, p, memWords, blockWords int) (*Region, error) {
 		hdr:     unsafe.Slice((*uint64)(unsafe.Pointer(&data[0])), headerBytes/8),
 		chain:   unsafe.Slice((*uint64)(unsafe.Pointer(&data[chainOff])), chainCap*stepWords),
 		words:   unsafe.Slice((*uint64)(unsafe.Pointer(&data[dataOff])), memWords),
+		fr:      unsafe.Slice((*uint64)(unsafe.Pointer(&data[frOff])), p*frontierBytes/8),
 		dataOff: dataOff,
-		frOff:   frOff,
 		p:       p,
 		mem:     memWords,
 		block:   blockWords,
@@ -204,20 +226,23 @@ func mapRegion(f *os.File, p, memWords, blockWords int) (*Region, error) {
 }
 
 // Close flushes the whole mapping with MS_SYNC, unmaps it, and closes the
-// file. Safe to call more than once; only the first call does work.
+// file, returning what failed of the three. Safe to call more than once;
+// only the first call does work.
 func (r *Region) Close() error {
 	if r.closed.Swap(true) {
 		return nil
 	}
-	r.msyncSpan(0, len(r.data), true)
 	data := r.data
-	r.data, r.hdr, r.chain, r.words = nil, nil, nil, nil
-	err := syscall.Munmap(data)
-	if cerr := r.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	err := r.msync(0, len(data), msSync)
+	r.data, r.hdr, r.fr, r.chain, r.words = nil, nil, nil, nil, nil
+	return errors.Join(err, syscall.Munmap(data), r.f.Close())
 }
+
+// Path returns the region file's path.
+func (r *Region) Path() string { return r.f.Name() }
+
+// Syncs returns the number of MS_SYNC barriers issued on this region.
+func (r *Region) Syncs() int64 { return r.syncs.Load() }
 
 // Words returns the mapped PPM word memory.
 func (r *Region) Words() []uint64 { return r.words }
@@ -227,19 +252,13 @@ func (r *Region) P() int          { return r.p }
 func (r *Region) MemWords() int   { return r.mem }
 func (r *Region) BlockWords() int { return r.block }
 
-// msync schedules (async) or forces (sync) writeback of data[off:off+n],
-// widened to page boundaries as msync requires.
-func (r *Region) msync(off, n int, sync bool) {
-	if r.closed.Load() {
-		return
-	}
-	r.msyncSpan(off, n, sync)
-}
-
-// msyncSpan is msync without the closed guard, for Close's final flush.
-func (r *Region) msyncSpan(off, n int, sync bool) {
-	if n <= 0 {
-		return
+// msync msyncs data[off:off+n], widened to page boundaries as msync requires;
+// a released mapping has nothing to flush. EINTR is retried; any other errno
+// is returned — after EIO or ENOMEM the file does not hold the span, and the
+// caller must not commit.
+func (r *Region) msync(off, n int, flags uintptr) error {
+	if n <= 0 || r.data == nil {
+		return nil
 	}
 	page := syscall.Getpagesize()
 	a := off &^ (page - 1)
@@ -248,19 +267,26 @@ func (r *Region) msyncSpan(off, n int, sync bool) {
 	if a+n > len(r.data) {
 		n = len(r.data) - a
 	}
-	flags := uintptr(msAsync)
-	if sync {
-		flags = msSync
+	if flags == msSync {
+		r.syncs.Add(1)
 	}
 	addr := uintptr(unsafe.Pointer(&r.data[a]))
-	// Raw syscall: the stdlib has no msync wrapper and this module takes no
-	// dependencies. EINVAL here would mean a bookkeeping bug; writeback is
-	// advisory for the kill(-9) failure model, so errors are not fatal.
-	syscall.Syscall(syscall.SYS_MSYNC, addr, uintptr(n), flags)
+	errno := syscall.EINTR
+	for errno == syscall.EINTR {
+		errno = Msync(addr, uintptr(n), flags)
+	}
+	if errno != 0 {
+		return fmt.Errorf("durable: msync %s: %w", r.f.Name(), errno)
+	}
+	if flags == msSync && AfterBarrier != nil {
+		AfterBarrier(r)
+	}
+	return nil
 }
 
-// SyncWords flushes the word span [lo, hi) of the data region.
-func (r *Region) SyncWords(lo, hi int64, sync bool) {
+// SyncWords flushes the word span [lo, hi) of the data region: an MS_SYNC
+// barrier when sync is set, otherwise MS_ASYNC (see the package comment).
+func (r *Region) SyncWords(lo, hi int64, sync bool) error {
 	if lo < 0 {
 		lo = 0
 	}
@@ -268,21 +294,20 @@ func (r *Region) SyncWords(lo, hi int64, sync bool) {
 		hi = int64(r.mem)
 	}
 	if hi <= lo {
-		return
+		return nil
 	}
-	r.msync(r.dataOff+int(lo)*8, int(hi-lo)*8, sync)
+	flags := uintptr(msAsync)
+	if sync {
+		flags = msSync
+	}
+	return r.msync(r.dataOff+int(lo)*8, int(hi-lo)*8, flags)
 }
 
-// SyncMeta flushes the header, frontier, and chain areas.
-func (r *Region) SyncMeta(sync bool) { r.msync(0, r.dataOff, sync) }
+// SyncMeta is an MS_SYNC barrier over the header, frontier, and chain areas.
+func (r *Region) SyncMeta() error { return r.msync(0, r.dataOff, msSync) }
 
-// SyncAll flushes the entire mapping.
-func (r *Region) SyncAll(sync bool) { r.msync(0, len(r.data), sync) }
-
-// SyncFrontier flushes one worker's frontier record.
-func (r *Region) SyncFrontier(worker int, sync bool) {
-	r.msync(r.frOff+worker*frontierBytes, frontierBytes, sync)
-}
+// SyncAll is an MS_SYNC barrier over the entire mapping.
+func (r *Region) SyncAll() error { return r.msync(0, len(r.data), msSync) }
 
 // --- header accessors -------------------------------------------------------
 
@@ -366,39 +391,26 @@ func (r *Region) FuncSig() (count, hash uint64) { return r.get(hFuncCount), r.ge
 
 // WriteFrontier publishes worker w's current capsule (epoch = its capsule
 // counter, closure id, args). Layout per record: epoch, fid, nargs, args[16].
+// Only the owning worker writes a record: plain stores, then one atomic store
+// of the epoch word (a torn record is detectable as epoch lagging the fields).
 func (r *Region) WriteFrontier(worker int, epoch, fid uint64, args []uint64) {
 	rec := r.frontierRec(worker)
-	n := len(args)
-	if n > maxArgs {
-		n = maxArgs
-	}
-	atomic.StoreUint64(&rec[1], fid)
-	atomic.StoreUint64(&rec[2], uint64(n))
-	for i := 0; i < n; i++ {
-		atomic.StoreUint64(&rec[3+i], args[i])
-	}
-	// Epoch last: a torn record is detectable as epoch lagging the fields.
+	rec[1] = fid
+	rec[2] = uint64(copy(rec[3:3+maxArgs], args))
 	atomic.StoreUint64(&rec[0], epoch)
 }
 
 func (r *Region) frontierRec(worker int) []uint64 {
-	hw := unsafe.Slice((*uint64)(unsafe.Pointer(&r.data[r.frOff])), r.p*frontierBytes/8)
-	return hw[worker*frontierBytes/8 : (worker+1)*frontierBytes/8]
+	return r.fr[worker*frontierBytes/8 : (worker+1)*frontierBytes/8]
 }
 
 // Frontier reads worker w's last published record.
 func (r *Region) Frontier(worker int) (epoch, fid uint64, args []uint64) {
 	rec := r.frontierRec(worker)
 	epoch = atomic.LoadUint64(&rec[0])
-	fid = atomic.LoadUint64(&rec[1])
-	n := int(atomic.LoadUint64(&rec[2]))
-	if n > maxArgs {
-		n = maxArgs
-	}
-	args = make([]uint64, n)
-	for i := range args {
-		args[i] = atomic.LoadUint64(&rec[3+i])
-	}
+	fid = rec[1]
+	n := min(int(rec[2]), maxArgs)
+	args = append([]uint64(nil), rec[3:3+n]...)
 	return
 }
 

@@ -145,11 +145,20 @@ func TestSyncSpans(t *testing.T) {
 	for i := range w {
 		w[i] = uint64(i)
 	}
-	// None of these may crash regardless of span clamping.
-	r.SyncWords(-5, 10, false)
-	r.SyncWords(100, 100, true)
-	r.SyncWords(4000, 1<<20, true)
-	r.SyncFrontier(1, false)
-	r.SyncMeta(true)
-	r.SyncAll(true)
+	// None of these may fail regardless of span clamping, and only the
+	// non-empty MS_SYNC ones count as barriers (Create issued the first).
+	for _, err := range []error{
+		r.SyncWords(-5, 10, false),
+		r.SyncWords(100, 100, true),
+		r.SyncWords(4000, 1<<20, true),
+		r.SyncMeta(),
+		r.SyncAll(),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := r.Syncs(); got != 4 {
+		t.Fatalf("Syncs = %d, want 4", got)
+	}
 }

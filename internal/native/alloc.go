@@ -78,10 +78,9 @@ func (rt *Runtime) tryReserve(n int) (pmem.Addr, bool) {
 				// Publish the raised high-water mark before the caller can
 				// write into the block: a recovered runtime restarts its bump
 				// pointer at the durable mark, so every address ever handed
-				// out must be at or below it. Async flush — SIGKILL keeps the
-				// page cache, and run/phase barriers MS_SYNC the header.
+				// out must be at or below it. A store suffices: SIGKILL keeps
+				// the page cache, and run/phase barriers MS_SYNC the header.
 				reg.RaiseHeapHW(start + int64(n))
-				reg.SyncMeta(false)
 			}
 			return pmem.Addr(start), true
 		}

@@ -41,6 +41,22 @@ var errSoftFault = errors.New("native: injected soft fault")
 // Recover.
 var ErrNotRecovered = errors.New("native: Resume requires a runtime built by Recover")
 
+// ErrSync wraps a failed MS_SYNC barrier. The first one latches: the run it
+// hit stops at that boundary, leaving the region as a kill there would, and
+// TryRun, Resume and Close return it from then on — after EIO the kernel may
+// have dropped dirty pages, so no later barrier can vouch for the file.
+var ErrSync = errors.New("native: durable barrier failed")
+
+// barrier folds one MS_SYNC outcome into the latch and reports whether the
+// runtime may still commit. Callers are quiescent points of a run or hold
+// runMu, so the latch needs no lock.
+func (rt *Runtime) barrier(err error) bool {
+	if err != nil && rt.syncErr == nil {
+		rt.syncErr = fmt.Errorf("%w: %w", ErrSync, err)
+	}
+	return rt.syncErr == nil
+}
+
 // maybeFault draws one soft-fault trial covering n word accesses; on a hit
 // it aborts the current capsule body via panic. No draws happen once the
 // body performed its control transfer (see Ctx.transferred) — a capsule
@@ -93,9 +109,12 @@ func (rt *Runtime) funcSig() (count, hash uint64) {
 // closure, program signature, cleared chain, state=running — and, on the
 // first run, the setup high-water mark that recovery's allocation replay is
 // bounded by. The MS_SYNC covers the Build phase's staged inputs too, so a
-// crash at any later point recovers against complete setup state. Callers
-// hold runMu.
-func (rt *Runtime) beginDurableRun(root capsule.FuncID, args []uint64) {
+// crash at any later point recovers against complete setup state. It reports
+// false, writing nothing, once a barrier has failed. Callers hold runMu.
+func (rt *Runtime) beginDurableRun(root capsule.FuncID, args []uint64) bool {
+	if rt.syncErr != nil {
+		return false
+	}
 	reg := rt.region
 	if reg.SetupHW() == 0 {
 		reg.SetSetupHW(rt.heap.Load())
@@ -107,31 +126,36 @@ func (rt *Runtime) beginDurableRun(root capsule.FuncID, args []uint64) {
 	reg.SetCommittedIdx(0)
 	reg.RaiseHeapHW(rt.heap.Load())
 	reg.SetState(durable.StateRunning)
-	reg.SyncAll(true)
+	return rt.barrier(reg.SyncAll())
 }
 
 // finishDurableRun commits run completion: everything the run wrote, then
 // state=done. After this, Recover reports a completed region and Resume has
-// nothing to replay.
-func (rt *Runtime) finishDurableRun() {
+// nothing to replay. After a failed barrier the state stays running.
+func (rt *Runtime) finishDurableRun() bool {
 	reg := rt.region
-	reg.SyncAll(true)
+	if rt.syncErr != nil || !rt.barrier(reg.SyncAll()) {
+		return false
+	}
 	reg.SetState(durable.StateDone)
-	reg.SyncMeta(true)
+	return rt.barrier(reg.SyncMeta())
 }
 
-// commitPhase marks root-chain steps [0, k) durably complete. The caller is
-// the worker starting step k, a quiescent point: no other task of this run
-// exists. Ordering: data first (MS_SYNC), then the committed index — the
-// index never claims un-persisted effects.
-func (rt *Runtime) commitPhase(k int64) {
+// commitPhase marks root-chain steps [0, k) durably complete and reports
+// whether the run may go on. The caller is the worker starting step k, a
+// quiescent point: no other task of this run exists. Ordering: data first
+// (MS_SYNC), then the committed index — the index never claims un-persisted
+// effects; a failed data barrier leaves it where it is.
+func (rt *Runtime) commitPhase(k int64) bool {
 	reg := rt.region
 	if reg == nil || k <= reg.CommittedIdx() {
-		return
+		return true
 	}
-	reg.SyncWords(0, int64(len(rt.mem)), true)
+	if !rt.barrier(reg.SyncWords(0, int64(len(rt.mem)), true)) {
+		return false
+	}
 	reg.SetCommittedIdx(k)
-	reg.SyncMeta(true)
+	return rt.barrier(reg.SyncMeta())
 }
 
 // recordChain persists a root-level Seq's step list (tier-1 recovery data).
@@ -141,7 +165,6 @@ func (rt *Runtime) recordChain(fids []capsule.FuncID, argss [][]uint64) {
 		steps[i] = durable.ChainStep{Fid: uint64(fids[i]), Args: argss[i]}
 	}
 	rt.region.RecordChain(steps)
-	rt.region.SyncMeta(false)
 }
 
 // Recover reopens the durable region at path and builds a runtime over it in
@@ -191,6 +214,9 @@ func (rt *Runtime) Resume() (bool, error) {
 	defer rt.runMu.Unlock()
 	if rt.closed.Load() {
 		return false, ErrClosed
+	}
+	if rt.syncErr != nil {
+		return false, rt.syncErr
 	}
 	rt.rebuild.Store(false)
 	reg := rt.region

@@ -67,9 +67,11 @@ type Config struct {
 	Persist bool
 	// DurablePath, when non-empty, backs the word memory with an mmap'd
 	// region file at this path (created fresh) and implies Persist: every
-	// persistence point additionally flushes the capsule's dirtied span and
-	// publishes a per-worker frontier record into the file, and run/phase
-	// boundaries commit with MS_SYNC. Recover reopens such a file.
+	// persistence point additionally publishes a per-worker frontier record
+	// into the file — stores only, no syscall — and run/phase boundaries are
+	// MS_SYNC barriers. kill -9 loses no completed store (MAP_SHARED); a
+	// power cut loses nothing stored before the last barrier that returned,
+	// and the committed index never runs ahead. Recover reopens such a file.
 	DurablePath string
 	// FaultRate enables replay-based soft-fault emulation: each tracked
 	// memory access aborts the current capsule with this probability, and
@@ -197,12 +199,14 @@ type Runtime struct {
 	// state) and setup allocations replay from replayCur so Build reproduces
 	// the pre-crash addresses; Resume exits rebuild mode and re-executes the
 	// un-committed tail. persistCtr is the global persistence-point counter
-	// the CrashAfterPersists drill triggers on.
+	// the CrashAfterPersists drill triggers on. syncErr latches the first
+	// failed MS_SYNC barrier (see barrier).
 	region     *durable.Region
 	recovered  bool
 	rebuild    atomic.Bool
 	replayCur  int64
 	persistCtr atomic.Int64
+	syncErr    error
 
 	// Lifecycle. Workers are resident goroutines: the first Run starts them,
 	// they park on runCond between runs, and Close stops them and releases
@@ -297,7 +301,6 @@ func build(cfg Config, reg *durable.Region, recovered bool) *Runtime {
 			dq:          newDeque(cfg.DequeCap),
 			rng:         rng.NewXoshiro256(sm.Next()),
 			war:         warcheck.New(cfg.WARCheck),
-			track:       reg != nil,
 			faultThresh: faultThresh,
 		}
 	}
@@ -475,8 +478,8 @@ func (rt *Runtime) TryRun(root capsule.FuncID, args ...uint64) (bool, error) {
 		// running fresh work on it would compute against phantom inputs.
 		return false, errors.New("native: recovered runtime must Resume before running fresh work")
 	}
-	if rt.region != nil {
-		rt.beginDurableRun(root, args)
+	if rt.region != nil && !rt.beginDurableRun(root, args) {
+		return false, rt.syncErr
 	}
 	rootJoin := &join{}
 	rootJoin.pending.Store(1)
@@ -501,8 +504,8 @@ func (rt *Runtime) runLocked(t *task) (bool, error) {
 	// The last worker to drain out of schedLoop closes done; the atomic
 	// decrement chain orders every worker's counters before our return.
 	<-done
-	if rt.region != nil {
-		rt.finishDurableRun()
+	if rt.region != nil && !rt.finishDurableRun() {
+		return false, rt.syncErr
 	}
 	return true, nil
 }
@@ -549,7 +552,8 @@ func (rt *Runtime) workerLoop(w *Ctx) {
 // stops and joins the resident worker goroutines, and releases the memory
 // region. Close is idempotent; TryRun after Close returns ErrClosed, and
 // harness-side memory access panics. A runtime that never ran closes without
-// ever having started workers.
+// ever having started workers. A durable runtime's Close returns the latched
+// barrier error, if any, else the final flush's.
 func (rt *Runtime) Close() error {
 	rt.runMu.Lock()
 	defer rt.runMu.Unlock()
@@ -572,9 +576,9 @@ func (rt *Runtime) Close() error {
 		// MS_SYNC the whole mapping, unmap, close the file. The Region's own
 		// once-latch makes a second Close (impossible here, but cheap to
 		// state) a no-op.
-		err := rt.region.Close()
+		rt.barrier(rt.region.Close())
 		rt.region = nil
-		return err
+		return rt.syncErr
 	}
 	return nil
 }
@@ -694,12 +698,6 @@ type Ctx struct {
 	group     []int // victim ids sharing this worker's locality group
 	others    []int // victim ids in remote groups
 	localMiss int   // consecutive local sweeps that found nothing
-
-	// Durable-region bookkeeping (track is set iff the runtime has one):
-	// dirtyLo/dirtyHi bound the current capsule's writes so its persistence
-	// point flushes one span instead of the whole region.
-	track            bool
-	dirtyLo, dirtyHi pmem.Addr
 
 	// Soft-fault emulation (faultThresh is FaultRate scaled to uint64 space;
 	// 0 = off). transferred flips once the current body performs its control
@@ -828,14 +826,17 @@ func (w *Ctx) sweep(victims []int, local bool) *task {
 // ends the chain (Done resolved elsewhere, or Halt).
 func (w *Ctx) execute(t *task) {
 	for t != nil {
-		w.cur, w.next = t, nil
-		w.capsules++
-		if t.phase > 0 {
+		if t.phase > 0 && !w.rt.commitPhase(int64(t.phase)) {
 			// Step k of the root chain starts only after steps 0..k-1 — and
 			// everything they forked — completed, so the phase boundary is
-			// quiescent and safe to commit durably.
-			w.rt.commitPhase(int64(t.phase))
+			// quiescent and safe to commit durably. A commit whose barrier
+			// failed ends the run here, as a kill at this boundary would:
+			// later steps may overwrite what the uncommitted ones read.
+			w.rt.done.Store(true)
+			return
 		}
+		w.cur, w.next = t, nil
+		w.capsules++
 		w.runTask(t)
 		if w.taskWork > w.maxTaskWork {
 			w.maxTaskWork = w.taskWork
@@ -857,9 +858,6 @@ func (w *Ctx) runTask(t *task) {
 		w.transferred = false
 		w.eph.reset()
 		w.ephSpans.reset()
-		if w.track {
-			w.dirtyLo, w.dirtyHi = 0, 0
-		}
 		if w.war.Enabled() {
 			w.war.Reset() // a task is a capsule: conflicts are intra-task
 		}
@@ -905,46 +903,21 @@ func (w *Ctx) attempt(t *task) (faulted bool) {
 	return false
 }
 
-// persistPoint commits the capsule boundary: the epoch word always, and on a
-// durable region also the capsule's dirtied span followed by the worker's
-// frontier record — data before frontier, so a persisted frontier never
-// claims effects the file does not yet hold. Both flushes are MS_ASYNC (the
-// kill(-9) failure model keeps the page cache); phase and run boundaries add
-// the MS_SYNC barrier.
+// persistPoint commits the capsule boundary with stores only — the paper's
+// one persistent write: the epoch word always, and on a durable region the
+// worker's frontier record, its own epoch word last. No syscall: kill -9
+// keeps every completed store (MAP_SHARED), and against a power cut only the
+// MS_SYNC barriers at phase and run boundaries carry a guarantee.
 func (w *Ctx) persistPoint(t *task) {
 	w.persists.Add(1)
 	epochAddr := w.rt.persistBase + pmem.Addr(w.id*w.rt.cfg.BlockWords)
 	atomic.StoreUint64(&w.rt.mem[epochAddr], uint64(w.capsules))
 	w.writes++
 	if reg := w.rt.region; reg != nil {
-		lo, hi := w.dirtyLo, w.dirtyHi
-		if hi == 0 || epochAddr < lo {
-			lo = epochAddr
-		}
-		if epochAddr+1 > hi {
-			hi = epochAddr + 1
-		}
-		reg.SyncWords(int64(lo), int64(hi), false)
 		reg.WriteFrontier(w.id, uint64(w.capsules), uint64(t.fn), t.args)
-		reg.SyncFrontier(w.id, false)
 	}
 	if c := w.rt.cfg.CrashAfterPersists; c > 0 && w.rt.persistCtr.Add(1) >= c {
 		crashNow()
-	}
-}
-
-// dirty widens the current capsule's dirty bounding box to cover [lo, hi).
-// Callers guard with w.track.
-func (w *Ctx) dirty(lo, hi pmem.Addr) {
-	if w.dirtyHi == 0 {
-		w.dirtyLo, w.dirtyHi = lo, hi
-		return
-	}
-	if lo < w.dirtyLo {
-		w.dirtyLo = lo
-	}
-	if hi > w.dirtyHi {
-		w.dirtyHi = hi
 	}
 }
 
@@ -1072,9 +1045,6 @@ func (w *Ctx) Write(a pmem.Addr, v uint64) {
 	if w.war.Enabled() {
 		w.warWrite(a)
 	}
-	if w.track {
-		w.dirty(a, a+1)
-	}
 	atomic.StoreUint64(&w.rt.mem[a], v)
 }
 
@@ -1089,9 +1059,6 @@ func (w *Ctx) CAM(a pmem.Addr, old, new uint64) {
 	}
 	if w.war.Enabled() {
 		w.warWrite(a)
-	}
-	if w.track {
-		w.dirty(a, a+1)
 	}
 	// Test before CAS: a CAM never reports its outcome, so one that has
 	// already lost need not take the cache line exclusive — most of a BFS
@@ -1276,9 +1243,6 @@ func (w *Ctx) Scatter(base pmem.Addr, spans [][2]int, src []uint64) {
 		if w.war.Enabled() {
 			w.warWriteSpan(base+pmem.Addr(lo), base+pmem.Addr(hi))
 		}
-		if w.track {
-			w.dirty(base+pmem.Addr(lo), base+pmem.Addr(hi))
-		}
 		src = src[hi-lo:]
 		n += int64(hi - lo)
 	}
@@ -1305,9 +1269,6 @@ func (w *Ctx) WriteRange(base pmem.Addr, lo, hi int, vals []uint64) {
 	w.taskWork += n
 	if w.war.Enabled() {
 		w.warWriteSpan(base+pmem.Addr(lo), base+pmem.Addr(hi))
-	}
-	if w.track {
-		w.dirty(base+pmem.Addr(lo), base+pmem.Addr(hi))
 	}
 }
 

@@ -1,6 +1,9 @@
 package ppm
 
 import (
+	"errors"
+	"fmt"
+
 	"repro/internal/machine"
 	"repro/internal/native"
 )
@@ -68,13 +71,21 @@ func newRecoveredEngine(path string, c config) (*nativeEngine, error) {
 // resume exits rebuild mode and replays the interrupted run's tail.
 func (n *nativeEngine) resume() (bool, error) {
 	ok, err := n.rt.Resume()
-	switch err {
-	case native.ErrBusy:
-		return ok, ErrRuntimeBusy
-	case native.ErrClosed:
-		return ok, ErrRuntimeClosed
+	return ok, engineErr(err)
+}
+
+// engineErr translates the native engine's lifecycle errors into the
+// package's own.
+func engineErr(err error) error {
+	switch {
+	case errors.Is(err, native.ErrBusy):
+		return ErrRuntimeBusy
+	case errors.Is(err, native.ErrClosed):
+		return ErrRuntimeClosed
+	case errors.Is(err, native.ErrSync):
+		return fmt.Errorf("%w: %v", ErrDurableSync, err)
 	}
-	return ok, err
+	return err
 }
 
 func (n *nativeEngine) name() Engine { return EngineNative }
@@ -88,16 +99,10 @@ func (n *nativeEngine) register(name string, fn Func, rt *Runtime) FuncRef {
 
 func (n *nativeEngine) tryRun(root FuncRef, args []uint64) (bool, error) {
 	ok, err := n.rt.TryRun(root.fid, args...)
-	switch err {
-	case native.ErrBusy:
-		return ok, ErrRuntimeBusy
-	case native.ErrClosed:
-		return ok, ErrRuntimeClosed
-	}
-	return ok, err
+	return ok, engineErr(err)
 }
 
-func (n *nativeEngine) close() error   { return n.rt.Close() }
+func (n *nativeEngine) close() error   { return engineErr(n.rt.Close()) }
 func (n *nativeEngine) isClosed() bool { return n.rt.Closed() }
 
 func (n *nativeEngine) runOnAll(fn FuncRef, args []uint64) {

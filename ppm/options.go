@@ -60,14 +60,19 @@ func WithNativePersist() Option { return func(c *config) { c.nativePersist = tru
 
 // WithNativeDurable backs the native engine's word memory with an mmap'd
 // region file at path (created fresh, truncating any previous file) and
-// implies WithNativePersist: every persistence point additionally flushes
-// the capsule's dirtied span plus a per-worker frontier record (closure id,
-// args, epoch) into the file with MS_ASYNC, and run starts, root-chain phase
-// commits, run completion, and Close flush with MS_SYNC. A process killed
-// mid-run leaves a file that ppm.Recover reopens; Runtime.Resume then
-// re-executes only the un-committed tail — sound for WAR-free programs
-// (Theorem 3.1, enforced statically by ppmvet's warfree analyzer). Native
-// engine only; the model simulates persistence by construction.
+// implies WithNativePersist: every persistence point additionally stores a
+// per-worker frontier record (closure id, args, epoch) into the file — the
+// paper's one persistent write, no syscall — and run starts, root-chain
+// phase commits, run completion, and Close are MS_SYNC barriers. What that
+// guarantees: after kill -9, every completed store is in the file (the
+// mapping is MAP_SHARED); after a power cut, the file holds at least
+// everything before the last barrier that returned, and the committed phase
+// index never runs ahead of it. A barrier that fails commits nothing and
+// surfaces as ErrDurableSync. A process killed mid-run leaves a file that
+// ppm.Recover reopens; Runtime.Resume then re-executes only the un-committed
+// tail — sound for WAR-free programs (Theorem 3.1, enforced statically by
+// ppmvet's warfree analyzer). Native engine only; the model simulates
+// persistence by construction.
 func WithNativeDurable(path string) Option {
 	return func(c *config) { c.nativeDurable = path }
 }

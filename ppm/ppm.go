@@ -67,6 +67,12 @@ var (
 	// new computation would strand its share of the work. Build a fresh
 	// runtime to run again after a hard-fault experiment.
 	ErrRuntimeDead = errors.New("ppm: model runtime has hard-faulted processors")
+	// ErrDurableSync reports that an MS_SYNC barrier of a WithNativeDurable
+	// runtime failed (EIO, ENOMEM): the region file does not hold the run.
+	// The run stopped at that barrier without committing, and TryRun, Resume
+	// and Close keep returning the error; the file is left as a kill at that
+	// point would leave it, for Recover on a healthy medium.
+	ErrDurableSync = errors.New("ppm: durable barrier failed")
 )
 
 // Addr is a word address in the runtime's persistent memory.

@@ -1077,10 +1077,14 @@ func groupByEpoch(ps []*pending) map[uint64][]*pending {
 	return out
 }
 
-// runErr maps a reader-run refusal onto a service error.
+// runErr maps a run refusal onto a service error: a closed runtime is an
+// eviction (503), a failed durable barrier a failed run (500).
 func runErr(err error) error {
-	if errors.Is(err, ppm.ErrRuntimeClosed) {
+	switch {
+	case errors.Is(err, ppm.ErrRuntimeClosed):
 		return ErrEvicted
+	case errors.Is(err, ppm.ErrDurableSync):
+		return fmt.Errorf("%w: %v", ErrRunFailed, err)
 	}
 	return err
 }

@@ -11,8 +11,11 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/durable"
 )
 
 // testConfig keeps graphs tiny so the suite stays fast on small machines.
@@ -449,6 +452,41 @@ func TestDurableServing(t *testing.T) {
 	s.Close()
 	if _, err := os.Stat(regionFile(g2)); !os.IsNotExist(err) {
 		t.Fatalf("Close left a region file behind (stat err = %v)", err)
+	}
+}
+
+// TestDurableBarrierFailureIs500: a run whose MS_SYNC barrier fails committed
+// nothing, so its query must fail as a server error — here the cold cc run's
+// opening barrier — and the latched runtime keeps refusing cold runs, while
+// answers memoised before the failure stay servable.
+func TestDurableBarrierFailureIs500(t *testing.T) {
+	cfg := testConfig()
+	cfg.DurableDir = filepath.Join(t.TempDir(), "regions")
+	s := New(cfg)
+	defer s.Close()
+	g := smallGraph(13)
+	if _, err := s.Submit(Query{Graph: g, Kind: "bfs", Source: 0}); err != nil {
+		t.Fatalf("bfs before the failure: %v", err)
+	}
+	failed := false // fail the next msync: the cold run's opening barrier
+	real := durable.Msync
+	durable.Msync = func(addr, length, flags uintptr) syscall.Errno {
+		if !failed {
+			failed = true
+			return syscall.EIO
+		}
+		return real(addr, length, flags)
+	}
+	defer func() { durable.Msync = real }()
+	for _, kind := range []string{"cc", "pagerank"} {
+		_, err := s.Submit(Query{Graph: g, Kind: kind})
+		if !errors.Is(err, ErrRunFailed) || statusFor(err) != http.StatusInternalServerError {
+			t.Fatalf("%s after a failed barrier: err = %v (status %d), want ErrRunFailed / 500",
+				kind, err, statusFor(err))
+		}
+	}
+	if _, err := s.Submit(Query{Graph: g, Kind: "bfs", Source: 0}); err != nil {
+		t.Fatalf("memoised bfs after the failure: %v", err)
 	}
 }
 
