@@ -45,4 +45,27 @@ func register(rt *ppm.Runtime) {
 		sums.Set(c, 2, sums.Get(c, 2)+41) // want `write-after-read conflict`
 		c.Done()
 	})
+
+	// The round-parity flags of graph/cc's check capsule: read this round's
+	// flag, clear the other round's. A block each, so the capsule never
+	// writes a block it read...
+	flags := rt.NewBlockArray(2)
+	rt.Register("parityCheck", func(c ppm.Ctx) {
+		parity := c.Int(0)
+		if flags.Get(c, parity) != 0 {
+			flags.Set(c, 1-parity, 0)
+		}
+		c.Done()
+	})
+
+	// ...which two words of one packed array would not give it: they share
+	// a block, and that is why the flags are block-spaced.
+	packedFlags := rt.NewArray(2)
+	rt.Register("parityCheckPacked", func(c ppm.Ctx) {
+		parity := c.Int(0)
+		if packedFlags.Get(c, parity) != 0 {
+			packedFlags.Set(c, 1-parity, 0) // want `write-after-read conflict`
+		}
+		c.Done()
+	})
 }

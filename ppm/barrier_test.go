@@ -115,6 +115,13 @@ func TestBarrierSnapshotRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireMidCommitSnap(t, *snaps)
+			// Five barriers frame any run (Create, run begin, finish's two,
+			// Close) and every phase commit adds two. cc commits initP, the
+			// first driver, then scan and check each round: 9 + 4·rounds. A
+			// third phase in a round would make it 9 + 6·rounds.
+			if name == "cc" && (len(*snaps)-9)%4 != 0 {
+				t.Errorf("cc: %d barriers is not 9 + 4·rounds: a round is not two phase commits", len(*snaps))
+			}
 
 			for i, s := range *snaps {
 				rec, err := ppm.Recover(s.file, ppm.WithSeed(snapSeed))

@@ -21,11 +21,13 @@ import (
 // process runs a catalog workload on a durable region and SIGKILLs itself at
 // a randomized persistence point; the parent then reopens the file with
 // ppm.Recover, replays the program's Build, Resumes, and demands the output
-// be bit-exact against an uninterrupted run. The three workloads exercise
+// be bit-exact against an uninterrupted run. The four workloads exercise
 // both recovery tiers: mergesort has no root chain (whole-run restart
-// replay, sound because its ping-pong merge tree is WAR-free), while bfs and
-// pagerank re-Seq a driver chain every round (chain resume from the last
-// committed step).
+// replay, sound because its ping-pong merge tree is WAR-free), while bfs,
+// pagerank and cc re-Seq a driver chain every round (chain resume from the
+// last committed step). cc's round is the two-phase Seq(scan, check) whose
+// check clears the other parity's changed flag, so a resume re-enters a
+// round with one flag possibly set by the killed scan and the other stale.
 
 // Shared geometry: child and parent must build byte-identical programs, so
 // every knob that influences registration order, allocation order, or input
@@ -44,6 +46,7 @@ var crashWorkloads = []struct {
 	{"mergesort", 1 << 13},
 	{"bfs", 1 << 9},
 	{"pagerank", 1 << 9},
+	{"cc", 1 << 9},
 }
 
 func crashOpts(extra ...ppm.Option) []ppm.Option {

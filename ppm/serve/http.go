@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 )
 
@@ -10,12 +11,16 @@ import (
 //
 //	POST /query   — body: Query JSON; 200 Result, 429/503 on shed, 400 on junk
 //	POST /mutate  — body: Mutation JSON; 200 Result (Kind "mutate", new epoch)
+//	                (both: 413 for a body no batch of MutBatchCap edges needs)
 //	GET  /graphs  — resident graph keys, most recently used first
 //	GET  /statsz  — Stats counters (per-graph epochs, pending mutation depth)
 //	GET  /healthz — liveness: 200 "ok" while the process serves HTTP at all
 //	GET  /readyz  — readiness: 200 "ready" when accepting work and no
 //	                crash-recovery replay is in progress, else 503
 func Handler(s *Server) http.Handler {
+	// 64 bytes hold an edge of two 19-digit ids with room to spare, and 4 KiB
+	// the rest of a Mutation; a Query is far smaller than either.
+	maxBody := 4096 + 64*int64(s.cfg.MutBatchCap)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -23,8 +28,7 @@ func Handler(s *Server) http.Handler {
 			return
 		}
 		var q Query
-		if err := json.NewDecoder(r.Body).Decode(&q); err != nil {
-			httpError(w, http.StatusBadRequest, "bad query: "+err.Error())
+		if !decodeBody(w, r, maxBody, "query", &q) {
 			return
 		}
 		res, err := s.Submit(q)
@@ -40,8 +44,7 @@ func Handler(s *Server) http.Handler {
 			return
 		}
 		var m Mutation
-		if err := json.NewDecoder(r.Body).Decode(&m); err != nil {
-			httpError(w, http.StatusBadRequest, "bad mutation: "+err.Error())
+		if !decodeBody(w, r, maxBody, "mutation", &m) {
 			return
 		}
 		res, err := s.Mutate(m)
@@ -70,6 +73,25 @@ func Handler(s *Server) http.Handler {
 		w.Write([]byte("ready\n"))
 	})
 	return mux
+}
+
+// decodeBody decodes the request's JSON body into v, reading no more than
+// limit bytes of it, so that what a client sends is bounded before it is
+// parsed. On failure it answers — 413 for an oversized body, 400 for
+// anything else — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		httpError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("bad %s: body over %d bytes", what, limit))
+	} else {
+		httpError(w, http.StatusBadRequest, "bad "+what+": "+err.Error())
+	}
+	return false
 }
 
 // statusFor maps service errors onto HTTP statuses: full queue → 429;

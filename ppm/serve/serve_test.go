@@ -363,6 +363,67 @@ func TestHTTPMixedBurst(t *testing.T) {
 	t.Logf("burst stats: %+v", st)
 }
 
+// TestHTTPBodyBounds: /query and /mutate read a bounded body. One longer
+// than any MutBatchCap-edge batch needs is refused with 413 before it is
+// parsed to the end, a truncated one with 400, both as the structured error;
+// a full batch of the widest ids, indented, still fits.
+func TestHTTPBodyBounds(t *testing.T) {
+	cfg := testConfig()
+	cfg.MutBatchCap = 8
+	s := New(cfg)
+	defer s.Close()
+	ts := httptest.NewServer(Handler(s))
+	defer ts.Close()
+	limit := 4096 + 64*cfg.MutBatchCap
+
+	post := func(path, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		var e struct {
+			Error string `json:"error"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+			t.Fatalf("POST %s: status %d, body is not JSON: %v", path, resp.StatusCode, err)
+		}
+		return resp.StatusCode, e.Error
+	}
+
+	spec, _ := json.Marshal(smallGraph(31))
+	edges := strings.Repeat("[0,1],", limit/6+1)
+	for _, tc := range []struct {
+		name, path, body string
+		want             int
+	}{
+		{"query/oversized", "/query", `{"kind":"cc",` + strings.Repeat(" ", limit) + `"graph":` + string(spec) + `}`, http.StatusRequestEntityTooLarge},
+		{"mutate/oversized", "/mutate", `{"graph":` + string(spec) + `,"insert":[` + edges + `[0,1]]}`, http.StatusRequestEntityTooLarge},
+		{"query/truncated", "/query", `{"kind":"cc","graph":{"kind":"rand"`, http.StatusBadRequest},
+		{"mutate/truncated", "/mutate", `{"graph":` + string(spec) + `,"insert":[[0,1],[2`, http.StatusBadRequest},
+	} {
+		code, msg := post(tc.path, tc.body)
+		if code != tc.want || msg == "" {
+			t.Errorf("%s: status %d, error %q; want %d and a message", tc.name, code, msg, tc.want)
+		}
+	}
+	if st := s.Stats(); st.Runs != 0 || st.Mutations != 0 {
+		t.Errorf("a refused body reached a runner: %+v", st)
+	}
+
+	// The widest legal batch is refused for its vertex ids, not its length.
+	wide := make([][2]int, cfg.MutBatchCap)
+	for i := range wide {
+		wide[i] = [2]int{1<<63 - 1, 1<<63 - 1 - i}
+	}
+	body, _ := json.MarshalIndent(Mutation{Graph: smallGraph(31), Insert: wide, DeadlineMS: 1 << 40}, "", "    ")
+	if code, msg := post("/mutate", string(body)); code != http.StatusBadRequest || strings.HasPrefix(msg, "bad mutation") {
+		t.Errorf("widest legal batch (%d bytes of %d): status %d, error %q; want 400 from validation",
+			len(body), limit, code, msg)
+	}
+}
+
 // TestResultsMatchAcrossBatches checks that a source answered inside a batch
 // equals the same source answered alone — the coalesced program computes the
 // same BFS the solo one does.
