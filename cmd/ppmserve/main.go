@@ -41,7 +41,7 @@ func main() {
 		addr        = flag.String("addr", "127.0.0.1:8080", "listen address")
 		procs       = flag.Int("procs", 8, "processors per graph runtime")
 		maxGraphs   = flag.Int("max-graphs", 2, "resident graph cache size")
-		maxBatch    = flag.Int("max-batch", 8, "multi-source BFS batch width")
+		maxBatch    = flag.Int("max-batch", 8, "multi-source BFS batch width (at most 15)")
 		maxQueue    = flag.Int("max-queue", 256, "query admission bound (429 past it)")
 		mutQueue    = flag.Int("mut-queue", 32, "mutation admission bound (429 past it)")
 		maxRuns     = flag.Int("max-runs", 1, "concurrent program runs across graphs")

@@ -86,6 +86,33 @@ func gatherAtThenWrite(c ppm.Ctx) {
 	c.Done()
 }
 
+// CAM a set of words, then GatherAt the same words: every word read is one
+// the capsule already wrote, so a replay re-reads what the first execution
+// left — the frontier claim leaf's shape (claim every target, then read the
+// claimant words back to learn which it owns).
+func camThenGatherAt(c ppm.Ctx) {
+	idx := c.Scratch(4)
+	for _, i := range idx {
+		c.CAM(dst.At(int(i)), 0, c.Uint(0))
+	}
+	own := dst.GatherAt(c, idx, nil)
+	src.SetRange(c, 0, own)
+	c.Done()
+}
+
+// The reversed order reads the claimant words and then claims through them:
+// a replay would read its own claims and decide differently.
+func gatherAtThenCAM(c ppm.Ctx) {
+	idx := c.Scratch(4)
+	own := dst.GatherAt(c, idx, nil)
+	for k, i := range idx {
+		if own[k] == 0 {
+			c.CAM(dst.At(int(i)), 0, c.Uint(0)) // want `write-after-read conflict`
+		}
+	}
+	c.Done()
+}
+
 // Helpers with extra parameters are analyzed too: their accesses happen
 // inside whichever capsule calls them.
 func helperWAR(c ppm.Ctx, i int) uint64 {

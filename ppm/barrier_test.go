@@ -118,9 +118,24 @@ func TestBarrierSnapshotRecovery(t *testing.T) {
 			// Five barriers frame any run (Create, run begin, finish's two,
 			// Close) and every phase commit adds two. cc commits initP, the
 			// first driver, then scan and check each round: 9 + 4·rounds. A
-			// third phase in a round would make it 9 + 6·rounds.
+			// third phase in a round would make it 9 + 6·rounds. bfs commits
+			// seed, the first round driver, then the down sweep and the next
+			// driver each round: 9 + 4·rounds as well, a round per level (the
+			// driver that finds the frontier empty starts no phase).
 			if name == "cc" && (len(*snaps)-9)%4 != 0 {
 				t.Errorf("cc: %d barriers is not 9 + 4·rounds: a round is not two phase commits", len(*snaps))
+			}
+			if name == "bfs" {
+				rounds := 1
+				for _, l := range want {
+					if l != ^uint64(0) {
+						rounds = max(rounds, int(l)+1)
+					}
+				}
+				if len(*snaps) != 9+4*rounds {
+					t.Errorf("bfs: %d barriers over %d rounds, want 9 + 4·rounds = %d: a round is not two phase commits",
+						len(*snaps), rounds, 9+4*rounds)
+				}
 			}
 
 			for i, s := range *snaps {

@@ -12,7 +12,7 @@ const (
 	nilParent = ^uint64(0)
 )
 
-// Capsule grain sizes, in vertices (frontier slots for the claim leaves).
+// Capsule grain sizes, in vertices (frontier slots for the frontier leaves).
 // The model requires f < 1/(2C) for the largest capsule work C, so leaves
 // whose cost is per-arc (claims, the scattered label GatherAt — one block
 // transfer per arc on the model) stay small enough that C remains bounded by
@@ -21,44 +21,35 @@ const (
 // can afford more vertices per capsule. The native engine would take larger
 // ones (a leaf costs ~5 ns per arc against ~0.2 µs to spawn and join it).
 const (
-	frontierGrain = 8   // claim leaves: two CAMs per arc dominate
+	frontierGrain = 8   // frontier leaves: a CAM and a read-back per arc dominate
 	scanGrain     = 16  // per-arc gather leaves (cc scan, pagerank scan)
-	denseGrain    = 64  // bulk per-vertex leaves (init, flag, scatter, contrib)
+	denseGrain    = 64  // bulk per-vertex leaves (init, contrib, offsets)
 	psumLeaf      = 512 // prefix-tree base case: contiguous block reads
 )
 
-// bfsAlgo is frontier-based breadth-first search. Each round is a WAR-free
-// four-phase chain over ping-pong frontier buffers:
-//
-//	claim   — every frontier vertex gathers its arc list (one batched
-//	          Gather) and CAMs level[v] INF→d and parent[v] NIL→u for each
-//	          neighbour v; racing claimants and fault replays are both
-//	          resolved by the CAM (exactly one level wins, and any winning
-//	          parent is a valid level-(d-1) neighbour).
-//	flag    — flags[v] = 1 iff level[v] == d (the vertices claimed this
-//	          round).
-//	scan    — inclusive prefix sum over flags (ppm.RegisterPrefixSum).
-//	scatter — compact the flagged vertices into the next frontier buffer
-//	          and publish its size.
-//
-// The driver capsule reads the published size and either chains the next
-// round with Seq or finishes. Depth is O(diameter) rounds; work per round is
-// O(n/B + frontier arcs) plus the scan.
+// bfsAlgo is frontier-based breadth-first search: the one-row case of the
+// frontier round driver (frontier.go). The claimant word of a vertex is its
+// parent — racing claimants and fault replays are both resolved by the CAM
+// parent[v]: NIL → u, and any winner is a valid level-(d-1) neighbour — and
+// each round is two WAR-free root-chain phases over ping-pong frontier
+// buffers: claim and count up a tree over the frontier, emit down it. Depth is
+// O(diameter) rounds; work per round is O(frontier + frontier arcs), so a
+// whole search is O(n + arcs) however many rounds it takes.
 type bfsAlgo struct {
 	tag string
 	g   *Graph
 	src int
 
-	rt     *ppm.Runtime
-	level  ppm.Array
-	parent ppm.Array
-	root   ppm.FuncRef
+	rt   *ppm.Runtime
+	fr   *frontier // level = fr.level, parent = fr.owner
+	root ppm.FuncRef
 }
 
 // BFS builds a breadth-first search over g from src. Output is the level
 // (hop distance) of every vertex, INF (all-ones) for unreachable ones;
-// Verify checks the levels against a sequential BFS and the parent array
-// for tree validity (every parent is a level-(d-1) neighbour).
+// Verify checks the levels against a sequential BFS, the parent array for
+// tree validity (every parent is a level-(d-1) neighbour), and that the
+// rounds swept every reached vertex exactly once.
 func BFS(tag string, g *Graph, src int) ppm.Algorithm {
 	if src < 0 || src >= g.N {
 		panic(fmt.Sprintf("graph: BFS source %d out of range for n=%d", src, g.N))
@@ -72,128 +63,28 @@ func (a *bfsAlgo) Build(rt *ppm.Runtime) {
 	a.rt = rt
 	n := a.g.N
 	name := "graph/bfs/" + a.tag
-	cs := loadCSR(rt, a.g)
-	a.level = rt.NewArray(n)
-	a.parent = rt.NewArray(n)
-	flags := rt.NewArray(n)
-	psum := rt.NewArray(n)
-	front := [2]ppm.Array{rt.NewArray(n), rt.NewArray(n)}
-	size := rt.NewArray(1)
-
-	initLeaf := rt.Register(name+"/init", func(c ppm.Ctx) {
-		lo, hi := c.Int(0), c.Int(1)
-		vals := fillVec(c, hi-lo, inf)
-		a.level.SetRange(c, lo, vals)
-		a.parent.SetRange(c, lo, vals)
-		c.Done()
-	})
-	initP := rt.Register(name+"/initP", func(c ppm.Ctx) {
-		c.ParallelFor(initLeaf, 0, n, denseGrain)
-	})
-	seed := rt.Register(name+"/seed", func(c ppm.Ctx) {
-		front[0].Set(c, 0, uint64(a.src))
-		a.level.Set(c, a.src, 0)
-		a.parent.Set(c, a.src, uint64(a.src))
-		size.Set(c, 0, 1)
-		c.Done()
-	})
-
-	// claimLeaf covers frontier slots [lo, hi): args [lo, hi, d, parity].
-	claimLeaf := rt.Register(name+"/claim", func(c ppm.Ctx) {
-		lo, hi := c.Int(0), c.Int(1)
-		d, parity := c.Uint(2), c.Int(3)
-		vs := front[parity].Slice(c, lo, hi)
-		spans, nbrs := cs.gatherAdj(c, vs)
-		i := 0
-		for idx, u := range vs {
-			for j := spans[idx][0]; j < spans[idx][1]; j++ {
-				v := int(nbrs[i])
-				i++
-				c.CAM(a.level.At(v), inf, d)
-				c.CAM(a.parent.At(v), nilParent, u)
-			}
-		}
-		c.Done()
-	})
-	claimP := rt.Register(name+"/claimP", func(c ppm.Ctx) {
-		cnt := int(size.Get(c, 0))
-		c.ParallelFor(claimLeaf, 0, cnt, frontierGrain, c.Uint(0), c.Uint(1))
-	})
-
-	flagLeaf := rt.Register(name+"/flag", func(c ppm.Ctx) {
-		lo, hi, d := c.Int(0), c.Int(1), c.Uint(2)
-		lv := a.level.Slice(c, lo, hi)
-		vals := c.Scratch(hi - lo)
-		for i, x := range lv {
-			if x == d {
-				vals[i] = 1
-			}
-		}
-		flags.SetRange(c, lo, vals)
-		c.Done()
-	})
-	flagP := rt.Register(name+"/flagP", func(c ppm.Ctx) {
-		c.ParallelFor(flagLeaf, 0, n, denseGrain, c.Uint(0))
-	})
-
-	psumRoot := ppm.RegisterPrefixSum(rt, name+"/psum", n, psumLeaf, flags, psum)
-
-	scatterLeaf := rt.Register(name+"/scatter", func(c ppm.Ctx) {
-		lo, hi, parity := c.Int(0), c.Int(1), c.Int(2)
-		fl := flags.Slice(c, lo, hi)
-		ps := psum.Slice(c, lo, hi)
-		for i, f := range fl {
-			if f == 1 {
-				front[1-parity].Set(c, int(ps[i])-1, uint64(lo+i))
-			}
-		}
-		c.Done()
-	})
-	scatterP := rt.Register(name+"/scatterP", func(c ppm.Ctx) {
-		c.ParallelFor(scatterLeaf, 0, n, denseGrain, c.Uint(0))
-	})
-	publish := rt.Register(name+"/publish", func(c ppm.Ctx) {
-		size.Set(c, 0, psum.Get(c, n-1))
-		c.Done()
-	})
-
-	var driver ppm.FuncRef
-	driver = rt.Register(name+"/round", func(c ppm.Ctx) {
-		d, parity := c.Uint(0), c.Int(1)
-		if size.Get(c, 0) == 0 {
-			c.Done()
-			return
-		}
-		c.Seq(
-			claimP.Call(d, parity),
-			flagP.Call(d),
-			psumRoot.Call(),
-			scatterP.Call(parity),
-			publish.Call(),
-			driver.Call(d+1, 1-parity),
-		)
-	})
+	// A standalone search reads slot 0 of a one-slot CSR: the slot word keeps
+	// its zero value.
+	a.fr = newFrontier(rt, name, bindCSR(rt, nil, a.g, rt.NewArray(1)), n, 1)
 	a.root = rt.Register(name+"/root", func(c ppm.Ctx) {
-		c.Seq(initP.Call(), seed.Call(), driver.Call(1, 0))
+		c.Seq(a.fr.init.Call(n), a.fr.seed.Call(a.src), a.fr.round.Call(1, 0, 0))
 	})
 }
 
 func (a *bfsAlgo) Run() bool { return a.rt.Run(a.root) }
 
 // Output returns the level of every vertex (INF for unreachable).
-func (a *bfsAlgo) Output() []uint64 { return a.level.Snapshot() }
+func (a *bfsAlgo) Output() []uint64 { return a.fr.level.Snapshot() }
 
 func (a *bfsAlgo) Verify() error {
 	want := bfsReference(a.g, a.src)
 	got := a.Output()
-	for v := range want {
-		if got[v] != want[v] {
-			return fmt.Errorf("%s: level[%d] = %d, want %d", a.Name(), v, got[v], want[v])
-		}
+	if err := sameLevels(got, want, a.fr.visited.Snapshot()[0]); err != nil {
+		return fmt.Errorf("%s: %w", a.Name(), err)
 	}
 	// Parent validity: the tree rooted at src must step down exactly one
 	// level along an existing arc.
-	par := a.parent.Snapshot()
+	par := a.fr.owner.Snapshot()
 	children := make(map[int][]int) // claimed parent -> vertices to arc-check
 	for v := 0; v < a.g.N; v++ {
 		switch {
@@ -231,6 +122,26 @@ func (a *bfsAlgo) Verify() error {
 		for v := range targets {
 			return fmt.Errorf("%s: parent[%d] = %d is not a neighbour", a.Name(), v, p)
 		}
+	}
+	return nil
+}
+
+// sameLevels checks the levels of one or more search rows against their
+// references, and the rounds' work against the output: visited, the sum of
+// all frontier sizes, must be the number of reached vertices — a vertex
+// emitted twice keeps its level but is swept, with its whole subtree, twice.
+func sameLevels(got, want []uint64, visited uint64) error {
+	reached := uint64(0)
+	for v := range want {
+		if got[v] != want[v] {
+			return fmt.Errorf("level[%d] = %d, want %d", v, got[v], want[v])
+		}
+		if want[v] != inf {
+			reached++
+		}
+	}
+	if visited != reached {
+		return fmt.Errorf("rounds swept %d frontier entries for %d reached vertices", visited, reached)
 	}
 	return nil
 }

@@ -161,21 +161,21 @@ func (a *ccAlgo) Build(rt *ppm.Runtime) {
 		iter, parity := c.Int(0), c.Int(1)
 		c.Seq(scanP.Call(parity), check.Call(iter, parity))
 	})
+	// root takes the CSR version slot as its argument and stores it for the
+	// leaves: nothing is staged before the run is owned, so a run refused
+	// with ppm.ErrRuntimeBusy cannot move the slot under the one in flight.
 	a.root = rt.Register(name+"/root", func(c ppm.Ctx) {
+		a.slotW.Set(c, 0, c.Uint(0))
 		c.Seq(initP.Call(), driver.Call(0, 0))
 	})
 }
 
-func (a *ccAlgo) Run() bool { return a.rt.Run(a.root) }
+func (a *ccAlgo) Run() bool { return a.rt.Run(a.root, 0) }
 
-// runAt stages the CSR version slot and runs through TryRun (serving-layer
+// runAt runs against one CSR version slot through TryRun (serving-layer
 // lifecycle errors propagate instead of panicking).
 func (a *ccAlgo) runAt(slot int) (bool, error) {
-	if a.rt.Closed() {
-		return false, ppm.ErrRuntimeClosed
-	}
-	a.slotW.Load([]uint64{uint64(slot)})
-	return a.rt.TryRun(a.root)
+	return a.rt.TryRun(a.root, slot)
 }
 
 // Output returns the component label (minimum member id) of every vertex.

@@ -10,10 +10,14 @@
 // same program runs on the model engine (block-transfer cost accounting,
 // fault injection and replay) and on the native goroutine engine unchanged;
 // vertices discovered racily use CAM, the model's only safe read-modify-
-// write. The bulk edge reads are batched: a frontier leaf Gathers the
-// adjacency lists of all its vertices in one multi-range operation, and a
-// scan leaf over a contiguous vertex range reads its arcs as one Slice and
-// the per-arc labels or contributions with one GatherAt. The model charges
+// write. A BFS round is sized by its frontier, never by n: one driver
+// (frontier.go) claims and counts up a fork-join tree over the frontier's
+// slots and emits down it, two root-chain phases a round, for BFS and
+// MultiBFS alike. The bulk edge reads are batched: a frontier leaf Gathers
+// the adjacency lists of all its vertices in one multi-range operation and
+// reads its targets' claimant words back with one GatherAt, and a scan leaf
+// over a contiguous vertex range reads its arcs as one Slice and the per-arc
+// labels or contributions with one GatherAt. The model charges
 // each as a single round of block transfers; the native engine runs each as
 // one tight loop into the worker's ephemeral memory, so a leaf allocates
 // nothing on the Go heap.
@@ -209,69 +213,35 @@ func Generate(kind string, n, m int, seed uint64) (*Graph, error) {
 
 // ---- runtime-bound CSR ----
 
-// csr is a graph loaded into a runtime's persistent memory.
-type csr struct {
-	offs ppm.Array // N+1 arc offsets
-	adj  ppm.Array // arc targets
+// vcsr is a graph in a runtime's persistent memory, as a slot-versioned view:
+// offs holds slots*(n+1) words and adj slots*cap words — a Resident's CSR
+// ring, or one slot for a standalone program — and the slot a run reads is
+// the value of slotW[0], the algorithm's own slot word. The run's root
+// capsule stores it from its argument, so nothing is staged before the run
+// is owned, and the word is persistent memory, so a durable replay of any
+// capsule re-reads the same slot; a standalone view leaves it at zero.
+type vcsr struct {
+	offs  ppm.Array // per slot: N+1 arc offsets
+	adj   ppm.Array // per slot: arc targets
+	slotW ppm.Array
+	n     int
+	cap   int
 }
 
-func loadCSR(rt *ppm.Runtime, g *Graph) csr {
+// bindCSR binds an algorithm to its graph storage through slotW: a
+// Resident's version ring when res is non-nil, else a freshly loaded
+// single-slot CSR of g.
+func bindCSR(rt *ppm.Runtime, res *Resident, g *Graph, slotW ppm.Array) vcsr {
+	if res != nil {
+		return res.view(slotW)
+	}
 	offs := rt.NewArray(g.N + 1)
 	offs.Load(g.Offs)
 	adj := rt.NewArray(max(1, len(g.Adj)))
 	if len(g.Adj) > 0 {
 		adj.Load(g.Adj)
 	}
-	return csr{offs: offs, adj: adj}
-}
-
-// gatherAdj batches the adjacency lists of the (arbitrary, e.g. frontier)
-// vertices vs; see gatherAdjAt. The BFS claim leaves use this.
-func (cs csr) gatherAdj(c ppm.Ctx, vs []uint64) (spans [][2]int, nbrs []uint64) {
-	return gatherAdjAt(c, cs.offs, cs.adj, 0, 0, vs)
-}
-
-// gatherAdjAt batches the adjacency lists of the vertices vs into two Gather
-// rounds over a CSR whose offsets start at element ob of offs and whose arcs
-// at element ab of adj: first the 2-word offset pair of every vertex, then
-// every arc list. It returns the per-vertex spans (into adj) and the
-// concatenated arc targets, both in ephemeral memory; the offset spans are
-// dead once gathered, so their vector is reused for the arc spans.
-func gatherAdjAt(c ppm.Ctx, offs, adj ppm.Array, ob, ab int, vs []uint64) (spans [][2]int, nbrs []uint64) {
-	spans = c.ScratchSpans(len(vs))
-	for i, u := range vs {
-		spans[i] = [2]int{ob + int(u), ob + int(u) + 2}
-	}
-	ovals := offs.Gather(c, spans, nil)
-	for i := range vs {
-		spans[i] = [2]int{ab + int(ovals[2*i]), ab + int(ovals[2*i+1])}
-	}
-	return spans, adj.Gather(c, spans, nil)
-}
-
-// vcsr is a slot-versioned view over a Resident's CSR ring: offs holds
-// slots*(n+1) words and adj slots*cap words, and the slot a run reads is the
-// value of slotW[0], staged host-side before the run. Staged words are
-// persistent memory, so a durable replay of any capsule re-reads the same
-// slot; a standalone (single-version) view leaves slotW at its zero value.
-type vcsr struct {
-	offs  ppm.Array
-	adj   ppm.Array
-	slotW ppm.Array
-	n     int
-	cap   int
-}
-
-// bindCSR binds an algorithm to its graph storage through slotW (the
-// algorithm's own staged slot word): a Resident's version ring when res is
-// non-nil, else a freshly loaded single-slot CSR (slotW stays zero).
-func bindCSR(rt *ppm.Runtime, res *Resident, g *Graph, slotW ppm.Array) vcsr {
-	if res != nil {
-		return res.view(slotW)
-	}
-	cs := loadCSR(rt, g)
-	return vcsr{offs: cs.offs, adj: cs.adj, slotW: slotW,
-		n: g.N, cap: max(1, len(g.Adj))}
+	return vcsr{offs: offs, adj: adj, slotW: slotW, n: g.N, cap: adj.Len()}
 }
 
 // bases reads the run's slot and returns the offset/adjacency array bases.
@@ -280,10 +250,23 @@ func (v vcsr) bases(c ppm.Ctx) (int, int) {
 	return s * (v.n + 1), s * v.cap
 }
 
-// gatherAdj is csr.gatherAdj over the run's slot.
+// gatherAdj batches the adjacency lists of the (arbitrary, e.g. frontier)
+// vertices vs of the run's slot into two Gather rounds: first the 2-word
+// offset pair of every vertex, then every arc list. It returns the
+// per-vertex spans (into adj) and the concatenated arc targets, both in
+// ephemeral memory; the offset spans are dead once gathered, so their vector
+// is reused for the arc spans. The frontier leaves use this.
 func (v vcsr) gatherAdj(c ppm.Ctx, vs []uint64) (spans [][2]int, nbrs []uint64) {
 	ob, ab := v.bases(c)
-	return gatherAdjAt(c, v.offs, v.adj, ob, ab, vs)
+	spans = c.ScratchSpans(len(vs))
+	for i, u := range vs {
+		spans[i] = [2]int{ob + int(u), ob + int(u) + 2}
+	}
+	ovals := v.offs.Gather(c, spans, nil)
+	for i := range vs {
+		spans[i] = [2]int{ab + int(ovals[2*i]), ab + int(ovals[2*i+1])}
+	}
+	return spans, v.adj.Gather(c, spans, nil)
 }
 
 // adjRange reads the adjacency of the contiguous vertex range [lo, hi) of

@@ -2,6 +2,7 @@ package graph_test
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/ppm"
@@ -82,5 +83,53 @@ func TestMultiBFSRejectsBadBatches(t *testing.T) {
 	rt.Close()
 	if _, err := ms.RunBatch([]int{0}); !errors.Is(err, ppm.ErrRuntimeClosed) {
 		t.Fatalf("RunBatch after Close = %v, want ErrRuntimeClosed", err)
+	}
+}
+
+// TestMultiBFSRefusedRunLeavesBatchAlone: the batch's sources and its CSR
+// version slot ride the root capsule's arguments, so a RunBatchAt refused
+// with ErrRuntimeBusy has written nothing the batch in flight reads. Staging
+// them host-side before TryRun moved the slot word, which every leaf
+// re-reads, and the sources under the running batch (and, under -race, is a
+// data race with its workers).
+func TestMultiBFSRefusedRunLeavesBatchAlone(t *testing.T) {
+	// A long path: thousands of thin rounds keep the first batch in flight.
+	const n = 1 << 13
+	arcs := [][2]int{}
+	for v := 0; v+1 < n; v++ {
+		arcs = append(arcs, [2]int{v, v + 1}, [2]int{v + 1, v})
+	}
+	// Persistence points are the one counter the harness may read mid-run.
+	rt := ppm.New(ppm.WithEngine(ppm.EngineNative), ppm.WithProcs(2), ppm.WithSeed(17),
+		ppm.WithMemWords(1<<24), ppm.WithNativePersist())
+	defer rt.Close()
+	res := graph.NewResident("busy", graph.FromArcs(n, arcs), 2, 0, 4)
+	res.Build(rt)
+	ms := graph.NewMultiBFSResident("busy", res, 4)
+	ms.Build(rt)
+
+	done := make(chan error, 1)
+	go func() {
+		ok, err := ms.RunBatchAt([]int{0, n - 1}, 0)
+		if err == nil && !ok {
+			err = errors.New("batch did not complete")
+		}
+		done <- err
+	}()
+	for rt.PersistPoints() == 0 { // until the batch is in flight
+		runtime.Gosched()
+	}
+	// Slot 1 holds no graph and the sources differ: a refused call that
+	// staged either would derail the batch above.
+	for i := 0; i < 32; i++ {
+		if _, err := ms.RunBatchAt([]int{n / 2, 3, 5}, 1); !errors.Is(err, ppm.ErrRuntimeBusy) {
+			t.Fatalf("RunBatchAt during a running batch = %v, want ErrRuntimeBusy", err)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if err := ms.Verify(); err != nil { // lastSrcs: a refused call records nothing
+		t.Fatal(err)
 	}
 }

@@ -68,11 +68,7 @@ func (p *PRResident) Build(rt *ppm.Runtime) { p.a.Build(rt) }
 
 // RunAt runs PageRank against one CSR version slot.
 func (p *PRResident) RunAt(slot int) (bool, error) {
-	if p.a.rt.Closed() {
-		return false, ppm.ErrRuntimeClosed
-	}
-	p.a.slotW.Load([]uint64{uint64(slot)})
-	return p.a.rt.TryRun(p.a.root)
+	return p.a.rt.TryRun(p.a.root, slot)
 }
 
 // Output returns the final rank vector (float64 bits) of the last run.
@@ -177,12 +173,15 @@ func (a *prAlgo) Build(rt *ppm.Runtime) {
 		}
 		c.Seq(contribP.Call(parity), scanP.Call(parity), driver.Call(iter+1, 1-parity))
 	})
+	// root stores its argument, the CSR version slot, for the leaves (see
+	// ccAlgo: no staging before the run is owned).
 	a.root = rt.Register(name+"/root", func(c ppm.Ctx) {
+		a.slotW.Set(c, 0, c.Uint(0))
 		c.Seq(initP.Call(), driver.Call(0, 0))
 	})
 }
 
-func (a *prAlgo) Run() bool { return a.rt.Run(a.root) }
+func (a *prAlgo) Run() bool { return a.rt.Run(a.root, 0) }
 
 // Output returns the final rank vector as float64 bit patterns.
 func (a *prAlgo) Output() []uint64 { return a.ranks[a.iters%2].Snapshot() }

@@ -91,9 +91,10 @@ type Config struct {
 	// MaxGraphs bounds the resident-graph LRU; admission of a new graph
 	// evicts the least-recently-used entry (closing its runtime).
 	MaxGraphs int
-	// MaxBatch is the multi-source BFS batch capacity per graph (rounded up
-	// to a power of two). Larger batches coalesce more concurrent BFS
-	// queries per run at kMax*n words of memory per graph.
+	// MaxBatch is the multi-source BFS batch capacity per graph (graph.
+	// MultiBFS caps it at 15: a batch's sources ride its root capsule's
+	// arguments). Larger batches coalesce more concurrent BFS queries per
+	// run at kMax*n words of memory per graph.
 	MaxBatch int
 	// MaxQueue bounds queries admitted and not yet answered, across all
 	// graphs. Beyond it Submit returns ErrOverloaded.

@@ -92,7 +92,7 @@ func buildPrefixTree(rt *Runtime, name string, n, leaf int, src, dst Array) Func
 // leaf is the sequential base-case size (0 selects the block size B, the
 // work-optimal choice). This is the building block subsystems reach for when
 // they need a parallel scan inside a larger program — the graph package's
-// frontier compaction calls it once per BFS round.
+// mutation batches turn next-epoch degrees into CSR offsets with it.
 func RegisterPrefixSum(rt *Runtime, name string, n, leaf int, src, dst Array) FuncRef {
 	return buildPrefixTree(rt, name, n, leaf, src, dst)
 }
