@@ -47,9 +47,8 @@ func main() {
 		maxRuns     = flag.Int("max-runs", 1, "concurrent program runs across graphs")
 		deadline    = flag.Duration("deadline", 2*time.Second, "default per-query deadline")
 		memWords    = flag.Int("mem-words", 1<<24, "words per graph runtime region")
-		levelCache  = flag.Int("level-cache", 64, "memoized BFS rows per graph")
+		levelCache  = flag.Int("level-cache", 64, "memoized answers per graph, every kind")
 		prIters     = flag.Int("pr-iters", 10, "PageRank iterations")
-		stealBatch  = flag.Int("steal-batch", 0, "native steal batch (0 = default)")
 		seed        = flag.Uint64("seed", 42, "graph generation seed")
 		durableDir  = flag.String("durable-dir", "", "back each resident graph with an mmap'd region file under this dir (empty = volatile)")
 		epochSlots  = flag.Int("epoch-slots", 2, "CSR epoch ring slots (snapshot window = slots-1 batches)")
@@ -69,7 +68,6 @@ func main() {
 		MemWords:          *memWords,
 		LevelCacheEntries: *levelCache,
 		PageRankIters:     *prIters,
-		StealBatch:        *stealBatch,
 		Seed:              *seed,
 		DurableDir:        *durableDir,
 		EpochSlots:        *epochSlots,

@@ -1211,7 +1211,9 @@ func (w *Ctx) GatherAt(base pmem.Addr, n int, idx []uint64, dst []uint64) (out [
 		if i >= uint64(len(win)) {
 			return nil, false
 		}
-		vals[k] = win[i]
+		// Atomic like Read: a gathered word may be one another worker CAMs in
+		// the same phase (the BFS frontier reads its claimant words back).
+		vals[k] = atomic.LoadUint64(&win[i])
 	}
 	k := int64(len(idx))
 	w.reads += k

@@ -115,16 +115,15 @@ type modelEngine struct {
 
 func newModelEngine(c config) *modelEngine {
 	return &modelEngine{rt: core.New(core.Config{
-		P:            c.procs,
-		BlockWords:   c.blockWords,
-		EphWords:     c.ephWords,
-		MemWords:     c.memWords,
-		PoolWords:    c.poolWords,
-		DequeEntries: c.dequeEntries,
-		FaultRate:    c.faultRate,
-		Seed:         c.seed,
-		Check:        c.warCheck,
-		Injector:     c.buildInjector(),
+		P:          c.procs,
+		BlockWords: c.blockWords,
+		EphWords:   c.ephWords,
+		MemWords:   c.memWords,
+		PoolWords:  c.poolWords,
+		FaultRate:  c.faultRate,
+		Seed:       c.seed,
+		Check:      c.warCheck,
+		Injector:   c.buildInjector(),
 	})}
 }
 

@@ -42,7 +42,6 @@ func nativeConfig(c config) native.Config {
 		P:                  c.procs,
 		MemWords:           mem,
 		BlockWords:         c.blockWords,
-		DequeCap:           c.dequeEntries,
 		Shards:             c.nativeShards, // 0 = the native default (GOMAXPROCS or P)
 		StealBatch:         c.nativeStealBatch,
 		Seed:               c.seed,

@@ -20,7 +20,6 @@ type config struct {
 	ephWords         int
 	memWords         int
 	poolWords        int
-	dequeEntries     int
 	faultRate        float64
 	seed             uint64
 	warCheck         bool
@@ -129,10 +128,6 @@ func WithMemWords(n int) Option { return func(c *config) { c.memWords = n } }
 // WithPoolWords sizes each processor's closure pool (default one million
 // words).
 func WithPoolWords(n int) Option { return func(c *config) { c.poolWords = n } }
-
-// WithDequeEntries sets the per-processor work-stealing deque capacity
-// (default 4096).
-func WithDequeEntries(n int) Option { return func(c *config) { c.dequeEntries = n } }
 
 // WithFaultRate sets the per-persistent-access soft-fault probability f.
 // A soft fault erases the processor's registers and ephemeral memory; the

@@ -15,13 +15,14 @@
 //     that has already given up.
 //
 //   - Batching. Each resident graph has one runner goroutine that drains its
-//     queue and coalesces compatible work: concurrent BFS queries execute as
-//     one multi-source frontier program (graph.MultiBFS, up to MaxBatch
-//     sources per run), and connectivity/PageRank — whose results depend
-//     only on the graph version — run once per epoch and are memoized for
-//     every current and future waiter. BFS levels are memoized per
-//     (source, epoch) in a bounded LRU, so repeated sources are served
-//     without any run at all.
+//     queue and coalesces compatible work. A query kind is one row of the
+//     kinds table: its width is how many distinct keys one run answers, so
+//     concurrent BFS queries execute as one multi-source frontier program
+//     (graph.MultiBFS, up to MaxBatch sources per run) while connectivity
+//     and PageRank — whose results depend only on the graph version — run
+//     once per epoch. Every answer is memoized per (kind, source, epoch) in
+//     one bounded LRU (LevelCacheEntries), so a repeated key, or one that a
+//     run answered while the query waited, is served without a run.
 //
 //   - Mutation and snapshot isolation. Graphs are resident as epoch-versioned
 //     CSR rings (graph.Resident): POST /mutate joins the query path, and the
@@ -55,8 +56,10 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -112,8 +115,9 @@ type Config struct {
 	DefaultDeadline time.Duration
 	// MemWords sizes each graph runtime's memory region.
 	MemWords int
-	// LevelCacheEntries bounds the per-graph LRU of memoized BFS level rows
-	// (one row is n words host-side).
+	// LevelCacheEntries bounds the per-graph LRU of memoized answers, of
+	// every kind: one entry per (kind, source, epoch), holding only the
+	// answer's summary.
 	LevelCacheEntries int
 	// PageRankIters is the fixed iteration count for pagerank queries.
 	PageRankIters int
@@ -123,9 +127,6 @@ type Config struct {
 	EpochSlots int
 	// MutBatchCap caps the edges in one mutation batch.
 	MutBatchCap int
-	// StealBatch configures the native scheduler's steal batching (0 =
-	// native default).
-	StealBatch int
 	// Seed drives graph generation determinism.
 	Seed uint64
 	// DurableDir, when non-empty, backs each resident graph's runtime with
@@ -357,32 +358,29 @@ func New(cfg Config) *Server {
 // (or refusal) and is safe for arbitrary concurrency.
 func (s *Server) Submit(q Query) (*Result, error) {
 	start := time.Now()
-	deadline := s.cfg.DefaultDeadline
-	if q.DeadlineMS > 0 {
-		deadline = time.Duration(q.DeadlineMS) * time.Millisecond
-	}
-	switch q.Kind {
-	case "bfs", "cc", "pagerank":
-	default:
+	ki := kindIndex(q.Kind)
+	if ki < 0 {
 		return nil, fmt.Errorf("serve: unknown query kind %q", q.Kind)
+	}
+	sourced := kinds[ki].sourced
+	if !sourced {
+		q.Source = 0 // one answer per epoch: every query shares its key
 	}
 	// Admission: a full queue refuses immediately rather than building
 	// backlog the deadlines would shed anyway.
 	if n := s.ctr.inFlight.Add(1); n > int64(s.cfg.MaxQueue) {
 		s.ctr.inFlight.Add(-1)
-		s.ctr.shed429.Add(1)
-		return nil, ErrOverloaded
+		return s.refuse(ErrOverloaded)
 	}
 	defer s.ctr.inFlight.Add(-1)
 	s.ctr.queries.Add(1)
 
 	e, err := s.entryFor(q.Graph)
 	if err != nil {
-		s.ctr.shed503.Add(1)
-		return nil, err
+		return s.refuse(err)
 	}
-	if q.Kind == "bfs" && (q.Source < 0 || q.Source >= e.g.N) {
-		return nil, fmt.Errorf("serve: bfs source %d out of range for n=%d", q.Source, e.g.N)
+	if sourced && (q.Source < 0 || q.Source >= e.g.N) {
+		return nil, fmt.Errorf("serve: %s source %d out of range for n=%d", q.Kind, q.Source, e.g.N)
 	}
 
 	// Pin the graph version: the answer is computed against the epoch
@@ -398,13 +396,7 @@ func (s *Server) Submit(q Query) (*Result, error) {
 		return r, nil
 	}
 
-	// Queue for the entry's runner, bounded by the query's deadline.
-	pq := &pending{q: q, epoch: epoch, done: make(chan struct{}), expiry: start.Add(deadline)}
-	if err := e.enqueue(pq); err != nil {
-		s.ctr.shed503.Add(1)
-		return nil, err
-	}
-	return s.await(pq, start, deadline)
+	return s.wait(e, &pending{q: q, epoch: epoch}, start, q.DeadlineMS)
 }
 
 // Mutate applies one edge batch to a resident graph: admission against the
@@ -414,10 +406,6 @@ func (s *Server) Submit(q Query) (*Result, error) {
 // when Mutate returns.
 func (s *Server) Mutate(m Mutation) (*Result, error) {
 	start := time.Now()
-	deadline := s.cfg.DefaultDeadline
-	if m.DeadlineMS > 0 {
-		deadline = time.Duration(m.DeadlineMS) * time.Millisecond
-	}
 	b := graph.MutationBatch{Insert: m.Insert, Delete: m.Delete}
 	if b.Edges() == 0 {
 		return nil, fmt.Errorf("serve: empty mutation batch")
@@ -430,27 +418,28 @@ func (s *Server) Mutate(m Mutation) (*Result, error) {
 	// 429s without consuming read slots.
 	if n := s.ctr.mutQueued.Add(1); n > int64(s.cfg.MaxMutQueue) {
 		s.ctr.mutQueued.Add(-1)
-		s.ctr.shed429.Add(1)
-		return nil, ErrOverloaded
+		return s.refuse(ErrOverloaded)
 	}
 	defer s.ctr.mutQueued.Add(-1)
 
 	e, err := s.entryFor(m.Graph)
 	if err != nil {
-		s.ctr.shed503.Add(1)
-		return nil, err
+		return s.refuse(err)
 	}
-	pq := &pending{q: Query{Graph: m.Graph, Kind: "mutate"}, mut: &b,
-		done: make(chan struct{}), expiry: start.Add(deadline)}
-	if err := e.enqueue(pq); err != nil {
-		s.ctr.shed503.Add(1)
-		return nil, err
-	}
-	return s.await(pq, start, deadline)
+	return s.wait(e, &pending{mut: &b}, start, m.DeadlineMS)
 }
 
-// await blocks on a queued pending until its answer or its deadline.
-func (s *Server) await(pq *pending, start time.Time, deadline time.Duration) (*Result, error) {
+// wait queues pq for e's runner and blocks until its answer or its deadline:
+// deadlineMS after start, or the server default when that is 0.
+func (s *Server) wait(e *entry, pq *pending, start time.Time, deadlineMS int64) (*Result, error) {
+	deadline := s.cfg.DefaultDeadline
+	if deadlineMS > 0 {
+		deadline = time.Duration(deadlineMS) * time.Millisecond
+	}
+	pq.done, pq.expiry = make(chan struct{}), start.Add(deadline)
+	if err := e.enqueue(pq); err != nil {
+		return s.refuse(err)
+	}
 	timer := time.NewTimer(deadline)
 	defer timer.Stop()
 	select {
@@ -460,18 +449,29 @@ func (s *Server) await(pq *pending, start time.Time, deadline time.Duration) (*R
 		// that already picked it up still completes it (we then prefer its
 		// answer if it arrived before we observed the timeout).
 		if pq.expire() {
-			s.ctr.shed503.Add(1)
-			return nil, ErrDeadline
+			return s.refuse(ErrDeadline)
 		}
 		<-pq.done
 	}
 	if pq.err != nil {
-		s.ctr.shed503.Add(1)
-		return nil, pq.err
+		return s.refuse(pq.err)
 	}
 	s.ctr.answered.Add(1)
 	pq.res.WaitMS = time.Since(start).Milliseconds()
 	return pq.res, nil
+}
+
+// refuse returns err as the request's answer, counting it as a shed when
+// its HTTP status is one (429 or 503); a malformed request (400) or a failed
+// run (500) is not a shed.
+func (s *Server) refuse(err error) (*Result, error) {
+	switch statusFor(err) {
+	case http.StatusTooManyRequests:
+		s.ctr.shed429.Add(1)
+	case http.StatusServiceUnavailable:
+		s.ctr.shed503.Add(1)
+	}
+	return nil, err
 }
 
 // Ready reports whether the server is accepting work and no crash-recovery
@@ -703,9 +703,6 @@ func (s *Server) buildEntry(spec GraphSpec) (*entry, error) {
 		ppm.WithMemWords(s.cfg.MemWords),
 		ppm.WithSeed(s.cfg.Seed),
 	}
-	if s.cfg.StealBatch > 0 {
-		opts = append(opts, ppm.WithNativeStealBatch(s.cfg.StealBatch))
-	}
 	if durablePath != "" {
 		opts = append(opts, ppm.WithNativeDurable(durablePath))
 	}
@@ -729,11 +726,7 @@ func (s *Server) buildEntry(spec GraphSpec) (*entry, error) {
 func (s *Server) recoverEntry(spec GraphSpec, g *graph.Graph, durablePath string) (*entry, error) {
 	s.replaying.Add(1)
 	defer s.replaying.Add(-1)
-	opts := []ppm.Option{ppm.WithSeed(s.cfg.Seed)}
-	if s.cfg.StealBatch > 0 {
-		opts = append(opts, ppm.WithNativeStealBatch(s.cfg.StealBatch))
-	}
-	rt, err := ppm.Recover(durablePath, opts...)
+	rt, err := ppm.Recover(durablePath, ppm.WithSeed(s.cfg.Seed))
 	if err != nil {
 		return nil, err
 	}
@@ -775,10 +768,8 @@ func (s *Server) newEntry(spec GraphSpec, g *graph.Graph, rt *ppm.Runtime, durab
 		pr:          graph.PageRankResident("serve", res, s.cfg.PageRankIters),
 		queue:       make(chan *pending, s.cfg.MaxQueue+s.cfg.MaxMutQueue),
 		quit:        make(chan struct{}),
-		levels:      make(map[lvlKey]*list.Element),
-		lvlLRU:      list.New(),
-		ccRes:       make(map[uint64]*Result),
-		prRes:       make(map[uint64]*Result),
+		memo:        make(map[memoKey]*list.Element),
+		memoLRU:     list.New(),
 	}
 	res.Build(rt)
 	e.ms.Build(rt)
@@ -815,18 +806,19 @@ func (p *pending) finish(r *Result, err error) {
 	close(p.done)
 }
 
-// lvlKey names one memoized BFS answer: results are per graph version, so
-// the epoch is part of the key and stale versions are pruned as the ring
-// advances.
-type lvlKey struct {
+// memoKey names one memoized answer: results are per graph version, so the
+// epoch is part of the key and stale versions are pruned as the ring
+// advances. A kind without a source keys on source 0.
+type memoKey struct {
+	kind   string
 	source int
 	epoch  uint64
 }
 
-// lvlEntry is one memoized BFS answer. Only the summary is kept — a raw
+// memoEntry is one memoized answer. Only the summary is kept — a raw BFS
 // level row is n words, and nothing downstream reads more than the summary.
-type lvlEntry struct {
-	key lvlKey
+type memoEntry struct {
+	key memoKey
 	res *Result
 }
 
@@ -851,15 +843,13 @@ type entry struct {
 	quit  chan struct{}
 	wg    sync.WaitGroup
 
-	// Memoized results, keyed by epoch: a graph version is immutable, so cc
-	// and pagerank are computed at most once per epoch and BFS levels at
-	// most once per (source, epoch). Mutation commits prune epochs that
-	// left the version ring; eviction discards everything with the entry.
-	memoMu sync.Mutex
-	ccRes  map[uint64]*Result
-	prRes  map[uint64]*Result
-	levels map[lvlKey]*list.Element // key -> *lvlEntry element
-	lvlLRU *list.List
+	// Memoized answers in one LRU bounded by LevelCacheEntries: a graph
+	// version is immutable, so a key is computed at most once while it stays
+	// resident. Mutation commits prune epochs that left the version ring;
+	// eviction discards everything with the entry.
+	memoMu  sync.Mutex
+	memo    map[memoKey]*list.Element // key -> *memoEntry element
+	memoLRU *list.List
 }
 
 func (e *entry) start() {
@@ -911,57 +901,47 @@ func (e *entry) close(keepRegion bool) {
 	}
 }
 
-// cachedResult answers q from the memo tables at the pinned epoch, or nil.
+// cachedResult answers q from the memo at the pinned epoch, or nil.
 func (e *entry) cachedResult(q Query, epoch uint64) *Result {
 	e.memoMu.Lock()
 	defer e.memoMu.Unlock()
-	switch q.Kind {
-	case "cc":
-		if res := e.ccRes[epoch]; res != nil {
-			r := *res
-			r.Cached = true
-			return &r
-		}
-	case "pagerank":
-		if res := e.prRes[epoch]; res != nil {
-			r := *res
-			r.Cached = true
-			return &r
-		}
-	case "bfs":
-		if el, ok := e.levels[lvlKey{q.Source, epoch}]; ok {
-			e.lvlLRU.MoveToFront(el)
-			r := *el.Value.(*lvlEntry).res
-			r.Cached = true
-			r.Batched = 1
-			return &r
-		}
+	el, ok := e.memo[memoKey{q.Kind, q.Source, epoch}]
+	if !ok {
+		return nil
 	}
-	return nil
+	e.memoLRU.MoveToFront(el)
+	r := *el.Value.(*memoEntry).res
+	r.Cached = true
+	r.Batched = 1
+	return &r
 }
 
-// pruneMemos drops memoized results for epochs that left the version ring
+// remember memoizes the answer to a key not yet memoized, evicting the least
+// recently used past LevelCacheEntries. The runner is the memo's only
+// writer, and serveEpoch runs only keys it found missing.
+func (e *entry) remember(k memoKey, res *Result) {
+	e.memoMu.Lock()
+	defer e.memoMu.Unlock()
+	e.memo[k] = e.memoLRU.PushFront(&memoEntry{key: k, res: res})
+	for e.memoLRU.Len() > e.srv.cfg.LevelCacheEntries {
+		back := e.memoLRU.Back()
+		e.memoLRU.Remove(back)
+		delete(e.memo, back.Value.(*memoEntry).key)
+	}
+}
+
+// pruneMemos drops memoized answers for epochs that left the version ring
 // (called after each committed mutation batch).
 func (e *entry) pruneMemos() {
 	e.memoMu.Lock()
 	defer e.memoMu.Unlock()
-	for ep := range e.ccRes {
-		if _, ok := e.res.SlotFor(ep); !ok {
-			delete(e.ccRes, ep)
-		}
-	}
-	for ep := range e.prRes {
-		if _, ok := e.res.SlotFor(ep); !ok {
-			delete(e.prRes, ep)
-		}
-	}
 	var next *list.Element
-	for el := e.lvlLRU.Front(); el != nil; el = next {
+	for el := e.memoLRU.Front(); el != nil; el = next {
 		next = el.Next()
-		le := el.Value.(*lvlEntry)
-		if _, ok := e.res.SlotFor(le.key.epoch); !ok {
-			e.lvlLRU.Remove(el)
-			delete(e.levels, le.key)
+		me := el.Value.(*memoEntry)
+		if _, ok := e.res.SlotFor(me.key.epoch); !ok {
+			e.memoLRU.Remove(el)
+			delete(e.memo, me.key)
 		}
 	}
 }
@@ -991,7 +971,8 @@ func (e *entry) run() {
 				break drain
 			}
 		}
-		var bfs, cc, pr, muts []*pending
+		reads := make([][]*pending, len(kinds))
+		var muts []*pending
 		now := time.Now()
 		for _, p := range batch {
 			if !p.claim() {
@@ -1001,55 +982,21 @@ func (e *entry) run() {
 				p.finish(nil, ErrDeadline)
 				continue
 			}
-			switch {
-			case p.mut != nil:
+			if p.mut != nil {
 				muts = append(muts, p)
-			case p.q.Kind == "bfs":
-				bfs = append(bfs, p)
-			case p.q.Kind == "cc":
-				cc = append(cc, p)
-			case p.q.Kind == "pagerank":
-				pr = append(pr, p)
+				continue
+			}
+			i := kindIndex(p.q.Kind)
+			reads[i] = append(reads[i], p)
+		}
+		for i, ps := range reads {
+			for ep, grp := range groupByEpoch(ps) {
+				e.serveEpoch(&kinds[i], ep, grp)
 			}
 		}
-		e.serveCC(cc)
-		e.servePR(pr)
-		e.serveBFS(bfs)
 		e.serveMut(muts)
 	}
 }
-
-// acquireRun takes a cross-entry run slot on behalf of the claimed waiters
-// in *ps. While the slot is contended it sweeps them: expired waiters are
-// answered ErrDeadline instead of holding a doomed reservation, and eviction
-// answers everyone ErrEvicted. Returns false — without the slot — when no
-// waiter is left to run for.
-func (e *entry) acquireRun(ps *[]*pending) bool {
-	for {
-		select {
-		case e.srv.runSem <- struct{}{}:
-			*ps = finishExpired(*ps)
-			if len(*ps) == 0 {
-				e.releaseRun()
-				return false
-			}
-			return true
-		case <-time.After(5 * time.Millisecond):
-			*ps = finishExpired(*ps)
-			if len(*ps) == 0 {
-				return false
-			}
-		case <-e.quit:
-			for _, p := range *ps {
-				p.finish(nil, ErrEvicted)
-			}
-			*ps = nil
-			return false
-		}
-	}
-}
-
-func (e *entry) releaseRun() { <-e.srv.runSem }
 
 // finishExpired answers deadline-passed waiters and returns the live rest.
 func finishExpired(ps []*pending) []*pending {
@@ -1068,9 +1015,6 @@ func finishExpired(ps []*pending) []*pending {
 // groupByEpoch partitions claimed waiters by their pinned epoch, preserving
 // arrival order within each group.
 func groupByEpoch(ps []*pending) map[uint64][]*pending {
-	if len(ps) == 0 {
-		return nil
-	}
 	out := make(map[uint64][]*pending)
 	for _, p := range ps {
 		out[p.epoch] = append(out[p.epoch], p)
@@ -1078,186 +1022,167 @@ func groupByEpoch(ps []*pending) map[uint64][]*pending {
 	return out
 }
 
-// runErr maps a run refusal onto a service error: a closed runtime is an
-// eviction (503), a failed durable barrier a failed run (500).
-func runErr(err error) error {
+// finishAll answers every waiter in ps with err.
+func finishAll(ps []*pending, err error) {
+	for _, p := range ps {
+		p.finish(nil, err)
+	}
+}
+
+// runOnce runs one program for the claimed waiters in *ps: it takes a
+// cross-entry run slot, runs, and releases. While the slot is contended it
+// sweeps the waiters — expired ones are answered ErrDeadline instead of
+// holding a doomed reservation, eviction answers everyone ErrEvicted — and
+// gives up when none is left. A run is counted when the runtime took the
+// program — it completed, did not, or stopped at a failed durable barrier —
+// and not when the input or a closed runtime refused it. runOnce reports
+// whether the run succeeded; if not, every waiter left in *ps has its
+// answer: a failed run is ErrRunFailed (500), a closed runtime an eviction
+// (503), a refused input its own error.
+func (e *entry) runOnce(ps *[]*pending, run func() (bool, error)) bool {
+	for held := false; !held; {
+		select {
+		case e.srv.runSem <- struct{}{}:
+			held = true
+		case <-time.After(5 * time.Millisecond):
+		case <-e.quit:
+			finishAll(*ps, ErrEvicted)
+			return false
+		}
+		if *ps = finishExpired(*ps); len(*ps) == 0 {
+			if held {
+				<-e.srv.runSem
+			}
+			return false
+		}
+	}
+	ok, err := run()
+	<-e.srv.runSem
+	if err == nil || errors.Is(err, ppm.ErrDurableSync) {
+		e.srv.ctr.runs.Add(1)
+	}
 	switch {
-	case errors.Is(err, ppm.ErrRuntimeClosed):
-		return ErrEvicted
+	case err == nil && ok:
+		return true
+	case err == nil:
+		err = ErrRunFailed
 	case errors.Is(err, ppm.ErrDurableSync):
-		return fmt.Errorf("%w: %v", ErrRunFailed, err)
+		err = fmt.Errorf("%w: %v", ErrRunFailed, err)
+	case errors.Is(err, ppm.ErrRuntimeClosed):
+		err = ErrEvicted
 	}
-	return err
+	finishAll(*ps, err)
+	return false
 }
 
-func (e *entry) serveCC(ps []*pending) {
-	for ep, grp := range groupByEpoch(ps) {
-		e.serveCCEpoch(ep, grp)
-	}
+// kind is one read query kind, a row of the kinds table. One run of the
+// kind's program answers up to width distinct sources; answer summarises the
+// i-th of them (the caller fills in Kind, Source, N and Epoch).
+type kind struct {
+	name    string
+	sourced bool // answers depend on Query.Source; otherwise it is 0
+	width   func(e *entry) int
+	run     func(e *entry, srcs []int, slot int) (bool, error)
+	answer  func(e *entry, i, src int) *Result
 }
 
-func (e *entry) serveCCEpoch(ep uint64, ps []*pending) {
-	e.memoMu.Lock()
-	res := e.ccRes[ep]
-	e.memoMu.Unlock()
-	if res == nil {
-		slot, okSlot := e.res.SlotFor(ep)
-		if !okSlot {
-			for _, p := range ps {
-				p.finish(nil, ErrSnapshotGone)
+// kinds is every read kind, in the order the runner serves them. A new kind
+// is one row here plus its program in newEntry.
+var kinds = []kind{
+	{
+		name:  "cc",
+		width: func(*entry) int { return 1 },
+		run:   func(e *entry, _ []int, slot int) (bool, error) { return e.cc.RunAt(slot) },
+		answer: func(e *entry, _, _ int) *Result {
+			comp := map[uint64]struct{}{}
+			var sum uint64
+			for _, l := range e.cc.Output() {
+				comp[l] = struct{}{}
+				sum += l * 31
 			}
-			return
-		}
-		if !e.acquireRun(&ps) {
-			return
-		}
-		ok, err := e.cc.RunAt(slot)
-		e.releaseRun()
-		e.srv.ctr.runs.Add(1)
-		if err == nil && !ok {
-			err = ErrRunFailed
-		}
-		if err != nil {
-			for _, p := range ps {
-				p.finish(nil, runErr(err))
+			return &Result{Checksum: sum, Extra: uint64(len(comp))}
+		},
+	},
+	{
+		name:  "pagerank",
+		width: func(*entry) int { return 1 },
+		run:   func(e *entry, _ []int, slot int) (bool, error) { return e.pr.RunAt(slot) },
+		answer: func(e *entry, _, _ int) *Result {
+			var sum uint64
+			for _, r := range e.pr.Output() {
+				sum = sum*31 + r
 			}
-			return
-		}
-		labels := e.cc.Output()
-		comp := map[uint64]struct{}{}
-		var sum uint64
-		for _, l := range labels {
-			comp[l] = struct{}{}
-			sum += l * 31
-		}
-		res = &Result{Kind: "cc", N: e.g.N, Checksum: sum,
-			Extra: uint64(len(comp)), Epoch: ep}
-		e.memoMu.Lock()
-		e.ccRes[ep] = res
-		e.memoMu.Unlock()
-	}
-	e.srv.ctr.runQueries.Add(int64(len(ps)))
+			return &Result{Checksum: sum, Extra: uint64(e.srv.cfg.PageRankIters)}
+		},
+	},
+	{
+		name:    "bfs",
+		sourced: true,
+		width:   func(e *entry) int { return e.ms.KMax() },
+		run:     func(e *entry, srcs []int, slot int) (bool, error) { return e.ms.RunBatchAt(srcs, slot) },
+		answer:  func(e *entry, i, src int) *Result { return summarizeBFS(src, e.ms.Levels(i)) },
+	},
+}
+
+// kindIndex returns the index of the kinds row named name, or -1.
+func kindIndex(name string) int {
+	return slices.IndexFunc(kinds, func(k kind) bool { return k.name == name })
+}
+
+// serveEpoch answers one kind's waiters pinned at epoch ep. A waiter whose
+// key was memoized since its admission is answered from the memo; the rest
+// are answered by runs of at most width distinct keys each — duplicates ride
+// along, leftovers wait for the next run — and every key a run answers is
+// memoized.
+func (e *entry) serveEpoch(k *kind, ep uint64, ps []*pending) {
+	cold := ps[:0]
 	for _, p := range ps {
-		r := *res
-		r.Batched = len(ps)
-		p.finish(&r, nil)
+		if r := e.cachedResult(p.q, ep); r != nil {
+			e.srv.ctr.cacheHits.Add(1)
+			p.finish(r, nil)
+		} else {
+			cold = append(cold, p)
+		}
 	}
-}
-
-func (e *entry) servePR(ps []*pending) {
-	for ep, grp := range groupByEpoch(ps) {
-		e.servePREpoch(ep, grp)
-	}
-}
-
-func (e *entry) servePREpoch(ep uint64, ps []*pending) {
-	e.memoMu.Lock()
-	res := e.prRes[ep]
-	e.memoMu.Unlock()
-	if res == nil {
-		slot, okSlot := e.res.SlotFor(ep)
-		if !okSlot {
-			for _, p := range ps {
-				p.finish(nil, ErrSnapshotGone)
-			}
-			return
-		}
-		if !e.acquireRun(&ps) {
-			return
-		}
-		ok, err := e.pr.RunAt(slot)
-		e.releaseRun()
-		e.srv.ctr.runs.Add(1)
-		if err == nil && !ok {
-			err = ErrRunFailed
-		}
-		if err != nil {
-			for _, p := range ps {
-				p.finish(nil, runErr(err))
-			}
-			return
-		}
-		ranks := e.pr.Output()
-		var sum uint64
-		for _, r := range ranks {
-			sum = sum*31 + r
-		}
-		res = &Result{Kind: "pagerank", N: e.g.N, Checksum: sum,
-			Extra: uint64(e.srv.cfg.PageRankIters), Epoch: ep}
-		e.memoMu.Lock()
-		e.prRes[ep] = res
-		e.memoMu.Unlock()
-	}
-	e.srv.ctr.runQueries.Add(int64(len(ps)))
-	for _, p := range ps {
-		r := *res
-		r.Batched = len(ps)
-		p.finish(&r, nil)
-	}
-}
-
-func (e *entry) serveBFS(ps []*pending) {
-	for ep, grp := range groupByEpoch(ps) {
-		e.serveBFSEpoch(ep, grp)
-	}
-}
-
-func (e *entry) serveBFSEpoch(ep uint64, ps []*pending) {
-	slot, okSlot := e.res.SlotFor(ep)
-	if !okSlot {
-		for _, p := range ps {
-			p.finish(nil, ErrSnapshotGone)
-		}
+	ps = cold
+	if len(ps) == 0 {
 		return
 	}
+	slot, ok := e.res.SlotFor(ep)
+	if !ok {
+		finishAll(ps, ErrSnapshotGone)
+		return
+	}
+	width := k.width(e)
 	for len(ps) > 0 {
-		if !e.acquireRun(&ps) {
-			return
-		}
-		// Distinct sources for this run, capped at the batch width;
-		// duplicates ride along, and leftovers loop for the next run.
-		srcSet := make(map[int]int) // source -> slot
-		var sources []int
+		at := map[int]int{} // source -> its index in this run
+		var srcs []int
 		var runPs, rest []*pending
 		for _, p := range ps {
-			if _, ok := srcSet[p.q.Source]; !ok {
-				if len(sources) == e.ms.KMax() {
+			if _, ok := at[p.q.Source]; !ok {
+				if len(srcs) == width {
 					rest = append(rest, p)
 					continue
 				}
-				srcSet[p.q.Source] = len(sources)
-				sources = append(sources, p.q.Source)
+				at[p.q.Source] = len(srcs)
+				srcs = append(srcs, p.q.Source)
 			}
 			runPs = append(runPs, p)
 		}
 		ps = rest
-
-		ok, err := e.ms.RunBatchAt(sources, slot)
-		e.releaseRun()
-		e.srv.ctr.runs.Add(1)
-		if err == nil && !ok {
-			err = ErrRunFailed
-		}
-		if err != nil {
-			for _, p := range runPs {
-				p.finish(nil, runErr(err))
-			}
+		if !e.runOnce(&runPs, func() (bool, error) { return k.run(e, srcs, slot) }) {
 			continue
 		}
-		rows := make(map[int]*Result, len(sources))
-		for i, src := range sources {
-			r := summarizeBFS(src, e.ms.Levels(i))
-			r.Epoch = ep
-			rows[src] = r
+		rows := make([]*Result, len(srcs))
+		for i, src := range srcs {
+			r := k.answer(e, i, src)
+			r.Kind, r.Source, r.N, r.Epoch = k.name, src, e.g.N, ep
+			e.remember(memoKey{k.name, src, ep}, r)
+			rows[i] = r
 		}
-		e.memoMu.Lock()
-		for src, res := range rows {
-			e.rememberBFS(lvlKey{src, ep}, res)
-		}
-		e.memoMu.Unlock()
 		e.srv.ctr.runQueries.Add(int64(len(runPs)))
 		for _, p := range runPs {
-			r := *rows[p.q.Source]
+			r := *rows[at[p.q.Source]]
 			r.Batched = len(runPs)
 			p.finish(&r, nil)
 		}
@@ -1270,17 +1195,7 @@ func (e *entry) serveBFSEpoch(ep uint64, ps []*pending) {
 func (e *entry) serveMut(ps []*pending) {
 	for _, p := range ps {
 		one := []*pending{p}
-		if !e.acquireRun(&one) {
-			continue
-		}
-		ok, err := e.res.Apply(*p.mut)
-		e.releaseRun()
-		e.srv.ctr.runs.Add(1)
-		if err == nil && !ok {
-			err = ErrRunFailed
-		}
-		if err != nil {
-			p.finish(nil, runErr(err))
+		if !e.runOnce(&one, func() (bool, error) { return e.res.Apply(*p.mut) }) {
 			continue
 		}
 		e.srv.ctr.mutations.Add(1)
@@ -1288,21 +1203,6 @@ func (e *entry) serveMut(ps []*pending) {
 		cur := e.res.Current()
 		p.finish(&Result{Kind: "mutate", N: e.g.N, Epoch: e.res.Epoch(),
 			Extra: uint64(p.mut.Edges()), Checksum: uint64(cur.Arcs())}, nil)
-	}
-}
-
-// rememberBFS memoizes one BFS answer (caller holds memoMu).
-func (e *entry) rememberBFS(k lvlKey, res *Result) {
-	if el, ok := e.levels[k]; ok {
-		e.lvlLRU.MoveToFront(el)
-		el.Value.(*lvlEntry).res = res
-		return
-	}
-	e.levels[k] = e.lvlLRU.PushFront(&lvlEntry{key: k, res: res})
-	for e.lvlLRU.Len() > e.srv.cfg.LevelCacheEntries {
-		back := e.lvlLRU.Back()
-		e.lvlLRU.Remove(back)
-		delete(e.levels, back.Value.(*lvlEntry).key)
 	}
 }
 

@@ -104,6 +104,76 @@ func TestServeRejectsBadQueries(t *testing.T) {
 	if _, err := s.Submit(Query{Graph: bad, Kind: "bfs"}); err == nil {
 		t.Fatal("unknown graph kind accepted")
 	}
+	// A batch naming a vertex past n reaches the runner, which refuses it
+	// before any program starts: a 400, not a run and not a shed.
+	_, err := s.Mutate(Mutation{Graph: g, Insert: [][2]int{{0, 10_000}}})
+	if err == nil || statusFor(err) != http.StatusBadRequest {
+		t.Fatalf("out-of-range mutation: err = %v (status %d), want 400", err, statusFor(err))
+	}
+	if st := s.Stats(); st.Runs != 0 || st.Shed503 != 0 || st.Shed429 != 0 || st.Mutations != 0 {
+		t.Fatalf("refused queries and mutation were counted: %+v", st)
+	}
+}
+
+// TestMemoizedSinceAdmissionRunsOnce: a query for key K admitted while K is
+// already claimed by the runner is answered from the memo that K's run
+// fills, not by a second run — for every kind.
+func TestMemoizedSinceAdmissionRunsOnce(t *testing.T) {
+	for _, tc := range []struct {
+		kind   string
+		source int
+	}{{"bfs", 3}, {"cc", 0}, {"pagerank", 0}} {
+		t.Run(tc.kind, func(t *testing.T) {
+			s := New(testConfig())
+			defer s.Close()
+			g := smallGraph(41)
+			e, err := s.entryFor(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitFor := func(what string, cond func() bool) {
+				t.Helper()
+				for end := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+					if time.Now().After(end) {
+						t.Fatalf("timed out waiting for %s", what)
+					}
+				}
+			}
+			// Hold the run slot and queue K. The runner claims what it drained
+			// only once its drain loop is over, so after the claim it holds K
+			// and waits for the slot, and nothing queued later joins K's batch.
+			q := Query{Graph: g, Kind: tc.kind, Source: tc.source}
+			s.runSem <- struct{}{}
+			first := &pending{q: q, epoch: e.res.Epoch(), done: make(chan struct{}),
+				expiry: time.Now().Add(30 * time.Second)}
+			if err := e.enqueue(first); err != nil {
+				t.Fatal(err)
+			}
+			waitFor("the runner to claim K", func() bool { return first.state.Load() == 1 })
+			// K again: nothing is memoized yet, so it queues behind K's run.
+			second := make(chan *Result, 1)
+			go func() {
+				r, err := s.Submit(q)
+				if err != nil {
+					t.Errorf("second submit: %v", err)
+				}
+				second <- r
+			}()
+			waitFor("the second K to queue", func() bool { return len(e.queue) == 1 })
+			<-s.runSem
+			<-first.done
+			r2 := <-second
+			if first.err != nil || r2 == nil {
+				t.Fatalf("first answer err = %v, second = %+v", first.err, r2)
+			}
+			if r2.Checksum != first.res.Checksum || r2.Epoch != first.res.Epoch {
+				t.Fatalf("second answer %+v differs from first %+v", r2, first.res)
+			}
+			if st := s.Stats(); st.Runs != 1 {
+				t.Fatalf("K ran %d times, want 1: %+v", st.Runs, st)
+			}
+		})
+	}
 }
 
 func TestGraphCacheEviction(t *testing.T) {
