@@ -43,6 +43,60 @@ const (
 	MaxWords = HdrWords + MaxArgs
 )
 
+// InlineArgs is how many argument words an Args holds without a heap slice:
+// enough for every parallel-for node and every graph-kernel call.
+const InlineArgs = 6
+
+// Args is a closure's argument list carried by value: up to InlineArgs words
+// inline, a heap slice beyond that. Passed through an interface call it is
+// copied, not escaped, so handing a successor its arguments allocates
+// nothing. The zero value is the empty list.
+type Args struct {
+	n      int
+	inline [InlineArgs]uint64
+	spill  []uint64 // all n words once n > InlineArgs; copies share it, as slices do
+}
+
+// ArgsOf packs ws into an Args.
+func ArgsOf(ws ...uint64) Args {
+	var a Args
+	for _, w := range ws {
+		a.Append(w)
+	}
+	return a
+}
+
+// Append adds one word, moving the list to the heap past InlineArgs words.
+func (a *Args) Append(w uint64) {
+	switch {
+	case a.n < InlineArgs:
+		a.inline[a.n] = w
+	case a.spill == nil:
+		a.spill = append(append(make([]uint64, 0, 4*InlineArgs), a.inline[:]...), w)
+	default:
+		a.spill = append(a.spill, w)
+	}
+	a.n++
+}
+
+// Words returns the words as a slice aliasing a.
+func (a *Args) Words() []uint64 {
+	if a.spill != nil {
+		return a.spill
+	}
+	return a.inline[:a.n]
+}
+
+// Into returns the words without aliasing a itself: copied into dst when
+// they fit inline, else the spill slice, which the caller must not write.
+func (a *Args) Into(dst *[InlineArgs]uint64) []uint64 {
+	if a.spill != nil {
+		return a.spill
+	}
+	*dst = a.inline
+	return dst[:a.n]
+}
+
 // PackHeader builds closure word 0 from a function ID and total word count.
 func PackHeader(fid FuncID, nwords int) uint64 {
 	if nwords < HdrWords || nwords > MaxWords {

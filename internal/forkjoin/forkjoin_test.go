@@ -2,7 +2,9 @@ package forkjoin
 
 import (
 	"fmt"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/capsule"
 	"repro/internal/fault"
@@ -143,13 +145,48 @@ func TestTreeSumSoftFaults(t *testing.T) {
 	}
 }
 
+// victimsFirst is a hard-fault schedule whose deaths fire on a host with
+// fewer cores than processors. Processors are goroutines, so a victim the Go
+// scheduler has not run yet may reach none of its fault points before the
+// survivors finish. Until every victim has reached its ordinal, a survivor
+// sleeps briefly at each of its fault points. Which accesses fault is
+// unchanged.
+type victimsFirst struct {
+	fault.Injector
+	dieAt map[int]int64
+	mu    sync.Mutex
+	count map[int]int64
+	fired int
+}
+
+func newVictimsFirst(dieAt map[int]int64) *victimsFirst {
+	return &victimsFirst{Injector: fault.NewCombined(fault.NoFaults{}, dieAt),
+		dieAt: dieAt, count: map[int]int64{}}
+}
+
+func (v *victimsFirst) At(proc int) fault.Kind {
+	v.mu.Lock()
+	n := v.count[proc]
+	v.count[proc] = n + 1
+	die, victim := v.dieAt[proc]
+	if victim && n == die {
+		v.fired++
+	}
+	wait := !victim && v.fired < len(v.dieAt)
+	v.mu.Unlock()
+	if wait {
+		time.Sleep(50 * time.Microsecond)
+	}
+	return v.Injector.At(proc)
+}
+
 func TestTreeSumHardFaults(t *testing.T) {
 	// Kill two of four processors mid-run; survivors must finish via
-	// local-entry steals and capsule takeover.
+	// local-entry steals and capsule takeover. The victims are idle thieves,
+	// hence victimsFirst.
 	for seed := uint64(1); seed <= 5; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			inj := fault.NewCombined(fault.NoFaults{},
-				map[int]int64{1: int64(20 + seed*13), 3: int64(30 + seed*7)})
+			inj := newVictimsFirst(map[int]int64{1: int64(20 + seed*13), 3: int64(30 + seed*7)})
 			ts := newTreeSum(machine.Config{P: 4, Check: true, Seed: seed, Injector: inj}, 512, 16)
 			if got := ts.run(t); got != ts.expected() {
 				t.Errorf("sum = %d, want %d", got, ts.expected())

@@ -32,6 +32,11 @@ import "sync/atomic"
 // identical pointers in both, the CAS on top still decides ownership
 // exactly once, and Go's garbage collector keeps the old buffer alive for
 // as long as any thief can reference it (no ABA, no reclamation races).
+//
+// The tasks themselves are recycled (see task), which is safe for the same
+// reason: ownership is decided by the CAS on an index, never by comparing
+// pointers, so a pointer read from a slot whose task has since run and been
+// reused is discarded by the failed CAS without being dereferenced.
 type deque struct {
 	top    atomic.Int64
 	bottom atomic.Int64

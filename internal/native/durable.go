@@ -159,10 +159,10 @@ func (rt *Runtime) commitPhase(k int64) bool {
 }
 
 // recordChain persists a root-level Seq's step list (tier-1 recovery data).
-func (rt *Runtime) recordChain(fids []capsule.FuncID, argss [][]uint64) {
+func (rt *Runtime) recordChain(fids []capsule.FuncID, argss []capsule.Args) {
 	steps := make([]durable.ChainStep, len(fids))
 	for i := range fids {
-		steps[i] = durable.ChainStep{Fid: uint64(fids[i]), Args: argss[i]}
+		steps[i] = durable.ChainStep{Fid: uint64(fids[i]), Args: argss[i].Words()}
 	}
 	rt.region.RecordChain(steps)
 }

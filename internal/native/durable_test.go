@@ -57,13 +57,13 @@ func buildPingPong(rt *Runtime, steps int) pingPong {
 	step := rt.Register("step", func(c *Ctx) { c.ParallelFor(leaf, 0, pingPongN, 16, c.Arg(0), 0) })
 	pp.root = rt.Register("root", func(c *Ctx) {
 		if steps == 1 {
-			c.Then(step, []uint64{0})
+			c.Then(step, capsule.ArgsOf(0))
 			return
 		}
 		fids := make([]capsule.FuncID, steps)
-		args := make([][]uint64, steps)
+		args := make([]capsule.Args, steps)
 		for i := range fids {
-			fids[i], args[i] = step, []uint64{uint64(i)}
+			fids[i], args[i] = step, capsule.ArgsOf(uint64(i))
 		}
 		c.Seq(fids, args)
 	})

@@ -140,13 +140,20 @@ const (
 
 // task is one capsule-granular unit of work: a function, its argument words,
 // and the join awaiting its completion. It is the native analogue of a
-// closure in the model's persistent memory — except it lives on the Go heap
-// and costs nanoseconds, not simulated block transfers.
+// closure in the model's persistent memory, and like the model's closure
+// pools it is recycled rather than collected: every task a capsule starts
+// comes off the executing worker's free list (see newTask), and execute
+// returns it there once its body and its persistence point are done, when
+// nothing refers to it any more — a stale deque slot may still hold the
+// pointer, but a slot is only ever dereferenced by whoever wins its index.
 type task struct {
 	kind uint8
 	fn   capsule.FuncID
-	args []uint64
-	join *join
+	// args is the task's argument words: inline[:n] when they fit there,
+	// else a heap slice shared with whoever built it (read-only).
+	args   []uint64
+	inline [capsule.InlineArgs]uint64
+	join   *join
 
 	// chainTail marks the task at the tail of the run's root chain: the root
 	// itself, the LAST step of a Seq issued by a chainTail task, and Then
@@ -164,10 +171,67 @@ type task struct {
 
 // join is the last-arriver cell of a fork: when pending reaches zero the
 // continuation task runs. It replaces the model's CAM-based join-end
-// protocol; without faults an atomic counter is all that is needed.
+// protocol; without faults an atomic counter is all that is needed. Joins
+// are recycled like tasks: the last arriver is the only party still holding
+// one, so resolve returns it to that worker's free list.
 type join struct {
 	pending atomic.Int32
 	cont    *task // nil only for the root join: completion ends the run
+}
+
+// freeListCap bounds each per-worker free list. A thief frees the tasks and
+// joins its victim allocated, so without a cap one worker's list would grow
+// by every object that migrated to it; past the cap, a freed object is left
+// to the collector.
+const freeListCap = 4096
+
+// newTask returns a task for fn under j, from the free list when it has one.
+// The caller sets args.
+func (w *Ctx) newTask(kind uint8, fn capsule.FuncID, j *join) *task {
+	var t *task
+	if n := len(w.freeTasks); n > 0 {
+		t = w.freeTasks[n-1]
+		w.freeTasks = w.freeTasks[:n-1]
+	} else {
+		t = new(task)
+	}
+	t.kind, t.fn, t.join, t.chainTail, t.phase = kind, fn, j, false, 0
+	return t
+}
+
+// callTask is newTask for a user call, with args copied in by value.
+func (w *Ctx) callTask(fn capsule.FuncID, args *capsule.Args, j *join) *task {
+	t := w.newTask(taskUser, fn, j)
+	t.args = args.Into(&t.inline)
+	return t
+}
+
+func (w *Ctx) freeTask(t *task) {
+	t.args, t.join = nil, nil
+	if len(w.freeTasks) < freeListCap {
+		w.freeTasks = append(w.freeTasks, t)
+	}
+}
+
+// newJoin returns a join awaiting pending completions before cont runs.
+func (w *Ctx) newJoin(cont *task, pending int32) *join {
+	var j *join
+	if n := len(w.freeJoins); n > 0 {
+		j = w.freeJoins[n-1]
+		w.freeJoins = w.freeJoins[:n-1]
+	} else {
+		j = new(join)
+	}
+	j.cont = cont
+	j.pending.Store(pending)
+	return j
+}
+
+func (w *Ctx) freeJoin(j *join) {
+	j.cont = nil
+	if len(w.freeJoins) < freeListCap {
+		w.freeJoins = append(w.freeJoins, j)
+	}
 }
 
 // Runtime is one native execution engine instance.
@@ -683,6 +747,11 @@ type Ctx struct {
 	cur  *task
 	next *task
 
+	// LIFO free lists of executed tasks and resolved joins, each at most
+	// freeListCap long; only this worker's goroutine touches them.
+	freeTasks []*task
+	freeJoins []*join
+
 	// Ephemeral memory (see arena): word buffers for Slice, Gather, GatherAt
 	// and Scratch, span vectors for ScratchSpans. Rewound by runTask.
 	eph      arena[uint64]
@@ -723,6 +792,13 @@ type Ctx struct {
 	replays            int64
 	taskWork           int64
 	maxTaskWork        int64
+
+	// The workers' contexts are allocated back to back, and every tracked
+	// access writes the counters above and reads rt. Without this pad, a
+	// context whose size class is not a multiple of 64 bytes can end on the
+	// cache line where the next one begins, and the two workers then miss on
+	// that line at every access.
+	_ [64]byte
 }
 
 // schedLoop is the work-stealing scheduler: own deque first, then the
@@ -844,6 +920,7 @@ func (w *Ctx) execute(t *task) {
 		if w.rt.cfg.Persist {
 			w.persistPoint(t)
 		}
+		w.freeTask(t)
 		t = w.next
 	}
 }
@@ -975,32 +1052,39 @@ func (w *Ctx) resolve(j *join) {
 	if j.pending.Add(-1) != 0 {
 		return
 	}
-	if j.cont == nil {
+	cont := j.cont
+	w.freeJoin(j)
+	if cont == nil {
 		w.rt.done.Store(true) // root completion
 		return
 	}
-	w.next = j.cont
+	w.next = cont
 }
 
 // runPfor expands the balanced parallel-for tree.
 // args: [body, lo, hi, grain, x0, x1].
 func (w *Ctx) runPfor(t *task) {
-	lo, hi, grain := int64(t.args[1]), int64(t.args[2]), int64(t.args[3])
-	if grain < 1 {
-		grain = 1
-	}
-	if hi-lo <= grain {
-		w.next = &task{kind: taskUser, fn: capsule.FuncID(t.args[0]),
-			args: []uint64{uint64(lo), uint64(hi), t.args[4], t.args[5]}, join: t.join}
+	a := t.args
+	lo, hi, grain := a[1], a[2], a[3]
+	if int64(hi)-int64(lo) <= int64(grain) {
+		leaf := w.newTask(taskUser, capsule.FuncID(a[0]), t.join)
+		leaf.inline = [capsule.InlineArgs]uint64{lo, hi, a[4], a[5]}
+		leaf.args = leaf.inline[:4]
+		w.next = leaf
 		return
 	}
-	mid := (lo + hi) / 2
-	j := &join{cont: &task{kind: taskNop, join: t.join}}
-	j.pending.Store(2)
-	largs := []uint64{t.args[0], uint64(lo), uint64(mid), uint64(grain), t.args[4], t.args[5]}
-	rargs := []uint64{t.args[0], uint64(mid), uint64(hi), uint64(grain), t.args[4], t.args[5]}
-	w.spawn(&task{kind: taskPfor, args: largs, join: j})
-	w.next = &task{kind: taskPfor, args: rargs, join: j}
+	mid := uint64((int64(lo) + int64(hi)) / 2)
+	j := w.newJoin(w.newTask(taskNop, 0, t.join), 2)
+	w.spawn(w.pforTask(j, a[0], lo, mid, grain, a[4], a[5]))
+	w.next = w.pforTask(j, a[0], mid, hi, grain, a[4], a[5])
+}
+
+// pforTask returns a parallel-for node over [lo, hi) under j.
+func (w *Ctx) pforTask(j *join, body, lo, hi, grain, x0, x1 uint64) *task {
+	t := w.newTask(taskPfor, 0, j)
+	t.inline = [capsule.InlineArgs]uint64{body, lo, hi, grain, x0, x1}
+	t.args = t.inline[:]
+	return t
 }
 
 // ---- capsule-visible operations ----
@@ -1291,10 +1375,11 @@ func (w *Ctx) Halt() {
 // Then continues the current chain with fid(args...), preserving the join.
 // A Then from a root-chain task stays on the root chain (but records no new
 // step: it is the same chain position continuing under a new closure).
-func (w *Ctx) Then(fid capsule.FuncID, args []uint64) {
+func (w *Ctx) Then(fid capsule.FuncID, args capsule.Args) {
 	w.transferred = true
-	w.next = &task{kind: taskUser, fn: fid, args: args, join: w.cur.join,
-		chainTail: w.cur.chainTail, phase: w.cur.phase}
+	t := w.callTask(fid, &args, w.cur.join)
+	t.chainTail, t.phase = w.cur.chainTail, w.cur.phase
+	w.next = t
 }
 
 // Seq chains the calls so each runs after the previous one's entire
@@ -1307,7 +1392,7 @@ func (w *Ctx) Then(fid capsule.FuncID, args []uint64) {
 // become durable commits; the new last step becomes the new tail. A Seq
 // from any other task is a sub-chain (steps after it live in join cells the
 // region cannot see) and records nothing.
-func (w *Ctx) Seq(fids []capsule.FuncID, argss [][]uint64) {
+func (w *Ctx) Seq(fids []capsule.FuncID, argss []capsule.Args) {
 	w.transferred = true
 	if len(fids) == 0 {
 		w.resolve(w.cur.join)
@@ -1319,17 +1404,15 @@ func (w *Ctx) Seq(fids []capsule.FuncID, argss [][]uint64) {
 	}
 	j := w.cur.join
 	for i := len(fids) - 1; i >= 1; i-- {
-		st := &task{kind: taskUser, fn: fids[i], args: argss[i], join: j}
+		st := w.callTask(fids[i], &argss[i], j)
 		if chain {
 			st.chainTail = i == len(fids)-1
 			st.phase = int32(i)
 		}
-		step := &join{cont: st}
-		step.pending.Store(1)
-		j = step
+		j = w.newJoin(st, 1)
 	}
-	first := &task{kind: taskUser, fn: fids[0], args: argss[0], join: j,
-		chainTail: chain && len(fids) == 1}
+	first := w.callTask(fids[0], &argss[0], j)
+	first.chainTail = chain && len(fids) == 1
 	w.next = first
 }
 
@@ -1338,28 +1421,27 @@ func (w *Ctx) Seq(fids []capsule.FuncID, argss [][]uint64) {
 // way the current task's join eventually receives the completion. Forked
 // children leave the root chain: their interleaving is scheduler-dependent,
 // so recovery re-executes them from the enclosing chain step.
-func (w *Ctx) Fork(lf capsule.FuncID, la []uint64, rf capsule.FuncID, ra []uint64,
-	jf capsule.FuncID, ja []uint64, hasJoin bool) {
+func (w *Ctx) Fork(lf capsule.FuncID, la capsule.Args, rf capsule.FuncID, ra capsule.Args,
+	jf capsule.FuncID, ja capsule.Args, hasJoin bool) {
 
 	w.transferred = true
-	j := &join{}
-	j.pending.Store(2)
+	var cont *task
 	if hasJoin {
-		j.cont = &task{kind: taskUser, fn: jf, args: ja, join: w.cur.join}
+		cont = w.callTask(jf, &ja, w.cur.join)
 	} else {
-		j.cont = &task{kind: taskNop, join: w.cur.join}
+		cont = w.newTask(taskNop, 0, w.cur.join)
 	}
-	w.spawn(&task{kind: taskUser, fn: lf, args: la, join: j})
-	w.next = &task{kind: taskUser, fn: rf, args: ra, join: j}
+	j := w.newJoin(cont, 2)
+	w.spawn(w.callTask(lf, &la, j))
+	w.next = w.callTask(rf, &ra, j)
 }
 
 // ParallelFor runs body over [lo, hi) as a balanced tree with at most grain
 // indices per leaf; body receives [lo, hi, a0, a1] and must end with Done.
 func (w *Ctx) ParallelFor(body capsule.FuncID, lo, hi, grain int, a0, a1 uint64) {
 	w.transferred = true
-	w.next = &task{kind: taskPfor,
-		args: []uint64{uint64(body), uint64(lo), uint64(hi), uint64(grain), a0, a1},
-		join: w.cur.join}
+	grain = max(grain, 1)
+	w.next = w.pforTask(w.cur.join, uint64(body), uint64(lo), uint64(hi), uint64(grain), a0, a1)
 }
 
 // ModelEnv returns nil: native capsules have no simulated machine behind

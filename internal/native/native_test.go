@@ -44,9 +44,9 @@ func TestTreeSum(t *testing.T) {
 		mid := (lo + hi) / 2
 		s := c.Alloc(2)
 		c.Fork(
-			sum, []uint64{uint64(lo), uint64(mid), uint64(s)},
-			sum, []uint64{uint64(mid), uint64(hi), uint64(s + 1)},
-			cmb, []uint64{uint64(s), uint64(s + 1), uint64(dst)}, true)
+			sum, capsule.ArgsOf(uint64(lo), uint64(mid), uint64(s)),
+			sum, capsule.ArgsOf(uint64(mid), uint64(hi), uint64(s+1)),
+			cmb, capsule.ArgsOf(uint64(s), uint64(s+1), uint64(dst)), true)
 	})
 
 	if !rt.Run(sum, 0, n, uint64(out)) {
@@ -85,7 +85,7 @@ func TestParallelForSeq(t *testing.T) {
 	p1 := rt.Register("p1", func(c *Ctx) { c.ParallelFor(sq, 0, n, 32, 0, 0) })
 	p2 := rt.Register("p2", func(c *Ctx) { c.ParallelFor(inc, 0, n, 32, 0, 0) })
 	root := rt.Register("root", func(c *Ctx) {
-		c.Seq([]capsule.FuncID{p1, p2}, [][]uint64{nil, nil})
+		c.Seq([]capsule.FuncID{p1, p2}, []capsule.Args{{}, {}})
 	})
 	for i := 0; i < n; i++ {
 		rt.MemWrite(arr+pmem.Addr(i), uint64(i%100))
@@ -118,7 +118,7 @@ func TestRunOnAllCAM(t *testing.T) {
 	})
 	claim := rt.Register("claim", func(c *Ctx) {
 		c.CAM(owner, 0, uint64(c.ProcID())+1)
-		c.Then(check, nil)
+		c.Then(check, capsule.Args{})
 	})
 	rt.RunOnAll(claim)
 	winners := 0

@@ -200,9 +200,9 @@ func treeSum(t *testing.T, rt *Runtime, n, leaf int) {
 		mid := (lo + hi) / 2
 		s := c.Alloc(2)
 		c.Fork(
-			sum, []uint64{uint64(lo), uint64(mid), uint64(s)},
-			sum, []uint64{uint64(mid), uint64(hi), uint64(s + 1)},
-			cmb, []uint64{uint64(s), uint64(s + 1), uint64(dst)}, true)
+			sum, capsule.ArgsOf(uint64(lo), uint64(mid), uint64(s)),
+			sum, capsule.ArgsOf(uint64(mid), uint64(hi), uint64(s+1)),
+			cmb, capsule.ArgsOf(uint64(s), uint64(s+1), uint64(dst)), true)
 	})
 	if !rt.Run(sum, 0, uint64(n), uint64(out)) {
 		t.Fatal("run did not complete")
@@ -233,15 +233,15 @@ func rendezvous(t *testing.T, rt *Runtime, rounds int) {
 		r := int(c.Arg(0))
 		a := flags + pmem.Addr(2*r)
 		c.Fork(
-			side, []uint64{uint64(a), uint64(a + 1)},
-			side, []uint64{uint64(a + 1), uint64(a)},
-			0, nil, false)
+			side, capsule.ArgsOf(uint64(a), uint64(a+1)),
+			side, capsule.ArgsOf(uint64(a+1), uint64(a)),
+			0, capsule.Args{}, false)
 	})
 	fids := make([]capsule.FuncID, rounds)
-	argss := make([][]uint64, rounds)
+	argss := make([]capsule.Args, rounds)
 	for r := 0; r < rounds; r++ {
 		fids[r] = pair
-		argss[r] = []uint64{uint64(r)}
+		argss[r] = capsule.ArgsOf(uint64(r))
 	}
 	seq := rt.Register("seq", func(c *Ctx) { c.Seq(fids, argss) })
 	if !rt.Run(seq) {

@@ -2,7 +2,9 @@ package sched
 
 import (
 	"fmt"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/machine"
@@ -70,13 +72,47 @@ func TestSoftFaultSweep(t *testing.T) {
 	}
 }
 
+// victimsFirst is a hard-fault schedule whose deaths fire on a host with
+// fewer cores than processors. Processors are goroutines, so a victim the Go
+// scheduler has not run yet may reach none of its fault points before the
+// survivors finish. Until every victim has reached its ordinal, a survivor
+// sleeps briefly at each of its fault points. Which accesses fault is
+// unchanged.
+type victimsFirst struct {
+	fault.Injector
+	dieAt map[int]int64
+	mu    sync.Mutex
+	count map[int]int64
+	fired int
+}
+
+func newVictimsFirst(dieAt map[int]int64) *victimsFirst {
+	return &victimsFirst{Injector: fault.NewCombined(fault.NoFaults{}, dieAt),
+		dieAt: dieAt, count: map[int]int64{}}
+}
+
+func (v *victimsFirst) At(proc int) fault.Kind {
+	v.mu.Lock()
+	n := v.count[proc]
+	v.count[proc] = n + 1
+	die, victim := v.dieAt[proc]
+	if victim && n == die {
+		v.fired++
+	}
+	wait := !victim && v.fired < len(v.dieAt)
+	v.mu.Unlock()
+	if wait {
+		time.Sleep(50 * time.Microsecond)
+	}
+	return v.Injector.At(proc)
+}
+
 // TestDoubleHardFault: both processors of the pair holding work die at
 // overlapping points; a third must pick up both chains transitively.
 func TestDoubleHardFault(t *testing.T) {
 	for _, k := range []int64{10, 30, 60, 90, 130} {
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
-			inj := fault.NewCombined(fault.NoFaults{},
-				map[int]int64{0: k, 1: k + 5})
+			inj := newVictimsFirst(map[int]int64{0: k, 1: k + 5})
 			fo := newFanout(machine.Config{P: 4, Seed: 44, Check: true, Injector: inj}, 16)
 			fo.run(t)
 			s := fo.m.Stats.Summarize()

@@ -89,16 +89,22 @@ func (c Ctx) Raw() capsule.Env { return c.e.ModelEnv() }
 // ---- control transfer ----
 
 // Call pairs a registered function with its arguments, for Fork, ForkThen,
-// ParallelFor, Seq, Then, and Run.
+// ParallelFor, Seq, Then, and Run. It holds its words by value (inline up to
+// six), so building one and handing it to a control transfer allocates
+// nothing.
 type Call struct {
 	fn   FuncRef
-	args []uint64
+	args capsule.Args
 }
 
 // Call builds a Call of f. Arguments may be int, uint64, Addr, bool, or
 // FuncRef; they are stored as closure words.
 func (f FuncRef) Call(args ...any) Call {
-	return Call{fn: f, args: toWords(args)}
+	c := Call{fn: f}
+	for _, a := range args {
+		c.args.Append(word(a))
+	}
+	return c
 }
 
 // Done finishes the current task, handing control to its continuation (the
@@ -123,7 +129,7 @@ func (c Ctx) Then(next Call) { c.e.Then(next.fn.fid, next.args) }
 // action.
 func (c Ctx) Seq(calls ...Call) {
 	fids := make([]capsule.FuncID, len(calls))
-	argss := make([][]uint64, len(calls))
+	argss := make([]capsule.Args, len(calls))
 	for i, cl := range calls {
 		fids[i] = cl.fn.fid
 		argss[i] = cl.args
@@ -136,7 +142,7 @@ func (c Ctx) Seq(calls ...Call) {
 // stealable; the right child continues in the current thread. Must be the
 // capsule's final action.
 func (c Ctx) Fork(left, right Call) {
-	c.e.Fork(left.fn.fid, left.args, right.fn.fid, right.args, 0, nil, false)
+	c.e.Fork(left.fn.fid, left.args, right.fn.fid, right.args, 0, capsule.Args{}, false)
 }
 
 // ForkThen runs left and right in parallel; when both have finished, join
@@ -154,12 +160,12 @@ func (c Ctx) ForkThen(left, right, join Call) {
 // sub-range plus up to two caller words — and must end with Done. Must be
 // the capsule's final action.
 func (c Ctx) ParallelFor(body FuncRef, lo, hi, grain int, extra ...any) {
-	words := toWords(extra)
-	if len(words) > 2 {
+	if len(extra) > 2 {
 		panic("ppm: ParallelFor carries at most two extra arguments")
 	}
-	for len(words) < 2 {
-		words = append(words, 0)
+	var x [2]uint64
+	for i, a := range extra {
+		x[i] = word(a)
 	}
-	c.e.ParallelFor(body.fid, lo, hi, grain, words[0], words[1])
+	c.e.ParallelFor(body.fid, lo, hi, grain, x[0], x[1])
 }

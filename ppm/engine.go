@@ -91,10 +91,12 @@ type capCtx interface {
 	WriteRange(base pmem.Addr, lo, hi int, vals []uint64)
 	Done()
 	Halt()
-	Then(fid capsule.FuncID, args []uint64)
-	Seq(fids []capsule.FuncID, argss [][]uint64)
-	Fork(lf capsule.FuncID, la []uint64, rf capsule.FuncID, ra []uint64,
-		jf capsule.FuncID, ja []uint64, hasJoin bool)
+	// Argument lists travel by value, so a capsule handing its successors
+	// their words escapes nothing through this interface.
+	Then(fid capsule.FuncID, args capsule.Args)
+	Seq(fids []capsule.FuncID, argss []capsule.Args)
+	Fork(lf capsule.FuncID, la capsule.Args, rf capsule.FuncID, ra capsule.Args,
+		jf capsule.FuncID, ja capsule.Args, hasJoin bool)
 	ParallelFor(body capsule.FuncID, lo, hi, grain int, a0, a1 uint64)
 	ModelEnv() capsule.Env // nil on engines without a model machine
 }
@@ -287,8 +289,8 @@ func (m *modelCtx) Scatter(base pmem.Addr, spans [][2]int, src []uint64) {
 func (m *modelCtx) Done() { m.fj.TaskDone(m.e) }
 func (m *modelCtx) Halt() { m.e.Halt() }
 
-func (m *modelCtx) Then(fid capsule.FuncID, args []uint64) {
-	m.e.Install(m.e.NewClosure(fid, m.e.Cont(), args...))
+func (m *modelCtx) Then(fid capsule.FuncID, args capsule.Args) {
+	m.e.Install(m.e.NewClosure(fid, m.e.Cont(), args.Words()...))
 }
 
 // Seq builds the step chain and installs it behind an epoch-advance capsule:
@@ -296,28 +298,28 @@ func (m *modelCtx) Then(fid capsule.FuncID, args []uint64) {
 // closure-pool generations whose contents the finished phases have orphaned
 // (see machine.PoolGens). Programs that never Seq never advance the epoch
 // and see the pools' classic run-long bump allocation.
-func (m *modelCtx) Seq(fids []capsule.FuncID, argss [][]uint64) {
+func (m *modelCtx) Seq(fids []capsule.FuncID, argss []capsule.Args) {
 	if len(fids) == 0 {
 		m.Done()
 		return
 	}
 	cont := m.e.Cont()
 	for i := len(fids) - 1; i >= 1; i-- {
-		cont = m.e.NewClosure(fids[i], cont, argss[i]...)
+		cont = m.e.NewClosure(fids[i], cont, argss[i].Words()...)
 	}
-	m.fj.InstallWithEpoch(m.e, m.e.NewClosure(fids[0], cont, argss[0]...))
+	m.fj.InstallWithEpoch(m.e, m.e.NewClosure(fids[0], cont, argss[0].Words()...))
 }
 
-func (m *modelCtx) Fork(lf capsule.FuncID, la []uint64, rf capsule.FuncID, ra []uint64,
-	jf capsule.FuncID, ja []uint64, hasJoin bool) {
+func (m *modelCtx) Fork(lf capsule.FuncID, la capsule.Args, rf capsule.FuncID, ra capsule.Args,
+	jf capsule.FuncID, ja capsule.Args, hasJoin bool) {
 
 	var jc pmem.Addr
 	if hasJoin {
-		jc = m.e.NewClosure(jf, m.e.Cont(), ja...)
+		jc = m.e.NewClosure(jf, m.e.Cont(), ja.Words()...)
 	} else {
 		jc = m.fj.NoopClosure(m.e, m.e.Cont())
 	}
-	m.fj.Fork2(m.e, lf, la, rf, ra, jc)
+	m.fj.Fork2(m.e, lf, la.Words(), rf, ra.Words(), jc)
 }
 
 func (m *modelCtx) ParallelFor(body capsule.FuncID, lo, hi, grain int, a0, a1 uint64) {

@@ -127,8 +127,8 @@ func (b MutationBatch) deltaCSR(n int) (insOffs, insTgts, delOffs, delTgts []uin
 // epoch-versioned CSR ring. Slot e%slots holds epoch e's arrays while e is
 // within the last `slots` committed epochs; Apply writes the next epoch's
 // slot and commits the durable epoch word as the final root-chain step.
-// Runs (Apply and any bound reader program) must be externally serialized,
-// same as every program on a single runtime.
+// Apply may be called concurrently: one batch is staged and applied at a
+// time, and a call that finds another in flight is refused.
 type Resident struct {
 	tag      string
 	base     *Graph // epoch-0 host graph
@@ -150,6 +150,10 @@ type Resident struct {
 	mutW   ppm.Array // staged [srcSlot, dstSlot]
 
 	applyRoot ppm.FuncRef
+
+	// applyMu is held by the Apply that owns the staging arrays, from the
+	// first staged word until its run returns.
+	applyMu sync.Mutex
 
 	mu    sync.Mutex
 	epoch uint64
@@ -363,12 +367,19 @@ func (r *Resident) Build(rt *ppm.Runtime) {
 // The commit is a persistence point on a durable runtime: once Apply returns
 // true, the batch survives kill-9; if the process dies mid-run, Recover +
 // Build + Resume completes the interrupted batch from its last committed
-// chain step and lands on the same state. Runs must be externally
-// serialized (the serving layer's per-graph runner does this).
+// chain step and lands on the same state. Apply is safe to call from several
+// goroutines: while one batch is being staged or applied, another Apply
+// returns ppm.ErrRuntimeBusy without staging anything. It also returns
+// ppm.ErrRuntimeBusy when a reader program holds the runtime; what it staged
+// then is read by no program, and the next Apply stages over it.
 func (r *Resident) Apply(b MutationBatch) (ok bool, err error) {
 	if b.Edges() > r.batchCap {
 		return false, fmt.Errorf("graph: batch of %d edges exceeds capacity %d", b.Edges(), r.batchCap)
 	}
+	if !r.applyMu.TryLock() {
+		return false, ppm.ErrRuntimeBusy
+	}
+	defer r.applyMu.Unlock()
 	r.mu.Lock()
 	cur, epoch := r.cur, r.epoch
 	r.mu.Unlock()

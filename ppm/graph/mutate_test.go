@@ -1,9 +1,13 @@
 package graph_test
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/ppm"
@@ -275,6 +279,89 @@ func TestResidentRejects(t *testing.T) {
 	if _, err := res.Apply(graph.MutationBatch{Insert: [][2]int{{0, 2}}}); err == nil {
 		t.Fatal("Apply after Close accepted")
 	}
+}
+
+// TestResidentConcurrentApply has two goroutines apply batches to one
+// Resident at once, each toggling its own edges on its own half of the
+// vertices. Every call is either accepted, committing exactly its batch, or
+// refused with ppm.ErrRuntimeBusy, staging nothing: so the committed graph is
+// each goroutine's accepted batches run through ApplyTo in its own order (the
+// halves share no vertex, so the two chains commute), both in the host
+// mirror and in persistent memory, and the epoch counts the accepted
+// batches. Under -race a refused call that staged anyway is also a data race
+// with the apply program reading the staging arrays.
+func TestResidentConcurrentApply(t *testing.T) {
+	const (
+		half  = 32
+		want  = 60 // accepted batches per side
+		tries = 1 << 20
+	)
+	g := graph.Rand(2*half, 4*half, 5)
+	res := graph.NewResident("concurrent", g, 2, len(g.Adj)+64, 8)
+	rt := newRT(ppm.EngineNative, 2)
+	defer rt.Close()
+	res.Build(rt)
+
+	accepted := make([][]graph.MutationBatch, 2)
+	refused := make([]int, 2)
+	errs := make(chan error, 2)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for side := 0; side < 2; side++ {
+		wg.Add(1)
+		go func(side int) {
+			defer wg.Done()
+			<-start
+			lo := side * half
+			edges := [][2]int{{lo, lo + 1}, {lo + 2, lo + 7}, {lo + 3, lo + half - 1}, {lo + 5, lo + 11}}
+			for i := 0; len(accepted[side]) < want; i++ {
+				if i == tries {
+					errs <- fmt.Errorf("side %d: %d of %d batches accepted in %d tries", side, len(accepted[side]), want, tries)
+					return
+				}
+				b := graph.MutationBatch{Insert: edges}
+				if len(accepted[side])%2 == 1 {
+					b = graph.MutationBatch{Delete: edges}
+				}
+				ok, err := res.Apply(b)
+				switch {
+				case errors.Is(err, ppm.ErrRuntimeBusy):
+					refused[side]++
+					runtime.Gosched()
+				case err != nil || !ok:
+					errs <- fmt.Errorf("side %d attempt %d: ok=%v err=%v", side, i, ok, err)
+					return
+				default:
+					accepted[side] = append(accepted[side], b)
+				}
+			}
+		}(side)
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	t.Logf("refused %d+%d", refused[0], refused[1])
+
+	mirror := g
+	for _, bs := range accepted {
+		for _, b := range bs {
+			var err error
+			if mirror, err = b.ApplyTo(mirror); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if e, want := res.Epoch(), uint64(len(accepted[0])+len(accepted[1])); e != want {
+		t.Fatalf("epoch = %d, want %d accepted batches", e, want)
+	}
+	sameGraph(t, "mirror", res.Current(), mirror)
+	if err := res.Recovered(); err != nil {
+		t.Fatalf("Recovered: %v", err)
+	}
+	sameGraph(t, "pmem", res.Current(), mirror)
 }
 
 // TestResidentFaultSweep drives a randomized batch sequence through the

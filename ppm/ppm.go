@@ -268,28 +268,33 @@ func (r *Runtime) Machine() *machine.Machine {
 func toWords(args []any) []uint64 {
 	out := make([]uint64, len(args))
 	for i, a := range args {
-		switch v := a.(type) {
-		case uint64:
-			out[i] = v
-		case int:
-			out[i] = uint64(v)
-		case int64:
-			out[i] = uint64(v)
-		case uint:
-			out[i] = uint64(v)
-		case uint32:
-			out[i] = uint64(v)
-		case Addr:
-			out[i] = uint64(v)
-		case FuncRef:
-			out[i] = uint64(v.fid)
-		case bool:
-			if v {
-				out[i] = 1
-			}
-		default:
-			panic("ppm: unsupported capsule argument type")
-		}
+		out[i] = word(a)
 	}
 	return out
+}
+
+// word converts one argument to its closure word (see toWords).
+func word(a any) uint64 {
+	switch v := a.(type) {
+	case uint64:
+		return v
+	case int:
+		return uint64(v)
+	case int64:
+		return uint64(v)
+	case uint:
+		return uint64(v)
+	case uint32:
+		return uint64(v)
+	case Addr:
+		return uint64(v)
+	case FuncRef:
+		return uint64(v.fid)
+	case bool:
+		if v {
+			return 1
+		}
+		return 0
+	}
+	panic("ppm: unsupported capsule argument type")
 }

@@ -51,7 +51,9 @@ func buildPrefixTree(rt *Runtime, name string, n, leaf int, src, dst Array) Func
 		node, lo, hi := c.Int(0), c.Int(1), c.Int(2)
 		if hi-lo <= leaf {
 			var acc uint64
-			src.Range(c, lo, hi, func(_ int, v uint64) { acc += v })
+			for _, v := range src.Slice(c, lo, hi) {
+				acc += v
+			}
 			sums.Set(c, node, acc)
 			c.Done()
 			return
@@ -68,10 +70,10 @@ func buildPrefixTree(rt *Runtime, name string, n, leaf int, src, dst Array) Func
 		if hi-lo <= leaf {
 			vals := c.Scratch(hi - lo)
 			acc := t
-			src.Range(c, lo, hi, func(idx int, v uint64) {
+			for i, v := range src.Slice(c, lo, hi) {
 				acc += v
-				vals[idx-lo] = acc
-			})
+				vals[i] = acc
+			}
 			dst.SetRange(c, lo, vals)
 			c.Done()
 			return
@@ -551,9 +553,11 @@ func (m *matMulAlgo) Build(rt *Runtime) {
 			qr, qc := q>>1, q&1
 			row := c.Scratch(h)
 			t0 := sbase + 2*q*h*h + r*h
-			S.Range(c, t0, t0+h, func(i int, v uint64) { row[i-t0] = v })
+			copy(row, S.Slice(c, t0, t0+h))
 			t1 := sbase + (2*q+1)*h*h + r*h
-			S.Range(c, t1, t1+h, func(i int, v uint64) { row[i-t1] += v })
+			for i, v := range S.Slice(c, t1, t1+h) {
+				row[i] += v
+			}
 			dsts[sel].SetRange(c, dstOff+(qr*h+r)*stride+qc*h, row)
 		}
 		c.Done()
@@ -579,9 +583,9 @@ func (m *matMulAlgo) Build(rt *Runtime) {
 			bv := c.Scratch(d * d)
 			for i := 0; i < d; i++ {
 				o := (ar+i)*dim + ac
-				A.Range(c, o, o+d, func(j int, v uint64) { av[i*d+j-o] = v })
+				copy(av[i*d:], A.Slice(c, o, o+d))
 				o = (br+i)*dim + bc
-				B.Range(c, o, o+d, func(j int, v uint64) { bv[i*d+j-o] = v })
+				copy(bv[i*d:], B.Slice(c, o, o+d))
 			}
 			row := c.Scratch(d)
 			for i := 0; i < d; i++ {
