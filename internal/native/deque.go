@@ -41,6 +41,13 @@ type deque struct {
 	top    atomic.Int64
 	bottom atomic.Int64
 	buf    atomic.Pointer[dequeBuf]
+
+	// The workers' headers are allocated back to back. At 24 bytes, two or
+	// three shared a cache line, which one worker's pushes and pops then
+	// contended for with its neighbours' owners and thieves. Padded to one
+	// line, a header is an allocation of its own 64-byte size class, which is
+	// line-aligned.
+	_ [64 - 24]byte
 }
 
 // dequeBuf is one immutable-capacity ring: capacity a power of two, slot

@@ -752,6 +752,10 @@ type Ctx struct {
 	freeTasks []*task
 	freeJoins []*join
 
+	// The step vectors SeqBuf lends one Seq at a time (see SeqBuf).
+	seqFids []capsule.FuncID
+	seqArgs []capsule.Args
+
 	// Ephemeral memory (see arena): word buffers for Slice, Gather, GatherAt
 	// and Scratch, span vectors for ScratchSpans. Rewound by runTask.
 	eph      arena[uint64]
@@ -1380,6 +1384,17 @@ func (w *Ctx) Then(fid capsule.FuncID, args capsule.Args) {
 	t := w.callTask(fid, &args, w.cur.join)
 	t.chainTail, t.phase = w.cur.chainTail, w.cur.phase
 	w.next = t
+}
+
+// SeqBuf returns the worker's step vectors at length n for the capsule's Seq
+// to fill. Seq copies every step into its tasks before it returns, so the
+// next capsule on this worker may lend them again.
+func (w *Ctx) SeqBuf(n int) ([]capsule.FuncID, []capsule.Args) {
+	if cap(w.seqFids) < n {
+		w.seqFids = make([]capsule.FuncID, n)
+		w.seqArgs = make([]capsule.Args, n)
+	}
+	return w.seqFids[:n], w.seqArgs[:n]
 }
 
 // Seq chains the calls so each runs after the previous one's entire

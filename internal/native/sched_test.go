@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"repro/internal/capsule"
 	"repro/internal/pmem"
@@ -316,6 +317,28 @@ func TestOversubscribedScheduler(t *testing.T) {
 	rendezvous(t, rt, 8)
 	if s := rt.SchedStats(); s.Steals < 8 {
 		t.Errorf("expected >=8 steals with P=%d oversubscribed, got %+v", p, s)
+	}
+}
+
+// TestDequeHeadersOwnTheirLines: every worker's deque header fills one
+// 64-byte cache line of its own, so no two workers' pushes, pops and steals
+// write the same line.
+func TestDequeHeadersOwnTheirLines(t *testing.T) {
+	if size := unsafe.Sizeof(deque{}); size != 64 {
+		t.Fatalf("deque header is %d bytes, want 64: one cache line", size)
+	}
+	rt := New(Config{P: 8, MemWords: 1 << 16})
+	defer rt.Close()
+	lines := map[uintptr]int{}
+	for _, w := range rt.workers {
+		a := uintptr(unsafe.Pointer(w.dq))
+		if a%64 != 0 {
+			t.Errorf("worker %d deque header at %#x is not line-aligned", w.id, a)
+		}
+		if other, ok := lines[a/64]; ok {
+			t.Errorf("workers %d and %d deque headers share line %#x", other, w.id, a/64*64)
+		}
+		lines[a/64] = w.id
 	}
 }
 

@@ -36,8 +36,9 @@ const (
 // barrierSnap is one copy of the region file, taken after a barrier returned.
 type barrierSnap struct {
 	file      string
-	run       int   // value of *run when the barrier was issued
-	committed int64 // the region's committed phase index at that moment
+	run       int                 // value of *run when the barrier was issued
+	committed int64               // the region's committed phase index at that moment
+	chain     []durable.ChainStep // the root chain recorded at that moment
 }
 
 // snapshotBarriers copies the region at path after each of its barriers until
@@ -59,7 +60,7 @@ func snapshotBarriers(t *testing.T, path string, run *int) *[]barrierSnap {
 			t.Errorf("snapshot: %v", err)
 			return
 		}
-		*snaps = append(*snaps, barrierSnap{file, *run, r.CommittedIdx()})
+		*snaps = append(*snaps, barrierSnap{file, *run, r.CommittedIdx(), r.ChainSteps()})
 	}
 	t.Cleanup(func() { durable.AfterBarrier = nil })
 	return snaps
@@ -89,9 +90,18 @@ func snapOpts(extra ...ppm.Option) []ppm.Option {
 }
 
 func TestBarrierSnapshotRecovery(t *testing.T) {
-	for _, name := range []string{"bfs", "pagerank", "cc"} {
+	for _, wl := range []struct {
+		name string
+		n    int
+	}{
+		// At n = 2048 the three middle BFS frontiers are wider than the
+		// native fuse budget and the others narrower: both kinds of round.
+		{"bfs", 1 << 11},
+		{"pagerank", 1 << 8},
+		{"cc", 1 << 8},
+	} {
+		name, n := wl.name, wl.n
 		t.Run(name, func(t *testing.T) {
-			const n = 1 << 8
 			ref, _ := ppm.NewByName(name, "snap", n, crashInputSeed)
 			rt := ppm.New(snapOpts()...)
 			ref.Build(rt)
@@ -119,22 +129,51 @@ func TestBarrierSnapshotRecovery(t *testing.T) {
 			// Close) and every phase commit adds two. cc commits initP, the
 			// first driver, then scan and check each round: 9 + 4·rounds. A
 			// third phase in a round would make it 9 + 6·rounds. bfs commits
-			// seed, the first round driver, then the down sweep and the next
-			// driver each round: 9 + 4·rounds as well, a round per level (the
-			// driver that finds the frontier empty starts no phase).
+			// seed and the first round driver, then per round (one per level;
+			// the driver that finds the frontier empty starts no phase) the
+			// next driver after a fused step, or the down sweep and the next
+			// driver after a tree round: 9 + 2·fused + 4·tree.
 			if name == "cc" && (len(*snaps)-9)%4 != 0 {
 				t.Errorf("cc: %d barriers is not 9 + 4·rounds: a round is not two phase commits", len(*snaps))
 			}
 			if name == "bfs" {
-				rounds := 1
-				for _, l := range want {
-					if l != ^uint64(0) {
-						rounds = max(rounds, int(l)+1)
+				// A round's recorded chain is [step, round'] when it fuses and
+				// [up, down, round'] when it sweeps a tree (up takes four
+				// arguments, the root chain's init one). round' carries the
+				// next level, so each round records a chain of its own.
+				rounds := map[uint64]bool{} // next level -> the round swept a tree
+				for _, s := range *snaps {
+					switch c := s.chain; {
+					case len(c) == 2:
+						rounds[c[1].Args[0]] = false
+					case len(c) == 3 && len(c[0].Args) == 4:
+						rounds[c[2].Args[0]] = true
 					}
 				}
-				if len(*snaps) != 9+4*rounds {
-					t.Errorf("bfs: %d barriers over %d rounds, want 9 + 4·rounds = %d: a round is not two phase commits",
-						len(*snaps), rounds, 9+4*rounds)
+				levels := map[uint64]bool{}
+				for _, l := range want {
+					if l != ^uint64(0) {
+						levels[l] = true
+					}
+				}
+				if len(rounds) != len(levels) {
+					t.Fatalf("bfs: the chains name %d rounds for %d levels", len(rounds), len(levels))
+				}
+				fused, tree := 0, 0
+				for _, swept := range rounds {
+					if swept {
+						tree++
+					} else {
+						fused++
+					}
+				}
+				t.Logf("bfs: %d fused and %d tree rounds", fused, tree)
+				if fused == 0 || tree == 0 {
+					t.Fatalf("bfs: %d fused and %d tree rounds: the input must have both kinds", fused, tree)
+				}
+				if want := 9 + 2*fused + 4*tree; len(*snaps) != want {
+					t.Errorf("bfs: %d barriers over %d fused and %d tree rounds, want 9 + 2·fused + 4·tree = %d",
+						len(*snaps), fused, tree, want)
 				}
 			}
 

@@ -11,6 +11,7 @@ import (
 	"syscall"
 	"testing"
 
+	"repro/internal/durable"
 	"repro/ppm"
 	// Registers bfs/cc/pagerank so the kill-9 sweep covers irregular
 	// workloads, not just the sort tree.
@@ -28,6 +29,8 @@ import (
 // last committed step). cc's round is the two-phase Seq(scan, check) whose
 // check clears the other parity's changed flag, so a resume re-enters a
 // round with one flag possibly set by the killed scan and the other stale.
+// bfs has rounds of both kinds, a fused Seq(step, round) and a tree
+// Seq(up, down, round), and one kill is aimed at each.
 
 // Shared geometry: child and parent must build byte-identical programs, so
 // every knob that influences registration order, allocation order, or input
@@ -44,7 +47,10 @@ var crashWorkloads = []struct {
 	n    int
 }{
 	{"mergesort", 1 << 13},
-	{"bfs", 1 << 9},
+	// Frontiers of 351, 1 211 and 424 entries go up and down a tree; the
+	// others (1, 6, 52, 2) fit the native fuse budget, each one step
+	// capsule.
+	{"bfs", 1 << 11},
 	{"pagerank", 1 << 9},
 	{"cc", 1 << 9},
 }
@@ -123,9 +129,17 @@ func TestKill9Recovery(t *testing.T) {
 			}
 
 			rnd := rand.New(rand.NewSource(0x9e3779b9 ^ int64(wl.n)))
-			const reps = 3
-			for rep := 0; rep < reps; rep++ {
-				kill := total/10 + rnd.Int63n(total*8/10+1)
+			kills := make([]int64, 3)
+			for rep := range kills {
+				kills[rep] = total/10 + rnd.Int63n(total*8/10+1)
+			}
+			if wl.name == "bfs" {
+				// Nearly every capsule of a search is in its wide rounds'
+				// trees, where random points land; aim one kill at a fused
+				// round's step and one into a tree round's claim sweep.
+				kills[0], kills[1] = bfsRoundKills(t, wl.n)
+			}
+			for rep, kill := range kills {
 				file := filepath.Join(t.TempDir(), fmt.Sprintf("%s-%d.region", wl.name, rep))
 
 				cmd := exec.Command(exe, "-test.run", "^TestCrashChild$", "-test.v")
@@ -175,6 +189,50 @@ func TestKill9Recovery(t *testing.T) {
 			}
 		})
 	}
+}
+
+// bfsRoundKills runs the bfs workload once on a durable region and reads its
+// rounds off the barriers: at a phase commit every earlier capsule has passed
+// its persistence point, and the recorded chain names the round — [step,
+// round] for a fused one, [up, down, round] for a tree. It returns the
+// persistence point of the first fused round's step, and one in the middle of
+// the first tree round's up sweep. The counts are the child's too: one point
+// per capsule, and the task tree does not depend on scheduling.
+func bfsRoundKills(t *testing.T, n int) (fused, tree int64) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "rounds.region")
+	var rt *ppm.Runtime
+	var prev int64 // persistence points at the previous barrier
+	durable.AfterBarrier = func(r *durable.Region) {
+		if rt == nil || r.Path() != path {
+			return // Create's barrier, or another region's
+		}
+		pp := rt.PersistPoints()
+		steps := r.ChainSteps()
+		switch {
+		case fused == 0 && len(steps) == 2:
+			fused = pp
+		case tree == 0 && len(steps) == 3 && len(steps[0].Args) == 4:
+			// The round's driver is point prev+1; its up sweep prev+2..pp.
+			tree = (prev + 2 + pp) / 2
+		}
+		prev = pp
+	}
+	defer func() { durable.AfterBarrier = nil }()
+	alg, _ := ppm.NewByName("bfs", "crash", n, crashInputSeed)
+	rt = ppm.New(crashOpts(ppm.WithNativeDurable(path))...)
+	alg.Build(rt)
+	if !alg.Run() {
+		t.Fatal("round-structure run did not complete")
+	}
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if fused == 0 || tree == 0 {
+		t.Fatalf("bfs at n=%d: fused step at point %d, tree sweep at %d: the run needs both kinds of round", n, fused, tree)
+	}
+	t.Logf("fused round's step at persistence point %d, tree round's up sweep at %d", fused, tree)
+	return fused, tree
 }
 
 // TestDurableCloseLifecycle covers the clean-shutdown side of durability:

@@ -128,8 +128,7 @@ func (c Ctx) Then(next Call) { c.e.Then(next.fn.fid, next.args) }
 // (sort chunks, then count, then scatter, ...). Must be the capsule's final
 // action.
 func (c Ctx) Seq(calls ...Call) {
-	fids := make([]capsule.FuncID, len(calls))
-	argss := make([]capsule.Args, len(calls))
+	fids, argss := c.e.SeqBuf(len(calls))
 	for i, cl := range calls {
 		fids[i] = cl.fn.fid
 		argss[i] = cl.args

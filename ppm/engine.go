@@ -94,6 +94,10 @@ type capCtx interface {
 	// Argument lists travel by value, so a capsule handing its successors
 	// their words escapes nothing through this interface.
 	Then(fid capsule.FuncID, args capsule.Args)
+	// SeqBuf returns n-long step vectors for a Seq to fill and hand back;
+	// the native engine reuses one pair per worker, so a Seq allocates
+	// nothing.
+	SeqBuf(n int) ([]capsule.FuncID, []capsule.Args)
 	Seq(fids []capsule.FuncID, argss []capsule.Args)
 	Fork(lf capsule.FuncID, la capsule.Args, rf capsule.FuncID, ra capsule.Args,
 		jf capsule.FuncID, ja capsule.Args, hasJoin bool)
@@ -291,6 +295,10 @@ func (m *modelCtx) Halt() { m.e.Halt() }
 
 func (m *modelCtx) Then(fid capsule.FuncID, args capsule.Args) {
 	m.e.Install(m.e.NewClosure(fid, m.e.Cont(), args.Words()...))
+}
+
+func (m *modelCtx) SeqBuf(n int) ([]capsule.FuncID, []capsule.Args) {
+	return make([]capsule.FuncID, n), make([]capsule.Args, n)
 }
 
 // Seq builds the step chain and installs it behind an epoch-advance capsule:

@@ -12,27 +12,69 @@ const (
 	nilParent = ^uint64(0)
 )
 
-// Capsule grain sizes, in vertices (frontier slots for the frontier leaves).
-// The model requires f < 1/(2C) for the largest capsule work C, so leaves
-// whose cost is per-arc (claims, the scattered label GatherAt — one block
-// transfer per arc on the model) stay small enough that C remains bounded by
-// a few hundred block transfers at typical degrees — otherwise a soft-fault
-// sweep would replay them forever. Dense bulk leaves move whole blocks and
-// can afford more vertices per capsule. The native engine would take larger
-// ones (a leaf costs ~5 ns per arc against ~0.2 µs to spawn and join it).
-const (
-	frontierGrain = 8   // frontier leaves: a CAM and a read-back per arc dominate
-	scanGrain     = 16  // per-arc gather leaves (cc scan, pagerank scan)
-	denseGrain    = 64  // bulk per-vertex leaves (init, contrib, offsets)
-	psumLeaf      = 512 // prefix-tree base case: contiguous block reads
+// grains is one engine's capsule sizes, in vertices (frontier slots for the
+// frontier leaves; entries plus arcs for fuse). A capsule may be replayed, so
+// the paper requires f < 1/(2C) for the largest capsule work C, and C is
+// counted in each engine's own unit.
+//
+// The model engine charges a block transfer per claim and per GatherAt
+// index, so leaves whose cost is per arc stay small enough that C is a few
+// hundred transfers at typical degrees, under 1/(2f) at the f = 0.002 its
+// fault sweeps use. Dense bulk leaves move whole blocks and take more
+// vertices per capsule. Its fuse budget of 40 is one frontier leaf, 8
+// entries, at degree 4.
+//
+// The native engine counts word accesses, and a capsule costs 26–32 ns to
+// spawn and join (native.spawn_join_ns on a 2-core box) against a few ns per
+// word, so its grains are four times coarser and a small frontier is swept
+// by one capsule (frontier.go). A step does ≈ 3 words per entry and ≈ 3 per
+// arc, so the fuse count is a budget of entries plus arcs, turned into
+// entries at the graph's average degree: 1 280 is 142 entries at degree 8
+// (≈ 4 000 words) and 257 on a mesh (≈ 4 400). A flat 256 entries let the
+// catalog BFS on Rand(16384, 65536) reach 8 440 words, past the 5 000 that
+// f = 1e-4 allows. On that input, Rand(32768, 131072) and the 128×128 mesh
+// the largest capsule of bfs, cc, pagerank, an 8-wide MultiBFS and a 64-edge
+// Resident.Apply does at most 4 323 words, the MultiBFS on the mesh
+// (TestCapsuleWorkUnderFaultCeiling). The average degree bounds C only on
+// average: a frontier of hubs can still pass 5 000, in a step or in a tree
+// leaf.
+//
+// The table depends on the engine alone, and the fuse count in entries on
+// the engine and the graph, never on a measurement: the exact capsule
+// counters must not depend on the machine, and a recovered runtime must
+// rebuild the crashed one's trees, because a BFS down sweep reads the partial
+// sums its up sweep left at tree-node indices.
+type grains struct {
+	frontier int // frontier leaves: a CAM and a read-back per arc dominate
+	scan     int // per-arc gather leaves (cc scan, pagerank scan, apply deg/emit)
+	dense    int // bulk per-vertex leaves (init, contrib, offsets)
+	fuse     int // a BFS round is one capsule up to this many entries plus arcs
+}
+
+var (
+	modelGrains  = grains{frontier: 8, scan: 16, dense: 64, fuse: 40}
+	nativeGrains = grains{frontier: 32, scan: 64, dense: 256, fuse: 1280}
 )
+
+// psumLeaf is the prefix-tree base case on both engines: its leaves read
+// contiguous blocks, so their cost per vertex is small on either.
+const psumLeaf = 512
+
+// grainsFor returns the grain table of the engine rt runs on.
+func grainsFor(rt *ppm.Runtime) grains {
+	if rt.Engine() == ppm.EngineNative {
+		return nativeGrains
+	}
+	return modelGrains
+}
 
 // bfsAlgo is frontier-based breadth-first search: the one-row case of the
 // frontier round driver (frontier.go). The claimant word of a vertex is its
 // parent — racing claimants and fault replays are both resolved by the CAM
 // parent[v]: NIL → u, and any winner is a valid level-(d-1) neighbour — and
-// each round is two WAR-free root-chain phases over ping-pong frontier
-// buffers: claim and count up a tree over the frontier, emit down it. Depth is
+// each round is WAR-free over ping-pong frontier buffers: one capsule when
+// the frontier fits the engine's fuse budget, else two root-chain
+// phases, claim and count up a tree over the frontier, emit down it. Depth is
 // O(diameter) rounds; work per round is O(frontier + frontier arcs), so a
 // whole search is O(n + arcs) however many rounds it takes.
 type bfsAlgo struct {
@@ -65,7 +107,7 @@ func (a *bfsAlgo) Build(rt *ppm.Runtime) {
 	name := "graph/bfs/" + a.tag
 	// A standalone search reads slot 0 of a one-slot CSR: the slot word keeps
 	// its zero value.
-	a.fr = newFrontier(rt, name, bindCSR(rt, nil, a.g, rt.NewArray(1)), n, 1)
+	a.fr = newFrontier(rt, name, bindCSR(rt, nil, a.g, rt.NewArray(1)), a.g, 1)
 	a.root = rt.Register(name+"/root", func(c ppm.Ctx) {
 		c.Seq(a.fr.init.Call(n), a.fr.seed.Call(a.src), a.fr.round.Call(1, 0, 0))
 	})

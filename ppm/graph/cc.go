@@ -96,6 +96,7 @@ func (a *ccAlgo) Build(rt *ppm.Runtime) {
 	a.rt = rt
 	n := a.g.N
 	name := "graph/cc/" + a.tag
+	grain := grainsFor(rt)
 	a.slotW = rt.NewArray(1)
 	cs := bindCSR(rt, a.res, a.g, a.slotW)
 	a.labels = [2]ppm.Array{rt.NewArray(n), rt.NewArray(n)}
@@ -111,7 +112,7 @@ func (a *ccAlgo) Build(rt *ppm.Runtime) {
 	})
 	initP := rt.Register(name+"/initP", func(c ppm.Ctx) {
 		changed.Set(c, 0, 0) // a resident re-run finds the last run's flags
-		c.ParallelFor(initLeaf, 0, n, denseGrain)
+		c.ParallelFor(initLeaf, 0, n, grain.dense)
 	})
 
 	// scanLeaf covers vertices [lo, hi): args [lo, hi, parity].
@@ -144,7 +145,7 @@ func (a *ccAlgo) Build(rt *ppm.Runtime) {
 		c.Done()
 	})
 	scanP := rt.Register(name+"/scanP", func(c ppm.Ctx) {
-		c.ParallelFor(scanLeaf, 0, n, scanGrain, c.Uint(0))
+		c.ParallelFor(scanLeaf, 0, n, grain.scan, c.Uint(0))
 	})
 
 	var driver ppm.FuncRef

@@ -1,0 +1,116 @@
+package graph_test
+
+import (
+	"math/rand"
+	"testing"
+
+	"repro/ppm"
+	"repro/ppm/graph"
+)
+
+// TestCapsuleWorkUnderFaultCeiling holds every kernel's largest capsule to
+// the paper's replay precondition f < 1/(2C): a capsule that does C units of
+// work under a per-unit fault rate f must finish a run more often than not,
+// or a soft-fault sweep replays it without end. Each engine counts C in its
+// own unit against the fault rate its tests use — word accesses on the native
+// engine at f = 1e-4, block transfers on the model at the graph tests' f =
+// 0.002 — so the grain table (coarse native grains, a small frontier in one
+// capsule) is checked where it is chosen. The native inputs include the
+// catalog's bfs input at the fault sweep's n = 16384 (ppmbench -exp fault
+// builds it with seed 2024): a flat fuse count of 256 entries swept its
+// 186-entry third frontier in one capsule of 8 440 words. One worker, a fresh
+// runtime per kernel: each maximum is exact and the kernel's own.
+func TestCapsuleWorkUnderFaultCeiling(t *testing.T) {
+	for _, tc := range []struct {
+		eng    ppm.Engine
+		f      float64
+		inputs map[string]*graph.Graph
+	}{
+		{ppm.EngineNative, 1e-4, map[string]*graph.Graph{
+			"rand":         graph.Rand(32768, 131072, 7),
+			"rand/catalog": graph.Rand(16384, 4*16384, 2024),
+			"grid":         graph.Grid(128, 128),
+		}},
+		{ppm.EngineModel, 0.002, map[string]*graph.Graph{
+			"rand":          graph.Rand(256, 512, 13),
+			"grid/permuted": permuted(graph.Grid(24, 24), 3),
+		}},
+	} {
+		for name, g := range tc.inputs {
+			for _, k := range ceilingKernels(g) {
+				t.Run(string(tc.eng)+"/"+name+"/"+k.name, func(t *testing.T) {
+					rt := ppm.New(ppm.WithEngine(tc.eng), ppm.WithProcs(1), ppm.WithSeed(17),
+						ppm.WithMemWords(1<<22), ppm.WithPoolWords(1<<21))
+					defer rt.Close()
+					k.run(t, rt)
+					c := rt.Stats().MaxCapsWork
+					t.Logf("largest capsule: C = %d, 2fC = %.3f", c, 2*tc.f*float64(c))
+					if 2*tc.f*float64(c) >= 1 {
+						t.Errorf("largest capsule does %d units: 2fC = %.2f at f = %g, the replay bound needs < 1",
+							c, 2*tc.f*float64(c), tc.f)
+					}
+				})
+			}
+		}
+	}
+}
+
+type ceilingKernel struct {
+	name string
+	run  func(t *testing.T, rt *ppm.Runtime)
+}
+
+// ceilingKernels returns bfs, cc and pagerank over g, an 8-wide MultiBFS and
+// one 64-edge Resident.Apply, each building on rt, running once and verifying.
+func ceilingKernels(g *graph.Graph) []ceilingKernel {
+	algo := func(a ppm.Algorithm) func(*testing.T, *ppm.Runtime) {
+		return func(t *testing.T, rt *ppm.Runtime) {
+			a.Build(rt)
+			if !a.Run() {
+				t.Fatal("did not complete")
+			}
+			if err := a.Verify(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return []ceilingKernel{
+		{"bfs", algo(graph.BFS("ceiling", g, 0))},
+		{"cc", algo(graph.Components("ceiling", g))},
+		{"pagerank", algo(graph.PageRank("ceiling", g, 4))},
+		{"msbfs8", func(t *testing.T, rt *ppm.Runtime) {
+			ms := graph.NewMultiBFS("ceiling", g, 8)
+			ms.Build(rt)
+			sources := []int{0, 1, 2, 3, g.N / 2, g.N / 3, g.N - 2, g.N - 1}
+			if ok, err := ms.RunBatch(sources); err != nil || !ok {
+				t.Fatalf("RunBatch = (%v, %v)", ok, err)
+			}
+			if err := ms.Verify(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"apply", func(t *testing.T, rt *ppm.Runtime) {
+			const edges = 64
+			res := graph.NewResident("ceiling", g, 2, 0, edges)
+			res.Build(rt)
+			rnd := rand.New(rand.NewSource(5))
+			var b graph.MutationBatch
+			for len(b.Insert) < edges {
+				if u, v := rnd.Intn(g.N), rnd.Intn(g.N); u != v {
+					b.Insert = append(b.Insert, [2]int{u, v})
+				}
+			}
+			want, err := b.ApplyTo(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok, err := res.Apply(b); err != nil || !ok {
+				t.Fatalf("Apply = (%v, %v)", ok, err)
+			}
+			if err := res.Recovered(); err != nil {
+				t.Fatal(err)
+			}
+			sameGraph(t, "pmem", res.Current(), want)
+		}},
+	}
+}

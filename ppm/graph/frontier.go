@@ -10,19 +10,28 @@ import (
 // searches over one graph, search s owning the combined ids [s·n, (s+1)·n),
 // so a frontier entry s·n+v means "vertex v, search s" (BFS is the one-row
 // case). A round costs what its frontier and that frontier's arcs cost,
-// never n: it is a fork-join tree over the frontier's slots [0, cnt), swept
-// twice, and each sweep is one root-chain phase.
+// never n. A frontier small enough for the engine's fuse budget (grains.fuse,
+// entries plus arcs at the graph's average degree) is one capsule:
 //
-//	up   — a leaf gathers its vertices' arc lists, issues one CAM per arc on
-//	       the target's claimant word (owner[t]: NIL → the claiming entry) and
+//	step — gathers the frontier's arc lists, issues one CAM per arc on the
+//	       target's claimant word (owner[t]: NIL → the claiming entry) and
 //	       then — every CAM first, reads after, so no word is written after it
-//	       was read — reads the claimant words back with one GatherAt and
-//	       counts the targets it owns. Counts combine up the tree into
-//	       block-spaced partial sums; the root holds the next frontier's size.
-//	down — a leaf re-derives the same owned set without claiming and writes it
-//	       with one SetRange at its prefix offset into the other frontier
-//	       buffer, setting level[t] = d for exactly the entries it emits.
+//	       was read — reads the claimant words back with one GatherAt, writes
+//	       the targets it owns at offset 0 of the other frontier buffer, sets
+//	       level[t] = d for exactly those, and stores their count in sums[1].
 //
+// The round is then Seq(step, next round): one phase and one durable commit.
+// A larger frontier is a fork-join tree over its slots [0, cnt), swept
+// twice, each sweep one root-chain phase:
+//
+//	up   — a leaf claims and reads back like step, and counts the targets it
+//	       owns. Counts combine up the tree into block-spaced partial sums;
+//	       the root, sums[1], holds the next frontier's size.
+//	down — a leaf re-derives the same owned set without claiming and emits it
+//	       like step, at its prefix offset.
+//
+// Either way a capsule reads front[parity] and only writes front[1-parity],
+// level and sums, and the next round reads sums[1] in a capsule of its own.
 // A claimant word is written once per search, so the read-back is the later
 // read that decides a CAM (Section 5) even inside the claiming capsule: once
 // the capsule's own CAM has run the word is non-NIL for good, and a replay,
@@ -46,16 +55,21 @@ type frontier struct {
 	init, seed, round ppm.FuncRef
 }
 
-func newFrontier(rt *ppm.Runtime, name string, cs vcsr, n, rows int) *frontier {
+func newFrontier(rt *ppm.Runtime, name string, cs vcsr, g *Graph, rows int) *frontier {
+	n := g.N
 	f := &frontier{n: n, cs: cs,
 		owner:   rt.NewArray(rows * n),
 		level:   rt.NewArray(rows * n),
 		front:   [2]ppm.Array{rt.NewArray(rows * n), rt.NewArray(rows * n)},
 		visited: rt.NewArray(1),
 	}
+	grain := grainsFor(rt)
+	// A round fuses when its entries and their arcs, at g's average degree,
+	// fit the engine's fuse budget.
+	fuse := uint64(grain.fuse * n / (n + g.Arcs()))
 	// The round tree's partial sums, heap-numbered from the root at 1; one
 	// block each, so a combine writes no block it read.
-	sums := rt.NewBlockArray(4 * (rows*n/frontierGrain + 2))
+	sums := rt.NewBlockArray(4 * (rows*n/grain.frontier + 2))
 
 	initLeaf := rt.Register(name+"/init", func(c ppm.Ctx) {
 		lo, hi := c.Int(0), c.Int(1)
@@ -65,7 +79,7 @@ func newFrontier(rt *ppm.Runtime, name string, cs vcsr, n, rows int) *frontier {
 		c.Done()
 	})
 	f.init = rt.Register(name+"/initP", func(c ppm.Ctx) {
-		c.ParallelFor(initLeaf, 0, c.Int(0), denseGrain)
+		c.ParallelFor(initLeaf, 0, c.Int(0), grain.dense)
 	})
 	// seed takes the level-0 entries as its arguments; each claims itself.
 	f.seed = rt.Register(name+"/seed", func(c ppm.Ctx) {
@@ -80,6 +94,16 @@ func newFrontier(rt *ppm.Runtime, name string, cs vcsr, n, rows int) *frontier {
 		c.Done()
 	})
 
+	// step is a whole round over slots [0, cnt) of front[parity]: args
+	// [d, parity, cnt].
+	step := rt.Register(name+"/step", func(c ppm.Ctx) {
+		d, parity, cnt := c.Uint(0), c.Int(1), c.Int(2)
+		out := f.owned(c, 0, cnt, parity, true)
+		f.emit(c, parity, 0, d, out)
+		sums.Set(c, 1, uint64(len(out)))
+		c.Done()
+	})
+
 	upCmb := rt.Register(name+"/upcmb", func(c ppm.Ctx) {
 		node := c.Int(0)
 		l := sums.Get(c, 2*node)
@@ -91,7 +115,7 @@ func newFrontier(rt *ppm.Runtime, name string, cs vcsr, n, rows int) *frontier {
 	var up ppm.FuncRef
 	up = rt.Register(name+"/up", func(c ppm.Ctx) {
 		node, lo, hi, parity := c.Int(0), c.Int(1), c.Int(2), c.Int(3)
-		if hi-lo <= frontierGrain {
+		if hi-lo <= grain.frontier {
 			sums.Set(c, node, uint64(len(f.owned(c, lo, hi, parity, true))))
 			c.Done()
 			return
@@ -108,13 +132,8 @@ func newFrontier(rt *ppm.Runtime, name string, cs vcsr, n, rows int) *frontier {
 	down = rt.Register(name+"/down", func(c ppm.Ctx) {
 		node, lo, hi, parity := c.Int(0), c.Int(1), c.Int(2), c.Int(3)
 		d, t := c.Uint(4), c.Int(5)
-		if hi-lo <= frontierGrain {
-			if out := f.owned(c, lo, hi, parity, false); len(out) > 0 {
-				f.front[1-parity].SetRange(c, t, out)
-				for _, id := range out {
-					f.level.Set(c, int(id), d)
-				}
-			}
+		if hi-lo <= grain.frontier {
+			f.emit(c, parity, t, d, f.owned(c, lo, hi, parity, false))
 			c.Done()
 			return
 		}
@@ -125,16 +144,19 @@ func newFrontier(rt *ppm.Runtime, name string, cs vcsr, n, rows int) *frontier {
 			down.Call(2*node+1, mid, hi, parity, d, t+lsum))
 	})
 
-	// round reads its frontier's size off the tree root, where the previous
-	// round's up sweep (or seed) left it, and hands it down as an argument:
-	// args [d, parity, seen], seen the entries swept so far. A frontier that
-	// fits one leaf forks nothing.
+	// round reads its frontier's size off sums[1], where the previous round
+	// (or seed) left it, and hands it on as an argument: args [d, parity,
+	// seen], seen the entries swept so far.
 	f.round = rt.Register(name+"/round", func(c ppm.Ctx) {
 		d, parity, seen := c.Uint(0), c.Int(1), c.Uint(2)
 		cnt := sums.Get(c, 1)
 		if cnt == 0 {
 			f.visited.Set(c, 0, seen)
 			c.Done()
+			return
+		}
+		if cnt <= fuse {
+			c.Seq(step.Call(d, parity, cnt), f.round.Call(d+1, 1-parity, seen+cnt))
 			return
 		}
 		c.Seq(
@@ -181,4 +203,16 @@ func (f *frontier) owned(c ppm.Ctx, lo, hi, parity int, claim bool) []uint64 {
 		}
 	}
 	return out
+}
+
+// emit writes out, what some slots of front[parity] own, at offset t of the
+// other buffer and sets their level to d.
+func (f *frontier) emit(c ppm.Ctx, parity, t int, d uint64, out []uint64) {
+	if len(out) == 0 {
+		return
+	}
+	f.front[1-parity].SetRange(c, t, out)
+	for _, id := range out {
+		f.level.Set(c, int(id), d)
+	}
 }

@@ -8,10 +8,6 @@ import (
 	"repro/ppm/graph"
 )
 
-// frontierGrain mirrors the package's frontier leaf size: the work bounds
-// below are stated in leaves.
-const frontierGrain = 8
-
 // bfsRounds returns the rounds a search from src sweeps: one per level, plus
 // the one that finds the frontier empty.
 func bfsRounds(t *testing.T, g *graph.Graph, src int) int {
@@ -82,7 +78,8 @@ func TestBFSWorkIsFrontierSized(t *testing.T) {
 				after := rt.Stats()
 				capsules, words := after.Capsules-before.Capsules, after.Work-before.Work
 				size := int64(tc.width * (in.g.N + in.g.Arcs()))
-				if limit := 2*size/frontierGrain + 4*int64(rounds) + 64; capsules > limit {
+				grain := int64(graph.FrontierGrain(rt))
+				if limit := 2*size/grain + 4*int64(rounds) + 64; capsules > limit {
 					t.Errorf("%d capsules for %d rounds over n+arcs = %d: more than 2·(n+arcs)/grain + 4·rounds + 64 = %d",
 						capsules, rounds, size, limit)
 				}

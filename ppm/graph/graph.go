@@ -11,16 +11,17 @@
 // fault injection and replay) and on the native goroutine engine unchanged;
 // vertices discovered racily use CAM, the model's only safe read-modify-
 // write. A BFS round is sized by its frontier, never by n: one driver
-// (frontier.go) claims and counts up a fork-join tree over the frontier's
-// slots and emits down it, two root-chain phases a round, for BFS and
-// MultiBFS alike. The bulk edge reads are batched: a frontier leaf Gathers
-// the adjacency lists of all its vertices in one multi-range operation and
-// reads its targets' claimant words back with one GatherAt, and a scan leaf
-// over a contiguous vertex range reads its arcs as one Slice and the per-arc
-// labels or contributions with one GatherAt. The model charges
-// each as a single round of block transfers; the native engine runs each as
-// one tight loop into the worker's ephemeral memory, so a leaf allocates
-// nothing on the Go heap.
+// (frontier.go) sweeps a small frontier in one capsule, one root-chain phase,
+// and a larger one in two, claiming and counting up a fork-join tree over
+// its slots and emitting down it, for BFS and MultiBFS alike. Capsule grains
+// come from a per-engine table (bfs.go). The bulk edge reads are batched: a
+// frontier leaf Gathers the adjacency lists of all its vertices in one
+// multi-range operation and reads its targets' claimant words back with one
+// GatherAt, and a scan leaf over a contiguous vertex range reads its arcs as
+// one Slice and the per-arc labels or contributions with one GatherAt. The
+// model charges each as a single round of block transfers; the native engine
+// runs each as one tight loop into the worker's ephemeral memory, so a leaf
+// allocates nothing on the Go heap.
 //
 // Importing this package (even blank) registers bfs, cc, and pagerank in
 // ppm.Catalog(), so catalog-driven benchmarks, fault sweeps, and tests pick

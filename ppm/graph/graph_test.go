@@ -261,12 +261,14 @@ func (a msbfsAlgo) Output() []uint64 { return a.Levels(0) }
 
 // TestScanLeavesAllocateNothing: on the native engine starting a capsule
 // allocates nothing. Tasks and joins come off per-worker free lists, argument
-// words ride inline in the task and travel by value from Call, and a leaf
-// takes every vector — slices, gathers, result buffers — from the worker's
-// ephemeral memory. What a run still allocates is per run or per phase (the
-// root task, a Seq's step list, the frontier's seed arguments), which at
-// these sizes is a few hundredths of an object per capsule. One heap object
-// per leaf or per fork would cost 0.25 or more.
+// words ride inline in the task and travel by value from Call, a Seq fills
+// the worker's own step vectors, and a leaf takes every vector — slices,
+// gathers, result buffers — from the worker's ephemeral memory. What a run
+// still allocates is per run (the root task and join, the run's completion
+// channel, a MultiBFS batch's argument list), a few thousandths of an object
+// per capsule at these sizes. One heap object per leaf, fork or phase would
+// cost 0.25 or more; the mesh, 255 thin rounds of two capsules each, is where
+// a per-phase object shows.
 func TestScanLeavesAllocateNothing(t *testing.T) {
 	g := graph.Rand(1<<12, 1<<14, 3)
 	in := make([]uint64, 1<<14)
@@ -280,6 +282,7 @@ func TestScanLeavesAllocateNothing(t *testing.T) {
 		{"cc", graph.Components("alloc", g)},
 		{"pagerank", graph.PageRank("alloc", g, 4)},
 		{"bfs", graph.BFS("alloc", g, 0)},
+		{"bfs/mesh", graph.BFS("alloc-mesh", graph.Grid(128, 128), 0)},
 		{"msbfs", msbfsAlgo{graph.NewMultiBFS("alloc", g, 4), []int{0, 9, 9, 4000}}},
 		{"prefixsum", ppm.PrefixSum("alloc", in, 0)},
 		{"mergesort", ppm.MergeSort("alloc", in, 64)},

@@ -10,10 +10,11 @@ import (
 // from up to KMax sources simultaneously, giving each source its own copy of
 // the vertex space. Source slot s owns the combined ids [s*n, (s+1)*n); a
 // frontier entry s*n+v means "vertex v, search s", so the round driver of
-// single-source BFS (frontier.go: claim and count up a tree over the
-// frontier, emit down it) carries over unchanged — a leaf maps a combined id
-// back to its vertex for the adjacency gather and forward again for the claim
-// on its search's own row of claimant words.
+// single-source BFS (frontier.go: one step capsule for a small frontier, else
+// claim and count up a tree over it and emit down it) carries over unchanged,
+// the fuse count applying to the combined frontier — a leaf maps a combined
+// id back to its vertex for the adjacency gather and forward again for the
+// claim on its search's own row of claimant words.
 //
 // Batching is the serving layer's coalescing primitive: k concurrent BFS
 // queries against the same graph share the rounds, the trees and the capsules
@@ -78,7 +79,7 @@ func (a *MultiBFS) Build(rt *ppm.Runtime) {
 	n := a.g.N
 	name := "graph/msbfs/" + a.tag
 	a.slotW = rt.NewArray(1)
-	a.fr = newFrontier(rt, name, bindCSR(rt, a.res, a.g, a.slotW), n, a.kMax)
+	a.fr = newFrontier(rt, name, bindCSR(rt, a.res, a.g, a.slotW), a.g, a.kMax)
 	// root takes [slot, src0, src1, …]: source s seeds row s.
 	a.root = rt.Register(name+"/root", func(c ppm.Ctx) {
 		a.slotW.Set(c, 0, c.Uint(0))

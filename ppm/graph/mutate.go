@@ -231,6 +231,7 @@ func (r *Resident) Build(rt *ppm.Runtime) {
 	r.rt = rt
 	n := r.n
 	name := "graph/mut/" + r.tag
+	grain := grainsFor(rt)
 	r.offs = rt.NewArray(r.slots * (n + 1))
 	r.offs.LoadAt(0, r.base.Offs) // slot 0
 	r.adj = rt.NewArray(r.slots * r.arcCap)
@@ -277,7 +278,7 @@ func (r *Resident) Build(rt *ppm.Runtime) {
 		c.Done()
 	})
 	degP := rt.Register(name+"/degP", func(c ppm.Ctx) {
-		c.ParallelFor(degLeaf, 0, n, scanGrain)
+		c.ParallelFor(degLeaf, 0, n, grain.scan)
 	})
 
 	psumRoot := ppm.RegisterPrefixSum(rt, name+"/psum", n, psumLeaf, r.deg, r.ndeg)
@@ -295,7 +296,7 @@ func (r *Resident) Build(rt *ppm.Runtime) {
 		c.Done()
 	})
 	offsP := rt.Register(name+"/offsP", func(c ppm.Ctx) {
-		c.ParallelFor(offsLeaf, 0, n, denseGrain)
+		c.ParallelFor(offsLeaf, 0, n, grain.dense)
 	})
 
 	// emitLeaf writes the destination slot's arcs for vertices [lo, hi):
@@ -342,7 +343,7 @@ func (r *Resident) Build(rt *ppm.Runtime) {
 		c.Done()
 	})
 	emitP := rt.Register(name+"/emitP", func(c ppm.Ctx) {
-		c.ParallelFor(emitLeaf, 0, n, scanGrain)
+		c.ParallelFor(emitLeaf, 0, n, grain.scan)
 	})
 
 	// commit publishes the new epoch. The value arrives as an argument (the

@@ -80,6 +80,7 @@ func (a *prAlgo) Build(rt *ppm.Runtime) {
 	a.rt = rt
 	n := a.g.N
 	name := "graph/pagerank/" + a.tag
+	grain := grainsFor(rt)
 	a.slotW = rt.NewArray(1)
 	// Resident mode pulls over the forward versioned CSR (symmetric graphs:
 	// the in-lists are the out-lists) and reads per-epoch degrees from the
@@ -108,7 +109,7 @@ func (a *prAlgo) Build(rt *ppm.Runtime) {
 		c.Done()
 	})
 	initP := rt.Register(name+"/initP", func(c ppm.Ctx) {
-		c.ParallelFor(initLeaf, 0, n, denseGrain)
+		c.ParallelFor(initLeaf, 0, n, grain.dense)
 	})
 
 	contribLeaf := rt.Register(name+"/contrib", func(c ppm.Ctx) {
@@ -137,7 +138,7 @@ func (a *prAlgo) Build(rt *ppm.Runtime) {
 		c.Done()
 	})
 	contribP := rt.Register(name+"/contribP", func(c ppm.Ctx) {
-		c.ParallelFor(contribLeaf, 0, n, denseGrain, c.Uint(0))
+		c.ParallelFor(contribLeaf, 0, n, grain.dense, c.Uint(0))
 	})
 
 	scanLeaf := rt.Register(name+"/scan", func(c ppm.Ctx) {
@@ -161,7 +162,7 @@ func (a *prAlgo) Build(rt *ppm.Runtime) {
 		c.Done()
 	})
 	scanP := rt.Register(name+"/scanP", func(c ppm.Ctx) {
-		c.ParallelFor(scanLeaf, 0, n, scanGrain, c.Uint(0))
+		c.ParallelFor(scanLeaf, 0, n, grain.scan, c.Uint(0))
 	})
 
 	var driver ppm.FuncRef

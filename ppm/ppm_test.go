@@ -9,6 +9,9 @@ import (
 // TestTreeSumUnderFaults is the quickstart program as a regression test: a
 // parallel tree sum under a 1% soft-fault rate plus one hard processor
 // failure must produce the exact answer with no write-after-read conflicts.
+// Proc 0 is the one killed, at an access it always reaches: it starts the
+// root thread, and over 600 runs of this program it made 258 accesses at the
+// fewest (the median is ≈ 3 800), so its 400th could come after the run.
 func TestTreeSumUnderFaults(t *testing.T) {
 	const (
 		n    = 4096
@@ -17,7 +20,7 @@ func TestTreeSumUnderFaults(t *testing.T) {
 	rt := ppm.New(
 		ppm.WithProcs(4),
 		ppm.WithFaultRate(0.01),
-		ppm.WithHardFault(0, 400),
+		ppm.WithHardFault(0, 100),
 		ppm.WithSeed(42),
 		ppm.WithWARCheck(),
 	)
