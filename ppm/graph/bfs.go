@@ -68,105 +68,27 @@ func grainsFor(rt *ppm.Runtime) grains {
 	return modelGrains
 }
 
-// bfsAlgo is frontier-based breadth-first search: the one-row case of the
-// frontier round driver (frontier.go). The claimant word of a vertex is its
-// parent — racing claimants and fault replays are both resolved by the CAM
-// parent[v]: NIL → u, and any winner is a valid level-(d-1) neighbour — and
-// each round is WAR-free over ping-pong frontier buffers: one capsule when
-// the frontier fits the engine's fuse budget, else two root-chain
-// phases, claim and count up a tree over the frontier, emit down it. Depth is
-// O(diameter) rounds; work per round is O(frontier + frontier arcs), so a
-// whole search is O(n + arcs) however many rounds it takes.
-type bfsAlgo struct {
-	tag string
-	g   *Graph
-	src int
+// bfs is breadth-first search from one source: a MultiBFS whose every batch
+// is that source, run as a ppm.Algorithm. The batch is set at construction,
+// so Output and Verify also read a search that Resume finished on a
+// recovered runtime.
+type bfs struct{ *MultiBFS }
 
-	rt   *ppm.Runtime
-	fr   *frontier // level = fr.level, parent = fr.owner
-	root ppm.FuncRef
+// BFS builds a breadth-first search over g from src, the width-1 case of
+// MultiBFS. Output is the level (hop distance) of every vertex, INF
+// (all-ones) for unreachable ones; Verify is MultiBFS.Verify. Its programs
+// register as bfs/<tag>, apart from a MultiBFS's msbfs/<tag>, so the two
+// kernels may share a tag on one runtime.
+func BFS(tag string, g Source, src int) ppm.Algorithm {
+	if n := g.epoch0().N; src < 0 || src >= n {
+		panic(fmt.Sprintf("graph: BFS source %d out of range for n=%d", src, n))
+	}
+	return bfs{&MultiBFS{binding: binding{src: g}, kind: "bfs", tag: tag, kMax: 1, lastSrcs: []int{src}}}
 }
 
-// BFS builds a breadth-first search over g from src. Output is the level
-// (hop distance) of every vertex, INF (all-ones) for unreachable ones;
-// Verify checks the levels against a sequential BFS, the parent array for
-// tree validity (every parent is a level-(d-1) neighbour), and that the
-// rounds swept every reached vertex exactly once.
-func BFS(tag string, g *Graph, src int) ppm.Algorithm {
-	if src < 0 || src >= g.N {
-		panic(fmt.Sprintf("graph: BFS source %d out of range for n=%d", src, g.N))
-	}
-	return &bfsAlgo{tag: tag, g: g, src: src}
-}
+func (a bfs) Run() bool { return a.run(a.lastSrcs[0]) }
 
-func (a *bfsAlgo) Name() string { return "bfs/" + a.tag }
-
-func (a *bfsAlgo) Build(rt *ppm.Runtime) {
-	a.rt = rt
-	n := a.g.N
-	name := "graph/bfs/" + a.tag
-	// A standalone search reads slot 0 of a one-slot CSR: the slot word keeps
-	// its zero value.
-	a.fr = newFrontier(rt, name, bindCSR(rt, nil, a.g, rt.NewArray(1)), a.g, 1)
-	a.root = rt.Register(name+"/root", func(c ppm.Ctx) {
-		c.Seq(a.fr.init.Call(n), a.fr.seed.Call(a.src), a.fr.round.Call(1, 0, 0))
-	})
-}
-
-func (a *bfsAlgo) Run() bool { return a.rt.Run(a.root) }
-
-// Output returns the level of every vertex (INF for unreachable).
-func (a *bfsAlgo) Output() []uint64 { return a.fr.level.Snapshot() }
-
-func (a *bfsAlgo) Verify() error {
-	want := bfsReference(a.g, a.src)
-	got := a.Output()
-	if err := sameLevels(got, want, a.fr.visited.Snapshot()[0]); err != nil {
-		return fmt.Errorf("%s: %w", a.Name(), err)
-	}
-	// Parent validity: the tree rooted at src must step down exactly one
-	// level along an existing arc.
-	par := a.fr.owner.Snapshot()
-	children := make(map[int][]int) // claimed parent -> vertices to arc-check
-	for v := 0; v < a.g.N; v++ {
-		switch {
-		case v == a.src:
-			if par[v] != uint64(a.src) {
-				return fmt.Errorf("%s: parent[src] = %d, want %d", a.Name(), par[v], a.src)
-			}
-		case got[v] == inf:
-			if par[v] != nilParent {
-				return fmt.Errorf("%s: unreachable vertex %d has parent %d", a.Name(), v, par[v])
-			}
-		default:
-			p := int(par[v])
-			if p < 0 || p >= a.g.N {
-				return fmt.Errorf("%s: parent[%d] = %d out of range", a.Name(), v, par[v])
-			}
-			if want[p] != want[v]-1 {
-				return fmt.Errorf("%s: parent[%d] = %d at level %d, want level %d",
-					a.Name(), v, p, want[p], want[v]-1)
-			}
-			children[p] = append(children[p], v)
-		}
-	}
-	// Arc existence, grouped by parent so each adjacency list is scanned
-	// once (per-vertex HasArc would be quadratic in hub degree on
-	// power-law graphs).
-	for p, vs := range children {
-		targets := make(map[int]bool, len(vs))
-		for _, v := range vs {
-			targets[v] = true
-		}
-		for _, w := range a.g.Adj[a.g.Offs[p]:a.g.Offs[p+1]] {
-			delete(targets, int(w))
-		}
-		for v := range targets {
-			return fmt.Errorf("%s: parent[%d] = %d is not a neighbour", a.Name(), v, p)
-		}
-	}
-	return nil
-}
+func (a bfs) Output() []uint64 { return a.Levels(0) }
 
 // sameLevels checks the levels of one or more search rows against their
 // references, and the rounds' work against the output: visited, the sum of
@@ -184,6 +106,51 @@ func sameLevels(got, want []uint64, visited uint64) error {
 	}
 	if visited != reached {
 		return fmt.Errorf("rounds swept %d frontier entries for %d reached vertices", visited, reached)
+	}
+	return nil
+}
+
+// sameTree checks one search row's claimant words as its BFS tree: the
+// source claims itself, an unreached vertex has no claimant, and any other
+// vertex's claimant is a neighbour one level up. Claimant words hold
+// combined ids, so the row's base is subtracted first.
+func sameTree(g *Graph, src int, level, owner []uint64, base uint64) error {
+	children := make(map[int][]int) // claimed parent -> vertices to arc-check
+	for v := range level {
+		switch {
+		case v == src:
+			if owner[v] != base+uint64(src) {
+				return fmt.Errorf("parent[src] = %d, want %d", owner[v]-base, src)
+			}
+		case level[v] == inf:
+			if owner[v] != nilParent {
+				return fmt.Errorf("unreachable vertex %d has parent %d", v, owner[v]-base)
+			}
+		default:
+			p := int(owner[v] - base)
+			if p < 0 || p >= g.N {
+				return fmt.Errorf("parent[%d] = %d out of range", v, owner[v]-base)
+			}
+			if level[p] != level[v]-1 {
+				return fmt.Errorf("parent[%d] = %d at level %d, want level %d", v, p, level[p], level[v]-1)
+			}
+			children[p] = append(children[p], v)
+		}
+	}
+	// Arc existence, grouped by parent so each adjacency list is scanned
+	// once (per-vertex HasArc would be quadratic in hub degree on
+	// power-law graphs).
+	for p, vs := range children {
+		targets := make(map[int]bool, len(vs))
+		for _, v := range vs {
+			targets[v] = true
+		}
+		for _, w := range g.Adj[g.Offs[p]:g.Offs[p+1]] {
+			delete(targets, int(w))
+		}
+		for v := range targets {
+			return fmt.Errorf("parent[%d] = %d is not a neighbour", v, p)
+		}
 	}
 	return nil
 }

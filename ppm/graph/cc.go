@@ -6,7 +6,7 @@ import (
 	"repro/ppm"
 )
 
-// ccAlgo is connected components by shortcutting label propagation. Every
+// CC is connected components by shortcutting label propagation. Every
 // vertex starts labelled with its own id; a label is always the id of a
 // vertex of the same component, so it can be followed like a parent pointer,
 // and each round a vertex takes the minimum, over itself and its
@@ -51,54 +51,28 @@ import (
 // another round and termination, and clears the other one — a word it never
 // reads — for the next round, so a round is two root-chain phases, scan and
 // check, and needs no phase of its own to reset a flag.
-type ccAlgo struct {
-	tag string
-	g   *Graph
-	res *Resident // non-nil: read the epoch-versioned CSR ring
-
-	rt     *ppm.Runtime
+type CC struct {
+	binding
+	tag    string
 	labels [2]ppm.Array
-	slotW  ppm.Array
-	root   ppm.FuncRef
 }
 
 // Components builds connected components (shortcutting label propagation,
-// see ccAlgo) over g, which should be symmetric, as the generators produce.
-// Output is the minimum vertex id of every vertex's component; Verify checks
-// it against a sequential union-find.
-func Components(tag string, g *Graph) ppm.Algorithm {
-	return &ccAlgo{tag: tag, g: g}
+// see CC) over g, which should be symmetric, as the generators and mutation
+// batches keep it. Output is the minimum vertex id of every vertex's
+// component; Verify checks it against a sequential union-find.
+func Components(tag string, g Source) *CC {
+	return &CC{binding: binding{src: g}, tag: tag}
 }
 
-// CCResident is connected components bound to a Resident's epoch-versioned
-// CSR ring; RunAt binds each run to one version slot.
-type CCResident struct{ a *ccAlgo }
+func (a *CC) Name() string { return "cc/" + a.tag }
 
-// ComponentsResident builds connected components over an epoch-versioned
-// resident graph.
-func ComponentsResident(tag string, res *Resident) *CCResident {
-	return &CCResident{a: &ccAlgo{tag: tag, g: res.base, res: res}}
-}
-
-// Build registers the program on rt (after the Resident's own Build).
-func (c *CCResident) Build(rt *ppm.Runtime) { c.a.Build(rt) }
-
-// RunAt runs connected components against one CSR version slot.
-func (c *CCResident) RunAt(slot int) (bool, error) { return c.a.runAt(slot) }
-
-// Output returns the component label (minimum member id) of every vertex
-// from the last run.
-func (c *CCResident) Output() []uint64 { return c.a.Output() }
-
-func (a *ccAlgo) Name() string { return "cc/" + a.tag }
-
-func (a *ccAlgo) Build(rt *ppm.Runtime) {
-	a.rt = rt
-	n := a.g.N
-	name := "graph/cc/" + a.tag
+// Build loads a *Graph source and registers the program on rt.
+func (a *CC) Build(rt *ppm.Runtime) {
+	n := a.src.epoch0().N
+	name := "graph/" + a.Name()
 	grain := grainsFor(rt)
-	a.slotW = rt.NewArray(1)
-	cs := bindCSR(rt, a.res, a.g, a.slotW)
+	cs := a.bind(rt)
 	a.labels = [2]ppm.Array{rt.NewArray(n), rt.NewArray(n)}
 	// changed[p] is the flag of the rounds of parity p. One block each: the
 	// check capsule reads one and clears the other, and write-after-read
@@ -111,7 +85,7 @@ func (a *ccAlgo) Build(rt *ppm.Runtime) {
 		c.Done()
 	})
 	initP := rt.Register(name+"/initP", func(c ppm.Ctx) {
-		changed.Set(c, 0, 0) // a resident re-run finds the last run's flags
+		changed.Set(c, 0, 0) // a re-run finds the last run's flags
 		c.ParallelFor(initLeaf, 0, n, grain.dense)
 	})
 
@@ -171,20 +145,20 @@ func (a *ccAlgo) Build(rt *ppm.Runtime) {
 	})
 }
 
-func (a *ccAlgo) Run() bool { return a.rt.Run(a.root, 0) }
+// Run runs over the last committed epoch.
+func (a *CC) Run() bool { return a.run() }
 
-// runAt runs against one CSR version slot through TryRun (serving-layer
-// lifecycle errors propagate instead of panicking).
-func (a *ccAlgo) runAt(slot int) (bool, error) {
-	return a.rt.TryRun(a.root, slot)
-}
+// RunAt runs against one CSR version slot, returning the runtime's lifecycle
+// errors instead of panicking.
+func (a *CC) RunAt(slot int) (bool, error) { return a.runAt(slot) }
 
 // Output returns the component label (minimum member id) of every vertex.
 // At convergence the two ping-pong buffers are identical, so either serves.
-func (a *ccAlgo) Output() []uint64 { return a.labels[0].Snapshot() }
+func (a *CC) Output() []uint64 { return a.labels[0].Snapshot() }
 
-func (a *ccAlgo) Verify() error {
-	want := ccReference(a.g)
+// Verify checks the labels against the graph of the slot the last run read.
+func (a *CC) Verify() error {
+	want := ccReference(a.src.at(a.slot))
 	got := a.Output()
 	for v := range want {
 		if got[v] != want[v] {

@@ -179,7 +179,7 @@ func TestCCResidentRoundsForgetLastRun(t *testing.T) {
 		rt := newRT(eng, 1)
 		res := graph.NewResident("stale", graph.FromArcs(64, [][2]int{{0, 1}, {1, 0}}), 2, 0, 2)
 		res.Build(rt)
-		cc := graph.ComponentsResident("stale", res)
+		cc := graph.Components("stale", res)
 		cc.Build(rt)
 		var capsules [2]int64
 		for epoch := range capsules {

@@ -1,10 +1,13 @@
 // Package graph is the engine-portable parallel graph subsystem of the
 // Parallel-PM runtime: a compressed-sparse-row adjacency layout stored in
 // ppm.Arrays, deterministic generators (uniform random, grid, RMAT-style
-// power-law), and three frontier/round-structured algorithms — BFS,
-// label-propagation connected components, and pull-style PageRank — each
-// packaged as a ppm.Algorithm with self-verification against a sequential
-// reference.
+// power-law), and three frontier/round-structured kernels — multi-source
+// BFS (BFS is its width-1 case), shortcutting label-propagation connected
+// components, and pull-style PageRank — each one type with self-verification
+// against a sequential reference. A kernel reads a Source: a *Graph, loaded
+// into one slot of persistent memory at Build, or a *Resident, the
+// epoch-versioned ring that mutation batches commit to, read at the slot
+// each run names.
 //
 // Every capsule in this package is write-after-read conflict free, so the
 // same program runs on the model engine (block-transfer cost accounting,
@@ -212,30 +215,27 @@ func Generate(kind string, n, m int, seed uint64) (*Graph, error) {
 	return nil, fmt.Errorf("graph: unknown generator %q (valid: rand, grid, rmat)", kind)
 }
 
-// ---- runtime-bound CSR ----
+// ---- graph sources ----
 
-// vcsr is a graph in a runtime's persistent memory, as a slot-versioned view:
-// offs holds slots*(n+1) words and adj slots*cap words — a Resident's CSR
-// ring, or one slot for a standalone program — and the slot a run reads is
-// the value of slotW[0], the algorithm's own slot word. The run's root
-// capsule stores it from its argument, so nothing is staged before the run
-// is owned, and the word is persistent memory, so a durable replay of any
-// capsule re-reads the same slot; a standalone view leaves it at zero.
-type vcsr struct {
-	offs  ppm.Array // per slot: N+1 arc offsets
-	adj   ppm.Array // per slot: arc targets
-	slotW ppm.Array
-	n     int
-	cap   int
+// Source is the input of a graph kernel, held in the kernel's runtime's
+// persistent memory as a CSR ring of one or more version slots. A *Graph is
+// one slot: it loads itself at the kernel's Build and stays at epoch 0. A
+// *Resident is its epoch-versioned ring, built beforehand, and a run reads
+// the slot it is handed.
+type Source interface {
+	// bind returns the CSR the kernel's capsules read through slotW.
+	bind(rt *ppm.Runtime, slotW ppm.Array) vcsr
+	// epoch0 is the graph at epoch 0: what sizes the kernel.
+	epoch0() *Graph
+	// slot is the version slot of the last committed epoch.
+	slot() int
+	// at is the graph a run at slot s read, for Verify.
+	at(s int) *Graph
+	// transpose is a source whose arc lists are this one's in-lists.
+	transpose() Source
 }
 
-// bindCSR binds an algorithm to its graph storage through slotW: a
-// Resident's version ring when res is non-nil, else a freshly loaded
-// single-slot CSR of g.
-func bindCSR(rt *ppm.Runtime, res *Resident, g *Graph, slotW ppm.Array) vcsr {
-	if res != nil {
-		return res.view(slotW)
-	}
+func (g *Graph) bind(rt *ppm.Runtime, slotW ppm.Array) vcsr {
 	offs := rt.NewArray(g.N + 1)
 	offs.Load(g.Offs)
 	adj := rt.NewArray(max(1, len(g.Adj)))
@@ -243,6 +243,25 @@ func bindCSR(rt *ppm.Runtime, res *Resident, g *Graph, slotW ppm.Array) vcsr {
 		adj.Load(g.Adj)
 	}
 	return vcsr{offs: offs, adj: adj, slotW: slotW, n: g.N, cap: adj.Len()}
+}
+
+func (g *Graph) epoch0() *Graph    { return g }
+func (g *Graph) slot() int         { return 0 }
+func (g *Graph) at(int) *Graph     { return g }
+func (g *Graph) transpose() Source { return g.Reverse() }
+
+// vcsr is a Source as a kernel's capsules see it: offs holds slots*(n+1)
+// words and adj slots*cap words, and the slot a run reads is the value of
+// slotW[0], the kernel's own slot word. The run's root capsule stores it from
+// its argument, so nothing is staged before the run is owned, and the word is
+// persistent memory, so a durable replay of any capsule re-reads the same
+// slot.
+type vcsr struct {
+	offs  ppm.Array // per slot: N+1 arc offsets
+	adj   ppm.Array // per slot: arc targets
+	slotW ppm.Array
+	n     int
+	cap   int
 }
 
 // bases reads the run's slot and returns the offset/adjacency array bases.
@@ -280,6 +299,45 @@ func (v vcsr) adjRange(c ppm.Ctx, lo, hi int) (offs, arcs []uint64) {
 	ob, ab := v.bases(c)
 	offs = v.offs.Slice(c, ob+lo, ob+hi+1)
 	return offs, v.adj.Slice(c, ab+int(offs[0]), ab+int(offs[hi-lo]))
+}
+
+// binding ties a kernel to its Source: the runtime it is built on, its root
+// program, whose first argument is the version slot a run reads, the slot
+// word the root capsule stores that argument in, and the slot the last run
+// read, whose graph Verify checks against.
+type binding struct {
+	src   Source
+	rt    *ppm.Runtime
+	root  ppm.FuncRef
+	slotW ppm.Array
+	slot  int
+}
+
+// bind allocates the slot word on rt and binds the source through it: a
+// *Graph loads itself here.
+func (b *binding) bind(rt *ppm.Runtime) vcsr {
+	b.rt, b.slotW = rt, rt.NewArray(1)
+	return b.src.bind(rt, b.slotW)
+}
+
+// runAt runs the root at slot, args following the slot, returning the
+// runtime's lifecycle errors; a run that was refused records no slot.
+func (b *binding) runAt(slot int, args ...any) (bool, error) {
+	ok, err := b.rt.TryRun(b.root, append([]any{slot}, args...)...)
+	if err == nil {
+		b.slot = slot
+	}
+	return ok, err
+}
+
+// run is runAt over the last committed epoch, for ppm.Algorithm.Run:
+// lifecycle errors panic, as they do from ppm.Runtime.Run.
+func (b *binding) run(args ...any) bool {
+	ok, err := b.runAt(b.src.slot(), args...)
+	if err != nil {
+		panic(err)
+	}
+	return ok
 }
 
 // fillVec returns k words of ephemeral memory, each set to x.

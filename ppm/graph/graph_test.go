@@ -1,7 +1,9 @@
 package graph_test
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/ppm"
@@ -118,6 +120,19 @@ func TestPageRankFixedBothEngines(t *testing.T) {
 	if ranks[1] <= ranks[3] || ranks[1] <= ranks[4] {
 		t.Errorf("hub rank %g should exceed leaf ranks %g, %g", ranks[1], ranks[3], ranks[4])
 	}
+}
+
+// TestPageRankRefusesUnbalancedDegrees: PageRank pulls over in-lists and
+// divides by their lengths, which are the out-degrees only when every vertex
+// has as many arcs in as out. A directed path has not, and construction
+// refuses it.
+func TestPageRankRefusesUnbalancedDegrees(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "in-degree") {
+			t.Fatalf("PageRank over a directed path: recovered %v, want the degree precondition panic", r)
+		}
+	}()
+	graph.PageRank("directed", graph.FromArcs(4, [][2]int{{0, 1}, {1, 2}, {2, 3}}), 4)
 }
 
 // TestGeneratedGraphsBothEngines runs all three algorithms over every

@@ -9,12 +9,13 @@ import (
 // MultiBFS is a batched breadth-first search: one frontier program explores
 // from up to KMax sources simultaneously, giving each source its own copy of
 // the vertex space. Source slot s owns the combined ids [s*n, (s+1)*n); a
-// frontier entry s*n+v means "vertex v, search s", so the round driver of
-// single-source BFS (frontier.go: one step capsule for a small frontier, else
-// claim and count up a tree over it and emit down it) carries over unchanged,
-// the fuse count applying to the combined frontier — a leaf maps a combined
-// id back to its vertex for the adjacency gather and forward again for the
-// claim on its search's own row of claimant words.
+// frontier entry s*n+v means "vertex v, search s", and one round driver
+// (frontier.go) serves every width, its fuse count applying to the combined
+// frontier. The claimant word of an entry is its parent: racing claims and
+// fault replays are both resolved by the CAM owner[v]: NIL → u, and any
+// winner is a valid level-(d-1) neighbour. Depth is O(diameter) rounds and
+// work per round O(frontier + frontier arcs), so a search is O(n + arcs)
+// however many rounds it takes.
 //
 // Batching is the serving layer's coalescing primitive: k concurrent BFS
 // queries against the same graph share the rounds, the trees and the capsules
@@ -24,22 +25,13 @@ import (
 // runtime values may only flow through arguments), so nothing is staged in
 // persistent memory before the run is owned and a call refused with
 // ppm.ErrRuntimeBusy leaves the run in flight untouched.
-//
-// Every capsule is WAR-free and ends in one control transfer, same as bfs.go:
-// racing claims on a claimant word are resolved by CAM, so replays and
-// cross-search races are both harmless.
 type MultiBFS struct {
-	tag  string
-	g    *Graph
-	kMax int
-	res  *Resident // non-nil: read the epoch-versioned CSR ring
-
-	rt    *ppm.Runtime
-	fr    *frontier // kMax rows: row s holds search s
-	root  ppm.FuncRef
-	slotW ppm.Array // CSR version slot of the run, stored by its root capsule
-
-	lastSrcs []int // sources of the last RunBatch, for Verify
+	binding
+	kind     string // "msbfs", or "bfs" for BFS's single search
+	tag      string
+	kMax     int
+	fr       *frontier // kMax rows: row s holds search s
+	lastSrcs []int     // sources of the last RunBatch, for Verify
 }
 
 // maxBatchWidth is the largest batch a MultiBFS runs: the sources and the
@@ -51,35 +43,29 @@ const maxBatchWidth = 15
 // batch; a kMax above 15 is capped there (see maxBatchWidth). Memory is
 // proportional to kMax*n words, so callers pick the smallest capacity their
 // batching needs (the serving layer uses its configured max batch width).
-func NewMultiBFS(tag string, g *Graph, kMax int) *MultiBFS {
+func NewMultiBFS(tag string, g Source, kMax int) *MultiBFS {
 	if kMax < 1 {
 		panic("graph: MultiBFS needs kMax >= 1")
 	}
-	return &MultiBFS{tag: tag, g: g, kMax: min(kMax, maxBatchWidth)}
+	return &MultiBFS{binding: binding{src: g}, kind: "msbfs", tag: tag, kMax: min(kMax, maxBatchWidth)}
 }
 
-// NewMultiBFSResident builds a batched BFS over a Resident's epoch-versioned
-// CSR ring: RunBatchAt binds each run to one version slot, so a batch of
-// queries pinned to epoch E reads epoch-E arcs regardless of later committed
-// mutation batches (while E stays within the ring).
+// NewMultiBFSResident is NewMultiBFS over a Resident's version ring.
 func NewMultiBFSResident(tag string, res *Resident, kMax int) *MultiBFS {
-	a := NewMultiBFS(tag, res.base, kMax)
-	a.res = res
-	return a
+	return NewMultiBFS(tag, res, kMax)
 }
 
 // KMax returns the batch capacity.
 func (a *MultiBFS) KMax() int { return a.kMax }
 
-func (a *MultiBFS) Name() string { return "msbfs/" + a.tag }
+func (a *MultiBFS) Name() string { return a.kind + "/" + a.tag }
 
-// Build loads the graph and registers the batch program on rt.
+// Build loads a *Graph source and registers the batch program on rt.
 func (a *MultiBFS) Build(rt *ppm.Runtime) {
-	a.rt = rt
-	n := a.g.N
-	name := "graph/msbfs/" + a.tag
-	a.slotW = rt.NewArray(1)
-	a.fr = newFrontier(rt, name, bindCSR(rt, a.res, a.g, a.slotW), a.g, a.kMax)
+	g := a.src.epoch0()
+	n := g.N
+	name := "graph/" + a.Name()
+	a.fr = newFrontier(rt, name, a.bind(rt), g, a.kMax)
 	// root takes [slot, src0, src1, …]: source s seeds row s.
 	a.root = rt.Register(name+"/root", func(c ppm.Ctx) {
 		a.slotW.Set(c, 0, c.Uint(0))
@@ -92,22 +78,18 @@ func (a *MultiBFS) Build(rt *ppm.Runtime) {
 }
 
 // RunBatch executes one batched BFS from sources (at most KMax, each a valid
-// vertex; duplicates allowed — each occupies its own slot). It propagates the
-// runtime's lifecycle errors (ppm.ErrRuntimeBusy, ppm.ErrRuntimeClosed), so a
-// serving layer serializes batches with its own queue and treats Busy as a
-// scheduling bug rather than a panic.
+// vertex; duplicates allowed — each occupies its own slot) over the last
+// committed epoch. It propagates the runtime's lifecycle errors
+// (ppm.ErrRuntimeBusy, ppm.ErrRuntimeClosed), so a serving layer serializes
+// batches with its own queue and treats Busy as a scheduling bug rather than
+// a panic.
 func (a *MultiBFS) RunBatch(sources []int) (bool, error) {
-	slot := 0
-	if a.res != nil {
-		slot, _ = a.res.SlotFor(a.res.Epoch())
-	}
-	return a.RunBatchAt(sources, slot)
+	return a.RunBatchAt(sources, a.src.slot())
 }
 
 // RunBatchAt is RunBatch bound to one CSR version slot: the whole batch
 // reads that slot's arcs. Callers group queries by pinned epoch and map each
-// group's epoch to its slot with Resident.SlotFor. Standalone (non-resident)
-// programs use slot 0.
+// group's epoch to its slot with Resident.SlotFor. A *Graph has slot 0 only.
 func (a *MultiBFS) RunBatchAt(sources []int, slot int) (bool, error) {
 	if len(sources) == 0 {
 		return true, nil
@@ -115,14 +97,14 @@ func (a *MultiBFS) RunBatchAt(sources []int, slot int) (bool, error) {
 	if len(sources) > a.kMax {
 		return false, fmt.Errorf("graph: MultiBFS batch of %d exceeds capacity %d", len(sources), a.kMax)
 	}
-	args := []any{slot}
-	for _, s := range sources {
-		if s < 0 || s >= a.g.N {
-			return false, fmt.Errorf("graph: MultiBFS source %d out of range for n=%d", s, a.g.N)
+	args := make([]any, len(sources))
+	for i, s := range sources {
+		if s < 0 || s >= a.fr.n {
+			return false, fmt.Errorf("graph: MultiBFS source %d out of range for n=%d", s, a.fr.n)
 		}
-		args = append(args, s)
+		args[i] = s
 	}
-	ok, err := a.rt.TryRun(a.root, args...)
+	ok, err := a.runAt(slot, args...)
 	if err != nil {
 		return false, err
 	}
@@ -136,20 +118,29 @@ func (a *MultiBFS) Levels(i int) []uint64 {
 	if i < 0 || i >= len(a.lastSrcs) {
 		panic(fmt.Sprintf("graph: MultiBFS slot %d out of range for batch of %d", i, len(a.lastSrcs)))
 	}
-	n := a.g.N
+	n := a.fr.n
 	return a.fr.level.SnapshotRange(i*n, (i+1)*n)
 }
 
 // Verify checks every row of the last batch against a sequential BFS from
-// its source, and that the rounds swept every reached entry exactly once.
+// its source over the graph of the slot the batch read: its levels, its
+// parent tree, and that the rounds swept every reached entry exactly once.
 func (a *MultiBFS) Verify() error {
+	g := a.src.at(a.slot)
 	var want []uint64
 	for _, src := range a.lastSrcs {
-		want = append(want, bfsReference(a.g, src)...)
+		want = append(want, bfsReference(g, src)...)
 	}
 	got := a.fr.level.SnapshotRange(0, len(want))
 	if err := sameLevels(got, want, a.fr.visited.Snapshot()[0]); err != nil {
-		return fmt.Errorf("%s: sources %v, rows of %d: %w", a.Name(), a.lastSrcs, a.g.N, err)
+		return fmt.Errorf("%s: sources %v, rows of %d: %w", a.Name(), a.lastSrcs, g.N, err)
+	}
+	owner := a.fr.owner.SnapshotRange(0, len(want))
+	for s, src := range a.lastSrcs {
+		lo, hi := s*g.N, (s+1)*g.N
+		if err := sameTree(g, src, got[lo:hi], owner[lo:hi], uint64(lo)); err != nil {
+			return fmt.Errorf("%s: row %d, source %d: %w", a.Name(), s, src, err)
+		}
 	}
 	return nil
 }

@@ -19,10 +19,10 @@ import (
 //
 // Versioning gives snapshot isolation for free: the ring keeps the last
 // `slots` epochs' CSR images intact, a batch always writes the slot of the
-// *next* epoch (never the one readers are on), and every reader program binds
-// to a slot through a staged pmem word — so a query pinned to epoch E keeps
-// reading epoch-E arcs until E falls out of the ring, no matter how many
-// batches commit meanwhile.
+// *next* epoch (never the one readers are on), and a kernel over a Resident
+// reads the slot its run names, which the run's root capsule stores from its
+// argument — so a query pinned to epoch E keeps reading epoch-E arcs until E
+// falls out of the ring, no matter how many batches commit meanwhile.
 
 // MutationBatch is one atomic set of undirected edge changes. Each inserted
 // edge {u,v} adds the arcs u→v and v→u; each deleted edge removes every
@@ -183,12 +183,6 @@ func NewResident(tag string, g *Graph, slots, arcCap, batchCap int) *Resident {
 		arcCap: arcCap, batchCap: batchCap, cur: g}
 }
 
-// N returns the (fixed) vertex count.
-func (r *Resident) N() int { return r.n }
-
-// Slots returns the version ring size.
-func (r *Resident) Slots() int { return r.slots }
-
 // Epoch returns the last committed epoch. This is the "pin" operation: a
 // reader captures the epoch at admission and later binds its run to that
 // epoch's slot via SlotFor.
@@ -216,10 +210,23 @@ func (r *Resident) SlotFor(epoch uint64) (int, bool) {
 	return int(epoch % uint64(r.slots)), true
 }
 
-// view binds a reader program to the versioned arrays through its own staged
-// slot word (written host-side before each run).
-func (r *Resident) view(slotW ppm.Array) vcsr {
+// bind hands a kernel the version ring, read at the slot its root capsule
+// stores in slotW. The Resident's own Build must come first.
+func (r *Resident) bind(_ *ppm.Runtime, slotW ppm.Array) vcsr {
 	return vcsr{offs: r.offs, adj: r.adj, slotW: slotW, n: r.n, cap: r.arcCap}
+}
+
+func (r *Resident) epoch0() *Graph    { return r.base }
+func (r *Resident) slot() int         { return int(r.Epoch() % uint64(r.slots)) }
+func (r *Resident) transpose() Source { return r }
+
+// at reads the graph of a version slot back out of persistent memory. A slot
+// claiming more arcs than it holds is cut at its capacity; Recovered reports
+// it.
+func (r *Resident) at(slot int) *Graph {
+	offs := r.offs.SnapshotRange(slot*(r.n+1), (slot+1)*(r.n+1))
+	arcs := int(min(offs[r.n], uint64(r.arcCap)))
+	return &Graph{N: r.n, Offs: offs, Adj: r.adj.SnapshotRange(slot*r.arcCap, slot*r.arcCap+arcs)}
 }
 
 // Build allocates the version ring, the durable epoch word, and the staging
@@ -420,15 +427,12 @@ func (r *Resident) Apply(b MutationBatch) (ok bool, err error) {
 func (r *Resident) Recovered() error {
 	epoch := r.epochW.Snapshot()[0]
 	slot := int(epoch % uint64(r.slots))
-	offs := r.offs.SnapshotRange(slot*(r.n+1), (slot+1)*(r.n+1))
-	arcs := int(offs[r.n])
-	if arcs < 0 || arcs > r.arcCap {
+	g := r.at(slot)
+	if arcs := g.Offs[r.n]; arcs > uint64(r.arcCap) {
 		return fmt.Errorf("graph: recovered slot %d holds %d arcs, capacity %d", slot, arcs, r.arcCap)
 	}
-	adj := r.adj.SnapshotRange(slot*r.arcCap, slot*r.arcCap+arcs)
 	r.mu.Lock()
-	r.epoch = epoch
-	r.cur = &Graph{N: r.n, Offs: offs, Adj: adj}
+	r.epoch, r.cur = epoch, g
 	r.mu.Unlock()
 	return nil
 }

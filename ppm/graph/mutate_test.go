@@ -14,9 +14,9 @@ import (
 	"repro/ppm/graph"
 )
 
-// hostBFS is the sequential BFS reference over an arbitrary host graph
-// (msbfs.Verify compares against the resident's epoch-0 base, so mutation
-// tests need their own reference bound to the mutated mirror).
+// hostBFS is the sequential BFS reference over an arbitrary host graph, here
+// the mutated mirror: an independent check beside each kernel's own Verify,
+// which reads its graph back out of the slot it ran on.
 func hostBFS(g *graph.Graph, src int) []uint64 {
 	inf := ^uint64(0)
 	lev := make([]uint64, g.N)
@@ -94,8 +94,9 @@ func sameGraph(t *testing.T, what string, got, want *graph.Graph) {
 // TestResidentApplyBothEngines applies a batch sequence and, after every
 // commit, demands (a) the host mirror match an independent ApplyTo chain,
 // (b) Recovered() re-derive the identical graph from persistent memory, and
-// (c) all three resident reader programs agree bit-exactly with host
-// references computed on the mutated graph.
+// (c) all three kernels over the Resident agree bit-exactly with host
+// references computed on the mutated graph and pass their own Verify, which
+// must check the slot the run read, not epoch 0.
 func TestResidentApplyBothEngines(t *testing.T) {
 	for _, eng := range bothEngines {
 		eng := eng
@@ -107,10 +108,18 @@ func TestResidentApplyBothEngines(t *testing.T) {
 			res.Build(rt)
 			ms := graph.NewMultiBFSResident("apply", res, 2)
 			ms.Build(rt)
-			cc := graph.ComponentsResident("apply", res)
+			cc := graph.Components("apply", res)
 			cc.Build(rt)
-			pr := graph.PageRankResident("apply", res, 8)
+			pr := graph.PageRank("apply", res, 8)
 			pr.Build(rt)
+			verify := func(i int, kernels ...interface{ Verify() error }) {
+				t.Helper()
+				for _, k := range kernels {
+					if err := k.Verify(); err != nil {
+						t.Fatalf("batch %d: %v", i, err)
+					}
+				}
+			}
 
 			mirror := g
 			for i, b := range fixedBatches() {
@@ -162,6 +171,7 @@ func TestResidentApplyBothEngines(t *testing.T) {
 				if got, want := pr.Output(), graph.PageRankResidentRef(mirror, 8); !slices.Equal(got, want) {
 					t.Fatalf("batch %d: pagerank not bit-exact vs forward-order reference", i)
 				}
+				verify(i, ms, cc, pr)
 			}
 		})
 	}

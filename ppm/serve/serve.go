@@ -763,9 +763,9 @@ func (s *Server) newEntry(spec GraphSpec, g *graph.Graph, rt *ppm.Runtime, durab
 		rt:          rt,
 		res:         res,
 		durablePath: durablePath,
-		ms:          graph.NewMultiBFSResident("serve", res, s.cfg.MaxBatch),
-		cc:          graph.ComponentsResident("serve", res),
-		pr:          graph.PageRankResident("serve", res, s.cfg.PageRankIters),
+		ms:          graph.NewMultiBFS("serve", res, s.cfg.MaxBatch),
+		cc:          graph.Components("serve", res),
+		pr:          graph.PageRank("serve", res, s.cfg.PageRankIters),
 		queue:       make(chan *pending, s.cfg.MaxQueue+s.cfg.MaxMutQueue),
 		quit:        make(chan struct{}),
 		memo:        make(map[memoKey]*list.Element),
@@ -831,8 +831,8 @@ type entry struct {
 	rt    *ppm.Runtime
 	res   *graph.Resident
 	ms    *graph.MultiBFS
-	cc    *graph.CCResident
-	pr    *graph.PRResident
+	cc    *graph.CC
+	pr    *graph.PR
 	lruEl *list.Element
 	// durablePath is the runtime's backing region file ("" when the server
 	// runs without DurableDir); close(false) removes it after the runtime's
