@@ -94,9 +94,11 @@ func TestBarrierSnapshotRecovery(t *testing.T) {
 		name string
 		n    int
 	}{
-		// At n = 2048 the three middle BFS frontiers are wider than the
-		// native fuse budget and the others narrower: both kinds of round.
-		{"bfs", 1 << 11},
+		// At n = 2879 the BFS frontiers are 1, 3, 23, 160, 968, 1 593, 129
+		// and 1 entries: three fused rounds, a tree, three pulls, and a
+		// compaction, which copies the levels back out of level[1], before
+		// a fused push.
+		{"bfs", 2879},
 		{"pagerank", 1 << 8},
 		{"cc", 1 << 8},
 	} {
@@ -130,24 +132,22 @@ func TestBarrierSnapshotRecovery(t *testing.T) {
 			// first driver, then scan and check each round: 9 + 4·rounds. A
 			// third phase in a round would make it 9 + 6·rounds. bfs commits
 			// seed and the first round driver, then per round (one per level;
-			// the driver that finds the frontier empty starts no phase) the
-			// next driver after a fused step, or the down sweep and the next
-			// driver after a tree round: 9 + 2·fused + 4·tree.
+			// the driver that finds the frontier empty starts no phase) each
+			// phase of its chain but the first: the next driver after a fused
+			// step or a pull, the down sweep too after a tree's up sweep, and
+			// the push too after a compaction: 9 + 2·fused + 4·tree + 2·pull +
+			// 2·compact, a compacting round counted once more as its push.
 			if name == "cc" && (len(*snaps)-9)%4 != 0 {
 				t.Errorf("cc: %d barriers is not 9 + 4·rounds: a round is not two phase commits", len(*snaps))
 			}
 			if name == "bfs" {
-				// A round's recorded chain is [step, round'] when it fuses and
-				// [up, down, round'] when it sweeps a tree (up takes four
-				// arguments, the root chain's init one). round' carries the
-				// next level, so each round records a chain of its own.
-				rounds := map[uint64]bool{} // next level -> the round swept a tree
+				// round' carries the next level, so each round records a chain
+				// of its own, named by the function it starts with.
+				fids := map[string]uint64{}
+				rounds := map[uint64]string{} // next level -> the round's kind
 				for _, s := range *snaps {
-					switch c := s.chain; {
-					case len(c) == 2:
-						rounds[c[1].Args[0]] = false
-					case len(c) == 3 && len(c[0].Args) == 4:
-						rounds[c[2].Args[0]] = true
+					if k := bfsRoundKind(t, fids, s.chain); k != "" {
+						rounds[s.chain[len(s.chain)-1].Args[0]] = k
 					}
 				}
 				levels := map[uint64]bool{}
@@ -159,21 +159,20 @@ func TestBarrierSnapshotRecovery(t *testing.T) {
 				if len(rounds) != len(levels) {
 					t.Fatalf("bfs: the chains name %d rounds for %d levels", len(rounds), len(levels))
 				}
-				fused, tree := 0, 0
-				for _, swept := range rounds {
-					if swept {
-						tree++
-					} else {
-						fused++
-					}
+				kinds := map[string]int{}
+				for _, k := range rounds {
+					kinds[k]++
 				}
-				t.Logf("bfs: %d fused and %d tree rounds", fused, tree)
-				if fused == 0 || tree == 0 {
-					t.Fatalf("bfs: %d fused and %d tree rounds: the input must have both kinds", fused, tree)
+				fused := kinds["fused"] + kinds["compact+fused"]
+				tree := kinds["tree"] + kinds["compact+tree"]
+				pull, compact := kinds["pull"], kinds["compact+fused"]+kinds["compact+tree"]
+				t.Logf("bfs: %d fused, %d tree, %d pull rounds, %d compactions", fused, tree, pull, compact)
+				if fused == 0 || tree == 0 || pull == 0 || compact == 0 {
+					t.Fatalf("bfs: rounds %v: the input must have every kind", kinds)
 				}
-				if want := 9 + 2*fused + 4*tree; len(*snaps) != want {
-					t.Errorf("bfs: %d barriers over %d fused and %d tree rounds, want 9 + 2·fused + 4·tree = %d",
-						len(*snaps), fused, tree, want)
+				if want := 9 + 2*fused + 4*tree + 2*pull + 2*compact; len(*snaps) != want {
+					t.Errorf("bfs: %d barriers over rounds %v, want 9 + 2·fused + 4·tree + 2·pull + 2·compact = %d",
+						len(*snaps), kinds, want)
 				}
 			}
 

@@ -29,8 +29,9 @@ import (
 // last committed step). cc's round is the two-phase Seq(scan, check) whose
 // check clears the other parity's changed flag, so a resume re-enters a
 // round with one flag possibly set by the killed scan and the other stale.
-// bfs has rounds of both kinds, a fused Seq(step, round) and a tree
-// Seq(up, down, round), and one kill is aimed at each.
+// bfs has rounds of every kind, a fused Seq(step, round), a tree Seq(up,
+// down, round), a pull Seq(pull, round) and a compaction Seq(compact, step,
+// round), and one kill is aimed at each.
 
 // Shared geometry: child and parent must build byte-identical programs, so
 // every knob that influences registration order, allocation order, or input
@@ -47,10 +48,11 @@ var crashWorkloads = []struct {
 	n    int
 }{
 	{"mergesort", 1 << 13},
-	// Frontiers of 351, 1 211 and 424 entries go up and down a tree; the
-	// others (1, 6, 52, 2) fit the native fuse budget, each one step
-	// capsule.
-	{"bfs", 1 << 11},
+	// Frontiers of 1, 3 and 23 entries fit the native fuse budget, each one
+	// step capsule; 160 go up and down a tree; 968, 1 593 and 129 are
+	// pulled, the levels ending in level[1]; the last entry is compacted out
+	// of them and pushed in one step.
+	{"bfs", 2879},
 	{"pagerank", 1 << 9},
 	{"cc", 1 << 9},
 }
@@ -136,8 +138,9 @@ func TestKill9Recovery(t *testing.T) {
 			if wl.name == "bfs" {
 				// Nearly every capsule of a search is in its wide rounds'
 				// trees, where random points land; aim one kill at a fused
-				// round's step and one into a tree round's claim sweep.
-				kills[0], kills[1] = bfsRoundKills(t, wl.n)
+				// round's step, one into a tree round's claim sweep, one into
+				// a pull and one into a compaction.
+				kills = append(bfsRoundKills(t, wl.n), kills[0])
 			}
 			for rep, kill := range kills {
 				file := filepath.Join(t.TempDir(), fmt.Sprintf("%s-%d.region", wl.name, rep))
@@ -191,30 +194,77 @@ func TestKill9Recovery(t *testing.T) {
 	}
 }
 
+// bfsRoundKind names the round a bfs root chain records by the function of
+// its first step: [step, round'] is a fused round, [up, down, round'] a tree,
+// [pull, round'] a pull, and [compact, step or up, …] the push after a pull,
+// "compact+fused" or "compact+tree"; the root's chain is not a round's, and
+// gets "". Functions are told apart by FuncID and named by the arguments
+// they take: step [d, parity, cnt], up [node, lo, hi, parity], pull [node,
+// lo, hi, d, cur], compact [node, lo, hi, lvl, t, cur]. fids keeps the
+// FuncID each name was first seen with, so two functions cannot share one.
+func bfsRoundKind(t *testing.T, fids map[string]uint64, c []durable.ChainStep) string {
+	t.Helper()
+	name := func(s durable.ChainStep) string {
+		n := map[int]string{3: "step", 4: "up", 5: "pull", 6: "compact"}[len(s.Args)]
+		if fid, seen := fids[n]; seen && fid != s.Fid {
+			t.Fatalf("functions %d and %d both start a round with the arguments of %s", fid, s.Fid, n)
+		}
+		if n != "" {
+			fids[n] = s.Fid
+		}
+		return n
+	}
+	if len(c) < 2 {
+		return ""
+	}
+	switch name(c[0]) {
+	case "step":
+		return "fused"
+	case "up":
+		return "tree"
+	case "pull":
+		return "pull"
+	case "compact":
+		if name(c[1]) == "step" {
+			return "compact+fused"
+		}
+		return "compact+tree"
+	}
+	return ""
+}
+
 // bfsRoundKills runs the bfs workload once on a durable region and reads its
 // rounds off the barriers: at a phase commit every earlier capsule has passed
-// its persistence point, and the recorded chain names the round — [step,
-// round] for a fused one, [up, down, round] for a tree. It returns the
-// persistence point of the first fused round's step, and one in the middle of
-// the first tree round's up sweep. The counts are the child's too: one point
-// per capsule, and the task tree does not depend on scheduling.
-func bfsRoundKills(t *testing.T, n int) (fused, tree int64) {
+// its persistence point, and the recorded chain names the round
+// (bfsRoundKind). It returns the persistence point of the first fused
+// round's step, and one in the middle of the first tree round's up sweep, of
+// the first pull and of the first compaction. The counts are the child's
+// too: one point per capsule, and the task tree does not depend on
+// scheduling.
+func bfsRoundKills(t *testing.T, n int) []int64 {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "rounds.region")
 	var rt *ppm.Runtime
 	var prev int64 // persistence points at the previous barrier
+	fids := map[string]uint64{}
+	kills := map[string]int64{}
 	durable.AfterBarrier = func(r *durable.Region) {
 		if rt == nil || r.Path() != path {
 			return // Create's barrier, or another region's
 		}
 		pp := rt.PersistPoints()
-		steps := r.ChainSteps()
-		switch {
-		case fused == 0 && len(steps) == 2:
-			fused = pp
-		case tree == 0 && len(steps) == 3 && len(steps[0].Args) == 4:
-			// The round's driver is point prev+1; its up sweep prev+2..pp.
-			tree = (prev + 2 + pp) / 2
+		kind := bfsRoundKind(t, fids, r.ChainSteps())
+		if kind == "compact+fused" || kind == "compact+tree" {
+			kind = "compact"
+		}
+		if _, seen := kills[kind]; kind != "" && !seen {
+			// The first barrier of a round commits its first phase. A fused
+			// round's step is point pp; otherwise the round's driver is
+			// point prev+1 and the phase prev+2..pp.
+			kills[kind] = (prev + 2 + pp) / 2
+			if kind == "fused" {
+				kills[kind] = pp
+			}
 		}
 		prev = pp
 	}
@@ -228,11 +278,16 @@ func bfsRoundKills(t *testing.T, n int) (fused, tree int64) {
 	if err := rt.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if fused == 0 || tree == 0 {
-		t.Fatalf("bfs at n=%d: fused step at point %d, tree sweep at %d: the run needs both kinds of round", n, fused, tree)
+	var out []int64
+	for _, kind := range []string{"fused", "tree", "pull", "compact"} {
+		pp, ok := kills[kind]
+		if !ok {
+			t.Fatalf("bfs at n=%d: rounds %v: the run needs a %s round", n, kills, kind)
+		}
+		out = append(out, pp)
 	}
-	t.Logf("fused round's step at persistence point %d, tree round's up sweep at %d", fused, tree)
-	return fused, tree
+	t.Logf("first phase of each kind of round at persistence points %v", kills)
+	return out
 }
 
 // TestDurableCloseLifecycle covers the clean-shutdown side of durability:

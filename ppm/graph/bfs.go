@@ -39,14 +39,18 @@ const (
 // average: a frontier of hubs can still pass 5 000, in a step or in a tree
 // leaf.
 //
+// A pulling BFS round (frontier.go) sweeps every id of the search in scan
+// leaves: a leaf reads and writes its range's levels and gathers the arcs
+// of its unvisited ids only, ≈ 1 300 words for 64 unvisited ids at degree 8.
+//
 // The table depends on the engine alone, and the fuse count in entries on
 // the engine and the graph, never on a measurement: the exact capsule
 // counters must not depend on the machine, and a recovered runtime must
 // rebuild the crashed one's trees, because a BFS down sweep reads the partial
-// sums its up sweep left at tree-node indices.
+// sums its up sweep (or compaction those its pull) left at tree-node indices.
 type grains struct {
 	frontier int // frontier leaves: a CAM and a read-back per arc dominate
-	scan     int // per-arc gather leaves (cc scan, pagerank scan, apply deg/emit)
+	scan     int // per-arc gather leaves (cc and pagerank scan, apply deg/emit, BFS pull and compact)
 	dense    int // bulk per-vertex leaves (init, contrib, offsets)
 	fuse     int // a BFS round is one capsule up to this many entries plus arcs
 }
@@ -54,6 +58,22 @@ type grains struct {
 var (
 	modelGrains  = grains{frontier: 8, scan: 16, dense: 64, fuse: 40}
 	nativeGrains = grains{frontier: 32, scan: 64, dense: 256, fuse: 1280}
+)
+
+// The BFS direction rule (roundKind, frontier.go) on both engines: a round
+// pulls while its frontier holds at least 1/pullFrontier of the search's
+// rows·n ids, and a pushing round turns to pull only once the frontier also
+// holds at least 1/pullUnvisited of the ids not yet reached. The first is
+// Beamer et al.'s β = 24; the second is their α test, which compares arcs
+// with α = 14, counted in ids. On Rand(100000, 400000) the search pushes
+// four rounds (the last two trees of 616 and 4 846 entries), pulls for the
+// frontiers of 30 371, 58 430 and 5 588, and compacts back to push the last
+// 20 entries. The 128×128 mesh never holds 683 ids in its frontier and only
+// pushes. They are constants, not measurements, for the same reason the
+// grains are.
+const (
+	pullFrontier  = 24
+	pullUnvisited = 8
 )
 
 // psumLeaf is the prefix-tree base case on both engines: its leaves read

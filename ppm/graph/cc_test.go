@@ -146,8 +146,8 @@ func TestCCFaultsWARAndRerun(t *testing.T) {
 				ppm.WithEngine(tc.eng),
 				ppm.WithProcs(2),
 				ppm.WithSeed(23),
-				ppm.WithMemWords(1 << 24),
-				ppm.WithPoolWords(1 << 21),
+				ppm.WithMemWords(1 << 22),
+				ppm.WithPoolWords(1 << 19),
 			}, tc.opts...)...)
 			defer rt.Close()
 			algo := graph.Components("fault", g)

@@ -40,7 +40,7 @@ func TestCapsuleWorkUnderFaultCeiling(t *testing.T) {
 			for _, k := range ceilingKernels(g) {
 				t.Run(string(tc.eng)+"/"+name+"/"+k.name, func(t *testing.T) {
 					rt := ppm.New(ppm.WithEngine(tc.eng), ppm.WithProcs(1), ppm.WithSeed(17),
-						ppm.WithMemWords(1<<22), ppm.WithPoolWords(1<<21))
+						ppm.WithMemWords(1<<22), ppm.WithPoolWords(1<<19))
 					defer rt.Close()
 					k.run(t, rt)
 					c := rt.Stats().MaxCapsWork

@@ -5,3 +5,26 @@ import "repro/ppm"
 // FrontierGrain is the frontier leaf size of the engine rt runs on, for the
 // work bounds of the external tests.
 func FrontierGrain(rt *ppm.Runtime) int { return grainsFor(rt).frontier }
+
+// RoundKinds reads the round log of the last search a BFS or MultiBFS ran:
+// "fused", "tree", "pull", "compact+fused" or "compact+tree" per round.
+func RoundKinds(a any) []string {
+	var f *frontier
+	switch a := a.(type) {
+	case bfs:
+		f = a.fr
+	case *MultiBFS:
+		f = a.fr
+	default:
+		panic("graph: RoundKinds of a kernel without rounds")
+	}
+	names := map[uint64]string{
+		roundFused: "fused", roundTree: "tree", roundPull: "pull",
+		roundCompact | roundFused: "compact+fused", roundCompact | roundTree: "compact+tree",
+	}
+	var out []string
+	for _, k := range f.roundKinds() {
+		out = append(out, names[k])
+	}
+	return out
+}

@@ -6,10 +6,15 @@ import (
 	"repro/ppm"
 )
 
-// frontier is the sparse round driver of the BFS kernels: rows independent
+// frontier is the round driver of the BFS kernels: rows independent
 // searches over one graph, search s owning the combined ids [s·n, (s+1)·n),
 // so a frontier entry s·n+v means "vertex v, search s" (BFS is the one-row
-// case). A round costs what its frontier and that frontier's arcs cost,
+// case). Round d turns the frontier, the ids at level d-1, into the ids at
+// level d. It pushes from the frontier while the frontier is a small share of
+// the search, and pulls into the unvisited ids once it is a large one
+// (direction optimisation, Beamer et al.; roundKind has the rule).
+//
+// A pushing round costs what its frontier and that frontier's arcs cost,
 // never n. A frontier small enough for the engine's fuse budget (grains.fuse,
 // entries plus arcs at the graph's average degree) is one capsule:
 //
@@ -18,7 +23,7 @@ import (
 //	       then — every CAM first, reads after, so no word is written after it
 //	       was read — reads the claimant words back with one GatherAt, writes
 //	       the targets it owns at offset 0 of the other frontier buffer, sets
-//	       level[t] = d for exactly those, and stores their count in sums[1].
+//	       level[0][t] = d for exactly those, and stores their count in sums[1].
 //
 // The round is then Seq(step, next round): one phase and one durable commit.
 // A larger frontier is a fork-join tree over its slots [0, cnt), swept
@@ -30,51 +35,113 @@ import (
 //	down — a leaf re-derives the same owned set without claiming and emits it
 //	       like step, at its prefix offset.
 //
-// Either way a capsule reads front[parity] and only writes front[1-parity],
-// level and sums, and the next round reads sums[1] in a capsule of its own.
-// A claimant word is written once per search, so the read-back is the later
-// read that decides a CAM (Section 5) even inside the claiming capsule: once
-// the capsule's own CAM has run the word is non-NIL for good, and a replay,
-// the down sweep and a recovered run all see the value the first execution
-// saw. A non-NIL claimant also means "discovered", so levels need no CAM. An
-// entry sits in exactly one slot of its round, a self-loop never claims and a
-// target repeated in one arc list is emitted once, so every reached vertex is
-// emitted exactly once per search: visited, the sum of all frontier sizes,
-// equals the number of reached vertices, and Verify checks that it does.
+// A pulling round is one root-chain phase, Seq(pull, next round), over the
+// search's extent, the combined ids [0, rows·n) of the rows in use:
+//
+//	pull — a fork-join tree with grains.scan leaves. A leaf finds its ids
+//	       still at INF in level[cur], gathers only their arc lists, reads
+//	       their targets' levels back with one GatherAt, and gives each the
+//	       first target at level d-1, in arc order, as its parent. It writes
+//	       its whole range of level[1-cur], stores the parents in owner, which
+//	       it never reads, and leaves its count at its tree node of sums, so
+//	       sums[1] holds the next frontier's size as the up sweep leaves it.
+//
+// No CAM is needed: an id has one leaf, and the leaf reads only level[cur],
+// which no capsule of the phase writes. Levels ping-pong between level[0]
+// and level[1] across pulls; a push reads no level and writes level[0]. A
+// pulled frontier is listed nowhere, so a push that follows a pull is
+// preceded, in its own chain, by
+//
+//	compact — a down sweep over the pull's tree and the sums it left, which
+//	       lists the ids at level d-1 in front[0] at their prefix offsets and
+//	       copies level[1] into level[0] when the levels are in level[1].
+//
+// A push reads front[parity] and writes front[1-parity], level[0], owner (by
+// CAM) and sums; a pull reads level[cur] and writes level[1-cur], owner and
+// sums; a compaction reads level[cur] and sums and writes front[0] and, when
+// cur is 1, level[0]. No capsule writes what it read, and the next round
+// reads sums[1] in a capsule of its own. A claimant word is
+// written once per search, so the read-back is the later read that decides a
+// CAM (Section 5) even inside the claiming capsule: once the capsule's own
+// CAM has run the word is non-NIL for good, and a replay, the down sweep and
+// a recovered run all see the value the first execution saw. Between rounds
+// an id has a claimant exactly when its level is set, so a pull's parents
+// are claimants no push contends for, and no level needs a CAM. An entry sits
+// in exactly one slot of its round, an id in one pull leaf, a self-loop never
+// claims and a target repeated in one arc list is emitted once, so every
+// reached vertex is emitted exactly once per search: visited, the sum of all
+// frontier sizes, equals the number of reached vertices, and Verify checks
+// that it does.
 type frontier struct {
-	n       int // vertices per search row
-	cs      vcsr
-	owner   ppm.Array // rows·n claimant words
-	level   ppm.Array // rows·n levels
-	front   [2]ppm.Array
-	visited ppm.Array // 1 word: frontier entries swept by the last search
+	n     int // vertices per search row
+	cs    vcsr
+	owner ppm.Array    // rows·n claimant words
+	level [2]ppm.Array // rows·n levels each, ping-pong across pulls
+	front [2]ppm.Array
+	kinds ppm.Array // n+1 words: the kind of each round of the last search
+	done  ppm.Array // 2 words the last round writes: entries swept, level buffer
 
-	// A search is Seq(init(extent), seed(ids...), round(1, 0, 0)): reset the
-	// rows below extent, make the ids level-0 entries, run rounds until one
-	// emits nothing.
+	// A search is Seq(init(extent), seed(ids...), round(1, 0, 0, extent, 0,
+	// 0)): reset the rows below extent, make the ids level-0 entries, run
+	// rounds until one finds the frontier empty.
 	init, seed, round ppm.FuncRef
+}
+
+// The kinds of round, as the round log records them.
+const (
+	roundEnd     = 0 // the frontier is empty: the search is over
+	roundFused   = 1 // Seq(step, round')
+	roundTree    = 2 // Seq(up, down, round')
+	roundPull    = 3 // Seq(pull, round')
+	roundCompact = 4 // or'ed into a push that follows a pull: compact first
+)
+
+// roundKind is the direction rule. A round pulls when its frontier holds at
+// least 1/pullFrontier of the extent and, unless the round before pulled
+// too, at least 1/pullUnvisited of the ids still unvisited; it pushes
+// otherwise, in one step when the frontier fits the fuse count. It reads
+// only the round's arguments and the frontier size cnt, never a measurement,
+// so capsule counts are exact and a recovered runtime rebuilds the crashed
+// run's rounds.
+func roundKind(cnt, seen, extent, fuse uint64, pulled bool) uint64 {
+	if cnt == 0 {
+		return roundEnd
+	}
+	if pullFrontier*cnt >= extent && (pulled || pullUnvisited*cnt >= extent-seen-cnt) {
+		return roundPull
+	}
+	kind := uint64(roundTree)
+	if cnt <= fuse {
+		kind = roundFused
+	}
+	if pulled {
+		kind |= roundCompact
+	}
+	return kind
 }
 
 func newFrontier(rt *ppm.Runtime, name string, cs vcsr, g *Graph, rows int) *frontier {
 	n := g.N
 	f := &frontier{n: n, cs: cs,
-		owner:   rt.NewArray(rows * n),
-		level:   rt.NewArray(rows * n),
-		front:   [2]ppm.Array{rt.NewArray(rows * n), rt.NewArray(rows * n)},
-		visited: rt.NewArray(1),
+		owner: rt.NewArray(rows * n),
+		level: [2]ppm.Array{rt.NewArray(rows * n), rt.NewArray(rows * n)},
+		front: [2]ppm.Array{rt.NewArray(rows * n), rt.NewArray(rows * n)},
+		kinds: rt.NewArray(n + 1), // a search of depth D runs D+2 ≤ n+1 rounds
+		done:  rt.NewArray(2),
 	}
 	grain := grainsFor(rt)
 	// A round fuses when its entries and their arcs, at g's average degree,
 	// fit the engine's fuse budget.
 	fuse := uint64(grain.fuse * n / (n + g.Arcs()))
-	// The round tree's partial sums, heap-numbered from the root at 1; one
-	// block each, so a combine writes no block it read.
-	sums := rt.NewBlockArray(4 * (rows*n/grain.frontier + 2))
+	// The round trees' partial sums, heap-numbered from the root at 1; one
+	// block each, so a combine writes no block it read. Sized for the
+	// frontier tree; the pull tree's leaves are no smaller.
+	sums := rt.NewBlockArray(4 * (rows*n/min(grain.frontier, grain.scan) + 2))
 
 	initLeaf := rt.Register(name+"/init", func(c ppm.Ctx) {
 		lo, hi := c.Int(0), c.Int(1)
 		vals := fillVec(c, hi-lo, inf) // INF and NIL are the same word
-		f.level.SetRange(c, lo, vals)
+		f.level[0].SetRange(c, lo, vals)
 		f.owner.SetRange(c, lo, vals)
 		c.Done()
 	})
@@ -86,7 +153,7 @@ func newFrontier(rt *ppm.Runtime, name string, cs vcsr, g *Graph, rows int) *fro
 		ids := c.Scratch(c.NArgs())
 		for i := range ids {
 			ids[i] = c.Uint(i)
-			f.level.Set(c, int(ids[i]), 0)
+			f.level[0].Set(c, int(ids[i]), 0)
 			f.owner.Set(c, int(ids[i]), ids[i])
 		}
 		f.front[0].SetRange(c, 0, ids)
@@ -144,25 +211,91 @@ func newFrontier(rt *ppm.Runtime, name string, cs vcsr, g *Graph, rows int) *fro
 			down.Call(2*node+1, mid, hi, parity, d, t+lsum))
 	})
 
-	// round reads its frontier's size off sums[1], where the previous round
-	// (or seed) left it, and hands it on as an argument: args [d, parity,
-	// seen], seen the entries swept so far.
-	f.round = rt.Register(name+"/round", func(c ppm.Ctx) {
-		d, parity, seen := c.Uint(0), c.Int(1), c.Uint(2)
-		cnt := sums.Get(c, 1)
-		if cnt == 0 {
-			f.visited.Set(c, 0, seen)
+	// pull finds round d's ids among combined ids [lo, hi) by reading
+	// level[cur]: args [node, lo, hi, d, cur].
+	var pull ppm.FuncRef
+	pull = rt.Register(name+"/pull", func(c ppm.Ctx) {
+		node, lo, hi := c.Int(0), c.Int(1), c.Int(2)
+		d, cur := c.Uint(3), c.Int(4)
+		if hi-lo <= grain.scan {
+			sums.Set(c, node, f.pull(c, lo, hi, d, cur))
 			c.Done()
 			return
 		}
-		if cnt <= fuse {
-			c.Seq(step.Call(d, parity, cnt), f.round.Call(d+1, 1-parity, seen+cnt))
+		mid := (lo + hi) / 2
+		c.ForkThen(
+			pull.Call(2*node, lo, mid, d, cur),
+			pull.Call(2*node+1, mid, hi, d, cur),
+			upCmb.Call(node))
+	})
+	// compact lists the ids at level lvl among combined ids [lo, hi) in
+	// front[0] at offset t, down the tree of the pull before it: args [node,
+	// lo, hi, lvl, t, cur].
+	var compact ppm.FuncRef
+	compact = rt.Register(name+"/compact", func(c ppm.Ctx) {
+		node, lo, hi := c.Int(0), c.Int(1), c.Int(2)
+		lvl, t, cur := c.Uint(3), c.Int(4), c.Int(5)
+		if hi-lo <= grain.scan {
+			lv := f.level[cur].Slice(c, lo, hi)
+			if cur == 1 {
+				f.level[0].SetRange(c, lo, lv)
+			}
+			out := c.Scratch(hi - lo)[:0]
+			for i, l := range lv {
+				if l == lvl {
+					out = append(out, uint64(lo+i))
+				}
+			}
+			if len(out) > 0 {
+				f.front[0].SetRange(c, t, out)
+			}
+			c.Done()
 			return
 		}
-		c.Seq(
-			up.Call(1, 0, cnt, parity),
-			down.Call(1, 0, cnt, parity, d, 0),
-			f.round.Call(d+1, 1-parity, seen+cnt))
+		mid := (lo + hi) / 2
+		lsum := int(sums.Get(c, 2*node))
+		c.Fork(
+			compact.Call(2*node, lo, mid, lvl, t, cur),
+			compact.Call(2*node+1, mid, hi, lvl, t+lsum, cur))
+	})
+
+	// round reads its frontier's size off sums[1], where the previous round
+	// (or seed) left it, and hands it on as an argument: args [d, parity,
+	// seen, extent, cur, pulled], seen the entries swept so far, the levels
+	// in level[cur], and pulled 1 when the previous round pulled, whose
+	// frontier no buffer lists. The round records its kind in the round log.
+	f.round = rt.Register(name+"/round", func(c ppm.Ctx) {
+		d, parity, seen := c.Uint(0), c.Int(1), c.Uint(2)
+		extent, cur, pulled := c.Int(3), c.Int(4), c.Uint(5) == 1
+		cnt := sums.Get(c, 1)
+		kind := roundKind(cnt, seen, uint64(extent), fuse, pulled)
+		f.kinds.Set(c, int(d-1), kind)
+		if kind&roundCompact != 0 {
+			parity = 0 // compact lists the frontier in front[0]
+		}
+		next := f.round.Call(d+1, 1-parity, seen+cnt, extent, 0, 0)
+		switch kind {
+		case roundEnd:
+			f.done.Set(c, 0, seen)
+			f.done.Set(c, 1, uint64(cur))
+			c.Done()
+		case roundPull:
+			c.Seq(
+				pull.Call(1, 0, extent, d, cur),
+				f.round.Call(d+1, 0, seen+cnt, extent, 1-cur, 1))
+		case roundFused:
+			c.Seq(step.Call(d, parity, cnt), next)
+		case roundTree:
+			c.Seq(up.Call(1, 0, cnt, parity), down.Call(1, 0, cnt, parity, d, 0), next)
+		case roundCompact | roundFused:
+			c.Seq(compact.Call(1, 0, extent, d-1, 0, cur), step.Call(d, parity, cnt), next)
+		default: // roundCompact | roundTree
+			c.Seq(
+				compact.Call(1, 0, extent, d-1, 0, cur),
+				up.Call(1, 0, cnt, parity),
+				down.Call(1, 0, cnt, parity, d, 0),
+				next)
+		}
 	})
 	return f
 }
@@ -213,6 +346,64 @@ func (f *frontier) emit(c ppm.Ctx, parity, t int, d uint64, out []uint64) {
 	}
 	f.front[1-parity].SetRange(c, t, out)
 	for _, id := range out {
-		f.level.Set(c, int(id), d)
+		f.level[0].Set(c, int(id), d)
 	}
+}
+
+// pull finds the ids of combined ids [lo, hi) that round d reaches: those
+// level[cur] holds at INF with an arc to an id of their row at level d-1.
+// Each takes the first such target, in arc order, as its parent. It writes
+// the range's levels, d for every id found, to level[1-cur] and the parents
+// to owner, and returns how many it found.
+func (f *frontier) pull(c ppm.Ctx, lo, hi int, d uint64, cur int) uint64 {
+	lv := f.level[cur].Slice(c, lo, hi)
+	ids := c.Scratch(hi - lo)[:0]
+	for i, l := range lv {
+		if l == inf {
+			ids = append(ids, uint64(lo+i))
+		}
+	}
+	vs := c.Scratch(len(ids))
+	for i, id := range ids {
+		vs[i] = id % uint64(f.n)
+	}
+	spans, tgts := f.cs.gatherAdj(c, vs)
+	i := 0
+	for idx, id := range ids {
+		for end := i + spans[idx][1] - spans[idx][0]; i < end; i++ {
+			tgts[i] += id - vs[idx] // arc target → combined id in the row
+		}
+	}
+	tl := f.level[cur].GatherAt(c, tgts, nil)
+	found := uint64(0)
+	i = 0
+	for idx, id := range ids {
+		end := i + spans[idx][1] - spans[idx][0]
+		for ; i < end; i++ {
+			if tl[i] == d-1 {
+				lv[id-uint64(lo)] = d
+				f.owner.Set(c, int(id), tgts[i])
+				found++
+				break
+			}
+		}
+		i = end
+	}
+	f.level[1-cur].SetRange(c, lo, lv)
+	return found
+}
+
+// levels copies combined ids [lo, hi) of the last search's levels out of
+// the buffer its last round recorded.
+func (f *frontier) levels(lo, hi int) []uint64 {
+	return f.level[f.done.Snapshot()[1]].SnapshotRange(lo, hi)
+}
+
+// visited is the number of frontier entries the last search swept.
+func (f *frontier) visited() uint64 { return f.done.Snapshot()[0] }
+
+// roundKinds reads the round log of the last search, up to its end round.
+func (f *frontier) roundKinds() []uint64 {
+	log := f.kinds.Snapshot()
+	return log[:slices.Index(log, roundEnd)]
 }

@@ -1,6 +1,7 @@
 package graph_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -29,40 +30,47 @@ func bfsRounds(t *testing.T, g *graph.Graph, src int) int {
 }
 
 // TestBFSWorkIsFrontierSized pins the work of a search to its frontiers: a
-// round costs a constant plus what its frontier and that frontier's arcs
-// cost, so a whole search is O(n + arcs) words and O((n + arcs)/grain +
-// rounds) capsules however many rounds it takes. A round that walked n — a
-// dense flag, scan and scatter to compact its frontier — fails both bounds by
-// more than 10× on either input: the path has 4095 rounds of one vertex, the
-// mesh 255 of a hundred-odd. Native engine, one worker: the counts are exact.
+// pushing round costs a constant plus what its frontier and that frontier's
+// arcs cost, and a pulling round, which sweeps every id, runs only while the
+// frontier holds 1/24 of them, so a whole search is O(n + arcs) words and
+// O((n + arcs)/grain + rounds) capsules however many rounds it takes. A round
+// that walked n — a dense flag, scan and scatter to compact its frontier, or
+// a pull that never turned back — fails both bounds by more than 10×: the
+// path has 4095 rounds of one vertex and the mesh 255 of a hundred-odd, and
+// the lollipop, a random blob whose fat rounds pull, then pushes its 4000-
+// vertex tail one vertex a round, but only if it compacts back to pushing.
+// Native engine, one worker: the counts are exact.
 func TestBFSWorkIsFrontierSized(t *testing.T) {
 	path := [][2]int{}
 	for v := 0; v+1 < 4096; v++ {
 		path = append(path, [2]int{v, v + 1}, [2]int{v + 1, v})
 	}
 	for _, in := range []struct {
-		name string
-		g    *graph.Graph
+		name  string
+		g     *graph.Graph
+		pulls bool // the search has a pulling round
 	}{
-		{"path", graph.FromArcs(4096, path)},
-		{"mesh", graph.Grid(128, 128)},
+		{"path", graph.FromArcs(4096, path), false},
+		{"mesh", graph.Grid(128, 128), false},
+		{"lollipop", lollipop(4096, 4000), true},
 	} {
 		rounds := bfsRounds(t, in.g, 0)
 		for _, tc := range []struct {
 			name  string
 			width int
-			run   func(rt *ppm.Runtime) func()
+			run   func(rt *ppm.Runtime) func() []string // runs, verifies, returns the round kinds
 		}{
-			{"bfs", 1, func(rt *ppm.Runtime) func() {
+			{"bfs", 1, func(rt *ppm.Runtime) func() []string {
 				algo := graph.BFS("work", in.g, 0)
 				algo.Build(rt)
-				return func() {
+				return func() []string {
 					if !algo.Run() {
 						t.Fatal("did not complete")
 					}
 					if err := algo.Verify(); err != nil {
 						t.Fatal(err)
 					}
+					return graph.RoundKinds(algo)
 				}
 			}},
 			{"msbfs1", 1, msbfsWork(t, in.g, []int{0})},
@@ -74,8 +82,11 @@ func TestBFSWorkIsFrontierSized(t *testing.T) {
 				defer rt.Close()
 				run := tc.run(rt)
 				before := rt.Stats()
-				run()
+				kinds := run()
 				after := rt.Stats()
+				if pulls := slices.Contains(kinds, "pull"); pulls != in.pulls {
+					t.Fatalf("rounds %v: pulls = %v, want %v", kinds, pulls, in.pulls)
+				}
 				capsules, words := after.Capsules-before.Capsules, after.Work-before.Work
 				size := int64(tc.width * (in.g.N + in.g.Arcs()))
 				grain := int64(graph.FrontierGrain(rt))
@@ -94,19 +105,82 @@ func TestBFSWorkIsFrontierSized(t *testing.T) {
 }
 
 // msbfsWork builds a MultiBFS over g and returns the batch from sources as a
-// verified run.
-func msbfsWork(t *testing.T, g *graph.Graph, sources []int) func(rt *ppm.Runtime) func() {
-	return func(rt *ppm.Runtime) func() {
+// verified run that returns its round kinds.
+func msbfsWork(t *testing.T, g *graph.Graph, sources []int) func(rt *ppm.Runtime) func() []string {
+	return func(rt *ppm.Runtime) func() []string {
 		ms := graph.NewMultiBFS("work", g, len(sources))
 		ms.Build(rt)
-		return func() {
+		return func() []string {
 			if ok, err := ms.RunBatch(sources); err != nil || !ok {
 				t.Fatalf("RunBatch = (%v, %v)", ok, err)
 			}
 			if err := ms.Verify(); err != nil {
 				t.Fatal(err)
 			}
+			return graph.RoundKinds(ms)
 		}
+	}
+}
+
+// lollipop is a random blob of blob vertices, four edges per vertex, with a
+// path of tail vertices hanging off its last vertex. A search from vertex 0
+// pulls the blob's fat rounds and then walks the tail one vertex a round.
+func lollipop(blob, tail int) *graph.Graph {
+	g := graph.Rand(blob, 4*blob, 11)
+	arcs := [][2]int{}
+	for u := 0; u < blob; u++ {
+		for _, v := range g.Adj[g.Offs[u]:g.Offs[u+1]] {
+			arcs = append(arcs, [2]int{u, int(v)})
+		}
+	}
+	for v := blob - 1; v+1 < blob+tail; v++ {
+		arcs = append(arcs, [2]int{v, v + 1}, [2]int{v + 1, v})
+	}
+	return graph.FromArcs(blob+tail, arcs)
+}
+
+// TestRoundKinds pins the direction rule round by round on the native
+// engine (frontier sizes in the comments). A round pulls when its frontier
+// holds 1/24 of the ids and, coming from a push, 1/8 of the unvisited ones;
+// it keeps pulling while the first holds, and compacts back to pushing when
+// it does not. The mesh's widest frontier, 128 entries, is far under
+// 16384/24 = 683: it never pulls, and every round fits one step.
+func TestRoundKinds(t *testing.T) {
+	mesh := make([]string, 255)
+	for i := range mesh {
+		mesh[i] = "fused"
+	}
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		want []string
+	}{
+		// 1 9 81 616 4846 30371 58430 5588 20: 4 846 entries are over 1/24
+		// of the ids but under 1/8 of the 94 447 unvisited.
+		{"rand-100k", graph.Rand(100000, 400000, 7), []string{
+			"fused", "fused", "fused", "tree", "tree", "pull", "pull", "pull", "compact+fused"}},
+		// 1 3 19 66 289 1105 3856 10250 12318 3761 380 33 3 at degree 4, a
+		// fuse count of 256 entries.
+		{"rand-32k", graph.Rand(32768, 65536, 7), []string{
+			"fused", "fused", "fused", "fused", "tree", "tree", "pull", "pull", "pull", "pull",
+			"compact+tree", "fused", "fused"}},
+		{"mesh", graph.Grid(128, 128), mesh},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := newRT(ppm.EngineNative, 2)
+			defer rt.Close()
+			algo := graph.BFS("kinds", tc.g, 0)
+			algo.Build(rt)
+			if !algo.Run() {
+				t.Fatal("did not complete")
+			}
+			if err := algo.Verify(); err != nil {
+				t.Fatal(err)
+			}
+			if got := graph.RoundKinds(algo); !slices.Equal(got, tc.want) {
+				t.Errorf("rounds %v, want %v", got, tc.want)
+			}
+		})
 	}
 }
 
@@ -142,7 +216,9 @@ func hostileGraph() *graph.Graph {
 // levels and parents to the sequential reference and the sum of all frontier
 // sizes to the number of reached vertices: a vertex emitted twice, by a
 // doubled arc, a self-loop or a replayed leaf, keeps its level and fails
-// that count.
+// that count. The 150 spokes are most of the graph, so both searches pull
+// at least once: a pull leaf meets the doubled arcs and self-loops too, and
+// the push after it starts from a compacted frontier.
 func TestFrontierEmitsExactlyOnce(t *testing.T) {
 	g := hostileGraph()
 	for _, tc := range []struct {
@@ -161,8 +237,8 @@ func TestFrontierEmitsExactlyOnce(t *testing.T) {
 				ppm.WithEngine(tc.eng),
 				ppm.WithProcs(2),
 				ppm.WithSeed(29),
-				ppm.WithMemWords(1 << 24),
-				ppm.WithPoolWords(1 << 21),
+				ppm.WithMemWords(1 << 22),
+				ppm.WithPoolWords(1 << 19),
 			}, tc.opts...)...)
 			defer rt.Close()
 			bfs := graph.BFS("hostile", g, 0)
@@ -183,6 +259,12 @@ func TestFrontierEmitsExactlyOnce(t *testing.T) {
 				}
 				if err := ms.Verify(); err != nil {
 					t.Fatalf("run %d: %v", run, err)
+				}
+				// The spokes pull their parents off the hub and the ring.
+				for name, kinds := range map[string][]string{"bfs": graph.RoundKinds(bfs), "msbfs": graph.RoundKinds(ms)} {
+					if !slices.Contains(kinds, "pull") {
+						t.Fatalf("run %d: %s rounds %v: no pull", run, name, kinds)
+					}
 				}
 			}
 			if strings.HasSuffix(tc.name, "/soft") && rt.Stats().SoftFaults == 0 {

@@ -13,18 +13,24 @@
 // same program runs on the model engine (block-transfer cost accounting,
 // fault injection and replay) and on the native goroutine engine unchanged;
 // vertices discovered racily use CAM, the model's only safe read-modify-
-// write. A BFS round is sized by its frontier, never by n: one driver
-// (frontier.go) sweeps a small frontier in one capsule, one root-chain phase,
-// and a larger one in two, claiming and counting up a fork-join tree over
-// its slots and emitting down it, for BFS and MultiBFS alike. Capsule grains
-// come from a per-engine table (bfs.go). The bulk edge reads are batched: a
-// frontier leaf Gathers the adjacency lists of all its vertices in one
-// multi-range operation and reads its targets' claimant words back with one
-// GatherAt, and a scan leaf over a contiguous vertex range reads its arcs as
-// one Slice and the per-arc labels or contributions with one GatherAt. The
-// model charges each as a single round of block transfers; the native engine
-// runs each as one tight loop into the worker's ephemeral memory, so a leaf
-// allocates nothing on the Go heap.
+// write. One BFS round driver (frontier.go) serves BFS and MultiBFS alike and
+// picks each round's direction by a fixed rule on the frontier's size. A
+// small frontier is pushed, at a cost sized by the frontier, never by n: in
+// one capsule, one root-chain phase, or in two, claiming and counting up a
+// fork-join tree over its slots and emitting down it. A frontier holding a
+// large share of the ids is pulled: one phase sweeps the unvisited ids, each
+// adopting a neighbour of the frontier as its parent, with no CAM and no
+// second sweep, and a compaction lists the frontier again before the search
+// returns to pushing. Capsule grains come from a per-engine table, and the
+// direction thresholds are two constants beside it (bfs.go). The bulk edge
+// reads are batched: a frontier or pull leaf Gathers the adjacency lists of
+// all its vertices in one multi-range operation and reads its targets'
+// claimant words or levels back with one GatherAt, and a scan leaf over a
+// contiguous vertex range reads its arcs as one Slice and the per-arc labels
+// or contributions with one GatherAt. The model charges each as a single
+// round of block transfers; the native engine runs each as one tight loop
+// into the worker's ephemeral memory, so a leaf allocates nothing on the Go
+// heap.
 //
 // Importing this package (even blank) registers bfs, cc, and pagerank in
 // ppm.Catalog(), so catalog-driven benchmarks, fault sweeps, and tests pick
@@ -229,6 +235,8 @@ type Source interface {
 	epoch0() *Graph
 	// slot is the version slot of the last committed epoch.
 	slot() int
+	// numSlots is the number of version slots a run may read.
+	numSlots() int
 	// at is the graph a run at slot s read, for Verify.
 	at(s int) *Graph
 	// transpose is a source whose arc lists are this one's in-lists.
@@ -247,6 +255,7 @@ func (g *Graph) bind(rt *ppm.Runtime, slotW ppm.Array) vcsr {
 
 func (g *Graph) epoch0() *Graph    { return g }
 func (g *Graph) slot() int         { return 0 }
+func (g *Graph) numSlots() int     { return 1 }
 func (g *Graph) at(int) *Graph     { return g }
 func (g *Graph) transpose() Source { return g.Reverse() }
 
@@ -321,8 +330,13 @@ func (b *binding) bind(rt *ppm.Runtime) vcsr {
 }
 
 // runAt runs the root at slot, args following the slot, returning the
-// runtime's lifecycle errors; a run that was refused records no slot.
+// runtime's lifecycle errors. A slot the source does not have is refused
+// before the run, whose capsules would read past the CSR ring; a run that was
+// refused records no slot.
 func (b *binding) runAt(slot int, args ...any) (bool, error) {
+	if n := b.src.numSlots(); slot < 0 || slot >= n {
+		return false, fmt.Errorf("graph: version slot %d out of range for a source of %d slots", slot, n)
+	}
 	ok, err := b.rt.TryRun(b.root, append([]any{slot}, args...)...)
 	if err == nil {
 		b.slot = slot

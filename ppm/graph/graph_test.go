@@ -17,8 +17,8 @@ func newRT(eng ppm.Engine, p int) *ppm.Runtime {
 		ppm.WithEngine(eng),
 		ppm.WithProcs(p),
 		ppm.WithSeed(17),
-		ppm.WithMemWords(1<<24),
-		ppm.WithPoolWords(1<<21),
+		ppm.WithMemWords(1<<22),
+		ppm.WithPoolWords(1<<19),
 	)
 }
 
@@ -166,6 +166,64 @@ func TestGeneratedGraphsBothEngines(t *testing.T) {
 	}
 }
 
+// TestRunAtRefusesSlotsOutOfRange: a run's version slot rides its root's
+// arguments, and every leaf reads the CSR at that slot's bases, so a slot the
+// source does not have sent leaves past the ring and panicked a worker
+// goroutine, killing the process. CC.RunAt, PR.RunAt and MultiBFS.RunBatchAt
+// refuse it with an error before the run, over a *Graph (one slot) and a
+// Resident (its ring), on both engines, and the runtime runs on.
+func TestRunAtRefusesSlotsOutOfRange(t *testing.T) {
+	g := graph.Grid(8, 8)
+	for _, eng := range bothEngines {
+		for _, src := range []struct {
+			name  string
+			slots int
+			new   func(rt *ppm.Runtime) graph.Source
+		}{
+			{"graph", 1, func(*ppm.Runtime) graph.Source { return g }},
+			{"resident", 3, func(rt *ppm.Runtime) graph.Source {
+				res := graph.NewResident("slots", g, 3, 0, 4)
+				res.Build(rt)
+				return res
+			}},
+		} {
+			t.Run(string(eng)+"/"+src.name, func(t *testing.T) {
+				rt := newRT(eng, 2)
+				defer rt.Close()
+				s := src.new(rt)
+				cc := graph.Components("slots", s)
+				cc.Build(rt)
+				pr := graph.PageRank("slots", s, 4)
+				pr.Build(rt)
+				ms := graph.NewMultiBFS("slots", s, 2)
+				ms.Build(rt)
+				kernels := []struct {
+					name  string
+					run   func(slot int) (bool, error)
+					check func() error
+				}{
+					{"cc", cc.RunAt, cc.Verify},
+					{"pagerank", pr.RunAt, pr.Verify},
+					{"msbfs", func(slot int) (bool, error) { return ms.RunBatchAt([]int{0, 63}, slot) }, ms.Verify},
+				}
+				for _, k := range kernels {
+					for _, slot := range []int{-1, src.slots, src.slots + 2} {
+						if ok, err := k.run(slot); err == nil || ok {
+							t.Fatalf("%s at slot %d of %d = (%v, %v), want an error", k.name, slot, src.slots, ok, err)
+						}
+					}
+					if ok, err := k.run(0); err != nil || !ok {
+						t.Fatalf("%s at slot 0 after the refusals = (%v, %v)", k.name, ok, err)
+					}
+					if err := k.check(); err != nil {
+						t.Fatalf("%s: %v", k.name, err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestGenerators checks determinism and structural invariants.
 func TestGenerators(t *testing.T) {
 	a, b := graph.Rand(100, 300, 5), graph.Rand(100, 300, 5)
@@ -245,8 +303,8 @@ func TestGraphFaultTolerance(t *testing.T) {
 				opts := append([]ppm.Option{
 					ppm.WithProcs(2),
 					ppm.WithSeed(23),
-					ppm.WithMemWords(1 << 24),
-					ppm.WithPoolWords(1 << 21),
+					ppm.WithMemWords(1 << 22),
+					ppm.WithPoolWords(1 << 19),
 				}, sc.opts...)
 				rt := ppm.New(opts...)
 				algo := build()

@@ -10,12 +10,18 @@ import (
 // from up to KMax sources simultaneously, giving each source its own copy of
 // the vertex space. Source slot s owns the combined ids [s*n, (s+1)*n); a
 // frontier entry s*n+v means "vertex v, search s", and one round driver
-// (frontier.go) serves every width, its fuse count applying to the combined
-// frontier. The claimant word of an entry is its parent: racing claims and
-// fault replays are both resolved by the CAM owner[v]: NIL → u, and any
-// winner is a valid level-(d-1) neighbour. Depth is O(diameter) rounds and
-// work per round O(frontier + frontier arcs), so a search is O(n + arcs)
-// however many rounds it takes.
+// (frontier.go) serves every width, its fuse count and direction rule
+// applying to the combined frontier and the batch's rows·n ids. The claimant
+// word of an entry is its parent. A pushing round claims it, racing claims
+// and fault replays both resolved by the CAM owner[v]: NIL → u, any winner a
+// valid level-(d-1) neighbour. A pulling round stores it, the first
+// level-(d-1) neighbour in arc order. Depth is O(diameter) rounds. A pushing
+// round does O(frontier + frontier arcs) work. A pulling round does
+// O(rows·n + the unvisited ids' arcs), and runs only while the frontier, ids
+// no earlier round swept, holds at least 1/24 of the ids, so a search pulls
+// at most 24 times, and compacts, one more O(rows·n) sweep, at most once
+// after each pull. A search stays O(n + arcs) per row however many rounds it
+// takes.
 //
 // Batching is the serving layer's coalescing primitive: k concurrent BFS
 // queries against the same graph share the rounds, the trees and the capsules
@@ -73,7 +79,8 @@ func (a *MultiBFS) Build(rt *ppm.Runtime) {
 		for s := range ids {
 			ids[s] = uint64(s*n) + c.Uint(s+1)
 		}
-		c.Seq(a.fr.init.Call(len(ids)*n), a.fr.seed.Call(ids...), a.fr.round.Call(1, 0, 0))
+		extent := len(ids) * n
+		c.Seq(a.fr.init.Call(extent), a.fr.seed.Call(ids...), a.fr.round.Call(1, 0, 0, extent, 0, 0))
 	})
 }
 
@@ -119,7 +126,7 @@ func (a *MultiBFS) Levels(i int) []uint64 {
 		panic(fmt.Sprintf("graph: MultiBFS slot %d out of range for batch of %d", i, len(a.lastSrcs)))
 	}
 	n := a.fr.n
-	return a.fr.level.SnapshotRange(i*n, (i+1)*n)
+	return a.fr.levels(i*n, (i+1)*n)
 }
 
 // Verify checks every row of the last batch against a sequential BFS from
@@ -131,8 +138,8 @@ func (a *MultiBFS) Verify() error {
 	for _, src := range a.lastSrcs {
 		want = append(want, bfsReference(g, src)...)
 	}
-	got := a.fr.level.SnapshotRange(0, len(want))
-	if err := sameLevels(got, want, a.fr.visited.Snapshot()[0]); err != nil {
+	got := a.fr.levels(0, len(want))
+	if err := sameLevels(got, want, a.fr.visited()); err != nil {
 		return fmt.Errorf("%s: sources %v, rows of %d: %w", a.Name(), a.lastSrcs, g.N, err)
 	}
 	owner := a.fr.owner.SnapshotRange(0, len(want))

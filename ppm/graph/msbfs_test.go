@@ -101,7 +101,7 @@ func TestMultiBFSRefusedRunLeavesBatchAlone(t *testing.T) {
 	}
 	// Persistence points are the one counter the harness may read mid-run.
 	rt := ppm.New(ppm.WithEngine(ppm.EngineNative), ppm.WithProcs(2), ppm.WithSeed(17),
-		ppm.WithMemWords(1<<24), ppm.WithNativePersist())
+		ppm.WithMemWords(1<<22), ppm.WithNativePersist())
 	defer rt.Close()
 	res := graph.NewResident("busy", graph.FromArcs(n, arcs), 2, 0, 4)
 	res.Build(rt)

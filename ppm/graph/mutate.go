@@ -218,6 +218,7 @@ func (r *Resident) bind(_ *ppm.Runtime, slotW ppm.Array) vcsr {
 
 func (r *Resident) epoch0() *Graph    { return r.base }
 func (r *Resident) slot() int         { return int(r.Epoch() % uint64(r.slots)) }
+func (r *Resident) numSlots() int     { return r.slots }
 func (r *Resident) transpose() Source { return r }
 
 // at reads the graph of a version slot back out of persistent memory. A slot

@@ -390,8 +390,8 @@ func TestResidentFaultSweep(t *testing.T) {
 				ppm.WithEngine(eng),
 				ppm.WithProcs(2),
 				ppm.WithSeed(29),
-				ppm.WithMemWords(1<<24),
-				ppm.WithPoolWords(1<<21),
+				ppm.WithMemWords(1<<22),
+				ppm.WithPoolWords(1<<19),
 				ppm.WithFaultRate(0.001))
 			defer rt.Close()
 			res.Build(rt)
