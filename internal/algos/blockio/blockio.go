@@ -1,5 +1,5 @@
-// Package blockio provides block-granular range I/O helpers shared by the
-// Section 7 algorithm implementations.
+// Package blockio provides the block-granular range I/O behind the model
+// engine's Ctx range accessors (Slice, Gather, SetRange, Scatter).
 //
 // Algorithm leaves operate on arbitrary sub-ranges [lo, hi) of block-aligned
 // arrays. Reading is easy — whole-block reads are always safe. Writing must

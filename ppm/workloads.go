@@ -4,19 +4,16 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-
-	"repro/internal/algos/matmul"
-	"repro/internal/algos/merge"
-	"repro/internal/algos/prefixsum"
-	algosort "repro/internal/algos/sort"
 )
 
 // This file holds the Section 7 workloads written purely against Ctx and
-// Array — no simulated-machine closures, no internal/algos execution code —
-// which is what lets one implementation run unchanged on the model engine
-// (with block-transfer cost accounting and fault injection) and on the
-// native engine (real goroutines at hardware speed). Verification still
-// reuses the internal packages' sequential references.
+// Array — no simulated-machine closures — which is what lets one
+// implementation run unchanged on the model engine (with block-transfer
+// cost accounting and fault injection) and on the native engine (real
+// goroutines at hardware speed). Each Verify compares against a plain
+// sequential reference at the bottom of the file that shares no code with
+// the capsules it checks. section7_test.go checks Theorems 7.1–7.4 on these
+// implementations.
 //
 // Every capsule below is write-after-read conflict free: anything a capsule
 // writes lives in an array disjoint from everything it read, so replay
@@ -131,7 +128,7 @@ func (a *prefixSumAlgo) Build(rt *Runtime) {
 func (a *prefixSumAlgo) Run() bool        { return a.rt.Run(a.root) }
 func (a *prefixSumAlgo) Output() []uint64 { return a.out.Snapshot() }
 func (a *prefixSumAlgo) Verify() error {
-	return verifyWords(a.Name(), a.Output(), prefixsum.Sequential(a.in))
+	return verifyWords(a.Name(), a.Output(), prefixSumRef(a.in))
 }
 
 // ---- merge (Theorem 7.2) ----
@@ -226,7 +223,7 @@ func (m *mergeAlgo) Run() bool {
 }
 func (m *mergeAlgo) Output() []uint64 { return m.out.Snapshot() }
 func (m *mergeAlgo) Verify() error {
-	return verifyWords(m.Name(), m.Output(), merge.Sequential(m.a, m.b))
+	return verifyWords(m.Name(), m.Output(), mergeRef(m.a, m.b))
 }
 
 // ---- sorts (Theorem 7.3) ----
@@ -274,7 +271,7 @@ func (s *sortAlgo) Build(rt *Runtime) {
 func (s *sortAlgo) Run() bool        { return s.run() }
 func (s *sortAlgo) Output() []uint64 { return s.out.Snapshot() }
 func (s *sortAlgo) Verify() error {
-	return verifyWords(s.Name(), s.Output(), algosort.Sequential(s.in))
+	return verifyWords(s.Name(), s.Output(), sortRef(s.in))
 }
 
 // buildMerge: recursive merge sort over ping-pong buffers. Every level
@@ -343,7 +340,7 @@ func (s *sortAlgo) buildSample(rt *Runtime) {
 	parts := rt.NewArray(n) // sorted chunks
 	s.out = rt.NewArray(n)
 	samp := rt.NewArray(chunks * oversample)
-	splitters := rt.NewArray(maxInt(1, k-1))
+	splitters := rt.NewArray(max(1, k-1))
 	counts := rt.NewArray(chunks * k) // index b*chunks + ci
 	csum := rt.NewArray(chunks * k)
 
@@ -476,13 +473,6 @@ func (s *sortAlgo) buildSample(rt *Runtime) {
 	s.run = func() bool { return rt.Run(root) }
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // ---- matrix multiply (Theorem 7.4) ----
 
 type matMulAlgo struct {
@@ -535,7 +525,7 @@ func (m *matMulAlgo) Build(rt *Runtime) {
 	B := rt.NewArray(dim * dim)
 	B.Load(m.b)
 	m.outC = rt.NewArray(dim * dim)
-	S := rt.NewArray(maxInt(1, scratchNeed(dim, base)))
+	S := rt.NewArray(max(1, scratchNeed(dim, base)))
 	dsts := [2]Array{m.outC, S}
 
 	// addRow sums one row of two child-product tiles into the destination:
@@ -636,5 +626,37 @@ func (m *matMulAlgo) Run() bool {
 }
 func (m *matMulAlgo) Output() []uint64 { return m.outC.Snapshot() }
 func (m *matMulAlgo) Verify() error {
-	return verifyWords(m.Name(), m.Output(), matmul.Native(m.a, m.b, m.dim))
+	return verifyWords(m.Name(), m.Output(), matMulRef(m.a, m.b, m.dim))
+}
+
+// ---- sequential references ----
+
+func prefixSumRef(in []uint64) []uint64 {
+	out := make([]uint64, len(in))
+	var acc uint64
+	for i, v := range in {
+		acc += v
+		out[i] = acc
+	}
+	return out
+}
+
+func mergeRef(a, b []uint64) []uint64 { return sortRef(slices.Concat(a, b)) }
+
+func sortRef(in []uint64) []uint64 {
+	out := slices.Clone(in)
+	slices.Sort(out)
+	return out
+}
+
+func matMulRef(a, b []uint64, n int) []uint64 {
+	c := make([]uint64, n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			for k := 0; k < n; k++ {
+				c[i*n+j] += a[i*n+k] * b[k*n+j]
+			}
+		}
+	}
+	return c
 }
