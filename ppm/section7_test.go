@@ -21,11 +21,14 @@ func keys(n int, seed, mod uint64) []uint64 {
 // section7Row is one row of TestSection7. Every run builds on a fresh model
 // runtime with the WAR checker on, and must verify with no violation. A
 // bound row also reduces each run to stat and requires holds of the values,
-// in run order.
+// in run order. A native row runs again on the native engine, with its WAR
+// tracker on.
 type section7Row struct {
-	name string
-	opts []ppm.Option
-	runs []ppm.Algorithm
+	name   string
+	opts   []ppm.Option
+	runs   []ppm.Algorithm
+	native bool
+	faults bool // the run must see at least one soft fault
 	// stat receives the run's stats and its output length in blocks.
 	stat  func(s ppm.Stats, outBlocks float64) float64
 	holds func(v []float64) bool
@@ -83,49 +86,82 @@ func section7Rows() []section7Row {
 			holds: func(v []float64) bool { return v[1] < v[0] }},
 	}
 
-	// Inputs the catalog sweep never reaches: degenerate and lopsided merges,
-	// duplicate keys, odd prefix-sum leaves, n = 1, and a one-capsule matmul.
+	// Inputs the catalog sweep never reaches, on both engines: sizes from
+	// n = 1 up, degenerate and lopsided merges, duplicate keys, odd
+	// prefix-sum leaves, and a one-capsule matmul.
 	p2 := []ppm.Option{ppm.WithProcs(2)}
-	for _, s := range [][2]int{{1, 1}, {10, 1}, {1, 10}, {513, 511}} {
-		rows = append(rows, section7Row{name: fmt.Sprintf("merge/%dx%d", s[0], s[1]),
-			opts: p2, runs: []ppm.Algorithm{merge(s[0], s[1])}})
+	input := func(name string, algo ppm.Algorithm) {
+		rows = append(rows, section7Row{name: name, opts: p2, runs: []ppm.Algorithm{algo}, native: true})
+	}
+	for _, n := range []int{1, 7, 64, 100, 257, 1024} {
+		input(fmt.Sprintf("prefixsum/n=%d", n), prefix(n, 0))
+	}
+	for _, leaf := range []int{1, 3, 5, 13} {
+		input(fmt.Sprintf("prefixsum/leaf%d", leaf), prefix(97, leaf))
+	}
+	for _, s := range [][2]int{{1, 1}, {10, 1}, {1, 10}, {64, 64}, {100, 37}, {513, 511}} {
+		input(fmt.Sprintf("merge/%dx%d", s[0], s[1]), merge(s[0], s[1]))
 	}
 	a, b := make([]uint64, 40), make([]uint64, 40)
 	for i := range a {
 		a[i], b[i] = uint64(i/4), uint64(i/3)
 	}
-	rows = append(rows, section7Row{name: "merge/duplicates", opts: p2,
-		runs: []ppm.Algorithm{ppm.Merge("s7", a, b)}})
-	for _, leaf := range []int{1, 3, 5, 13} {
-		rows = append(rows, section7Row{name: fmt.Sprintf("prefixsum/leaf%d", leaf),
-			opts: p2, runs: []ppm.Algorithm{prefix(97, leaf)}})
+	input("merge/duplicates", ppm.Merge("s7", a, b))
+	for _, n := range []int{1, 16, 100, 500, 1024} {
+		input(fmt.Sprintf("mergesort/n=%d", n), ppm.MergeSort("s7", keys(n, uint64(n), 1_000_000), 64))
+	}
+	for _, n := range []int{1, 10, 64, 250, 1000, 4096} {
+		input(fmt.Sprintf("samplesort/n=%d", n), ppm.SampleSort("s7", keys(n, uint64(n)+1, 1_000_000), 128))
 	}
 	sevens := make([]uint64, 600)
 	for i := range sevens {
 		sevens[i] = uint64(i % 7)
 	}
-	one := []uint64{42}
-	rows = append(rows,
-		section7Row{name: "samplesort/7values", opts: p2,
-			runs: []ppm.Algorithm{ppm.SampleSort("s7", sevens, 128)}},
-		section7Row{name: "n=1", opts: p2, runs: []ppm.Algorithm{
-			prefix(1, 0), ppm.MergeSort("s7", one, 1024), ppm.SampleSort("s7", one, 1024)}},
-		section7Row{name: "matmul/base=dim", runs: []ppm.Algorithm{matMul(8, 8, 3)}},
-	)
+	input("samplesort/7values", ppm.SampleSort("s7", sevens, 128))
+	for _, dim := range []int{2, 4, 8, 16, 32} {
+		input(fmt.Sprintf("matmul/n=%d", dim), matMul(dim, 4, 1))
+	}
+	input("matmul/base=dim", matMul(8, 8, 3))
 
-	// Every workload under independent random soft faults plus two hard
-	// faults on P = 4.
-	faults := []ppm.Option{ppm.WithProcs(4), ppm.WithFaultRate(0.003),
-		ppm.WithHardFault(1, 80), ppm.WithHardFault(2, 200)}
-	for _, algo := range []ppm.Algorithm{
-		prefix(400, 0),
-		merge(256, 256),
-		ppm.MergeSort("s7", keys(400, 7, 1_000_000), 64),
-		ppm.SampleSort("s7", keys(800, 99, 1_000_000), 128),
-		matMul(16, 4, 5),
+	// Every workload on P = 4, under three seeds of independent random soft
+	// faults, and under soft faults plus one or two hard faults.
+	soft := func(rate float64, seed uint64) []ppm.Option {
+		return []ppm.Option{ppm.WithProcs(4), ppm.WithFaultRate(rate), ppm.WithSeed(seed)}
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		for _, r := range []struct {
+			rate float64
+			algo ppm.Algorithm
+		}{
+			{0.01, ppm.PrefixSum("soft", keys(300, seed, 1000), 0)},
+			{0.01, ppm.Merge("soft", ppm.SortedInput(200, seed), ppm.SortedInput(150, seed+7))},
+			{0.005, ppm.MergeSort("soft", keys(300, seed, 1_000_000), 64)},
+			{0.005, ppm.SampleSort("soft", keys(500, seed+50, 1_000_000), 128)},
+			{0.005, ppm.MatMul("soft", 16, 4, keys(256, seed, 100), keys(256, seed+9, 100))},
+		} {
+			rows = append(rows, section7Row{name: fmt.Sprintf("%s/seed=%d", r.algo.Name(), seed),
+				opts: soft(r.rate, seed), runs: []ppm.Algorithm{r.algo}, faults: true})
+		}
+	}
+	hard := func(rate float64, seed uint64, deaths ...[2]int) []ppm.Option {
+		opts := soft(rate, seed)
+		for _, d := range deaths {
+			opts = append(opts, ppm.WithHardFault(d[0], int64(d[1])))
+		}
+		return opts
+	}
+	for _, r := range []struct {
+		opts []ppm.Option
+		algo ppm.Algorithm
+	}{
+		{hard(0.005, 5, [2]int{1, 60}, [2]int{3, 120}), ppm.PrefixSum("hard", keys(400, 5, 1000), 0)},
+		{hard(0.005, 3, [2]int{2, 70}), ppm.Merge("hard", ppm.SortedInput(256, 31), ppm.SortedInput(256, 41))},
+		{hard(0.003, 7, [2]int{1, 80}, [2]int{2, 200}), ppm.MergeSort("hard", keys(400, 7, 1_000_000), 64)},
+		{hard(0.002, 11, [2]int{3, 100}), ppm.SampleSort("hard", keys(800, 99, 1_000_000), 128)},
+		{hard(0.002, 5, [2]int{1, 90}, [2]int{2, 150}), ppm.MatMul("hard", 16, 4, keys(256, 7, 100), keys(256, 8, 100))},
 	} {
-		rows = append(rows, section7Row{name: "faults/" + algo.Name(), opts: faults,
-			runs: []ppm.Algorithm{algo}})
+		rows = append(rows, section7Row{name: r.algo.Name(), opts: r.opts,
+			runs: []ppm.Algorithm{r.algo}, faults: true})
 	}
 	return rows
 }
@@ -133,34 +169,51 @@ func section7Rows() []section7Row {
 // TestSection7 checks Theorems 7.1–7.4 on the ppm workloads, with the
 // statistic, sizes and thresholds of each bound, on the model engine, where
 // work is counted in block transfers. Its remaining rows run inputs and
-// fault schedules the catalog sweep does not.
+// fault schedules the catalog sweep does not; the fault-free inputs run on
+// both engines, named model/... and native/....
 func TestSection7(t *testing.T) {
 	for _, row := range section7Rows() {
-		t.Run(row.name, func(t *testing.T) {
-			v := make([]float64, len(row.runs))
-			for i, algo := range row.runs {
-				rt := ppm.New(append([]ppm.Option{ppm.WithWARCheck(), ppm.WithSeed(7)}, row.opts...)...)
-				algo.Build(rt)
-				if !algo.Run() {
-					t.Fatalf("%s did not complete", algo.Name())
-				}
-				if err := algo.Verify(); err != nil {
-					t.Fatal(err)
-				}
-				if w := rt.WARViolations(); len(w) != 0 {
-					t.Fatalf("%s: WAR violations: %v", algo.Name(), w)
-				}
-				if row.stat != nil {
-					v[i] = row.stat(rt.Stats(), float64(len(algo.Output()))/float64(rt.BlockWords()))
-				}
-			}
-			if row.stat == nil {
-				return
-			}
-			t.Logf("%.1f", v)
-			if !row.holds(v) {
-				t.Errorf("%.1f breaks %s", v, row.bound)
-			}
-		})
+		if !row.native {
+			section7Run(t, row.name, row, ppm.WithWARCheck())
+			continue
+		}
+		section7Run(t, "model/"+row.name, row, ppm.WithWARCheck())
+		section7Run(t, "native/"+row.name, row, ppm.WithEngine(ppm.EngineNative), ppm.WithNativeWARCheck())
 	}
+}
+
+// section7Run runs row as the subtest name on the runtime that engine
+// selects.
+func section7Run(t *testing.T, name string, row section7Row, engine ...ppm.Option) {
+	t.Helper()
+	t.Run(name, func(t *testing.T) {
+		v := make([]float64, len(row.runs))
+		for i, algo := range row.runs {
+			rt := ppm.New(append(append([]ppm.Option{ppm.WithSeed(7)}, engine...), row.opts...)...)
+			defer rt.Close()
+			algo.Build(rt)
+			if !algo.Run() {
+				t.Fatalf("%s did not complete", algo.Name())
+			}
+			if err := algo.Verify(); err != nil {
+				t.Fatal(err)
+			}
+			if w := rt.WARViolations(); len(w) != 0 {
+				t.Fatalf("%s: WAR violations: %v", algo.Name(), w)
+			}
+			if st := rt.Stats(); row.faults && st.SoftFaults == 0 {
+				t.Fatalf("%s saw no soft fault", algo.Name())
+			}
+			if row.stat != nil {
+				v[i] = row.stat(rt.Stats(), float64(len(algo.Output()))/float64(rt.BlockWords()))
+			}
+		}
+		if row.stat == nil {
+			return
+		}
+		t.Logf("%.1f", v)
+		if !row.holds(v) {
+			t.Errorf("%.1f breaks %s", v, row.bound)
+		}
+	})
 }
