@@ -1,8 +1,9 @@
-// ppmbench regenerates every experiment in EXPERIMENTS.md: the simulation
-// theorems (3.2–3.4), the scheduler bound (6.2), the algorithm bounds
-// (7.1–7.4), the design ablations, and the cross-engine catalog benchmark.
-// Each experiment prints a small table; `ppmbench -exp all` reproduces the
-// whole document.
+// ppmbench regenerates the paper's experiments as model counts: the
+// simulation theorems (3.2–3.4), the scheduler bound (6.2), the algorithm
+// bounds (7.1–7.4), the exactly-once properties of Figures 2–4 and the
+// design ablations. Each experiment prints a small table and the invariant
+// its rows must satisfy; `ppmbench -exp all` runs them all. Wall-clock
+// speed is measured by the benchmark of record (benchmark/), not here.
 //
 // Experiments that drive the public ppm API honor -engine and run on the
 // simulated model machine, the native goroutine backend, or both; the
@@ -10,12 +11,11 @@
 // the model by their subject matter and are skipped under -engine=native.
 //
 //	go run ./cmd/ppmbench -exp e5
-//	go run ./cmd/ppmbench -exp cat -engine both -json BENCH.json
+//	go run ./cmd/ppmbench -exp e7 -engine both
 //	go run ./cmd/ppmbench -exp all
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -45,128 +45,11 @@ var experiments = []struct {
 	{"a1", "Ablation: CAS- vs CAM-based steal under faults", false, runA1},
 	{"a2", "Ablation: capsule granularity vs total work under faults", false, runA2},
 	{"a3", "Extension: asymmetric read/write costs (paper footnote 2)", false, runA3},
-	{"cat", "Engine split: full catalog on model vs native, wall time", true, runCat},
-	{"fault", "Native soft-fault emulation: replay overhead vs rate f (f < 1/(2C))", true, runFault},
-	{"bfs", "Graph: frontier BFS over CSR (levels + parent tree)", true, runBFS},
-	{"cc", "Graph: label-propagation connected components", true, runCC},
-	{"pagerank", "Graph: pull-style PageRank, bit-exact across engines", true, runPageRank},
-	{"graph", "Graph suite: bfs/cc/pagerank cross-engine sweep", true, runGraphSweep},
-}
-
-// benchRecord is one machine-readable result row (-json output), the format
-// bench trajectories are tracked in across PRs (BENCH_*.json).
-type benchRecord struct {
-	Exp      string  `json:"exp"`
-	Workload string  `json:"workload"`
-	Engine   string  `json:"engine"`
-	N        int     `json:"n"`
-	P        int     `json:"p"`
-	WallMS   float64 `json:"wall_ms"`
-	Work     int64   `json:"work"`      // total accesses (blocks on model, words on native)
-	UserWork int64   `json:"user_work"` // algorithm-attributed accesses
-	TimeT    int64   `json:"time_t"`    // max per-processor work (the model's T/Tf)
-	Capsules int64   `json:"capsules"`
-	Steals   int64   `json:"steals"`
-	Restarts int64   `json:"restarts"`
-	Verified bool    `json:"verified"`
-	// Native-engine allocator stats (zero on model rows): how the sharded
-	// pmem behaved — shard count, segment refills from the global region,
-	// and allocations spilled straight to it.
-	Shards       int   `json:"shards"`
-	AllocRefills int64 `json:"alloc_refills"`
-	AllocSpills  int64 `json:"alloc_spills"`
-	// Native-engine scheduler stats (zero on model rows): how the
-	// locality-first stealing behaved — configured batch ceiling, steal
-	// probes vs successes, tasks moved per grab, and whether victims came
-	// from the thief's shard-affine group.
-	StealBatch  int   `json:"steal_batch"`
-	StealTries  int64 `json:"steal_tries"`
-	BatchTasks  int64 `json:"batch_tasks"`
-	LocalHits   int64 `json:"local_hits"`
-	RemoteFalls int64 `json:"remote_falls"`
-	Parks       int64 `json:"parks"`
-	// Fault-sweep columns (the fault experiment only; zero elsewhere and
-	// omitted from the JSON so older artifacts stay byte-stable): the
-	// injected rate, the faults drawn and capsule replays they caused, the
-	// largest capsule work C that the f < 1/(2C) precondition is checked
-	// against, and wall time relative to the same workload's f = 0 row.
-	FaultRate      float64 `json:"fault_rate,omitempty"`
-	SoftFaults     int64   `json:"soft_faults,omitempty"`
-	MaxCapsWork    int64   `json:"max_caps_work,omitempty"`
-	ReplayOverhead float64 `json:"replay_overhead,omitempty"`
-}
-
-// allocFields copies the native allocator counters into a record (model
-// rows keep zeroes: the model's single heap is part of its cost semantics).
-func (r *benchRecord) allocFields(rt *ppm.Runtime) {
-	as := rt.AllocStats()
-	r.Shards = as.Shards
-	r.AllocRefills = as.Refills
-	r.AllocSpills = as.Spills
-}
-
-// schedFields copies the native scheduler counters into a record (model
-// rows keep zeroes: the model machine's steal protocol is measured by its
-// own Steals/Restarts columns).
-func (r *benchRecord) schedFields(rt *ppm.Runtime) {
-	ss := rt.SchedStats()
-	r.StealBatch = ss.StealBatch
-	r.StealTries = ss.StealTries
-	r.BatchTasks = ss.BatchTasks
-	r.LocalHits = ss.LocalHits
-	r.RemoteFalls = ss.RemoteFalls
-	r.Parks = ss.Parks
-}
-
-// records is initialized non-nil so -json always emits a JSON array, even
-// when the selected experiments record no rows.
-var records = []benchRecord{}
-
-func record(r benchRecord) { records = append(records, r) }
-
-// benchN / benchP are the -n / -procs overrides shared by the portable
-// experiments (0 = per-experiment defaults).
-var (
-	benchN int
-	benchP int
-	// benchStealBatch overrides the native scheduler's steal-batch ceiling
-	// (0 = engine default) — the knob behind -steal-batch, for A/B-ing
-	// batched against single-task stealing on the same binary.
-	benchStealBatch int
-	// benchReps repeats each catalog measurement on the SAME runtime and
-	// records the fastest repetition. Both engines support serialized
-	// re-runs (the native workers park between runs; the model machine
-	// resets its closure pools), so repetitions measure the warmed,
-	// resident-runtime cost — the cost the serving layer pays per query —
-	// rather than paying construction and first-touch every rep.
-	benchReps int
-)
-
-// nativeRTOpts are the engine options shared by every native benchmark
-// runtime: the fixed seed plus any -steal-batch override.
-func nativeRTOpts(p int) []ppm.Option {
-	opts := []ppm.Option{
-		ppm.WithEngine(ppm.EngineNative),
-		ppm.WithProcs(p),
-		ppm.WithSeed(42),
-	}
-	if benchStealBatch > 0 {
-		opts = append(opts, ppm.WithNativeStealBatch(benchStealBatch))
-	}
-	return opts
 }
 
 func main() {
-	exp := flag.String("exp", "", "experiment id (e1..e12, a1..a3, cat) or 'all'")
+	exp := flag.String("exp", "", "experiment id (e1..e12, a1..a3) or 'all'")
 	engineFlag := flag.String("engine", "model", "execution backend: model, native, or both")
-	jsonPath := flag.String("json", "", "write machine-readable results to this file")
-	flag.IntVar(&benchN, "n", 0, "problem-size override for catalog experiments (0 = defaults)")
-	flag.IntVar(&benchP, "procs", 4, "processor count for the cat and graph experiments")
-	flag.IntVar(&benchStealBatch, "steal-batch", 0, "native steal-batch ceiling for cat/graph experiments (0 = engine default; 1 = single-task stealing)")
-	flag.IntVar(&benchReps, "reps", 1, "repetitions per catalog row on one reused runtime; the fastest rep is recorded")
-	flag.StringVar(&graphKind, "graph", "rand", "graph generator for bfs/cc/pagerank/graph: rand, grid, or rmat")
-	flag.IntVar(&graphVerts, "vertices", 0, "vertex count for graph experiments (0 = default 8192)")
-	flag.IntVar(&graphEdges, "edges", 0, "undirected edge count for rand/rmat graphs (0 = 4x vertices)")
 	flag.Parse()
 
 	engines, err := parseEngines(*engineFlag)
@@ -174,13 +57,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	if err := validateGraphFlags(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 
 	if *exp == "" {
-		fmt.Println("usage: ppmbench -exp <id|all> [-engine model|native|both] [-json out.json]")
+		fmt.Println("usage: ppmbench -exp <id|all> [-engine model|native|both]")
 		listExperiments(os.Stdout)
 		os.Exit(2)
 	}
@@ -208,19 +87,6 @@ func main() {
 			fmt.Printf("\n=== %s [%s]: %s ===\n", strings.ToUpper(e.id), eng, e.desc)
 			e.run(eng)
 		}
-	}
-
-	if *jsonPath != "" {
-		out, err := json.MarshalIndent(records, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ppmbench: encoding results:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*jsonPath, append(out, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "ppmbench: writing results:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nwrote %d result rows to %s\n", len(records), *jsonPath)
 	}
 }
 

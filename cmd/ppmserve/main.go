@@ -19,8 +19,10 @@
 // queued, graph evicted, snapshot aged out, shutting down). With -durable-dir
 // set, startup recovers any surviving region files before readiness flips,
 // and SIGTERM/SIGINT drains: admission stops, in-flight queries and any open
-// mutation batch finish, and every region is synced before exit. Drive it
-// with cmd/ppmload.
+// mutation batch finish, and every region is synced before exit. The
+// benchmark of record (benchmark/, workloads serve-hot and serve-rw) drives
+// the same serve.Handler under closed-loop load; CI's serve-smoke job starts
+// this binary and checks its drain and restart recovery.
 package main
 
 import (

@@ -11,20 +11,18 @@ import (
 // TestJoinFaultOrdinalSweep injects one soft fault at every access ordinal
 // of each processor in turn, across a fork-join computation with real joins;
 // the CAM-based last-arriver protocol must produce the exact sum each time.
+// The window of ordinals is fixed rather than probed from one run: how many
+// accesses each processor makes depends on the steal schedule, so a probed
+// bound would change the set of cases from run to run. An ordinal past a
+// processor's last access in some schedule leaves that run fault-free, and
+// it must still produce the exact sum.
 func TestJoinFaultOrdinalSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep test")
 	}
-	// Probe the access counts per processor.
-	probe := newTreeSum(machine.Config{P: 2, Seed: 21}, 64, 8)
-	probe.run(t)
+	const window = 250
 	for proc := 0; proc < 2; proc++ {
-		maxAcc := probe.m.Stats.Procs[proc].ExtReads.Load() +
-			probe.m.Stats.Procs[proc].ExtWrites.Load()
-		if maxAcc > 250 {
-			maxAcc = 250
-		}
-		for k := int64(0); k < maxAcc; k += 2 {
+		for k := int64(0); k < window; k += 2 {
 			proc, k := proc, k
 			t.Run(fmt.Sprintf("p%d@%d", proc, k), func(t *testing.T) {
 				inj := fault.NewScript().Add(proc, k, fault.Soft)

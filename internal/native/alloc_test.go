@@ -181,3 +181,25 @@ func TestRunOnAllShardAlloc(t *testing.T) {
 		t.Errorf("Shards = %d, want 2", as.Shards)
 	}
 }
+
+// TestShardCountSweep runs an allocation-heavy tree sum on four workers
+// under explicit shard counts — one shard (a single global arm), one per
+// worker, and more shards than workers — and checks the exact answer and
+// that the allocator reports the configured count.
+func TestShardCountSweep(t *testing.T) {
+	for _, shards := range []int{1, 4, 16} {
+		shards := shards
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			rt := New(Config{P: 4, MemWords: 1 << 20, Seed: 9, Shards: shards})
+			defer rt.Close()
+			treeSum(t, rt, 1<<12, 64)
+			as := rt.AllocStats()
+			if as.Shards != shards {
+				t.Errorf("AllocStats.Shards = %d, want %d", as.Shards, shards)
+			}
+			if as.HeapWords == 0 {
+				t.Error("expected a non-zero heap high-water mark")
+			}
+		})
+	}
+}

@@ -49,13 +49,9 @@ func verifyWords(name string, got, want []uint64) error {
 // ---- catalog ----
 
 // Spec is a catalog entry: a named factory producing a self-contained
-// instance (pseudo-random input of the requested size) plus the default
-// size the root benchmarks use.
+// instance over a pseudo-random input of the requested size.
 type Spec struct {
 	Name string
-	// BenchN is the default problem size (elements, or matrix dimension
-	// for matmul).
-	BenchN int
 	// New builds an instance over a seeded pseudo-random input of size n.
 	New func(tag string, n int, seed uint64) Algorithm
 }
@@ -87,19 +83,19 @@ func RegisterSpec(s Spec) {
 // by hand; every entry builds, runs, and verifies on both engines.
 func Catalog() []Spec {
 	base := []Spec{
-		{Name: "prefixsum", BenchN: 1 << 13, New: func(tag string, n int, seed uint64) Algorithm {
+		{Name: "prefixsum", New: func(tag string, n int, seed uint64) Algorithm {
 			return PrefixSum(tag, randWords(n, seed, 1000), 0)
 		}},
-		{Name: "merge", BenchN: 1 << 13, New: func(tag string, n int, seed uint64) Algorithm {
+		{Name: "merge", New: func(tag string, n int, seed uint64) Algorithm {
 			return Merge(tag, SortedInput(n/2, seed), SortedInput(n-n/2, seed+1))
 		}},
-		{Name: "mergesort", BenchN: 1 << 13, New: func(tag string, n int, seed uint64) Algorithm {
+		{Name: "mergesort", New: func(tag string, n int, seed uint64) Algorithm {
 			return MergeSort(tag, randWords(n, seed, 1_000_000), 1024)
 		}},
-		{Name: "samplesort", BenchN: 1 << 13, New: func(tag string, n int, seed uint64) Algorithm {
+		{Name: "samplesort", New: func(tag string, n int, seed uint64) Algorithm {
 			return SampleSort(tag, randWords(n, seed, 1_000_000), 1024)
 		}},
-		{Name: "matmul", BenchN: 32, New: func(tag string, n int, seed uint64) Algorithm {
+		{Name: "matmul", New: func(tag string, n int, seed uint64) Algorithm {
 			base := 8
 			if base > n {
 				base = n

@@ -122,55 +122,6 @@ func TestScatterModelCost(t *testing.T) {
 	}
 }
 
-// TestNativeShardsOption runs an allocation-heavy tree program under
-// explicit shard counts on the native engine — 1 shard (the old global
-// behavior) through more shards than workers — and checks identical results
-// plus sane allocator stats.
-func TestNativeShardsOption(t *testing.T) {
-	const n = 1 << 12
-	vals := make([]uint64, n)
-	var want uint64
-	for i := range vals {
-		vals[i] = uint64(i%97 + 1)
-		want += vals[i]
-	}
-	for _, shards := range []int{1, 4, 16} {
-		rt := ppm.New(ppm.WithEngine(ppm.EngineNative), ppm.WithProcs(4),
-			ppm.WithNativeShards(shards), ppm.WithSeed(9))
-		in := rt.NewArray(n)
-		in.Load(vals)
-		out := rt.NewArray(1)
-		cmb := rt.Register("cmb", func(c ppm.Ctx) {
-			c.Write(c.Addr(2), c.Read(c.Addr(0))+c.Read(c.Addr(1)))
-			c.Done()
-		})
-		var sum ppm.FuncRef
-		sum = rt.Register("sum", func(c ppm.Ctx) {
-			lo, hi, dst := c.Int(0), c.Int(1), c.Addr(2)
-			if hi-lo <= 64 {
-				var acc uint64
-				in.Range(c, lo, hi, func(_ int, v uint64) { acc += v })
-				c.Write(dst, acc)
-				c.Done()
-				return
-			}
-			mid := (lo + hi) / 2
-			s := c.Alloc(2)
-			c.ForkThen(sum.Call(lo, mid, s.At(0)), sum.Call(mid, hi, s.At(1)),
-				cmb.Call(s.At(0), s.At(1), dst))
-		})
-		if !rt.Run(sum, 0, n, out.At(0)) {
-			t.Fatalf("shards=%d: did not complete", shards)
-		}
-		if got := out.Snapshot()[0]; got != want {
-			t.Fatalf("shards=%d: sum = %d, want %d", shards, got, want)
-		}
-		if as := rt.AllocStats(); as.Shards != shards {
-			t.Errorf("shards=%d: AllocStats.Shards = %d", shards, as.Shards)
-		}
-	}
-}
-
 // TestGatherModelCost checks the model-engine cost contract: a batched
 // Gather of k spans charges exactly the block transfers of k individual
 // Ranges — batching buys one logical round, not a different bill.

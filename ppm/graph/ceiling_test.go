@@ -16,10 +16,10 @@ import (
 // engine at f = 1e-4, block transfers on the model at the graph tests' f =
 // 0.002 — so the grain table (coarse native grains, a small frontier in one
 // capsule) is checked where it is chosen. The native inputs include the
-// catalog's bfs input at the fault sweep's n = 16384 (ppmbench -exp fault
-// builds it with seed 2024): a flat fuse count of 256 entries swept its
-// 186-entry third frontier in one capsule of 8 440 words. One worker, a fresh
-// runtime per kernel: each maximum is exact and the kernel's own.
+// catalog's bfs input at n = 16384 and seed 2024: a flat fuse count of 256
+// entries swept its 186-entry third frontier in one capsule of 8 440 words.
+// One worker, a fresh runtime per kernel: each maximum is exact and the
+// kernel's own.
 func TestCapsuleWorkUnderFaultCeiling(t *testing.T) {
 	for _, tc := range []struct {
 		eng    ppm.Engine

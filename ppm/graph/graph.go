@@ -33,8 +33,8 @@
 // heap.
 //
 // Importing this package (even blank) registers bfs, cc, and pagerank in
-// ppm.Catalog(), so catalog-driven benchmarks, fault sweeps, and tests pick
-// the graph workloads up automatically.
+// ppm.Catalog(), so catalog-driven experiments and tests pick the graph
+// workloads up automatically.
 package graph
 
 import (
@@ -201,8 +201,8 @@ func RMAT(n, m int, seed uint64) *Graph {
 }
 
 // Generate builds a graph by kind name ("rand", "grid", "rmat") over n
-// vertices and about m undirected edges — the ppmbench flag surface. For
-// "grid", the mesh is the most-square factoring of n and m is ignored.
+// vertices and about m undirected edges — the kinds a serve query names.
+// For "grid", the mesh is the most-square factoring of n and m is ignored.
 func Generate(kind string, n, m int, seed uint64) (*Graph, error) {
 	switch kind {
 	case "rand":

@@ -1,8 +1,8 @@
 package graph
 
 // Catalog registration: importing this package adds the graph workloads to
-// ppm.Catalog(), so every catalog-driven driver — the cross-engine cat
-// benchmark, the fault sweep, the asymmetric-cost ablation — picks them up
+// ppm.Catalog(), so every catalog-driven driver — the cross-engine tests, the
+// catalog fault-ceiling test, the asymmetric-cost ablation — picks them up
 // with no per-workload wiring. The catalog's n is the vertex count; the
 // instances run over deterministic symmetric random graphs sized so the work
 // is edge-dominated (the regime the paper's irregular workloads target).
@@ -14,17 +14,17 @@ import "repro/ppm"
 const DefaultIters = 10
 
 func init() {
-	ppm.RegisterSpec(ppm.Spec{Name: "bfs", BenchN: 1 << 12,
+	ppm.RegisterSpec(ppm.Spec{Name: "bfs",
 		New: func(tag string, n int, seed uint64) ppm.Algorithm {
 			return BFS(tag, Rand(n, 4*n, seed), 0)
 		}})
-	ppm.RegisterSpec(ppm.Spec{Name: "cc", BenchN: 1 << 12,
+	ppm.RegisterSpec(ppm.Spec{Name: "cc",
 		New: func(tag string, n int, seed uint64) ppm.Algorithm {
 			// 2n edges leave a few components to find (4n is almost surely
 			// one giant component).
 			return Components(tag, Rand(n, 2*n, seed))
 		}})
-	ppm.RegisterSpec(ppm.Spec{Name: "pagerank", BenchN: 1 << 12,
+	ppm.RegisterSpec(ppm.Spec{Name: "pagerank",
 		New: func(tag string, n int, seed uint64) ppm.Algorithm {
 			return PageRank(tag, Rand(n, 4*n, seed), DefaultIters)
 		}})

@@ -9,16 +9,16 @@ import (
 )
 
 // AllocStats reports how the native engine's sharded allocator behaved in a
-// run: the shard/segment geometry plus refill and spill counts (see
-// WithNativeShards). Zero-valued on the model engine, whose single heap is
-// part of the model's cost semantics.
+// run: the shard/segment geometry (max(GOMAXPROCS, P) shards) plus refill
+// and spill counts. Zero-valued on the model engine,
+// whose single heap is part of the model's cost semantics.
 type AllocStats = native.AllocStats
 
 // SchedStats reports how the native engine's locality-first work-stealing
-// scheduler behaved in a run: the steal-batch cap and affinity-group
-// geometry plus steal traffic (probes, grabs, batch sizes, local vs remote
-// hits, idle parks; see WithNativeStealBatch). Zero-valued on the model
-// engine, whose scheduler cost is part of the model's accounting.
+// scheduler behaved in a run: the steal-batch cap (8 tasks) and
+// affinity-group geometry plus steal traffic (probes, grabs, batch sizes,
+// local vs remote hits, idle parks). Zero-valued on the model engine, whose
+// scheduler cost is part of the model's accounting.
 type SchedStats = native.SchedStats
 
 // nativeEngine runs programs on the goroutine work-stealing backend.
@@ -42,8 +42,6 @@ func nativeConfig(c config) native.Config {
 		P:                  c.procs,
 		MemWords:           mem,
 		BlockWords:         c.blockWords,
-		Shards:             c.nativeShards, // 0 = the native default (GOMAXPROCS or P)
-		StealBatch:         c.nativeStealBatch,
 		Seed:               c.seed,
 		Persist:            c.nativePersist,
 		DurablePath:        c.nativeDurable,

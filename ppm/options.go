@@ -25,8 +25,6 @@ type config struct {
 	warCheck         bool
 	nativeWARCheck   bool
 	nativePersist    bool
-	nativeShards     int
-	nativeStealBatch int
 	nativeDurable    string
 	nativeCrashAfter int64
 	hardAt           map[int]int64
@@ -86,30 +84,6 @@ func WithNativeCrashAfterPersists(n int64) Option {
 	return func(c *config) { c.nativeCrashAfter = n }
 }
 
-// WithNativeShards sets how many independent allocator shards the native
-// engine splits its flat memory's allocation path into (default GOMAXPROCS,
-// or P when more workers than that are configured, so every worker keeps a
-// private arm).
-// Each worker goroutine bump-allocates from its own shard — a lock-free fast
-// path with no cross-processor CAS traffic — refilling from a coarse global
-// region reservation when the shard drains. Addresses remain plain word
-// offsets into one backing memory, so programs never observe the sharding.
-// Ignored by the model engine, whose single-heap cost semantics are part of
-// the model's faithfulness.
-func WithNativeShards(n int) Option { return func(c *config) { c.nativeShards = n } }
-
-// WithNativeStealBatch caps how many tasks one steal moves from a victim's
-// deque on the native engine (default 8; 1 restores classic single-task
-// Chase-Lev stealing). A thief grabs up to half the victim's resident tasks,
-// bounded by this cap, executes the first, and keeps the rest in its own
-// deque — so a burst of fine-grained spawns migrates with one victim
-// interaction instead of one cross-worker steal per task. Larger batches cut
-// steal traffic on fine-grained workloads (graph rounds); smaller ones
-// spread work faster when tasks are few and heavy. Runtime.SchedStats
-// reports the realized batch sizes and steal traffic. Ignored by the model
-// engine, whose scheduler is part of the simulated cost semantics.
-func WithNativeStealBatch(n int) Option { return func(c *config) { c.nativeStealBatch = n } }
-
 // WithProcs sets the number of virtual processors P (default 1).
 func WithProcs(p int) Option { return func(c *config) { c.procs = p } }
 
@@ -138,9 +112,9 @@ func WithPoolWords(n int) Option { return func(c *config) { c.poolWords = n } }
 // memory access aborts the running capsule with probability f and the
 // scheduler re-runs it from its start at hardware speed (ephemeral state is
 // the body's locals, which the abort discards), so the same f < 1/(2C)
-// replay-overhead bound can be measured natively — see ppmbench's `fault`
-// experiment. Stats().SoftFaults/Restarts report the injected faults and
-// replays on both engines.
+// precondition applies natively, with C counted in tracked word accesses.
+// Stats().SoftFaults/Restarts report the injected faults and replays on both
+// engines, and Stats().MaxCapsWork the largest capsule work C.
 func WithFaultRate(f float64) Option { return func(c *config) { c.faultRate = f } }
 
 // WithHardFault schedules processor proc to fail permanently at its at-th

@@ -223,8 +223,7 @@ func (r *Runtime) AllocStats() AllocStats { return r.eng.allocStats() }
 
 // SchedStats reports the native engine's work-stealing scheduler counters
 // (steal-batch cap, affinity groups, probes, grabs, batch sizes, local vs
-// remote hits, idle parks; see WithNativeStealBatch). Zero-valued on the
-// model engine.
+// remote hits, idle parks). Zero-valued on the model engine.
 func (r *Runtime) SchedStats() SchedStats { return r.eng.schedStats() }
 
 // WARViolations returns the write-after-read conflicts detected so far.
