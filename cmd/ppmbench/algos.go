@@ -52,9 +52,9 @@ func mustRun(rt *ppm.Runtime, algo ppm.Algorithm) bool {
 }
 
 // runE7 — Theorem 7.1: prefix sum W = O(n/B), D = O(log n), C = O(1).
-// (On the native engine the counters are word accesses, so the normalized
-// column sits near B instead of a small constant; the flatness check is the
-// same.)
+// (On the native engine the counters are word accesses and the leaf is 512
+// elements, not B, so the normalized column sits near 3B and maxC near
+// 1 024 instead of small constants; the flatness check is the same.)
 func runE7(eng ppm.Engine) {
 	fmt.Printf("%10s %8s %12s %10s %8s\n", "n", "f", "W(algo)", "W/(n/B)", "maxC")
 	for _, n := range []int{1 << 10, 1 << 13, 1 << 16} {
@@ -74,10 +74,14 @@ func runE7(eng ppm.Engine) {
 				n, f, s.UserWork, float64(s.UserWork)/nb, s.MaxCapsWork)
 		}
 	}
-	fmt.Println("check: W/(n/B) flat; maxC constant in n (leaf = B)")
+	fmt.Println("check: W/(n/B) flat; maxC constant in n (leaf = the engine's grain: B model, 512 native)")
 }
 
-// runE8 — Theorem 7.2: merge W = O(n/B), C = O(log n).
+// runE8 — Theorem 7.2: merge W = O(n/B), C = O(log n). The leaf is the
+// engine's grain: 8·B elements on the model, where maxC is a few leaf blocks
+// plus the binary searches' O(log n) transfers, and 1 024 elements native,
+// where maxC is about two words per leaf element (read and written) plus
+// the searches' words.
 func runE8(eng ppm.Engine) {
 	fmt.Printf("%10s %8s %12s %10s %8s\n", "n", "f", "W(algo)", "W/(n/B)", "maxC")
 	for _, n := range []int{1 << 9, 1 << 12, 1 << 15} {

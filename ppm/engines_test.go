@@ -98,8 +98,6 @@ func TestCatalogFaultSweep(t *testing.T) {
 // the maximum is exact. Each run must also draw soft faults and still verify.
 // The table runs again on four workers, where replays race with steals, and
 // those runs must verify.
-// Sample sort is the exception: its largest capsule measures C = 13 534 here
-// (2fC ≈ 2.7), an open violation, so its C is logged, not asserted.
 func TestCatalogUnderFaultCeiling(t *testing.T) {
 	const f = 1e-4
 	for _, procs := range []int{1, 4} {
@@ -135,7 +133,7 @@ func TestCatalogUnderFaultCeiling(t *testing.T) {
 				}
 				c := s.MaxCapsWork
 				t.Logf("largest capsule: C = %d, 2fC = %.3f (%d soft faults)", c, 2*f*float64(c), s.SoftFaults)
-				if spec.Name != "samplesort" && 2*f*float64(c) >= 1 {
+				if 2*f*float64(c) >= 1 {
 					t.Errorf("largest capsule does %d word accesses: 2fC = %.2f at f = %g, the replay bound needs < 1",
 						c, 2*f*float64(c), f)
 				}

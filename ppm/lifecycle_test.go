@@ -98,7 +98,7 @@ func TestCloseWhileRunning(t *testing.T) {
 	root, out := busyWork(rt, 1<<12, 500)
 
 	runDone := make(chan bool, 1)
-	go func() {
+	background := func() {
 		for {
 			ok, err := rt.TryRun(root)
 			if errors.Is(err, ErrRuntimeBusy) {
@@ -110,11 +110,20 @@ func TestCloseWhileRunning(t *testing.T) {
 			runDone <- ok
 			return
 		}
-	}()
+	}
+	go background()
 	// Close must block until the in-flight run completes, then shut down.
 	// Spin until a probe observes ErrRuntimeBusy: TryRun is synchronous, so a
 	// busy refusal here proves the background run holds the engine right now.
+	// On a loaded machine the background run can start and finish while this
+	// goroutine is descheduled; then no probe could ever see it in flight, so
+	// start another.
 	for {
+		select {
+		case <-runDone:
+			go background()
+		default:
+		}
 		if _, err := rt.TryRun(root); errors.Is(err, ErrRuntimeBusy) {
 			break
 		}

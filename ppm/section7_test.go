@@ -217,3 +217,39 @@ func section7Run(t *testing.T, name string, row section7Row, engine ...ppm.Optio
 		}
 	})
 }
+
+// TestPrefixSumGrain pins the leaf PrefixSum(…, 0) selects on each engine by
+// exact counts at n = 2^16, so a grain change fails here and not only in a
+// benchmark row. The native engine's leaf of 512 gives L = 128 leaves and
+// 6L − 3 = 765 capsules (up: L leaves, L − 1 splits, L − 1 combines; down:
+// L leaves, L − 1 splits; the root) over 3n + 5L − 4 = 197 244 words. The
+// model's leaf of B = 8 words gives L = 8 192 user leaves; its counts include
+// the fork-join protocol's own capsules and transfers, and P = 1 makes them
+// exact.
+func TestPrefixSumGrain(t *testing.T) {
+	const n = 1 << 16
+	for _, c := range []struct {
+		eng            ppm.Engine
+		capsules, work int64
+	}{
+		{ppm.EngineNative, 765, 197_244},
+		{ppm.EngineModel, 212_971, 1_767_309},
+	} {
+		t.Run(string(c.eng), func(t *testing.T) {
+			rt := ppm.New(ppm.WithEngine(c.eng), ppm.WithProcs(1), ppm.WithSeed(7),
+				ppm.WithMemWords(1<<23), ppm.WithPoolWords(1<<21))
+			defer rt.Close()
+			algo := ppm.PrefixSum("grain", keys(n, 3, 1000), 0)
+			algo.Build(rt)
+			if !algo.Run() {
+				t.Fatal("did not complete")
+			}
+			if err := algo.Verify(); err != nil {
+				t.Fatal(err)
+			}
+			if s := rt.Stats(); s.Capsules != c.capsules || s.Work != c.work {
+				t.Errorf("%d capsules and %d work, want %d and %d", s.Capsules, s.Work, c.capsules, c.work)
+			}
+		})
+	}
+}

@@ -22,17 +22,50 @@ import (
 // in-place rewrite interrupted mid-write would feed its own half-written
 // output to the replay.
 
+// ---- per-engine leaf sizes ----
+
+// s7Grains is one engine's Section 7 leaf sizes, in elements. A capsule may
+// be replayed, so f < 1/(2C) must hold for the largest capsule work C, and
+// each engine counts C in its own unit.
+//
+// The model engine charges block transfers, and the paper sizes the leaves
+// by B: a prefix-sum leaf of B elements is O(1) transfers (Theorem 7.1's
+// O(n/B) work), and a merge leaf of 8·B is a handful.
+//
+// The native engine counts words and pays 26–38 ns per spawn and join
+// (native.spawn_join_ns on a 2-core box) against about a nanosecond per word
+// of a leaf's loop, so a leaf of B = 8 words is nearly all scheduling. Its
+// prefix-sum leaf of 512 elements does C = 1 024 word accesses in a down
+// sweep and its merge leaf of 1 024 does C = 2 048, the same as merge sort's
+// leaves at M = 1 024: 2fC ≤ 0.41 at the f = 1e-4 native tests use.
+//
+// Both are constants, not measurements, so the capsule counters are exact
+// and do not depend on the machine.
+type s7Grains struct {
+	psum  int // prefix-sum leaf (PrefixSum, RegisterPrefixSum, sample sort's offsets)
+	merge int // Merge leaf
+}
+
+// s7GrainsFor returns the leaf sizes of the engine rt runs on.
+func s7GrainsFor(rt *Runtime) s7Grains {
+	if rt.Engine() == EngineNative {
+		return s7Grains{psum: 512, merge: 1024}
+	}
+	b := rt.BlockWords()
+	return s7Grains{psum: b, merge: 8 * b}
+}
+
 // ---- shared prefix-sum tree ----
 
 // buildPrefixTree registers an inclusive prefix sum over src into dst (both
 // length n) under the given name prefix and returns its root: the classic
-// up-sweep/down-sweep tree with sequential leaves of leaf elements (0 means
-// the block size B, the work-optimal choice). Per-node partial sums live in
-// a block-spaced array so concurrent writes never share a block.
+// up-sweep/down-sweep tree with sequential leaves of leaf elements (0 selects
+// the engine's grain: the block size B on the model engine, the work-optimal
+// choice, and 512 on the native engine). Per-node partial sums live in a
+// block-spaced array so concurrent writes never share a block.
 func buildPrefixTree(rt *Runtime, name string, n, leaf int, src, dst Array) FuncRef {
-	b := rt.BlockWords()
 	if leaf <= 0 {
-		leaf = b
+		leaf = s7GrainsFor(rt).psum
 	}
 	sums := rt.NewBlockArray(4 * (n/leaf + 2))
 
@@ -88,10 +121,11 @@ func buildPrefixTree(rt *Runtime, name string, n, leaf int, src, dst Array) Func
 
 // RegisterPrefixSum registers an inclusive prefix sum over src into dst
 // (both length n) under the given name prefix and returns its root call.
-// leaf is the sequential base-case size (0 selects the block size B, the
-// work-optimal choice). This is the building block subsystems reach for when
-// they need a parallel scan inside a larger program — the graph package's
-// mutation batches turn next-epoch degrees into CSR offsets with it.
+// leaf is the sequential base-case size (0 selects the engine's grain: B on
+// the model engine, the work-optimal choice, and 512 on the native engine).
+// This is the building block subsystems reach for when they need a parallel
+// scan inside a larger program — the graph package's mutation batches turn
+// next-epoch degrees into CSR offsets with it.
 func RegisterPrefixSum(rt *Runtime, name string, n, leaf int, src, dst Array) FuncRef {
 	return buildPrefixTree(rt, name, n, leaf, src, dst)
 }
@@ -109,7 +143,8 @@ type prefixSumAlgo struct {
 }
 
 // PrefixSum builds a Theorem 7.1 inclusive prefix sum over input. leaf is
-// the sequential base-case size; 0 selects the work-optimal block size B.
+// the sequential base-case size; 0 selects the engine's grain (the
+// work-optimal block size B on the model engine, 512 on the native engine).
 func PrefixSum(tag string, input []uint64, leaf int) Algorithm {
 	return &prefixSumAlgo{tag: tag, leaf: leaf, in: input}
 }
@@ -135,23 +170,74 @@ func (a *prefixSumAlgo) Verify() error {
 
 // seqMerge merges two sorted slices into ephemeral memory (capsule-local,
 // free on the model; a native hot path, so indexed writes and tail copies
-// instead of appends).
+// instead of appends). The loop is branch-free: each step selects the
+// smaller head and advances one index by the comparison's outcome, which
+// the compiler turns into conditional moves, so random keys cost no
+// mispredicted branch. Ties take from a first.
 func seqMerge(c Ctx, a, b []uint64) []uint64 {
 	out := c.Scratch(len(a) + len(b))
 	i, j, k := 0, 0, 0
 	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
-			out[k] = a[i]
-			i++
-		} else {
-			out[k] = b[j]
-			j++
+		x, y := a[i], b[j]
+		v, di := y, 0
+		if x <= y {
+			v, di = x, 1
 		}
+		out[k] = v
+		i += di
+		j += 1 - di
 		k++
 	}
 	copy(out[k:], a[i:])
 	copy(out[k+len(a)-i:], b[j:])
 	return out
+}
+
+// radixSort sorts vals in place: the leaf sort of both Theorem 7.3 sorts.
+// It is an LSD radix sort on bytes whose count tables and buffer live in
+// ephemeral memory (c.Scratch), so it moves no persistent word: a leaf's work
+// and block counts are its Slice and SetRange alone. One pass counts all
+// eight bytes; a byte position on which every key agrees (the high bytes of
+// small keys) is skipped, so keys below 2^24 take at most three scatter
+// passes.
+func radixSort(c Ctx, vals []uint64) {
+	n := len(vals)
+	if n < 2 {
+		return
+	}
+	cnt := c.Scratch(8 * 256)
+	for _, v := range vals {
+		cnt[v&0xff]++
+		cnt[256+(v>>8)&0xff]++
+		cnt[512+(v>>16)&0xff]++
+		cnt[768+(v>>24)&0xff]++
+		cnt[1024+(v>>32)&0xff]++
+		cnt[1280+(v>>40)&0xff]++
+		cnt[1536+(v>>48)&0xff]++
+		cnt[1792+(v>>56)]++
+	}
+	src, dst := vals, c.Scratch(n)
+	for d := 0; d < 8; d++ {
+		shift := uint(8 * d)
+		off := cnt[d*256 : d*256+256]
+		if off[(vals[0]>>shift)&0xff] == uint64(n) {
+			continue // every key has the same byte here
+		}
+		var sum uint64
+		for b, k := range off {
+			off[b] = sum
+			sum += k
+		}
+		for _, v := range src {
+			b := (v >> shift) & 0xff
+			dst[off[b]] = v
+			off[b]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &vals[0] {
+		copy(vals, src)
+	}
 }
 
 // registerMergeNode registers the recursive dual-binary-search merge of
@@ -215,7 +301,7 @@ func (m *mergeAlgo) Build(rt *Runtime) {
 	B.Load(m.b)
 	m.out = rt.NewArray(len(m.a) + len(m.b))
 	m.node = registerMergeNode(rt, "ppm/merge/"+m.tag+"/node",
-		A, B, m.out, 8*rt.BlockWords())
+		A, B, m.out, s7GrainsFor(rt).merge)
 }
 
 func (m *mergeAlgo) Run() bool {
@@ -304,7 +390,7 @@ func (s *sortAlgo) buildMerge(rt *Runtime) {
 		lo, hi, dst := c.Int(0), c.Int(1), c.Int(2)
 		if hi-lo <= leaf {
 			vals := in.Slice(c, lo, hi)
-			slices.Sort(vals)
+			radixSort(c, vals)
 			arr[dst].SetRange(c, lo, vals)
 			c.Done()
 			return
@@ -372,20 +458,23 @@ func (s *sortAlgo) buildSample(rt *Runtime) {
 		for ci := c.Int(0); ci < c.Int(1); ci++ {
 			lo, hi := chunkRange(ci)
 			vals := in.Slice(c, lo, hi)
-			slices.Sort(vals)
+			radixSort(c, vals)
 			parts.SetRange(c, lo, vals)
 		}
 		c.Done()
 	})
+	// Sample t of chunk ci sits at relative position (t·chunks+ci+½) /
+	// (oversample·chunks) of its chunk: the chunks' positions interleave, so
+	// the sorted samples spread over the key range instead of forming
+	// oversample clusters (the same positions in every chunk) that put
+	// several splitters into each cluster and leave a few buckets many
+	// times the mean size.
 	sampleChunk := rt.Register(name+"/sample", func(c Ctx) {
 		for ci := c.Int(0); ci < c.Int(1); ci++ {
 			lo, hi := chunkRange(ci)
 			vals := c.Scratch(oversample)
 			for t := 0; t < oversample; t++ {
-				pos := lo + (t+1)*(hi-lo)/(oversample+1)
-				if pos >= hi {
-					pos = hi - 1
-				}
+				pos := lo + (2*(t*chunks+ci)+1)*(hi-lo)/(2*oversample*chunks)
 				vals[t] = parts.Get(c, pos)
 			}
 			samp.SetRange(c, ci*oversample, vals)
@@ -395,7 +484,7 @@ func (s *sortAlgo) buildSample(rt *Runtime) {
 	selectSplitters := rt.Register(name+"/splitters", func(c Ctx) {
 		if k > 1 {
 			all := samp.Slice(c, 0, samp.Len())
-			slices.Sort(all)
+			radixSort(c, all)
 			spl := c.Scratch(k - 1)
 			for j := 1; j < k; j++ {
 				spl[j-1] = all[j*len(all)/k]
@@ -450,7 +539,7 @@ func (s *sortAlgo) buildSample(rt *Runtime) {
 				continue
 			}
 			vals := in.Slice(c, start, end)
-			slices.Sort(vals)
+			radixSort(c, vals)
 			s.out.SetRange(c, start, vals)
 		}
 		c.Done()
