@@ -3,6 +3,7 @@ package native
 import (
 	"errors"
 	"fmt"
+	"math"
 	"syscall"
 
 	"repro/internal/capsule"
@@ -68,19 +69,26 @@ func (w *Ctx) maybeFault(n int64) {
 	}
 	t := w.faultThresh
 	if n > 1 {
-		// One scaled draw approximates n independent Bernoulli trials
-		// (exact to first order in the rate, which is << 1 in any useful
-		// sweep); saturate instead of overflowing.
-		nt := uint64(n) * t
-		if nt/uint64(n) != t {
-			nt = ^uint64(0)
-		}
-		t = nt
+		// The model faults each access independently, so n accesses fault
+		// with probability 1 − (1 − f)^n. Scaling f by n instead saturates
+		// at n·f ≥ 1, and a capsule whose bulk reads reach that replays
+		// forever.
+		t = faultThreshold(-math.Expm1(float64(n) * w.faultLog))
 	}
 	if w.rng.Next() <= t {
 		w.softFaults++
 		panic(errSoftFault)
 	}
+}
+
+// faultThreshold scales a fault probability to the uint64 space the rng
+// draws from, saturating at certainty.
+func faultThreshold(p float64) uint64 {
+	const span = float64(1 << 64)
+	if p*span >= span {
+		return math.MaxUint64
+	}
+	return uint64(p * span)
 }
 
 // crashNow is the CrashAfterPersists trigger: SIGKILL to self, exactly what

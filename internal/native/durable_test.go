@@ -2,6 +2,7 @@ package native
 
 import (
 	"errors"
+	"math"
 	"path/filepath"
 	"sync/atomic"
 	"syscall"
@@ -185,4 +186,42 @@ func TestBarrierFailureDoesNotCommit(t *testing.T) {
 			t.Fatalf("barrier %d: Close after resume: %v", k, err)
 		}
 	}
+}
+
+// TestSoftFaultProbability draws maybeFault many times per bulk size n at
+// f = 1e-3 and checks the fault count against the model's per-access rule:
+// n independent accesses fault with probability 1 − (1 − f)^n. The seed is
+// fixed; the tolerance is five binomial standard deviations. Scaling f by n
+// instead reads certainty from n = 1 000 on (a capsule that never finishes)
+// and fails the n = 1 024 and 4 096 rows by 40 to 240 deviations.
+func TestSoftFaultProbability(t *testing.T) {
+	const f, trials = 1e-3, 100_000
+	rt := New(Config{P: 1, MemWords: 1 << 16, Seed: 5, FaultRate: f})
+	defer rt.Close()
+	w := rt.workers[0]
+	for _, n := range []int64{1, 64, 1024, 4096} {
+		before := w.softFaults
+		for range trials {
+			drawFault(w, n)
+		}
+		got := float64(w.softFaults - before)
+		p := -math.Expm1(float64(n) * math.Log1p(-f))
+		want, sigma := trials*p, math.Sqrt(trials*p*(1-p))
+		t.Logf("n = %4d: %6.0f faults in %d draws, expected %8.1f ± %.1f", n, got, trials, want, sigma)
+		if math.Abs(got-want) > 5*sigma {
+			t.Errorf("n = %d: %.0f faults in %d draws, want %.1f ± %.1f (p = %.4f)",
+				n, got, trials, want, 5*sigma, p)
+		}
+	}
+}
+
+// drawFault runs one maybeFault trial outside a capsule, absorbing the
+// soft-fault panic a hit raises.
+func drawFault(w *Ctx, n int64) {
+	defer func() {
+		if r := recover(); r != nil && r != errSoftFault {
+			panic(r)
+		}
+	}()
+	w.maybeFault(n)
 }

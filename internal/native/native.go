@@ -350,12 +350,11 @@ func build(cfg Config, reg *durable.Region, recovered bool) *Runtime {
 	sm := rng.NewSplitMix64(cfg.Seed ^ 0xa5a5a5a5deadbeef)
 	rt.workers = make([]*Ctx, cfg.P)
 	var faultThresh uint64
+	var faultLog float64
 	if cfg.FaultRate > 0 {
-		f := cfg.FaultRate
-		if f > 1 {
-			f = 1
-		}
-		faultThresh = uint64(f * float64(math.MaxUint64))
+		f := min(cfg.FaultRate, 1)
+		faultThresh = faultThreshold(f)
+		faultLog = math.Log1p(-f)
 	}
 	for p := 0; p < cfg.P; p++ {
 		rt.workers[p] = &Ctx{
@@ -366,6 +365,7 @@ func build(cfg Config, reg *durable.Region, recovered bool) *Runtime {
 			rng:         rng.NewXoshiro256(sm.Next()),
 			war:         warcheck.New(cfg.WARCheck),
 			faultThresh: faultThresh,
+			faultLog:    faultLog,
 		}
 	}
 	for p := 0; p < cfg.P; p++ {
@@ -773,11 +773,13 @@ type Ctx struct {
 	localMiss int   // consecutive local sweeps that found nothing
 
 	// Soft-fault emulation (faultThresh is FaultRate scaled to uint64 space;
-	// 0 = off). transferred flips once the current body performs its control
-	// transfer: from then on an abort would risk re-running a capsule whose
-	// continuation already escaped, so no more faults are drawn — the model
-	// injects faults only up to the capsule's closing persist, same idea.
+	// 0 = off; faultLog is ln(1 − FaultRate)). transferred flips once the
+	// current body performs its control transfer: from then on an abort would
+	// risk re-running a capsule whose continuation already escaped, so no more
+	// faults are drawn — the model injects faults only up to the capsule's
+	// closing persist, same idea.
 	faultThresh uint64
+	faultLog    float64
 	transferred bool
 
 	// Counters are plain fields: each is touched only by the owning worker

@@ -55,7 +55,11 @@ func TestCatalogBothEngines(t *testing.T) {
 // TestCatalogFaultSweep runs every catalog workload on the model engine
 // under a no-fault, a soft-fault, and a scripted hard-fault injector, and
 // asserts Verify passes in all of them — the fault-path coverage the
-// tree-sum and sort tests used to carry alone.
+// tree-sum and sort tests used to carry alone. The native rows run at
+// f = 1e-3, ten times the rate the fault-ceiling test holds to 2fC < 1:
+// outside the paper's precondition replay may cost e^{fC} attempts, but
+// every run must still finish and verify (merge sort at this size once
+// livelocked there).
 func TestCatalogFaultSweep(t *testing.T) {
 	scenarios := []struct {
 		name string
@@ -65,6 +69,8 @@ func TestCatalogFaultSweep(t *testing.T) {
 		{"soft", []ppm.Option{ppm.WithFaultRate(0.003)}},
 		{"softscripted", []ppm.Option{ppm.WithSoftFaultAt(0, 100), ppm.WithSoftFaultAt(1, 250)}},
 		{"hard", []ppm.Option{ppm.WithHardFault(1, 500), ppm.WithFaultRate(0.001)}},
+		{"native/P1/soft", []ppm.Option{ppm.WithEngine(ppm.EngineNative), ppm.WithProcs(1), ppm.WithFaultRate(1e-3)}},
+		{"native/P4/soft", []ppm.Option{ppm.WithEngine(ppm.EngineNative), ppm.WithProcs(4), ppm.WithFaultRate(1e-3)}},
 	}
 	for _, sc := range scenarios {
 		for _, spec := range ppm.Catalog() {
@@ -78,6 +84,7 @@ func TestCatalogFaultSweep(t *testing.T) {
 					ppm.WithPoolWords(1 << 21),
 				}, sc.opts...)
 				rt := ppm.New(opts...)
+				defer rt.Close()
 				algo := spec.New("sweep", catalogSize(spec.Name), 9)
 				algo.Build(rt)
 				if !algo.Run() {
@@ -86,6 +93,7 @@ func TestCatalogFaultSweep(t *testing.T) {
 				if err := algo.Verify(); err != nil {
 					t.Fatal(err)
 				}
+				t.Logf("%d soft faults", rt.Stats().SoftFaults)
 			})
 		}
 	}

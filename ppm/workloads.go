@@ -170,74 +170,92 @@ func (a *prefixSumAlgo) Verify() error {
 
 // seqMerge merges two sorted slices into ephemeral memory (capsule-local,
 // free on the model; a native hot path, so indexed writes and tail copies
-// instead of appends). The loop is branch-free: each step selects the
-// smaller head and advances one index by the comparison's outcome, which
-// the compiler turns into conditional moves, so random keys cost no
-// mispredicted branch. Ties take from a first.
+// instead of appends). It fills out from both ends at once: each iteration
+// writes the smaller head at the front (ties take from a) and the larger
+// tail at the back (ties take from b), two independent compare-and-select
+// chains instead of one. Both steps are branch-free, so random keys cost no
+// mispredicted branch. The back step stays exact when the front step has
+// just emptied one input: the word it reads there was the front's pick, no
+// larger than anything left, so the tie rule sends the back to the other
+// input. While both inputs are non-empty at least two slots are left, so
+// the ends never write the same one; once an input runs out, what is left
+// is the other's middle, copied as is.
 func seqMerge(c Ctx, a, b []uint64) []uint64 {
 	out := c.Scratch(len(a) + len(b))
-	i, j, k := 0, 0, 0
-	for i < len(a) && j < len(b) {
+	i, j, lo := 0, 0, 0
+	ie, je, hi := len(a)-1, len(b)-1, len(out)-1
+	for i <= ie && j <= je {
 		x, y := a[i], b[j]
 		v, di := y, 0
 		if x <= y {
 			v, di = x, 1
 		}
-		out[k] = v
+		out[lo] = v
 		i += di
 		j += 1 - di
-		k++
+		lo++
+
+		x, y = a[ie], b[je]
+		v, dj := x, 0
+		if y >= x {
+			v, dj = y, 1
+		}
+		out[hi] = v
+		je -= dj
+		ie -= 1 - dj
+		hi--
 	}
-	copy(out[k:], a[i:])
-	copy(out[k+len(a)-i:], b[j:])
+	n := copy(out[lo:], a[i:ie+1])
+	copy(out[lo+n:], b[j:je+1])
 	return out
 }
 
-// radixSort sorts vals in place: the leaf sort of both Theorem 7.3 sorts.
-// It is an LSD radix sort on bytes whose count tables and buffer live in
-// ephemeral memory (c.Scratch), so it moves no persistent word: a leaf's work
-// and block counts are its Slice and SetRange alone. One pass counts all
-// eight bytes; a byte position on which every key agrees (the high bytes of
-// small keys) is skipped, so keys below 2^24 take at most three scatter
-// passes.
-func radixSort(c Ctx, vals []uint64) {
-	n := len(vals)
-	if n < 2 {
-		return
+// radixSort sorts vals and returns the sorted keys: the leaf sort of both
+// Theorem 7.3 sorts. It is an LSD radix sort on bytes whose count table and
+// buffer live in ephemeral memory (c.Scratch), so it moves no persistent
+// word: a leaf's work and block counts are its Slice and SetRange alone. One
+// AND/OR pass finds the byte positions where the keys differ, and only those
+// get a count pass and a scatter pass, so keys below 2^24 take at most three.
+// The passes ping-pong between vals and one scratch buffer, and the result
+// is whichever of the two the last pass wrote: vals itself after an even
+// number of passes, the buffer after an odd one. vals may be overwritten
+// either way, so callers store the returned slice.
+func radixSort(c Ctx, vals []uint64) []uint64 {
+	if len(vals) < 2 {
+		return vals
 	}
-	cnt := c.Scratch(8 * 256)
+	and, or := vals[0], vals[0]
 	for _, v := range vals {
-		cnt[v&0xff]++
-		cnt[256+(v>>8)&0xff]++
-		cnt[512+(v>>16)&0xff]++
-		cnt[768+(v>>24)&0xff]++
-		cnt[1024+(v>>32)&0xff]++
-		cnt[1280+(v>>40)&0xff]++
-		cnt[1536+(v>>48)&0xff]++
-		cnt[1792+(v>>56)]++
+		and &= v
+		or |= v
 	}
-	src, dst := vals, c.Scratch(n)
-	for d := 0; d < 8; d++ {
-		shift := uint(8 * d)
-		off := cnt[d*256 : d*256+256]
-		if off[(vals[0]>>shift)&0xff] == uint64(n) {
+	diff := and ^ or
+	if diff == 0 {
+		return vals
+	}
+	cnt := c.Scratch(256)
+	src, dst := vals, c.Scratch(len(vals))
+	for shift := uint(0); shift < 64; shift += 8 {
+		if (diff>>shift)&0xff == 0 {
 			continue // every key has the same byte here
 		}
+		clear(cnt)
+		for _, v := range src {
+			cnt[(v>>shift)&0xff]++
+		}
 		var sum uint64
-		for b, k := range off {
-			off[b] = sum
+		for b, k := range cnt {
+			cnt[b] = sum
 			sum += k
 		}
 		for _, v := range src {
 			b := (v >> shift) & 0xff
-			dst[off[b]] = v
-			off[b]++
+			dst[cnt[b]] = v
+			cnt[b]++
 		}
 		src, dst = dst, src
 	}
-	if &src[0] != &vals[0] {
-		copy(vals, src)
-	}
+	return src
 }
 
 // registerMergeNode registers the recursive dual-binary-search merge of
@@ -389,9 +407,7 @@ func (s *sortAlgo) buildMerge(rt *Runtime) {
 	ms = rt.Register(name+"/sort", func(c Ctx) {
 		lo, hi, dst := c.Int(0), c.Int(1), c.Int(2)
 		if hi-lo <= leaf {
-			vals := in.Slice(c, lo, hi)
-			radixSort(c, vals)
-			arr[dst].SetRange(c, lo, vals)
+			arr[dst].SetRange(c, lo, radixSort(c, in.Slice(c, lo, hi)))
 			c.Done()
 			return
 		}
@@ -457,9 +473,7 @@ func (s *sortAlgo) buildSample(rt *Runtime) {
 	sortChunk := rt.Register(name+"/sortChunk", func(c Ctx) {
 		for ci := c.Int(0); ci < c.Int(1); ci++ {
 			lo, hi := chunkRange(ci)
-			vals := in.Slice(c, lo, hi)
-			radixSort(c, vals)
-			parts.SetRange(c, lo, vals)
+			parts.SetRange(c, lo, radixSort(c, in.Slice(c, lo, hi)))
 		}
 		c.Done()
 	})
@@ -483,8 +497,7 @@ func (s *sortAlgo) buildSample(rt *Runtime) {
 	})
 	selectSplitters := rt.Register(name+"/splitters", func(c Ctx) {
 		if k > 1 {
-			all := samp.Slice(c, 0, samp.Len())
-			radixSort(c, all)
+			all := radixSort(c, samp.Slice(c, 0, samp.Len()))
 			spl := c.Scratch(k - 1)
 			for j := 1; j < k; j++ {
 				spl[j-1] = all[j*len(all)/k]
@@ -538,9 +551,7 @@ func (s *sortAlgo) buildSample(rt *Runtime) {
 			if start >= end {
 				continue
 			}
-			vals := in.Slice(c, start, end)
-			radixSort(c, vals)
-			s.out.SetRange(c, start, vals)
+			s.out.SetRange(c, start, radixSort(c, in.Slice(c, start, end)))
 		}
 		c.Done()
 	})
