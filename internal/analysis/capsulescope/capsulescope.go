@@ -16,17 +16,26 @@
 //     RunOnAll/NewArray/NewBlockArray) from inside a capsule. Those
 //     operations bypass the engine's cost accounting and fault injection
 //     and mutate runtime structure mid-run.
-//   - Letting an ephemeral slice escape. The results of Array.Slice/Gather/
+//   - Letting an ephemeral slice escape. The results of Array.Gather/
 //     GatherAt and Ctx.Scratch/ScratchSpans live in the worker's ephemeral
 //     memory, which is rewound at the capsule's control transfer and lost on
-//     a fault; one stored into captured host state or sent on a channel is
-//     overwritten by the next capsule while the host still holds it.
+//     a fault, and an Array.Slice result is valid only until then too; one
+//     stored into captured host state or sent on a channel is overwritten by
+//     the next capsule while the host still holds it.
+//   - Writing through an Array.Slice result. On the native engine it is a
+//     read-only window onto persistent memory, so an index assignment, a
+//     copy or clear into it, an in-place slices/sort call on it, or an
+//     append onto it (or a Gather into it) stores to the array behind the
+//     engine's back: uncounted, unfaulted and visible to every capsule.
+//     This one is checked in every function with a ppm.Ctx parameter, the
+//     helpers that edit leaf vectors included.
 package capsulescope
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 
 	"repro/internal/analysis"
 )
@@ -35,8 +44,8 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "capsulescope",
 	Doc: "flag capsules that capture a stale Ctx, mutate captured host " +
-		"state, call harness-side API mid-run, or let an ephemeral slice " +
-		"outlive the capsule",
+		"state, call harness-side API mid-run, let an ephemeral slice " +
+		"outlive the capsule, or write through an Array.Slice result",
 	Run: run,
 }
 
@@ -45,6 +54,7 @@ func run(pass *analysis.Pass) error {
 		if fn.Capsule {
 			checkCapsule(pass, fn)
 		}
+		checkViewWrites(pass, fn)
 	}
 	return nil
 }
@@ -148,15 +158,23 @@ func reportEscape(pass *analysis.Pass, pos token.Pos, src, how string) {
 }
 
 // ephemerals maps each capsule-local variable bound to an ephemeral slice to
-// the call that produced it ("Array.Slice", "Ctx.Scratch", ...).
+// the call that produced it ("Array.Slice", "Ctx.Scratch", ...). The view
+// locals of checkViewWrites are a map of the same kind.
 type ephemerals map[types.Object]string
 
 // ephemeralLocals finds the capsule's locals that hold ephemeral slices:
 // assigned from one of the producing calls, from a reslice or append-in-place
-// of one, or from another such local. Iterated to a fixed point so the order
-// of declarations does not matter.
+// of one, or from another such local.
 func ephemeralLocals(info *types.Info, fn analysis.FuncInfo) ephemerals {
-	eph := ephemerals{}
+	return bindLocals(info, fn, ephemerals.source)
+}
+
+// bindLocals finds fn's locals assigned an expression that classify gives a
+// source, iterated to a fixed point so the order of declarations does not
+// matter.
+func bindLocals(info *types.Info, fn analysis.FuncInfo,
+	classify func(ephemerals, *types.Info, ast.Expr) (string, bool)) ephemerals {
+	bound := ephemerals{}
 	for changed := true; changed; {
 		changed = false
 		bind := func(lhs, rhs ast.Expr) {
@@ -168,11 +186,11 @@ func ephemeralLocals(info *types.Info, fn analysis.FuncInfo) ephemerals {
 			if obj == nil {
 				obj = info.Uses[id]
 			}
-			if obj == nil || !declaredInside(fn, obj) || eph[obj] != "" {
+			if obj == nil || !declaredInside(fn, obj) || bound[obj] != "" {
 				return
 			}
-			if src, ok := eph.source(info, rhs); ok {
-				eph[obj] = src
+			if src, ok := classify(bound, info, rhs); ok {
+				bound[obj] = src
 				changed = true
 			}
 		}
@@ -198,7 +216,7 @@ func ephemeralLocals(info *types.Info, fn analysis.FuncInfo) ephemerals {
 			return true
 		})
 	}
-	return eph
+	return bound
 }
 
 // source reports whether e evaluates to an ephemeral slice, and which call
@@ -215,10 +233,8 @@ func (eph ephemerals) source(info *types.Info, e ast.Expr) (string, bool) {
 			return src, true
 		}
 		// append(x, ...) returns x's storage whenever the capacity allows.
-		if id, ok := ast.Unparen(e.Fun).(*ast.Ident); ok && len(e.Args) > 0 {
-			if b, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin && b.Name() == "append" {
-				return eph.source(info, e.Args[0])
-			}
+		if name, ok := builtinName(info, e); ok && name == "append" && len(e.Args) > 0 {
+			return eph.source(info, e.Args[0])
 		}
 	}
 	return "", false
@@ -245,4 +261,130 @@ func rootIdent(e ast.Expr) *ast.Ident {
 			return nil
 		}
 	}
+}
+
+// checkViewWrites flags writes through an Array.Slice result or a sub-slice
+// of one: the targets of index assignments and increments, the destination
+// of copy and clear, the slice an in-place slices or sort call edits, the
+// first argument of append, and the dst of Gather and GatherAt (which append
+// into it). Reading a view, passing it to SetRange, and appending it to a
+// fresh buffer are the intended uses and pass.
+func checkViewWrites(pass *analysis.Pass, fn analysis.FuncInfo) {
+	info := pass.TypesInfo
+	views := bindLocals(info, fn, ephemerals.view)
+	report := func(e ast.Expr, how string) {
+		if _, ok := views.view(info, e); ok {
+			pass.Reportf(e.Pos(),
+				"write through an Array.Slice result (%s): on the native engine it is a "+
+					"read-only view of persistent memory, so the store bypasses the engine's "+
+					"accounting — copy it into c.Scratch before editing", how)
+		}
+	}
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			if analysis.HasOwnCtxParam(info, n) {
+				return false
+			}
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				if ix, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok {
+					report(ix.X, "index assignment")
+				}
+			}
+		case *ast.IncDecStmt:
+			if ix, ok := ast.Unparen(n.X).(*ast.IndexExpr); ok {
+				report(ix.X, "index assignment")
+			}
+		case *ast.CallExpr:
+			if len(n.Args) == 0 {
+				return true
+			}
+			if name, ok := builtinName(info, n); ok {
+				switch name {
+				case "copy", "clear":
+					report(n.Args[0], name+" destination")
+				case "append":
+					report(n.Args[0], "append onto it")
+				}
+			} else if name, ok := inPlaceCall(info, n); ok {
+				report(n.Args[0], name)
+			} else if _, name, recvType, ok := analysis.MethodCall(info, n); ok &&
+				analysis.IsArray(recvType) && (name == "Gather" || name == "GatherAt") && len(n.Args) == 3 {
+				report(n.Args[2], "Array."+name+" dst")
+			}
+		}
+		return true
+	})
+}
+
+// view reports whether e evaluates to a view — an Array.Slice call, a view
+// local, a reslice of a view, or an append onto one, which may return its
+// storage — and names the producing call.
+func (views ephemerals) view(info *types.Info, e ast.Expr) (string, bool) {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		src, ok := views[info.Uses[e]]
+		return src, ok
+	case *ast.SliceExpr:
+		return views.view(info, e.X)
+	case *ast.CallExpr:
+		if _, name, recvType, ok := analysis.MethodCall(info, e); ok {
+			return "Array.Slice", name == "Slice" && analysis.IsArray(recvType)
+		}
+		if name, ok := builtinName(info, e); ok && name == "append" && len(e.Args) > 0 {
+			return views.view(info, e.Args[0])
+		}
+	}
+	return "", false
+}
+
+// builtinName returns the name of the builtin call is to, if it is one.
+func builtinName(info *types.Info, call *ast.CallExpr) (string, bool) {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return "", false
+	}
+	b, ok := info.Uses[id].(*types.Builtin)
+	if !ok {
+		return "", false
+	}
+	return b.Name(), true
+}
+
+// inPlaceCall reports calls that reorder or overwrite the slice they are
+// given as their first argument: slices.Sort*, Reverse, Compact*, Delete*,
+// Insert and Replace, and sort.Slice, SliceStable, Sort and Stable. It
+// returns the call's qualified name.
+func inPlaceCall(info *types.Info, call *ast.CallExpr) (string, bool) {
+	fun := ast.Unparen(call.Fun)
+	switch f := fun.(type) { // an explicit instantiation, slices.Sort[S]
+	case *ast.IndexExpr:
+		fun = f.X
+	case *ast.IndexListExpr:
+		fun = f.X
+	}
+	sel, ok := fun.(*ast.SelectorExpr)
+	if !ok {
+		return "", false
+	}
+	obj, ok := info.Uses[sel.Sel].(*types.Func)
+	if !ok || obj.Pkg() == nil {
+		return "", false
+	}
+	name := obj.Name()
+	switch obj.Pkg().Path() {
+	case "slices":
+		if strings.HasPrefix(name, "Sort") || strings.HasPrefix(name, "Compact") ||
+			strings.HasPrefix(name, "Delete") ||
+			name == "Reverse" || name == "Insert" || name == "Replace" {
+			return "slices." + name, true
+		}
+	case "sort":
+		switch name {
+		case "Slice", "SliceStable", "Sort", "Stable":
+			return "sort." + name, true
+		}
+	}
+	return "", false
 }

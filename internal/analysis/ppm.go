@@ -130,9 +130,9 @@ func PPMFuncs(pass *Pass) []FuncInfo {
 
 // ---- call classification ----
 
-// methodCall resolves call as a method call and returns the receiver
+// MethodCall resolves call as a method call and returns the receiver
 // expression, the method name, and the receiver's type.
-func methodCall(info *types.Info, call *ast.CallExpr) (recv ast.Expr, name string, recvType types.Type, ok bool) {
+func MethodCall(info *types.Info, call *ast.CallExpr) (recv ast.Expr, name string, recvType types.Type, ok bool) {
 	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !isSel {
 		return nil, "", nil, false
@@ -154,7 +154,7 @@ var transferMethods = map[string]bool{
 // Transfer returns the control-transfer method name if call is one of
 // Ctx.{Done,Halt,Then,Seq,Fork,ForkThen,ParallelFor}.
 func Transfer(info *types.Info, call *ast.CallExpr) (string, bool) {
-	_, name, recvType, ok := methodCall(info, call)
+	_, name, recvType, ok := MethodCall(info, call)
 	if ok && IsCtx(recvType) && transferMethods[name] {
 		return name, true
 	}
@@ -168,8 +168,9 @@ const (
 	// ReadAccess is an exposed-read candidate: Array.{Get,Slice,Range,
 	// Gather,GatherAt} or Ctx.Read.
 	ReadAccess AccessKind = iota
-	// WriteAccess is a persistent write: Array.{Set,SetRange,Scatter},
-	// Ctx.Write, or Ctx.CAM (the model counts CAM as a write).
+	// WriteAccess is a persistent write: Array.{Set,SetRange,Scatter,
+	// ScatterAt,CAMAt}, Ctx.Write, or Ctx.CAM (the model counts CAM as a
+	// write).
 	WriteAccess
 )
 
@@ -196,7 +197,7 @@ var arrayReads = map[string]bool{
 	"Get": true, "Slice": true, "Range": true, "Gather": true, "GatherAt": true,
 }
 var arrayWrites = map[string]bool{
-	"Set": true, "SetRange": true, "Scatter": true,
+	"Set": true, "SetRange": true, "Scatter": true, "ScatterAt": true, "CAMAt": true,
 }
 
 // arrayKey renders the canonical identity of an Array-valued expression.
@@ -214,7 +215,7 @@ func arrayKey(info *types.Info, e ast.Expr) (string, types.Object) {
 func addrTarget(info *types.Info, e ast.Expr) (key string, obj types.Object, index string) {
 	e = ast.Unparen(e)
 	if call, ok := e.(*ast.CallExpr); ok {
-		if recv, name, recvType, mok := methodCall(info, call); mok &&
+		if recv, name, recvType, mok := MethodCall(info, call); mok &&
 			name == "At" && IsArray(recvType) && len(call.Args) == 1 {
 			key, obj = arrayKey(info, recv)
 			return key, obj, types.ExprString(call.Args[0])
@@ -225,7 +226,7 @@ func addrTarget(info *types.Info, e ast.Expr) (key string, obj types.Object, ind
 
 // AccessOf extracts the persistent-memory access performed by call, if any.
 func AccessOf(info *types.Info, call *ast.CallExpr) (Access, bool) {
-	recv, name, recvType, ok := methodCall(info, call)
+	recv, name, recvType, ok := MethodCall(info, call)
 	if !ok {
 		return Access{}, false
 	}
@@ -313,7 +314,7 @@ func isNewBlockArrayCall(info *types.Info, e ast.Expr) bool {
 	if !ok {
 		return false
 	}
-	_, name, recvType, mok := methodCall(info, call)
+	_, name, recvType, mok := MethodCall(info, call)
 	return mok && name == "NewBlockArray" && isRuntimePtr(recvType)
 }
 
@@ -322,7 +323,7 @@ func isNewBlockArrayCall(info *types.Info, e ast.Expr) bool {
 // cost and fault accounting, and Runtime.{Register,Run,RunOnAll,NewArray,
 // NewBlockArray} mutate runtime structure mid-run.
 func HarnessCall(info *types.Info, call *ast.CallExpr) (string, bool) {
-	_, name, recvType, ok := methodCall(info, call)
+	_, name, recvType, ok := MethodCall(info, call)
 	if !ok {
 		return "", false
 	}
@@ -338,12 +339,13 @@ func HarnessCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 	return "", false
 }
 
-// EphemeralCall reports calls whose result lives in the capsule's ephemeral
-// memory — Array.{Slice,Gather,GatherAt} and Ctx.{Scratch,ScratchSpans}. On
-// the native engine those slices are rewound at the capsule's control
-// transfer and lost on a fault, so they must not outlive the capsule.
+// EphemeralCall reports calls whose result lives only as long as the
+// capsule — Array.{Gather,GatherAt} and Ctx.{Scratch,ScratchSpans}, whose
+// ephemeral memory the native engine rewinds at the capsule's control
+// transfer and loses on a fault, and Array.Slice, a view of persistent
+// memory valid until that transfer — so it must not outlive the capsule.
 func EphemeralCall(info *types.Info, call *ast.CallExpr) (string, bool) {
-	_, name, recvType, ok := methodCall(info, call)
+	_, name, recvType, ok := MethodCall(info, call)
 	if !ok {
 		return "", false
 	}

@@ -1,9 +1,13 @@
 // Fixture for the capsulescope analyzer: stale Ctx capture, mutation of
-// captured host state, harness-side API inside capsules, and ephemeral
-// slices escaping their capsule.
+// captured host state, harness-side API inside capsules, ephemeral slices
+// escaping their capsule, and writes through an Array.Slice view.
 package a
 
-import "repro/ppm"
+import (
+	"repro/ppm"
+	"slices"
+	"sort"
+)
 
 var arr ppm.Array
 var hostCounter int
@@ -67,7 +71,7 @@ func register(rt *ppm.Runtime) {
 		vals := arr.Slice(c, 0, 4)
 		spans := c.ScratchSpans(2)
 		spans[0] = [2]int{0, 2}
-		more := arr.Gather(c, spans, vals[:0])
+		more := arr.Gather(c, spans, c.Scratch(4)[:0])
 		local := more
 		arr.SetRange(c, 0, local)
 		// Copying the words (not the slice) into host state is still a host
@@ -76,9 +80,52 @@ func register(rt *ppm.Runtime) {
 		c.Done()
 	})
 
+	rt.Register("viewwrites", func(c ppm.Ctx) {
+		v := arr.Slice(c, 0, 8)
+		v[0] = 1 // want `write through an Array\.Slice result \(index assignment\)`
+		head := v[2:4]
+		head[1]++                                                 // want `write through an Array\.Slice result \(index assignment\)`
+		copy(v[4:], head)                                         // want `write through an Array\.Slice result \(copy destination\)`
+		clear(head)                                               // want `write through an Array\.Slice result \(clear destination\)`
+		slices.Sort(v)                                            // want `write through an Array\.Slice result \(slices\.Sort\)`
+		slices.Reverse(arr.Slice(c, 0, 2))                        // want `write through an Array\.Slice result \(slices\.Reverse\)`
+		sort.Slice(v, func(i, j int) bool { return v[i] < v[j] }) // want `write through an Array\.Slice result \(sort\.Slice\)`
+		grown := append(v[:1], 5)                                 // want `write through an Array\.Slice result \(append onto it\)`
+		_ = arr.Gather(c, nil, grown)                             // want `write through an Array\.Slice result \(Array\.Gather dst\)`
+		c.Done()
+	})
+
+	rt.Register("viewreads", func(c ppm.Ctx) {
+		// Reading a view, storing it with SetRange, and copying it into a
+		// fresh Scratch before editing are the intended uses.
+		v := arr.Slice(c, 0, 8)
+		var sum uint64
+		for _, x := range v {
+			sum += x
+		}
+		arr.SetRange(c, 8, v)
+		own := append(c.Scratch(8)[:0], v...)
+		own[0] = sum
+		buf := c.Scratch(8)
+		copy(buf, v[2:])
+		slices.Sort(buf)
+		_ = slices.Index(v, 3)
+		_ = sort.SliceIsSorted(v, func(i, j int) bool { return v[i] < v[j] })
+		_ = arr.GatherAt(c, v, nil)
+		arr.SetRange(c, 0, own)
+		c.Done()
+	})
+
 	rt.Register("allowed", func(c ppm.Ctx) {
 		//ppm:allow capsulescope fixture: single-proc debug counter
 		hostCounter++
 		c.Done()
 	})
+}
+
+// editLevels is a helper that runs inside capsules: the check covers it too.
+func editLevels(c ppm.Ctx, a ppm.Array) {
+	lv := a.Slice(c, 0, 4)
+	lv[1] = 7 // want `write through an Array\.Slice result \(index assignment\)`
+	a.SetRange(c, 4, lv)
 }

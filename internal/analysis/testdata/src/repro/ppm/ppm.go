@@ -53,18 +53,20 @@ func (f FuncRef) Call(args ...any) Call { return Call{} }
 // Array is a handle to a persistent array.
 type Array struct{}
 
-func (a Array) Len() int                                            { return 0 }
-func (a Array) At(i int) Addr                                       { return 0 }
-func (a Array) Load(vals []uint64)                                  {}
-func (a Array) Snapshot() []uint64                                  { return nil }
-func (a Array) Get(c Ctx, i int) uint64                             { return 0 }
-func (a Array) Set(c Ctx, i int, v uint64)                          {}
-func (a Array) Range(c Ctx, lo, hi int, fn func(i int, v uint64))   {}
-func (a Array) Slice(c Ctx, lo, hi int) []uint64                    { return nil }
-func (a Array) Gather(c Ctx, spans [][2]int, dst []uint64) []uint64 { return nil }
-func (a Array) GatherAt(c Ctx, idx []uint64, dst []uint64) []uint64 { return nil }
-func (a Array) Scatter(c Ctx, spans [][2]int, src []uint64)         {}
-func (a Array) SetRange(c Ctx, lo int, vals []uint64)               {}
+func (a Array) Len() int                                             { return 0 }
+func (a Array) At(i int) Addr                                        { return 0 }
+func (a Array) Load(vals []uint64)                                   {}
+func (a Array) Snapshot() []uint64                                   { return nil }
+func (a Array) Get(c Ctx, i int) uint64                              { return 0 }
+func (a Array) Set(c Ctx, i int, v uint64)                           {}
+func (a Array) Range(c Ctx, lo, hi int, fn func(i int, v uint64))    {}
+func (a Array) Slice(c Ctx, lo, hi int) []uint64                     { return nil }
+func (a Array) Gather(c Ctx, spans [][2]int, dst []uint64) []uint64  { return nil }
+func (a Array) GatherAt(c Ctx, idx []uint64, dst []uint64) []uint64  { return nil }
+func (a Array) CAMAt(c Ctx, idx []uint64, old uint64, vals []uint64) {}
+func (a Array) ScatterAt(c Ctx, idx []uint64, vals []uint64)         {}
+func (a Array) Scatter(c Ctx, spans [][2]int, src []uint64)          {}
+func (a Array) SetRange(c Ctx, lo int, vals []uint64)                {}
 
 // Runtime owns registration and runs.
 type Runtime struct{}

@@ -113,6 +113,25 @@ func gatherAtThenCAM(c ppm.Ctx) {
 	c.Done()
 }
 
+// The batched forms are the same accesses: CAMAt then GatherAt of the
+// claimed words is the clean claim shape, and a ScatterAt into an array the
+// capsule read conflicts like a loop of Sets.
+func camAtThenGatherAt(c ppm.Ctx) {
+	idx := c.Scratch(4)
+	dst.CAMAt(c, idx, 0, c.Scratch(4))
+	src.SetRange(c, 0, dst.GatherAt(c, idx, nil))
+	c.Done()
+}
+
+func gatherAtThenBatchedWrites(c ppm.Ctx) {
+	idx := c.Scratch(4)
+	own := dst.GatherAt(c, idx, nil)
+	dst.CAMAt(c, idx, 0, own) // want `write-after-read conflict`
+	vals := src.GatherAt(c, idx, nil)
+	src.ScatterAt(c, idx, vals) // want `write-after-read conflict`
+	c.Done()
+}
+
 // Helpers with extra parameters are analyzed too: their accesses happen
 // inside whichever capsule calls them.
 func helperWAR(c ppm.Ctx, i int) uint64 {

@@ -4,9 +4,10 @@ package native
 // size whose contents are simply lost on a fault. arena is that memory on
 // the native engine: a bump allocator owned by one worker, rewound at every
 // capsule start — and therefore at every soft-fault replay — so whatever a
-// capsule body took from it dies with the capsule. Slice, Gather(…, nil),
+// capsule body took from it dies with the capsule. Gather(…, nil),
 // GatherAt(…, nil) and Scratch serve their result buffers from here instead
-// of the Go heap, which is what makes a graph leaf allocation-free.
+// of the Go heap, which is what makes a graph leaf allocation-free (Slice
+// needs no buffer: it returns a window onto the word memory).
 //
 // It grows by appending fresh chunks, never by moving one, so slices handed
 // out earlier in the same capsule stay valid. The size is limited, like the

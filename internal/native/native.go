@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -756,8 +757,8 @@ type Ctx struct {
 	seqFids []capsule.FuncID
 	seqArgs []capsule.Args
 
-	// Ephemeral memory (see arena): word buffers for Slice, Gather, GatherAt
-	// and Scratch, span vectors for ScratchSpans. Rewound by runTask.
+	// Ephemeral memory (see arena): word buffers for Gather, GatherAt and
+	// Scratch, span vectors for ScratchSpans. Rewound by runTask.
 	eph      arena[uint64]
 	ephSpans arena[[2]int]
 
@@ -1217,79 +1218,109 @@ func (w *Ctx) ScratchSpans(n int) [][2]int {
 	return s
 }
 
-// Slice bulk-copies base[lo,hi) into ephemeral memory — the hot path of leaf
-// sorts and merges, kept free of per-word closure dispatch.
+// Slice returns base[lo,hi) in place: a capacity-clipped window onto the
+// word memory, so no word moves and an append to it reallocates instead of
+// running into base[hi]. The bounds check, fault draw, word count and WAR
+// span are taken here, at the call, as for a copy. The window is read-only —
+// a store through it would be an untracked persistent write — and valid until
+// the capsule's control transfer, like the ephemeral memory a copy would use.
 func (w *Ctx) Slice(base pmem.Addr, lo, hi int) []uint64 {
 	if lo >= hi {
 		return nil
 	}
-	w.rt.check(base + pmem.Addr(lo))
-	w.rt.check(base + pmem.Addr(hi-1))
-	if w.faultThresh != 0 {
-		w.maybeFault(int64(hi - lo))
-	}
-	dst := w.eph.alloc(hi - lo)
-	copy(dst, w.rt.mem[base+pmem.Addr(lo):base+pmem.Addr(hi)])
-	n := int64(hi - lo)
-	w.reads += n
-	w.taskWork += n
+	win := w.window(base+pmem.Addr(lo), hi-lo)
+	w.batch(int64(hi-lo), &w.reads)
 	if w.war.Enabled() {
 		w.warReadSpan(base+pmem.Addr(lo), base+pmem.Addr(hi))
 	}
-	return dst
+	return win
 }
 
-// Gather appends the words of k disjoint spans of base to dst in one tight
-// loop — the batched edge-read path of the graph workloads, where per-span
-// call overhead would dominate the (often tiny) spans themselves. A nil dst
+// window returns the n words at base, checked against the memory once and
+// capacity-clipped: the range of Slice and WriteRange, and the array the
+// batched accessors index into.
+func (w *Ctx) window(base pmem.Addr, n int) []uint64 {
+	if n <= 0 {
+		return nil
+	}
+	w.rt.check(base)
+	w.rt.check(base + pmem.Addr(n-1))
+	end := base + pmem.Addr(n)
+	return w.rt.mem[base:end:end]
+}
+
+// batch takes the bookkeeping of one batched access of k words at call
+// time: one fault draw for the batch (1 − (1 − f)^k, as k single accesses
+// would fault) and one counter update.
+func (w *Ctx) batch(k int64, counter *int64) {
+	if w.faultThresh != 0 {
+		w.maybeFault(k)
+	}
+	*counter += k
+	w.taskWork += k
+}
+
+// Gather appends the words of k spans of the n-word window at base to dst —
+// the batched edge-read path of the graph workloads, where the spans are
+// often 2-word offset pairs and short arc lists. The window is checked once,
+// the spans against it in one pass that also sizes the batch, and the batch
+// takes one fault draw and one counter update; spans of up to 8 words are
+// copied by an inline loop, since a memmove call costs more than they do.
+// ok is false, with nothing counted, when a span leaves the window. A nil dst
 // is taken from ephemeral memory, sized to the batch.
-func (w *Ctx) Gather(base pmem.Addr, spans [][2]int, dst []uint64) []uint64 {
+func (w *Ctx) Gather(base pmem.Addr, n int, spans [][2]int, dst []uint64) (out []uint64, ok bool) {
+	total := 0
+	for _, s := range spans {
+		if s[0] < 0 || s[1] > n || s[0] > s[1] {
+			return nil, false
+		}
+		total += s[1] - s[0]
+	}
+	at := len(dst)
 	if dst == nil {
-		total := 0
-		for _, s := range spans {
-			if s[1] > s[0] {
-				total += s[1] - s[0]
+		dst = w.eph.alloc(total)
+	} else {
+		dst = slices.Grow(dst, total)[:at+total]
+	}
+	if total == 0 {
+		return dst, true
+	}
+	win := w.window(base, n)
+	w.batch(int64(total), &w.reads)
+	to := dst[at:]
+	for _, s := range spans {
+		src := win[s[0]:s[1]]
+		if len(src) > 8 {
+			copy(to, src)
+		} else {
+			t := to[:len(src)]
+			for i, v := range src {
+				t[i] = v
 			}
 		}
-		dst = w.eph.alloc(total)[:0]
+		to = to[len(src):]
 	}
-	var n int64
-	for _, s := range spans {
-		lo, hi := s[0], s[1]
-		if lo >= hi {
-			continue
+	if w.war.Enabled() {
+		for _, s := range spans {
+			if s[0] < s[1] {
+				w.warReadSpan(base+pmem.Addr(s[0]), base+pmem.Addr(s[1]))
+			}
 		}
-		w.rt.check(base + pmem.Addr(lo))
-		w.rt.check(base + pmem.Addr(hi-1))
-		if w.faultThresh != 0 {
-			w.maybeFault(int64(hi - lo))
-		}
-		dst = append(dst, w.rt.mem[base+pmem.Addr(lo):base+pmem.Addr(hi)]...)
-		if w.war.Enabled() {
-			w.warReadSpan(base+pmem.Addr(lo), base+pmem.Addr(hi))
-		}
-		n += int64(hi - lo)
 	}
-	w.reads += n
-	w.taskWork += n
-	return dst
+	return dst, true
 }
 
 // GatherAt appends base[i] for every i of idx to dst: one indexed loop over
 // the n-word window at base, one scaled fault draw for the batch. It is the
 // scattered-read path of the scan leaves (the label or contribution of every
-// arc target). ok is false, with nothing counted, when an index lies outside
-// the window. A nil dst is taken from ephemeral memory.
+// arc target). ok is false when an index lies outside the window, for the
+// caller to panic on. A nil dst is taken from ephemeral memory.
 func (w *Ctx) GatherAt(base pmem.Addr, n int, idx []uint64, dst []uint64) (out []uint64, ok bool) {
 	if len(idx) == 0 {
 		return dst, true
 	}
-	w.rt.check(base)
-	w.rt.check(base + pmem.Addr(n-1))
-	if w.faultThresh != 0 {
-		w.maybeFault(int64(len(idx)))
-	}
-	win := w.rt.mem[base : base+pmem.Addr(n)]
+	win := w.window(base, n)
+	w.batch(int64(len(idx)), &w.reads)
 	at := len(dst)
 	if dst == nil {
 		dst = w.eph.alloc(len(idx))
@@ -1305,15 +1336,68 @@ func (w *Ctx) GatherAt(base pmem.Addr, n int, idx []uint64, dst []uint64) (out [
 		// the same phase (the BFS frontier reads its claimant words back).
 		vals[k] = atomic.LoadUint64(&win[i])
 	}
-	k := int64(len(idx))
-	w.reads += k
-	w.taskWork += k
 	if w.war.Enabled() {
 		for _, i := range idx {
 			w.warRead(base + pmem.Addr(i))
 		}
 	}
 	return dst, true
+}
+
+// CAMAt is CAM over the n-word window at base, once per index: base[idx[k]]
+// becomes vals[k] where it still holds old. Each word is tested before its
+// CAS, as CAM does, so a claim that has already lost never takes the cache
+// line exclusive. The window is checked once and the batch takes one fault
+// draw and one counter update, at the call. ok is false when an index lies
+// outside the window; the claims before it have landed.
+func (w *Ctx) CAMAt(base pmem.Addr, n int, idx []uint64, old uint64, vals []uint64) (ok bool) {
+	if len(idx) == 0 {
+		return true
+	}
+	win := w.window(base, n)
+	w.batch(int64(len(idx)), &w.writes)
+	if w.war.Enabled() {
+		for _, i := range idx {
+			w.warWrite(base + pmem.Addr(i))
+		}
+	}
+	vals = vals[:len(idx)]
+	for k, i := range idx {
+		if i >= uint64(len(win)) {
+			return false
+		}
+		p := &win[i]
+		if atomic.LoadUint64(p) == old {
+			atomic.CompareAndSwapUint64(p, old, vals[k])
+		}
+	}
+	return true
+}
+
+// ScatterAt stores vals[k] at base[idx[k]] for every k, over the n-word
+// window at base: the indexed mirror of Scatter, with its one window check,
+// fault draw and counter update, and its plain stores — the words a batch
+// writes are read only by capsules ordered after it by a join. ok is false
+// when an index lies outside the window; the stores before it have landed.
+func (w *Ctx) ScatterAt(base pmem.Addr, n int, idx []uint64, vals []uint64) (ok bool) {
+	if len(idx) == 0 {
+		return true
+	}
+	win := w.window(base, n)
+	w.batch(int64(len(idx)), &w.writes)
+	if w.war.Enabled() {
+		for _, i := range idx {
+			w.warWrite(base + pmem.Addr(i))
+		}
+	}
+	vals = vals[:len(idx)]
+	for k, i := range idx {
+		if i >= uint64(len(win)) {
+			return false
+		}
+		win[i] = vals[k]
+	}
+	return true
 }
 
 // Scatter writes consecutive words of src over k disjoint spans of base in
@@ -1350,15 +1434,9 @@ func (w *Ctx) WriteRange(base pmem.Addr, lo, hi int, vals []uint64) {
 	if lo >= hi {
 		return
 	}
-	w.rt.check(base + pmem.Addr(lo))
-	w.rt.check(base + pmem.Addr(hi-1))
-	if w.faultThresh != 0 {
-		w.maybeFault(int64(hi - lo))
-	}
-	copy(w.rt.mem[base+pmem.Addr(lo):base+pmem.Addr(hi)], vals)
-	n := int64(hi - lo)
-	w.writes += n
-	w.taskWork += n
+	win := w.window(base+pmem.Addr(lo), hi-lo)
+	w.batch(int64(hi-lo), &w.writes)
+	copy(win, vals)
 	if w.war.Enabled() {
 		w.warWriteSpan(base+pmem.Addr(lo), base+pmem.Addr(hi))
 	}

@@ -112,13 +112,16 @@ func (a Array) Range(c Ctx, lo, hi int, fn func(i int, v uint64)) {
 	c.e.ReadRange(a.base, lo, hi, fn)
 }
 
-// Slice copies elements [lo, hi) into a capsule-local slice — the bulk read
-// path of leaf sorts and merges. Charged like Range on the model engine; on
-// the native engine it is one copy into the worker's ephemeral memory. The
-// result is the capsule's own (sort it, overwrite it) and is valid until
-// this capsule's control transfer; it is lost on a fault, like the paper's
-// ephemeral memory, so it must not be kept in host state. Only for
-// word-packed arrays.
+// Slice returns elements [lo, hi) for reading — the bulk read path of leaf
+// sorts, merges and scan leaves. Charged like Range on the model engine,
+// which copies into a capsule-local slice; on the native engine it is a
+// window onto persistent memory itself, so no word moves: the bounds check,
+// fault draw and word count are taken at the call, as for a copy. The result
+// is read-only — on the native engine a write through it (an index
+// assignment, a copy, clear or in-place sort into it, an append onto a
+// sub-slice of it) would be an uncounted, unfaulted persistent write; copy
+// it into Scratch to edit it. It is valid until this capsule's control
+// transfer and must not be kept in host state. Only for word-packed arrays.
 func (a Array) Slice(c Ctx, lo, hi int) []uint64 {
 	a.needPacked()
 	if lo < 0 || hi > a.n || lo > hi {
@@ -131,21 +134,23 @@ func (a Array) Slice(c Ctx, lo, hi int) []uint64 {
 // elements to dst in span order and returning the extended slice. Pass nil
 // to take the buffer from ephemeral memory — valid until this capsule's
 // control transfer; lost on fault, like the paper's ephemeral memory — or
-// reuse a buffer of the capsule's own across calls. On the model engine the k
-// spans are issued as a single round of block transfers — each touched block
-// costs one transfer, exactly like k separate Ranges, but as one logical
-// operation; on the native engine the whole batch is one tight copy loop
-// with no per-span dispatch. This is the edge-read primitive of the graph
-// workloads: a frontier leaf gathers the adjacency lists of all its vertices
-// in one call. Only for word-packed arrays.
+// reuse a buffer of the capsule's own across calls (never a Slice result,
+// which an append would write through). On the model engine the k spans are
+// issued as a single round of block transfers — each touched block costs
+// one transfer, exactly like k separate Ranges, but as one logical
+// operation; on the native engine the batch is paid once, not per span: one
+// check of the spans against the array, one fault draw for the batch total,
+// one counter update, then one copy loop that moves short spans inline.
+// This is the edge-read primitive of the graph workloads: a frontier leaf
+// gathers the adjacency lists of all its vertices in one call. Only for
+// word-packed arrays.
 func (a Array) Gather(c Ctx, spans [][2]int, dst []uint64) []uint64 {
 	a.needPacked()
-	for _, s := range spans {
-		if s[0] < 0 || s[1] > a.n || s[0] > s[1] {
-			panic("ppm: Gather span out of range")
-		}
+	out, ok := c.e.Gather(a.base, a.n, spans, dst)
+	if !ok {
+		panic("ppm: Gather span out of range")
 	}
-	return c.e.Gather(a.base, spans, dst)
+	return out
 }
 
 // GatherAt reads the elements at the given indices in one batched
@@ -161,9 +166,47 @@ func (a Array) GatherAt(c Ctx, idx []uint64, dst []uint64) []uint64 {
 	a.needPacked()
 	out, ok := c.e.GatherAt(a.base, a.n, idx, dst)
 	if !ok {
-		panic("ppm: Gather span out of range")
+		panic("ppm: GatherAt index out of range")
 	}
 	return out
+}
+
+// CAMAt compare-and-modifies the elements at the given indices in one
+// batched operation: for every k, a[idx[k]] becomes vals[k] if it still
+// holds old, in index order, so among duplicate indices the first claim
+// wins. Like CAM it reports no outcome; read the words back (GatherAt) in a
+// later phase or after a join. The model engine charges one CAM per index,
+// each a fault point — exactly the loop it replaces; the native engine
+// checks the array once, draws one fault for the batch and counts once, then
+// tests each word before its CAS. It is the claim primitive of the BFS
+// frontier: a leaf claims every arc target of its entries in one call.
+// len(vals) must equal len(idx). Only for word-packed arrays.
+func (a Array) CAMAt(c Ctx, idx []uint64, old uint64, vals []uint64) {
+	a.needPacked()
+	if len(vals) != len(idx) {
+		panic("ppm: CAMAt length mismatch")
+	}
+	if !c.e.CAMAt(a.base, a.n, idx, old, vals) {
+		panic("ppm: CAMAt index out of range")
+	}
+}
+
+// ScatterAt writes vals[k] to element idx[k] for every k in one batched
+// operation — the indexed mirror of Scatter. A repeated index takes its
+// last value, as in the loop; like Scatter's spans, the elements must be
+// written by no concurrent capsule. The model engine charges one Write per
+// index, each a fault point — exactly the loop of Sets it replaces; the
+// native engine checks the array once, draws one fault for the batch,
+// counts once and stores with plain stores, as the bulk writes do.
+// len(vals) must equal len(idx). Only for word-packed arrays.
+func (a Array) ScatterAt(c Ctx, idx []uint64, vals []uint64) {
+	a.needPacked()
+	if len(vals) != len(idx) {
+		panic("ppm: ScatterAt length mismatch")
+	}
+	if !c.e.ScatterAt(a.base, a.n, idx, vals) {
+		panic("ppm: ScatterAt index out of range")
+	}
 }
 
 // Scatter writes consecutive elements of src over k ranges {[lo, hi)} in

@@ -1,6 +1,9 @@
 package ppm_test
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/ppm"
@@ -163,4 +166,414 @@ func TestGatherModelCost(t *testing.T) {
 	if g != r {
 		t.Fatalf("Gather charged %d read transfers, k Ranges charge %d", g, r)
 	}
+}
+
+// panicText runs f and returns what it panicked with, "" if it returned.
+func panicText(f func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	f()
+	return ""
+}
+
+// TestIndexedAccessOutOfRange: an index past the array's window panics, on
+// both engines, with the message of the indexed accessor it was passed to —
+// not Gather's span message — even when the word behind it exists in the
+// runtime's memory.
+func TestIndexedAccessOutOfRange(t *testing.T) {
+	const n = 64
+	want := []string{
+		"ppm: CAMAt index out of range",
+		"ppm: ScatterAt index out of range",
+		"ppm: CAMAt length mismatch",
+		"ppm: ScatterAt length mismatch",
+		"ppm: Gather span out of range",
+		"ppm: GatherAt index out of range",
+		"ppm: GatherAt index out of range",
+	}
+	for _, eng := range bothEngines {
+		rt := ppm.New(ppm.WithEngine(eng), ppm.WithProcs(1), ppm.WithSeed(1))
+		in := rt.NewArray(n)
+		rt.NewArray(n) // the words past in's window belong to this one
+		ok := rt.NewArray(len(want))
+		root := rt.Register("indexed/range", func(c ppm.Ctx) {
+			one := []uint64{1}
+			got := []string{ // the writes first, so no read precedes them
+				panicText(func() { in.CAMAt(c, []uint64{n}, 0, one) }),
+				panicText(func() { in.ScatterAt(c, []uint64{^uint64(0)}, one) }),
+				panicText(func() { in.CAMAt(c, []uint64{1, 2}, 0, one) }),
+				panicText(func() { in.ScatterAt(c, nil, one) }),
+				panicText(func() { in.Gather(c, [][2]int{{n, n + 1}}, nil) }),
+				panicText(func() { in.GatherAt(c, []uint64{3, n}, nil) }),
+				panicText(func() { in.GatherAt(c, []uint64{^uint64(0)}, nil) }),
+			}
+			for k, msg := range got {
+				if msg == want[k] {
+					ok.Set(c, k, 1)
+				}
+			}
+			c.Done()
+		})
+		if !rt.Run(root) {
+			t.Fatalf("%s: did not complete", eng)
+		}
+		for k, v := range ok.Snapshot() {
+			if v != 1 {
+				t.Errorf("%s: call %d did not panic with %q", eng, k, want[k])
+			}
+		}
+		rt.Close()
+	}
+}
+
+// batchRun is what one program left behind: its output words, its
+// counters, and the WAR checker's lines.
+type batchRun struct {
+	words []uint64
+	stats ppm.Stats
+	wars  []string
+}
+
+// runBatch runs body as the single capsule "batch/leaf" on a fresh one-worker
+// runtime of eng with its engine's WAR checker on, over an array of n words
+// loaded with init, and returns the array afterwards with the run's record.
+func runBatch(t *testing.T, eng ppm.Engine, n int, init []uint64, body func(c ppm.Ctx, a, out ppm.Array)) batchRun {
+	t.Helper()
+	check := ppm.WithWARCheck()
+	if eng == ppm.EngineNative {
+		check = ppm.WithNativeWARCheck()
+	}
+	rt := ppm.New(ppm.WithEngine(eng), ppm.WithProcs(1), ppm.WithSeed(4), check)
+	defer rt.Close()
+	a := rt.NewArray(n)
+	a.Load(init)
+	out := rt.NewArray(4 * n)
+	root := rt.Register("batch/leaf", func(c ppm.Ctx) {
+		body(c, a, out)
+		c.Done()
+	})
+	if !rt.Run(root) {
+		t.Fatalf("%s: did not complete", eng)
+	}
+	return batchRun{append(a.Snapshot(), out.Snapshot()...), rt.Stats(), rt.WARViolations()}
+}
+
+// TestBatchedAccessorsMatchLoops holds Gather, CAMAt and ScatterAt to the
+// per-span or per-word loops they replace, on both engines: the same words,
+// the same Stats (on the model, the same block transfers), and the same WAR
+// checker lines for a conflict planted behind each batch. Gather's spans
+// have lengths 0, 1, 2, 8, 9 and 1 000, out of order, one ending on the
+// array's last word, read into a nil dst and appended to a non-nil one;
+// CAMAt's indices repeat, so the first claim of each must win.
+func TestBatchedAccessorsMatchLoops(t *testing.T) {
+	const n = 2048
+	spans := [][2]int{{700, 709}, {5, 5}, {1048, 2048}, {40, 42}, {3, 4}, {100, 108}, {0, 1}}
+	idx := []uint64{9, 2047, 9, 0, 512, 9, 33, 0}
+	vals := []uint64{101, 102, 103, 104, 105, 106, 107, 108}
+	prefix := []uint64{7, 8, 9}
+	// claimable holds 0, the value the claims CAM from, at every claimed
+	// index but 512, whose claim must lose.
+	claimable := seqWords(n)
+	for _, i := range idx {
+		claimable[i] = 0
+	}
+	claimable[512] = 1
+	cases := []struct {
+		name        string
+		init        []uint64
+		batch, loop func(c ppm.Ctx, a, out ppm.Array)
+		want        func([]uint64) []uint64 // the array and out's prefix after the run
+	}{
+		{"gather", seqWords(n),
+			func(c ppm.Ctx, a, out ppm.Array) {
+				g := a.Gather(c, spans, nil)
+				out.SetRange(c, 0, g)
+				out.SetRange(c, len(g), a.Gather(c, spans, append(c.Scratch(len(prefix))[:0], prefix...)))
+				//ppm:allow warfree this test plants the conflict both dynamic checkers must flag
+				a.Set(c, n-1, 1)
+			},
+			func(c ppm.Ctx, a, out ppm.Array) {
+				var g []uint64
+				for _, s := range spans {
+					g = append(g, a.Slice(c, s[0], s[1])...)
+				}
+				out.SetRange(c, 0, g)
+				h := slices.Clone(prefix)
+				for _, s := range spans {
+					h = append(h, a.Slice(c, s[0], s[1])...)
+				}
+				out.SetRange(c, len(g), h)
+				//ppm:allow warfree this test plants the conflict both dynamic checkers must flag
+				a.Set(c, n-1, 1)
+			},
+			func(w []uint64) []uint64 {
+				var g []uint64
+				for _, s := range spans {
+					g = append(g, w[s[0]:s[1]]...)
+				}
+				w[n-1] = 1
+				return slices.Concat(w, g, prefix, g)
+			},
+		},
+		{"camat", claimable,
+			func(c ppm.Ctx, a, out ppm.Array) {
+				_ = a.Get(c, 33)
+				//ppm:allow warfree this test plants the conflict both dynamic checkers must flag
+				a.CAMAt(c, idx, 0, vals)
+			},
+			func(c ppm.Ctx, a, out ppm.Array) {
+				_ = a.Get(c, 33)
+				for k, i := range idx {
+					//ppm:allow warfree this test plants the conflict both dynamic checkers must flag
+					c.CAM(a.At(int(i)), 0, vals[k])
+				}
+			},
+			func(w []uint64) []uint64 {
+				w[9], w[n-1], w[0], w[33] = 101, 102, 104, 107 // first claims win
+				return w
+			},
+		},
+		{"scatterat", seqWords(n),
+			func(c ppm.Ctx, a, out ppm.Array) {
+				_ = a.Get(c, 33)
+				//ppm:allow warfree this test plants the conflict both dynamic checkers must flag
+				a.ScatterAt(c, idx, vals)
+			},
+			func(c ppm.Ctx, a, out ppm.Array) {
+				_ = a.Get(c, 33)
+				for k, i := range idx {
+					//ppm:allow warfree this test plants the conflict both dynamic checkers must flag
+					a.Set(c, int(i), vals[k])
+				}
+			},
+			func(w []uint64) []uint64 {
+				for k, i := range idx {
+					w[i] = vals[k] // the last write of a repeated index wins
+				}
+				return w
+			},
+		},
+	}
+	for _, eng := range bothEngines {
+		for _, tc := range cases {
+			t.Run(string(eng)+"/"+tc.name, func(t *testing.T) {
+				b := runBatch(t, eng, n, tc.init, tc.batch)
+				l := runBatch(t, eng, n, tc.init, tc.loop)
+				want := tc.want(slices.Clone(tc.init))
+				if !slices.Equal(b.words[:len(want)], want) {
+					t.Error("batched words differ from the reference")
+				}
+				if !slices.Equal(b.words, l.words) {
+					t.Error("batched words differ from the loop's")
+				}
+				if b.stats != l.stats {
+					t.Errorf("batched stats %+v, loop %+v", b.stats, l.stats)
+				}
+				// The model's checker does not track CAMs (their replay safety
+				// is Theorem 5.2's, not WAR-freedom), so its camat lines are
+				// empty for the loop and the batch alike.
+				if len(b.wars) == 0 && !(eng == ppm.EngineModel && tc.name == "camat") {
+					t.Error("the planted conflict was not flagged")
+				}
+				if !slices.Equal(b.wars, l.wars) {
+					t.Errorf("WAR lines, batched:\n%s\nloop:\n%s",
+						strings.Join(b.wars, "\n"), strings.Join(l.wars, "\n"))
+				}
+			})
+		}
+	}
+}
+
+// batchFuzzWords is the fuzzed array's length; batchFuzzMax caps the spans
+// and the indices one input decodes to.
+const (
+	batchFuzzWords = 256
+	batchFuzzMax   = 512
+)
+
+// batchFuzzInput decodes a fuzz input. data[0] sets the span count (up to
+// 31); each span is then two bytes, its start and a length byte: below 128 a
+// short span of up to 11 words, either side of Gather's 8-word inline copy,
+// else a long one, clipped at the array's end. Every byte after the spans is
+// one index, so indices repeat often.
+func batchFuzzInput(data []byte) (spans [][2]int, idx []uint64) {
+	if len(data) == 0 {
+		return nil, nil
+	}
+	ns := int(data[0] % 32)
+	data = data[1:]
+	for ; ns > 0 && len(data) >= 2; ns-- {
+		lo, l := int(data[0]), int(data[1])
+		if l < 128 {
+			l %= 12
+		} else {
+			l = 2 * (l - 128)
+		}
+		spans = append(spans, [2]int{lo, min(lo+l, batchFuzzWords)})
+		data = data[2:]
+	}
+	for _, b := range data[:min(len(data), batchFuzzMax)] {
+		idx = append(idx, uint64(b))
+	}
+	return spans, idx
+}
+
+// batchFuzzProgram is the fuzz target's program on one runtime: a Seq of a
+// read phase (two forked leaves, each a Gather of half the spans and a
+// GatherAt of half the indices), a claim phase (one CAMAt over every index,
+// claiming words that hold 0), and a store phase (two forked leaves, each a
+// ScatterAt of the indices of one parity, so no word has two writers).
+type batchFuzzProgram struct {
+	rt                           *ppm.Runtime
+	arr, spanW, idxW, gOut, aOut ppm.Array
+	root                         ppm.FuncRef
+}
+
+func newBatchFuzzProgram(procs int) *batchFuzzProgram {
+	rt := ppm.New(ppm.WithEngine(ppm.EngineNative), ppm.WithProcs(procs), ppm.WithSeed(11), ppm.WithMemWords(1<<16))
+	p := &batchFuzzProgram{
+		rt:    rt,
+		arr:   rt.NewArray(batchFuzzWords),
+		spanW: rt.NewArray(64),
+		idxW:  rt.NewArray(batchFuzzMax),
+		gOut:  rt.NewArray(32 * batchFuzzWords),
+		aOut:  rt.NewArray(batchFuzzMax),
+	}
+	spansOf := func(c ppm.Ctx, lo, hi int) [][2]int {
+		w := p.spanW.Slice(c, 2*lo, 2*hi)
+		spans := c.ScratchSpans(hi - lo)
+		for i := range spans {
+			spans[i] = [2]int{int(w[2*i]), int(w[2*i+1])}
+		}
+		return spans
+	}
+	// read: args [s0, s1, i0, i1], a half of the spans and of the indices.
+	read := rt.Register("fuzz/batch/read", func(c ppm.Ctx) {
+		s0, s1, i0, i1 := c.Int(0), c.Int(1), c.Int(2), c.Int(3)
+		off := 0
+		for _, s := range spansOf(c, 0, s0) {
+			off += s[1] - s[0]
+		}
+		p.gOut.SetRange(c, off, p.arr.Gather(c, spansOf(c, s0, s1), nil))
+		p.aOut.SetRange(c, i0, p.arr.GatherAt(c, p.idxW.Slice(c, i0, i1), nil))
+		c.Done()
+	})
+	readP := rt.Register("fuzz/batch/readP", func(c ppm.Ctx) {
+		ns, ni := c.Int(0), c.Int(1)
+		c.Fork(read.Call(0, ns/2, 0, ni/2), read.Call(ns/2, ns, ni/2, ni))
+	})
+	claim := rt.Register("fuzz/batch/claim", func(c ppm.Ctx) {
+		idx := p.idxW.Slice(c, 0, c.Int(0))
+		vals := c.Scratch(len(idx))
+		for k := range vals {
+			vals[k] = 1000 + uint64(k)
+		}
+		p.arr.CAMAt(c, idx, 0, vals)
+		c.Done()
+	})
+	// store: args [ni, parity].
+	store := rt.Register("fuzz/batch/store", func(c ppm.Ctx) {
+		ni, parity := c.Int(0), uint64(c.Int(1))
+		idx, vals := c.Scratch(ni)[:0], c.Scratch(ni)[:0]
+		for k, i := range p.idxW.Slice(c, 0, ni) {
+			if i%2 == parity {
+				idx = append(idx, i)
+				vals = append(vals, 5000+uint64(k))
+			}
+		}
+		p.arr.ScatterAt(c, idx, vals)
+		c.Done()
+	})
+	storeP := rt.Register("fuzz/batch/storeP", func(c ppm.Ctx) {
+		ni := c.Int(0)
+		c.Fork(store.Call(ni, 0), store.Call(ni, 1))
+	})
+	p.root = rt.Register("fuzz/batch/root", func(c ppm.Ctx) {
+		ns, ni := c.Int(0), c.Int(1)
+		c.Seq(readP.Call(ns, ni), claim.Call(ni), storeP.Call(ni))
+	})
+	return p
+}
+
+// FuzzBatchedAccessors runs Gather, GatherAt, CAMAt and ScatterAt over
+// random spans and index lists on the native engine, at one worker and at
+// two, against the same operations on a plain-Go copy of the array. The
+// array starts as i mod 4, so a quarter of the claims find the 0 they CAM
+// from and the first claim of a repeated index wins.
+func FuzzBatchedAccessors(f *testing.F) {
+	progs := []*batchFuzzProgram{newBatchFuzzProgram(1), newBatchFuzzProgram(2)}
+	defer func() {
+		for _, p := range progs {
+			p.rt.Close()
+		}
+	}()
+	f.Add([]byte{})                                 // nothing to do
+	f.Add([]byte{1, 255, 1})                        // the array's last word
+	f.Add([]byte{3, 0, 8, 100, 9, 20, 0, 4, 4, 8})  // 8, 9 and 0 words; repeated indices
+	f.Add([]byte{2, 0, 255, 128, 200, 0, 255, 128}) // two long spans
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spans, idx := batchFuzzInput(data)
+		ref := make([]uint64, batchFuzzWords)
+		for i := range ref {
+			ref[i] = uint64(i % 4)
+		}
+		init := slices.Clone(ref)
+		var gathered, at []uint64
+		for _, s := range spans {
+			gathered = append(gathered, ref[s[0]:s[1]]...)
+		}
+		for _, i := range idx {
+			at = append(at, ref[i])
+		}
+		for k, i := range idx {
+			if ref[i] == 0 {
+				ref[i] = 1000 + uint64(k)
+			}
+		}
+		for k, i := range idx {
+			ref[i] = 5000 + uint64(k)
+		}
+		sw := make([]uint64, 0, 2*len(spans))
+		for _, s := range spans {
+			sw = append(sw, uint64(s[0]), uint64(s[1]))
+		}
+		for _, p := range progs {
+			// The outputs start as the complement of what the run must
+			// write, so a batch that writes nothing cannot pass on a
+			// previous input's result.
+			p.gOut.LoadAt(0, complement(gathered))
+			p.aOut.LoadAt(0, complement(at))
+			p.arr.Load(init)
+			p.spanW.LoadAt(0, sw)
+			p.idxW.LoadAt(0, idx)
+			if !p.rt.Run(p.root, len(spans), len(idx)) {
+				t.Fatalf("P=%d: did not complete", p.rt.Procs())
+			}
+			for _, chk := range []struct {
+				what      string
+				got, want []uint64
+			}{
+				{"Gather", p.gOut.SnapshotRange(0, len(gathered)), gathered},
+				{"GatherAt", p.aOut.SnapshotRange(0, len(at)), at},
+				{"CAMAt, then ScatterAt", p.arr.Snapshot(), ref},
+			} {
+				if !slices.Equal(chk.got, chk.want) {
+					t.Fatalf("P=%d, spans %v, idx %v: %s gave %v, want %v",
+						p.rt.Procs(), spans, idx, chk.what, chk.got, chk.want)
+				}
+			}
+		}
+	})
+}
+
+// complement returns ^w for every word w of ws.
+func complement(ws []uint64) []uint64 {
+	out := make([]uint64, len(ws))
+	for i, w := range ws {
+		out[i] = ^w
+	}
+	return out
 }

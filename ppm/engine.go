@@ -83,8 +83,10 @@ type capCtx interface {
 	ReadAt(base pmem.Addr, idx int) uint64
 	ReadRange(base pmem.Addr, lo, hi int, fn func(idx int, v uint64))
 	Slice(base pmem.Addr, lo, hi int) []uint64
-	Gather(base pmem.Addr, spans [][2]int, dst []uint64) []uint64
+	Gather(base pmem.Addr, n int, spans [][2]int, dst []uint64) ([]uint64, bool)
 	GatherAt(base pmem.Addr, n int, idx []uint64, dst []uint64) ([]uint64, bool)
+	CAMAt(base pmem.Addr, n int, idx []uint64, old uint64, vals []uint64) bool
+	ScatterAt(base pmem.Addr, n int, idx []uint64, vals []uint64) bool
 	Scratch(n int) []uint64
 	ScratchSpans(n int) [][2]int
 	Scatter(base pmem.Addr, spans [][2]int, src []uint64)
@@ -244,7 +246,13 @@ func (m *modelCtx) Slice(base pmem.Addr, lo, hi int) []uint64 {
 // touched block is charged exactly as a ReadRange over that span would
 // charge it, but the batch is a single logical operation of the capsule (one
 // round of concurrent transfers in the model's sense, not k dependent ones).
-func (m *modelCtx) Gather(base pmem.Addr, spans [][2]int, dst []uint64) []uint64 {
+// The spans are checked against the n-word array before any is charged.
+func (m *modelCtx) Gather(base pmem.Addr, n int, spans [][2]int, dst []uint64) ([]uint64, bool) {
+	for _, s := range spans {
+		if s[0] < 0 || s[1] > n || s[0] > s[1] {
+			return nil, false
+		}
+	}
 	for _, s := range spans {
 		lo, hi := s[0], s[1]
 		if lo >= hi {
@@ -254,7 +262,7 @@ func (m *modelCtx) Gather(base pmem.Addr, spans [][2]int, dst []uint64) []uint64
 		dst = append(dst, make([]uint64, hi-lo)...)
 		blockio.ReadRange(m.e, m.b, base, lo, hi, func(idx int, v uint64) { dst[at+idx-lo] = v })
 	}
-	return dst
+	return dst, true
 }
 
 // GatherAt charges one block transfer per index, exactly what Gather charges
@@ -267,6 +275,28 @@ func (m *modelCtx) GatherAt(base pmem.Addr, n int, idx []uint64, dst []uint64) (
 		dst = append(dst, blockio.ReadAt(m.e, m.b, base, int(i)))
 	}
 	return dst, true
+}
+
+// CAMAt and ScatterAt are the loops they batch: one charged, fault-pointed
+// CAM or Write per index, in index order.
+func (m *modelCtx) CAMAt(base pmem.Addr, n int, idx []uint64, old uint64, vals []uint64) bool {
+	for k, i := range idx {
+		if i >= uint64(n) {
+			return false
+		}
+		m.e.CAM(base+pmem.Addr(i), old, vals[k])
+	}
+	return true
+}
+
+func (m *modelCtx) ScatterAt(base pmem.Addr, n int, idx []uint64, vals []uint64) bool {
+	for k, i := range idx {
+		if i >= uint64(n) {
+			return false
+		}
+		m.e.Write(base+pmem.Addr(i), vals[k])
+	}
+	return true
 }
 
 func (m *modelCtx) WriteRange(base pmem.Addr, lo, hi int, vals []uint64) {

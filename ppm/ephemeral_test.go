@@ -1,7 +1,6 @@
 package ppm_test
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/ppm"
@@ -63,46 +62,6 @@ func TestGatherAtBothEngines(t *testing.T) {
 		}
 		if got[3*k+1] != uint64(len(want)) {
 			t.Fatalf("%s: empty batches changed the length: %d", eng, got[3*k+1])
-		}
-		rt.Close()
-	}
-}
-
-// panicText runs f and returns what it panicked with, "" if it returned.
-func panicText(f func()) (msg string) {
-	defer func() {
-		if r := recover(); r != nil {
-			msg = fmt.Sprint(r)
-		}
-	}()
-	f()
-	return ""
-}
-
-// TestGatherAtOutOfRange: an index past the array's window panics, on both
-// engines, with the panic Gather gives an out-of-range span — even when the
-// word behind it exists in the runtime's memory.
-func TestGatherAtOutOfRange(t *testing.T) {
-	const n = 64
-	for _, eng := range bothEngines {
-		rt := ppm.New(ppm.WithEngine(eng), ppm.WithProcs(1), ppm.WithSeed(1))
-		in := rt.NewArray(n)
-		rt.NewArray(n) // the words past in's window belong to this one
-		out := rt.NewArray(1)
-		root := rt.Register("gatherat/range", func(c ppm.Ctx) {
-			span := panicText(func() { in.Gather(c, [][2]int{{n, n + 1}}, nil) })
-			at := panicText(func() { in.GatherAt(c, []uint64{3, n}, nil) })
-			huge := panicText(func() { in.GatherAt(c, []uint64{^uint64(0)}, nil) })
-			if span != "" && at == span && huge == span {
-				out.Set(c, 0, 1)
-			}
-			c.Done()
-		})
-		if !rt.Run(root) {
-			t.Fatalf("%s: did not complete", eng)
-		}
-		if out.Snapshot()[0] != 1 {
-			t.Fatalf("%s: out-of-range GatherAt did not panic like Gather", eng)
 		}
 		rt.Close()
 	}
@@ -201,11 +160,11 @@ func TestEphemeralMemoryNative(t *testing.T) {
 		c.Then(check.Call())
 	})
 	dirty := rt.Register("eph/dirty", func(c ppm.Ctx) {
-		a := in.Slice(c, 0, 3000) // fits the first chunk
-		s := c.Scratch(3000)      // does not fit beside a: a fresh chunk
-		b := in.Slice(c, 5000, 25000)
+		a := in.Gather(c, [][2]int{{0, 3000}}, nil) // fits the first chunk
+		s := c.Scratch(3000)                        // does not fit beside a: a fresh chunk
+		b := in.Gather(c, [][2]int{{5000, 25000}}, nil)
 		g := in.GatherAt(c, []uint64{1, 2, 3}, nil)
-		big := in.Slice(c, 0, n) // past the arena's ceiling: the heap
+		big := in.Gather(c, [][2]int{{0, n}}, nil) // past the arena's ceiling: the heap
 		for i := range s {
 			s[i] = ^uint64(0)
 		}

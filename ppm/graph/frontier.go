@@ -311,14 +311,24 @@ func (f *frontier) owned(c ppm.Ctx, lo, hi, parity int, claim bool) []uint64 {
 		vs[i] = id % uint64(f.n)
 	}
 	spans, tgts := f.cs.gatherAdj(c, vs)
+	// With claim set, every arc but a self-loop claims its target for the
+	// entry: one batched CAMAt over those targets, each claimed by its id.
+	var cidx, cval []uint64
+	if claim {
+		cidx, cval = c.Scratch(len(tgts))[:0], c.Scratch(len(tgts))[:0]
+	}
 	i := 0
 	for idx, id := range ids {
 		for end := i + spans[idx][1] - spans[idx][0]; i < end; i++ {
 			tgts[i] += id - vs[idx] // arc target → combined id in the entry's row
 			if claim && tgts[i] != id {
-				c.CAM(f.owner.At(int(tgts[i])), nilParent, id)
+				cidx = append(cidx, tgts[i])
+				cval = append(cval, id)
 			}
 		}
+	}
+	if claim {
+		f.owner.CAMAt(c, cidx, nilParent, cval)
 	}
 	own := f.owner.GatherAt(c, tgts, nil)
 	out := c.Scratch(len(tgts))[:0]
@@ -345,9 +355,7 @@ func (f *frontier) emit(c ppm.Ctx, parity, t int, d uint64, out []uint64) {
 		return
 	}
 	f.front[1-parity].SetRange(c, t, out)
-	for _, id := range out {
-		f.level[0].Set(c, int(id), d)
-	}
+	f.level[0].ScatterAt(c, out, fillVec(c, len(out), d))
 }
 
 // pull finds the ids of combined ids [lo, hi) that round d reaches: those
@@ -356,7 +364,9 @@ func (f *frontier) emit(c ppm.Ctx, parity, t int, d uint64, out []uint64) {
 // the range's levels, d for every id found, to level[1-cur] and the parents
 // to owner, and returns how many it found.
 func (f *frontier) pull(c ppm.Ctx, lo, hi int, d uint64, cur int) uint64 {
-	lv := f.level[cur].Slice(c, lo, hi)
+	// The range's levels, edited below: a copy, since a Slice is read-only.
+	lv := c.Scratch(hi - lo)
+	copy(lv, f.level[cur].Slice(c, lo, hi))
 	ids := c.Scratch(hi - lo)[:0]
 	for i, l := range lv {
 		if l == inf {
@@ -375,22 +385,25 @@ func (f *frontier) pull(c ppm.Ctx, lo, hi int, d uint64, cur int) uint64 {
 		}
 	}
 	tl := f.level[cur].GatherAt(c, tgts, nil)
-	found := uint64(0)
+	// found and parents list the ids reached and their parents, for one
+	// batched ScatterAt into owner.
+	found, parents := c.Scratch(len(ids))[:0], c.Scratch(len(ids))[:0]
 	i = 0
 	for idx, id := range ids {
 		end := i + spans[idx][1] - spans[idx][0]
 		for ; i < end; i++ {
 			if tl[i] == d-1 {
 				lv[id-uint64(lo)] = d
-				f.owner.Set(c, int(id), tgts[i])
-				found++
+				found = append(found, id)
+				parents = append(parents, tgts[i])
 				break
 			}
 		}
 		i = end
 	}
+	f.owner.ScatterAt(c, found, parents)
 	f.level[1-cur].SetRange(c, lo, lv)
-	return found
+	return uint64(len(found))
 }
 
 // levels copies combined ids [lo, hi) of the last search's levels out of

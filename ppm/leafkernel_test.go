@@ -36,8 +36,8 @@ func leafCases() []leafCase {
 		return out
 	}
 	// Keys that differ only under mask: radixSort makes one pass per byte
-	// position the mask touches, so odd and even counts return the scratch
-	// buffer and the input slice respectively.
+	// position the mask touches, so odd and even counts end in either of
+	// its two scratch buffers.
 	masked := func(n int, mask uint64) []uint64 {
 		out := make([]uint64, n)
 		for i := range out {
@@ -95,7 +95,9 @@ func leafCases() []leafCase {
 
 // TestLeafKernels checks the Section 7 leaf kernels against the sequential
 // references, each run inside a capsule on both engines: radixSort against
-// slices.Sort and seqMerge against mergeRef. The soft rows run the same
+// slices.Sort and seqMerge against mergeRef. Their inputs are Slices, views
+// of persistent memory on the native engine, so the source arrays must read
+// the same afterwards: a kernel that writes its input fails here. The soft rows run the same
 // capsules at the highest fault rate the engine's tests use (the largest
 // capsule, 2 048 keys in and out, stays under f < 1/(2C)), so some of them
 // replay from a lost ephemeral memory.
@@ -163,6 +165,20 @@ func checkLeafKernels(t *testing.T, rt *Runtime, lc leafCase) {
 			t.Error(err)
 		}
 	}
+	if err := sourcesUnchanged([]Array{in, A, B}, [][]uint64{all, sa, sb}); err != nil {
+		t.Errorf("%s: %v", lc.name, err)
+	}
+}
+
+// sourcesUnchanged reports the first of srcs whose leading words no longer
+// read as the matching want: the aliasing guard of the leaf-kernel tests.
+func sourcesUnchanged(srcs []Array, want [][]uint64) error {
+	for i, src := range srcs {
+		if err := verifyWords(fmt.Sprintf("source %d", i), src.SnapshotRange(0, len(want[i])), want[i]); err != nil {
+			return fmt.Errorf("a kernel wrote through its input view: %w", err)
+		}
+	}
+	return nil
 }
 
 // fuzzMaxKeys caps the keys one fuzz input decodes to: two merge leaves'
@@ -198,7 +214,9 @@ func fuzzKeys(data []byte) (a, b []uint64) {
 // runtime that every input reuses: the inputs are loaded per call and the
 // lengths travel as run arguments. Each output array is first loaded with
 // the complement of the expected words, so a kernel that writes nothing
-// cannot pass on a previous input's result.
+// cannot pass on a previous input's result, and the inputs must read the
+// same afterwards, so a kernel that writes through its input view cannot
+// pass either.
 func FuzzLeafKernels(f *testing.F) {
 	rt := New(WithEngine(EngineNative), WithProcs(1), WithSeed(3), WithMemWords(1<<16))
 	defer rt.Close()
@@ -261,6 +279,9 @@ func FuzzLeafKernels(f *testing.F) {
 			if err := verifyWords(k.kernel, k.got.SnapshotRange(0, len(k.want)), k.want); err != nil {
 				t.Fatalf("a = %v, b = %v: %v", a, b, err)
 			}
+		}
+		if err := sourcesUnchanged([]Array{in, A, B}, [][]uint64{all, sa, sb}); err != nil {
+			t.Fatalf("a = %v, b = %v: %v", a, b, err)
 		}
 	})
 }

@@ -210,16 +210,17 @@ func seqMerge(c Ctx, a, b []uint64) []uint64 {
 	return out
 }
 
-// radixSort sorts vals and returns the sorted keys: the leaf sort of both
-// Theorem 7.3 sorts. It is an LSD radix sort on bytes whose count table and
-// buffer live in ephemeral memory (c.Scratch), so it moves no persistent
+// radixSort returns vals' keys sorted: the leaf sort of both Theorem 7.3
+// sorts. It is an LSD radix sort on bytes whose count table and buffers live
+// in ephemeral memory (c.Scratch, 256 + 2n words), so it moves no persistent
 // word: a leaf's work and block counts are its Slice and SetRange alone. One
 // AND/OR pass finds the byte positions where the keys differ, and only those
 // get a count pass and a scatter pass, so keys below 2^24 take at most three.
-// The passes ping-pong between vals and one scratch buffer, and the result
-// is whichever of the two the last pass wrote: vals itself after an even
-// number of passes, the buffer after an odd one. vals may be overwritten
-// either way, so callers store the returned slice.
+// vals is only read — it may be a Slice, a view of persistent memory on the
+// native engine — so the first pass scatters into one scratch buffer and the
+// later ones ping-pong between the two. The result is the buffer the last
+// pass wrote, or vals itself when no pass was needed (fewer than two keys,
+// or all equal); either way the caller stores the returned slice.
 func radixSort(c Ctx, vals []uint64) []uint64 {
 	if len(vals) < 2 {
 		return vals
@@ -234,7 +235,8 @@ func radixSort(c Ctx, vals []uint64) []uint64 {
 		return vals
 	}
 	cnt := c.Scratch(256)
-	src, dst := vals, c.Scratch(len(vals))
+	buf := c.Scratch(2 * len(vals))
+	src, dst, spare := vals, buf[:len(vals)], buf[len(vals):]
 	for shift := uint(0); shift < 64; shift += 8 {
 		if (diff>>shift)&0xff == 0 {
 			continue // every key has the same byte here
@@ -253,7 +255,7 @@ func radixSort(c Ctx, vals []uint64) []uint64 {
 			dst[cnt[b]] = v
 			cnt[b]++
 		}
-		src, dst = dst, src
+		src, dst, spare = dst, spare, dst
 	}
 	return src
 }
