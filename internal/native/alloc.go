@@ -2,48 +2,39 @@ package native
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/pmem"
 )
 
-// The native engine's persistent memory is one flat word slice, but carving
-// it into allocations is sharded: every worker allocates from its own shard
-// (worker id mod Shards), whose fast path is a single atomic add on
-// shard-private state — no cross-processor CAS traffic, which is exactly
-// where allocation-heavy rounds used to serialize on the old global bump
-// pointer. A shard that drains its current segment refills by reserving a
-// coarse SegWords region from the global bump pointer (rare, mutex-guarded);
+// The native engine's persistent memory is one flat word slice, and every
+// worker carves its allocations out of it through its own arm: a segment of
+// the global region that only this worker's Ctx bumps, with plain loads and
+// stores. A Ctx is driven by one goroutine at a time (its resident worker
+// during a run, or RunOnAll's goroutine for it, both under runMu), so the
+// fast path needs no atomic and no lock — where a global bump pointer would
+// serialize allocation-heavy rounds on one contended CAS. A drained arm
+// refills by reserving a segment from the global bump pointer (a CAS, rare);
 // allocations too large for a segment, or refills that no longer fit, spill
 // straight into the global region. Addresses remain plain word offsets into
 // the one backing slice, so arrays, Gather/Scatter, CAM, and persistence
-// points never learn which shard produced them — and the model engine keeps
+// points never learn which arm produced them — and the model engine keeps
 // its faithful single-heap cost semantics untouched.
 
-// segment is one shard's current carve of the global region. cur bumps
-// atomically; end is immutable after the segment is published.
-type segment struct {
-	cur atomic.Int64
-	end int64
+// maxSegWords caps the segment an arm reserves per refill.
+const maxSegWords = 1 << 15
+
+// segWords sizes each arm's segment for cfg: maxSegWords, shrunk so P
+// segments can never claim more than a quarter of the memory, rounded down
+// to whole blocks and at least four of them.
+func segWords(cfg Config) int {
+	s := min(maxSegWords, cfg.MemWords/(4*cfg.P))
+	s = max(s, 4*cfg.BlockWords)
+	return s / cfg.BlockWords * cfg.BlockWords
 }
 
-// shard is one independent allocator arm. The mutex guards only the refill
-// path; the bump fast path never takes it. Trailing padding keeps
-// neighbouring shards' hot words off one cache line.
-type shard struct {
-	seg     atomic.Pointer[segment]
-	mu      sync.Mutex
-	refills atomic.Int64
-	spills  atomic.Int64
-	_       [64]byte
-}
-
-// AllocStats summarizes allocator behaviour for one runtime: how the memory
-// is sharded and how often shards went back to the global region.
+// AllocStats summarizes allocator behaviour for one runtime: how often the
+// workers' arms went back to the global region.
 type AllocStats struct {
-	Shards    int   // independent allocator arms (workers map id mod Shards)
-	SegWords  int   // words reserved per shard segment refill
 	Refills   int64 // segment refills from the global region
 	Spills    int64 // allocations routed straight to the global region
 	HeapWords int64 // high-water mark of the global region bump pointer
@@ -51,14 +42,10 @@ type AllocStats struct {
 
 // AllocStats reports the allocator counters accumulated so far.
 func (rt *Runtime) AllocStats() AllocStats {
-	out := AllocStats{
-		Shards:    rt.cfg.Shards,
-		SegWords:  rt.cfg.SegWords,
-		HeapWords: rt.heap.Load(),
-	}
-	for i := range rt.shards {
-		out.Refills += rt.shards[i].refills.Load()
-		out.Spills += rt.shards[i].spills.Load()
+	out := AllocStats{HeapWords: rt.heap.Load()}
+	for _, w := range rt.workers {
+		out.Refills += w.refills
+		out.Spills += w.spills
 	}
 	return out
 }
@@ -96,44 +83,33 @@ func (rt *Runtime) reserve(n int) pmem.Addr {
 	return a
 }
 
-// shardAlloc reserves n fresh zeroed words for shard si. Sizes are rounded
+// Alloc reserves n fresh zeroed words from this worker's arm: a plain bump
+// of its segment cursor unless the segment needs a refill. Sizes are rounded
 // up to whole blocks so every address handed out is block-aligned, matching
-// the model machine's allocator granularity.
-func (rt *Runtime) shardAlloc(si, n int) pmem.Addr {
+// the model machine's allocator granularity (and the WAR checker's blocks).
+func (w *Ctx) Alloc(n int) pmem.Addr {
+	rt := w.rt
 	b := int64(rt.cfg.BlockWords)
 	need := (int64(n) + b - 1) / b * b
-	sh := &rt.shards[si]
-	if need > int64(rt.cfg.SegWords)/2 {
-		// Oversized for a segment: bumping it through the shard would waste
+	if need > int64(rt.segWords)/2 {
+		// Oversized for a segment: bumping it through the arm would waste
 		// most of a refill, so go straight to the global region.
-		sh.spills.Add(1)
+		w.spills++
 		return rt.reserve(int(need))
 	}
-	for {
-		s := sh.seg.Load()
-		if s != nil {
-			start := s.cur.Add(need) - need
-			if start+need <= s.end {
-				return pmem.Addr(start)
-			}
-			// Segment drained. The failed bump wastes nothing: the tail
-			// words stay unused either way.
+	if w.segCur+need > w.segEnd {
+		// Segment drained; its tail words stay unused.
+		base, ok := rt.tryReserve(rt.segWords)
+		if !ok {
+			// The global region cannot host a whole segment any more;
+			// spill this allocation into whatever remains (or panic).
+			w.spills++
+			return rt.reserve(int(need))
 		}
-		sh.mu.Lock()
-		if sh.seg.Load() == s {
-			base, ok := rt.tryReserve(rt.cfg.SegWords)
-			if !ok {
-				// The global region cannot host a whole segment any more;
-				// spill this allocation into whatever remains (or panic).
-				sh.spills.Add(1)
-				sh.mu.Unlock()
-				return rt.reserve(int(need))
-			}
-			ns := &segment{end: int64(base) + int64(rt.cfg.SegWords)}
-			ns.cur.Store(int64(base))
-			sh.seg.Store(ns)
-			sh.refills.Add(1)
-		}
-		sh.mu.Unlock()
+		w.segCur, w.segEnd = int64(base), int64(base)+int64(rt.segWords)
+		w.refills++
 	}
+	a := w.segCur
+	w.segCur += need
+	return pmem.Addr(a)
 }

@@ -61,10 +61,14 @@ func newDequeBuf(capacity int64) *dequeBuf {
 	return &dequeBuf{slots: make([]atomic.Pointer[task], capacity), mask: capacity - 1}
 }
 
+// dequeCap is a worker deque's initial ring capacity; the ring grows by
+// doubling whenever spawn depth exceeds it.
+const dequeCap = 1 << 13
+
+// stealBatch caps how many tasks one steal grabs from a victim's deque.
+const stealBatch = 8
+
 func newDeque(capacity int) *deque {
-	if capacity <= 0 {
-		capacity = 1 << 13
-	}
 	// Round up to a power of two for mask indexing.
 	c := int64(1)
 	for c < int64(capacity) {

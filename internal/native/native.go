@@ -40,26 +40,6 @@ type Config struct {
 	// transfers, but arrays keep the model's block-aligned layout so the
 	// same program produces the same addresses on both backends.
 	BlockWords int
-	// DequeCap is the per-worker deque's initial ring capacity (default
-	// 1<<13); the ring grows by doubling whenever spawn depth exceeds it.
-	DequeCap int
-	// Shards is the number of independent allocator arms the flat memory's
-	// allocation path is split into (default GOMAXPROCS, or P when more
-	// workers than that are configured, so every worker keeps a private
-	// arm). Worker p allocates from shard p mod Shards; more shards than
-	// workers costs nothing (unused shards never reserve a segment).
-	Shards int
-	// SegWords is the segment size a shard reserves from the global region
-	// per refill. The default is 1<<15, shrunk when needed so Shards
-	// default-sized segments can never claim more than a quarter of the
-	// memory; an explicit value is used as given.
-	SegWords int
-	// StealBatch caps how many tasks one steal grabs from a victim's deque
-	// (default 8; 1 restores single-task stealing). A thief takes up to half
-	// the victim's resident tasks, bounded by this, executes the first, and
-	// keeps the rest in its own deque — so a burst of fine-grained spawns
-	// migrates with one victim interaction instead of one per task.
-	StealBatch int
 	// Seed drives steal-victim selection.
 	Seed uint64
 	// Persist compiles a persistence point into every capsule boundary: a
@@ -90,7 +70,7 @@ type Config struct {
 	// memory operation: each worker tracks the block-granular access sequence
 	// of its current task and records write-after-read conflicts (the same
 	// Theorem 3.1 precondition the model machine's checker verifies). Native
-	// allocations are block-aligned (see shardAlloc), so block indices mean
+	// allocations are block-aligned (see Ctx.Alloc), so block indices mean
 	// the same thing on both engines. Debug-only: it adds a map touch per
 	// memory operation.
 	WARCheck bool
@@ -105,28 +85,6 @@ func (c *Config) fill() {
 	}
 	if c.MemWords <= 0 {
 		c.MemWords = 1 << 23
-	}
-	if c.DequeCap <= 0 {
-		c.DequeCap = 1 << 13
-	}
-	if c.Shards <= 0 {
-		c.Shards = runtime.GOMAXPROCS(0)
-		if c.P > c.Shards {
-			c.Shards = c.P
-		}
-	}
-	if c.SegWords <= 0 {
-		c.SegWords = 1 << 15
-		if cap := c.MemWords / (4 * c.Shards); c.SegWords > cap {
-			c.SegWords = cap
-		}
-	}
-	if min := 4 * c.BlockWords; c.SegWords < min {
-		c.SegWords = min
-	}
-	c.SegWords = c.SegWords / c.BlockWords * c.BlockWords
-	if c.StealBatch <= 0 {
-		c.StealBatch = 8
 	}
 }
 
@@ -239,9 +197,9 @@ func (w *Ctx) freeJoin(j *join) {
 type Runtime struct {
 	cfg Config
 
-	mem    []uint64
-	heap   atomic.Int64 // global region bump pointer; shards refill from it
-	shards []shard
+	mem      []uint64
+	heap     atomic.Int64 // global region bump pointer; worker arms refill from it
+	segWords int          // words an arm reserves per refill (see segWords)
 
 	funcs  []func(*Ctx)
 	names  map[string]capsule.FuncID
@@ -314,6 +272,7 @@ func build(cfg Config, reg *durable.Region, recovered bool) *Runtime {
 	}
 	rt := &Runtime{
 		cfg:       cfg,
+		segWords:  segWords(cfg),
 		funcs:     []func(*Ctx){nil}, // ID 0 reserved, as in capsule.Registry
 		names:     map[string]capsule.FuncID{},
 		fnames:    []string{""},
@@ -340,7 +299,6 @@ func build(cfg Config, reg *durable.Region, recovered bool) *Runtime {
 	} else {
 		rt.heap.Store(int64(cfg.BlockWords)) // word 0 reserved as Nil
 	}
-	rt.shards = make([]shard, cfg.Shards)
 	if cfg.Persist {
 		rt.persistBase = rt.HeapAllocBlocks(cfg.P * cfg.BlockWords)
 		if reg != nil && !recovered {
@@ -361,26 +319,11 @@ func build(cfg Config, reg *durable.Region, recovered bool) *Runtime {
 		rt.workers[p] = &Ctx{
 			rt:          rt,
 			id:          p,
-			shard:       p % cfg.Shards,
-			dq:          newDeque(cfg.DequeCap),
+			dq:          newDeque(dequeCap),
 			rng:         rng.NewXoshiro256(sm.Next()),
 			war:         warcheck.New(cfg.WARCheck),
 			faultThresh: faultThresh,
 			faultLog:    faultLog,
-		}
-	}
-	for p := 0; p < cfg.P; p++ {
-		w := rt.workers[p]
-		mine := rt.victimGroup(p)
-		for q := 0; q < cfg.P; q++ {
-			if q == p {
-				continue
-			}
-			if rt.victimGroup(q) == mine {
-				w.group = append(w.group, q)
-			} else {
-				w.others = append(w.others, q)
-			}
 		}
 	}
 	return rt
@@ -466,7 +409,7 @@ func (rt *Runtime) MemWriteRange(a pmem.Addr, vals []uint64) {
 
 // HeapAllocBlocks reserves n words starting at a block boundary. This is
 // the harness-side (setup-time) allocator and draws directly from the
-// global region; capsule-side Alloc goes through the per-shard segments.
+// global region; capsule-side Alloc goes through the workers' arms.
 //
 // In rebuild mode the reservation replays against a private cursor instead
 // of the live bump pointer: the recovered Build phase must hand back the
@@ -632,10 +575,9 @@ func (rt *Runtime) Close() error {
 		rt.parkMu.Unlock()
 		rt.wg.Wait()
 	}
-	// Drop the region and shard arms so a multi-hundred-MB serving cache
-	// entry is reclaimed at eviction, not at process exit.
+	// Drop the memory so a multi-hundred-MB serving cache entry is
+	// reclaimed at eviction, not at process exit.
 	rt.mem = nil
-	rt.shards = nil
 	if rt.region != nil {
 		// Workers are parked/stopped, so this is the single final flush:
 		// MS_SYNC the whole mapping, unmap, close the file. The Region's own
@@ -739,11 +681,14 @@ func (rt *Runtime) WARViolations() []string {
 // typed programs — argument access, word reads/writes, CAM, allocation, and
 // the control transfers — implemented directly on hardware.
 type Ctx struct {
-	rt    *Runtime
-	id    int
-	shard int // allocator shard this worker bumps (id mod Shards)
-	dq    *deque
-	rng   *rng.Xoshiro256
+	rt  *Runtime
+	id  int
+	dq  *deque
+	rng *rng.Xoshiro256
+
+	// This worker's allocator arm (see Alloc): the bump cursor and end of
+	// its current segment of the global region.
+	segCur, segEnd int64
 
 	cur  *task
 	next *task
@@ -767,12 +712,6 @@ type Ctx struct {
 	war    *warcheck.Tracker
 	warLog []string
 
-	// Victim affinity (see victimGroup): in-group victims are tried first,
-	// everyone else only after localMissLimit consecutive local sweeps missed.
-	group     []int // victim ids sharing this worker's locality group
-	others    []int // victim ids in remote groups
-	localMiss int   // consecutive local sweeps that found nothing
-
 	// Soft-fault emulation (faultThresh is FaultRate scaled to uint64 space;
 	// 0 = off; faultLog is ln(1 − FaultRate)). transferred flips once the
 	// current body performs its control transfer: from then on an abort would
@@ -791,9 +730,8 @@ type Ctx struct {
 	capsules           int64
 	steals, stealTries int64
 	batchTasks         int64
-	localHits          int64
-	remoteFalls        int64
 	parks              int64
+	refills, spills    int64
 	persists           atomic.Int64
 	softFaults         int64
 	replays            int64
@@ -809,7 +747,7 @@ type Ctx struct {
 }
 
 // schedLoop is the work-stealing scheduler: own deque first, then the
-// overflow queue, then locality-aware stealing (see trySteal). Idle workers
+// overflow queue, then randomized stealing (see trySteal). Idle workers
 // back off quickly into escalating sleeps: on machines with fewer cores than
 // P, a spinning thief would steal cycles from the worker that has the work.
 // The sleeps are counted as parks so SchedStats makes idle pressure visible.
@@ -842,62 +780,27 @@ func (w *Ctx) schedLoop() {
 	}
 }
 
-// localMissLimit is K, the number of consecutive empty in-group sweeps a
-// thief tolerates before widening its victim search to remote groups.
-// In-group victims share an allocator shard arm (or a contiguous worker
-// neighbourhood on one), so their deques hold work whose closures and spawn
-// buffers are already warm nearby; two clean local misses are strong
-// evidence the group is drained and the imbalance is cross-group.
-const localMissLimit = 2
-
-// trySteal is the locality-first victim search: sweep the worker's own
-// affinity group from a random start; only after localMissLimit consecutive
-// all-miss local sweeps fall back to a sweep over the remote groups. Each
-// successful grab takes up to half the victim's deque (stealHalf, bounded by
-// Config.StealBatch), executes the first task, and keeps the rest local.
+// trySteal is plain randomized work stealing: sweep every other worker once,
+// in id order from a random start. A successful grab takes up to half the
+// victim's deque (stealHalf, at most stealBatch tasks), executes the first
+// task and keeps the rest local, so a burst of fine-grained spawns migrates
+// with one victim interaction instead of one per task.
 func (w *Ctx) trySteal() *task {
-	if w.rt.cfg.P == 1 {
-		return nil
-	}
-	if t := w.sweep(w.group, true); t != nil {
-		w.localMiss = 0
-		return t
-	}
-	if len(w.others) == 0 {
-		return nil
-	}
-	w.localMiss++
-	if len(w.group) > 0 && w.localMiss < localMissLimit {
-		// Stay local for now; schedLoop's backoff keeps the retry cheap.
-		return nil
-	}
-	if t := w.sweep(w.others, false); t != nil {
-		w.localMiss = 0
-		return t
-	}
-	return nil
-}
-
-// sweep tries every victim in order starting at a random offset, returning
-// the first task of the first successful batch grab.
-func (w *Ctx) sweep(victims []int, local bool) *task {
-	n := len(victims)
+	n := w.rt.cfg.P - 1
 	if n == 0 {
 		return nil
 	}
 	start := int(w.rng.Next() % uint64(n))
 	for i := 0; i < n; i++ {
-		v := victims[(start+i)%n]
+		v := (start + i) % n
+		if v >= w.id {
+			v++ // skip this worker's own deque
+		}
 		w.stealTries++
-		first, got := w.rt.workers[v].dq.stealHalf(w.dq, w.rt.cfg.StealBatch)
+		first, got := w.rt.workers[v].dq.stealHalf(w.dq, stealBatch)
 		if first != nil {
 			w.steals++
 			w.batchTasks += int64(got)
-			if local {
-				w.localHits++
-			} else {
-				w.remoteFalls++
-			}
 			return first
 		}
 	}
@@ -1160,10 +1063,6 @@ func (w *Ctx) CAM(a pmem.Addr, old, new uint64) {
 	}
 	atomic.CompareAndSwapUint64(p, old, new)
 }
-
-// Alloc reserves n fresh zeroed words from this worker's allocator shard —
-// an uncontended atomic bump unless the shard needs a segment refill.
-func (w *Ctx) Alloc(n int) pmem.Addr { return w.rt.shardAlloc(w.shard, n) }
 
 // ReadAt returns base[idx].
 func (w *Ctx) ReadAt(base pmem.Addr, idx int) uint64 {

@@ -1,74 +1,24 @@
 package native
 
-// Victim affinity: the scheduler reuses the allocator-shard mapping (see
-// alloc.go) as its locality signal. Tasks a worker spawns are built from
-// memory its shard arm bump-allocated, so a thief stealing from a worker in
-// its own group keeps the closure words, join cells, and freshly written
-// task data on cache lines it is already pulling — where a uniformly random
-// victim sprays that traffic across the machine. Two regimes:
-//
-//   - Shards < P: several workers genuinely share one allocator arm
-//     (worker id mod Shards), and that shared arm is the group.
-//   - Shards >= P (the default): every worker has a private arm, so there is
-//     no shared-arm signal; workers are grouped into contiguous
-//     neighbourhoods of stealGroupWorkers, the same id-locality a NUMA-aware
-//     placement would give adjacent workers.
-//
-// Thieves sweep their own group first and widen to remote groups only after
-// localMissLimit consecutive empty local sweeps (see trySteal).
-
-// stealGroupWorkers is the affinity-group width when every worker has a
-// private allocator arm.
-const stealGroupWorkers = 4
-
-// victimGroup returns worker p's affinity-group index.
-func (rt *Runtime) victimGroup(p int) int {
-	if rt.cfg.Shards < rt.cfg.P {
-		return p % rt.cfg.Shards
-	}
-	return p / stealGroupWorkers
-}
-
-// numGroups returns how many distinct affinity groups the workers form.
-func (rt *Runtime) numGroups() int {
-	if rt.cfg.P <= 0 {
-		return 0
-	}
-	if rt.cfg.Shards < rt.cfg.P {
-		return rt.cfg.Shards
-	}
-	return (rt.cfg.P + stealGroupWorkers - 1) / stealGroupWorkers
-}
-
-// SchedStats summarizes scheduler behaviour for one runtime: the steal-batch
-// and affinity geometry plus how steal traffic actually distributed. The
-// shape mirrors AllocStats — per-worker plain counters aggregated after the
-// run. The interesting ratios: StealTries per unit work is the bus traffic
-// idle thieves generate; BatchTasks/Steals is the realized batch size;
-// LocalHits vs RemoteFalls is how often affinity was enough.
+// SchedStats summarizes scheduler behaviour for one runtime. The shape
+// mirrors AllocStats — per-worker plain counters aggregated after the run.
+// The interesting ratios: StealTries per unit work is the bus traffic idle
+// thieves generate; BatchTasks/Steals is the realized batch size (at most
+// stealBatch).
 type SchedStats struct {
-	StealBatch  int   // max tasks per grab (Config.StealBatch)
-	Groups      int   // victim-affinity groups the workers form
-	Steals      int64 // successful grabs (any size)
-	StealTries  int64 // deque probes, including misses
-	BatchTasks  int64 // tasks obtained by stealing (sum of batch sizes)
-	LocalHits   int64 // grabs satisfied inside the thief's own group
-	RemoteFalls int64 // grabs that had to fall back to a remote group
-	Parks       int64 // idle backoff sleeps taken by workers
+	Steals     int64 // successful grabs (any size)
+	StealTries int64 // deque probes, including misses
+	BatchTasks int64 // tasks obtained by stealing (sum of batch sizes)
+	Parks      int64 // idle backoff sleeps taken by workers
 }
 
 // SchedStats reports the scheduler counters accumulated so far.
 func (rt *Runtime) SchedStats() SchedStats {
-	out := SchedStats{
-		StealBatch: rt.cfg.StealBatch,
-		Groups:     rt.numGroups(),
-	}
+	var out SchedStats
 	for _, w := range rt.workers {
 		out.Steals += w.steals
 		out.StealTries += w.stealTries
 		out.BatchTasks += w.batchTasks
-		out.LocalHits += w.localHits
-		out.RemoteFalls += w.remoteFalls
 		out.Parks += w.parks
 	}
 	return out

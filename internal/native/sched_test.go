@@ -256,51 +256,28 @@ func rendezvous(t *testing.T, rt *Runtime, rounds int) {
 }
 
 // TestSchedStatsCounters checks the SchedStats invariants on a P=8 run whose
-// rendezvous structure forces real task migration: grabs imply probes, every
-// grab is classified exactly once as local or remote, and batch sizes count
-// at least one task per grab and at most the configured cap.
+// rendezvous structure forces real task migration: grabs imply probes, and
+// batch sizes count at least one task per grab and at most the steal cap.
 func TestSchedStatsCounters(t *testing.T) {
 	const rounds = 16
-	rt := New(Config{P: 8, MemWords: 1 << 20, Seed: 7, StealBatch: 8})
+	rt := New(Config{P: 8, MemWords: 1 << 20, Seed: 7})
 	rendezvous(t, rt, rounds)
 	s := rt.SchedStats()
-	if s.StealBatch != 8 {
-		t.Errorf("StealBatch = %d, want 8", s.StealBatch)
-	}
-	if s.Groups < 1 {
-		t.Errorf("Groups = %d, want >= 1", s.Groups)
-	}
 	if s.Steals < rounds {
 		t.Fatalf("expected at least %d steals, got %+v", rounds, s)
 	}
 	if s.StealTries < s.Steals {
 		t.Errorf("StealTries (%d) < Steals (%d)", s.StealTries, s.Steals)
 	}
-	if s.BatchTasks < s.Steals || s.BatchTasks > s.Steals*int64(s.StealBatch) {
-		t.Errorf("BatchTasks (%d) outside [Steals, Steals*StealBatch] = [%d, %d]",
-			s.BatchTasks, s.Steals, s.Steals*int64(s.StealBatch))
-	}
-	if s.LocalHits+s.RemoteFalls != s.Steals {
-		t.Errorf("LocalHits (%d) + RemoteFalls (%d) != Steals (%d)",
-			s.LocalHits, s.RemoteFalls, s.Steals)
+	if s.BatchTasks < s.Steals || s.BatchTasks > s.Steals*stealBatch {
+		t.Errorf("BatchTasks (%d) outside [Steals, Steals*stealBatch] = [%d, %d]",
+			s.BatchTasks, s.Steals, s.Steals*stealBatch)
 	}
 	// The summary's steal counters stay consistent with the sched view.
 	sum := rt.Stats()
 	if sum.Steals != s.Steals || sum.StealTries != s.StealTries {
 		t.Errorf("Stats steals (%d/%d) disagree with SchedStats (%d/%d)",
 			sum.Steals, sum.StealTries, s.Steals, s.StealTries)
-	}
-}
-
-// TestStealBatchSweep runs the same workload across batch caps, including
-// the single-task-steal configuration, and checks correctness each time.
-func TestStealBatchSweep(t *testing.T) {
-	for _, batch := range []int{1, 2, 8, 64} {
-		rt := New(Config{P: 6, MemWords: 1 << 19, Seed: 11, StealBatch: batch})
-		treeSum(t, rt, 1<<13, 8)
-		if s := rt.SchedStats(); s.StealBatch != batch {
-			t.Fatalf("StealBatch = %d, want %d", s.StealBatch, batch)
-		}
 	}
 }
 
@@ -342,31 +319,36 @@ func TestDequeHeadersOwnTheirLines(t *testing.T) {
 	}
 }
 
-// TestVictimGroups pins the grouping rule: shared allocator arms group by
-// shard when Shards < P, private arms group contiguous neighbourhoods.
-func TestVictimGroups(t *testing.T) {
-	rt := New(Config{P: 8, MemWords: 1 << 16, Shards: 2})
-	if g0, g2 := rt.victimGroup(0), rt.victimGroup(2); g0 != g2 {
-		t.Errorf("shard-affine: workers 0 and 2 share arm 0 but groups differ (%d vs %d)", g0, g2)
+// TestTryStealSweepsEveryVictim checks that one trySteal call reaches every
+// other worker, whichever of them holds the only task: at P = 8, from each
+// of many random sweep starts, a single sweep finds the task within P-1
+// probes and never probes the thief itself.
+func TestTryStealSweepsEveryVictim(t *testing.T) {
+	const p, rounds = 8, 32
+	rt := New(Config{P: p, MemWords: 1 << 16, Seed: 3})
+	thief := rt.workers[0]
+	for i := 0; i < rounds*(p-1); i++ {
+		v := 1 + i%(p-1)
+		want := &task{}
+		rt.workers[v].dq.push(want)
+		tries := thief.stealTries
+		if got := thief.trySteal(); got != want {
+			t.Fatalf("task on worker %d: trySteal returned %p, want %p", v, got, want)
+		}
+		if n := thief.stealTries - tries; n < 1 || n > p-1 {
+			t.Errorf("task on worker %d found after %d probes, want 1..%d", v, n, p-1)
+		}
+		for q, w := range rt.workers {
+			if n := w.dq.size(); n != 0 {
+				t.Errorf("worker %d deque holds %d tasks after the steal, want 0", q, n)
+			}
+		}
 	}
-	if g0, g1 := rt.victimGroup(0), rt.victimGroup(1); g0 == g1 {
-		t.Errorf("shard-affine: workers 0 and 1 use different arms but share group %d", g0)
+	thief.dq.push(&task{})
+	if got := thief.trySteal(); got != nil {
+		t.Errorf("trySteal took a task from the thief's own deque")
 	}
-	if n := rt.numGroups(); n != 2 {
-		t.Errorf("numGroups = %d, want 2", n)
-	}
-	rt = New(Config{P: 8, MemWords: 1 << 16, Shards: 8})
-	if g0, g3 := rt.victimGroup(0), rt.victimGroup(3); g0 != g3 {
-		t.Errorf("contiguous: workers 0 and 3 should share a group (%d vs %d)", g0, g3)
-	}
-	if g3, g4 := rt.victimGroup(3), rt.victimGroup(4); g3 == g4 {
-		t.Errorf("contiguous: workers 3 and 4 should split groups, both got %d", g3)
-	}
-	if n := rt.numGroups(); n != 2 {
-		t.Errorf("numGroups = %d, want 2", n)
-	}
-	w := rt.workers[0]
-	if len(w.group) != 3 || len(w.others) != 4 {
-		t.Errorf("worker 0 victim lists = %d local / %d remote, want 3/4", len(w.group), len(w.others))
+	if s := rt.SchedStats(); s.Steals != rounds*(p-1) || s.BatchTasks != rounds*(p-1) {
+		t.Errorf("SchedStats = %+v, want %d single-task steals", s, rounds*(p-1))
 	}
 }

@@ -11,8 +11,8 @@
 // The tracker observes the per-block access sequence of a single capsule
 // execution; the machine resets it at every capsule (re)start. The native
 // engine threads the same tracker through its capsule boundaries when
-// ppm.WithNativeWARCheck is set, so conflicts can be cross-validated on
-// both engines. The static counterpart is the warfree analyzer in
+// ppm.WithWARCheck is set, so conflicts can be cross-validated on both
+// engines. The static counterpart is the warfree analyzer in
 // repro/internal/analysis/warfree (run via cmd/ppmvet), which proves the
 // absence of the conflicts this tracker can only witness at runtime.
 package warcheck

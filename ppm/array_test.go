@@ -238,15 +238,11 @@ type batchRun struct {
 }
 
 // runBatch runs body as the single capsule "batch/leaf" on a fresh one-worker
-// runtime of eng with its engine's WAR checker on, over an array of n words
+// runtime of eng with the WAR checker on, over an array of n words
 // loaded with init, and returns the array afterwards with the run's record.
 func runBatch(t *testing.T, eng ppm.Engine, n int, init []uint64, body func(c ppm.Ctx, a, out ppm.Array)) batchRun {
 	t.Helper()
-	check := ppm.WithWARCheck()
-	if eng == ppm.EngineNative {
-		check = ppm.WithNativeWARCheck()
-	}
-	rt := ppm.New(ppm.WithEngine(eng), ppm.WithProcs(1), ppm.WithSeed(4), check)
+	rt := ppm.New(ppm.WithEngine(eng), ppm.WithProcs(1), ppm.WithSeed(4), ppm.WithWARCheck())
 	defer rt.Close()
 	a := rt.NewArray(n)
 	a.Load(init)

@@ -58,7 +58,7 @@ type engine interface {
 	memReadRange(a Addr, dst []uint64)   // harness-side: dst = words [a, a+len(dst))
 	memWriteRange(a Addr, vals []uint64) // harness-side: words [a, a+len(vals)) = vals
 	engineStats() Stats
-	allocStats() AllocStats // zero-valued on engines without sharded allocation
+	allocStats() AllocStats // zero-valued on engines without per-worker allocator arms
 	schedStats() SchedStats // zero-valued on engines without a native scheduler
 	procs() int
 	blockWords() int

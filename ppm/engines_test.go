@@ -231,9 +231,9 @@ func TestNativePersist(t *testing.T) {
 }
 
 // TestSchedStatsSeam checks the scheduler-stats engine seam: the native
-// engine reports its default steal-batch cap (8) and affinity geometry with
-// internally consistent counters, while the model engine is all zeros — its
-// scheduler cost is part of the simulated accounting, not a native tunable.
+// engine reports internally consistent counters, each grab moving between
+// one task and the steal cap (8), while the model engine is all zeros — its
+// scheduler cost is part of the simulated accounting.
 func TestSchedStatsSeam(t *testing.T) {
 	rt := ppm.New(ppm.WithEngine(ppm.EngineNative), ppm.WithProcs(4), ppm.WithSeed(9))
 	algo, _ := ppm.NewByName("mergesort", "sched", 1<<11, 4)
@@ -245,13 +245,7 @@ func TestSchedStatsSeam(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := rt.SchedStats()
-	if s.StealBatch != 8 {
-		t.Errorf("StealBatch = %d, want the native default 8", s.StealBatch)
-	}
-	if s.Groups < 1 {
-		t.Errorf("Groups = %d, want >= 1", s.Groups)
-	}
-	if s.LocalHits+s.RemoteFalls != s.Steals || s.StealTries < s.Steals || s.BatchTasks < s.Steals {
+	if s.StealTries < s.Steals || s.BatchTasks < s.Steals || s.BatchTasks > 8*s.Steals {
 		t.Errorf("inconsistent counters %+v", s)
 	}
 	rt.Close()

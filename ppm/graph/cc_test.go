@@ -139,7 +139,7 @@ func TestCCFaultsWARAndRerun(t *testing.T) {
 		opts []ppm.Option
 	}{
 		{ppm.EngineModel, []ppm.Option{ppm.WithFaultRate(0.002), ppm.WithWARCheck()}},
-		{ppm.EngineNative, []ppm.Option{ppm.WithFaultRate(1e-4), ppm.WithNativeWARCheck()}},
+		{ppm.EngineNative, []ppm.Option{ppm.WithFaultRate(1e-4), ppm.WithWARCheck()}},
 	} {
 		t.Run(string(tc.eng), func(t *testing.T) {
 			rt := ppm.New(append([]ppm.Option{

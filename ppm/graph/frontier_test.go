@@ -229,8 +229,8 @@ func TestFrontierEmitsExactlyOnce(t *testing.T) {
 		{"model/soft", ppm.EngineModel, []ppm.Option{ppm.WithFaultRate(0.001), ppm.WithWARCheck()}},
 		{"model/scripted", ppm.EngineModel, []ppm.Option{
 			ppm.WithSoftFaultAt(0, 150), ppm.WithSoftFaultAt(1, 400), ppm.WithSoftFaultAt(0, 2500), ppm.WithWARCheck()}},
-		{"native/soft", ppm.EngineNative, []ppm.Option{ppm.WithFaultRate(1e-4), ppm.WithNativeWARCheck()}},
-		{"native/clean", ppm.EngineNative, []ppm.Option{ppm.WithNativeWARCheck()}},
+		{"native/soft", ppm.EngineNative, []ppm.Option{ppm.WithFaultRate(1e-4), ppm.WithWARCheck()}},
+		{"native/clean", ppm.EngineNative, []ppm.Option{ppm.WithWARCheck()}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rt := ppm.New(append([]ppm.Option{

@@ -8,16 +8,16 @@ import (
 	"repro/internal/native"
 )
 
-// AllocStats reports how the native engine's sharded allocator behaved in a
-// run: the shard/segment geometry (max(GOMAXPROCS, P) shards) plus refill
-// and spill counts. Zero-valued on the model engine,
-// whose single heap is part of the model's cost semantics.
+// AllocStats reports how the native engine's allocator behaved in a run:
+// how often the workers' arms (one per worker) refilled a segment from the
+// global region or spilled past it, and the region's high-water mark.
+// Zero-valued on the model engine, whose single heap is part of the model's
+// cost semantics.
 type AllocStats = native.AllocStats
 
-// SchedStats reports how the native engine's locality-first work-stealing
-// scheduler behaved in a run: the steal-batch cap (8 tasks) and
-// affinity-group geometry plus steal traffic (probes, grabs, batch sizes,
-// local vs remote hits, idle parks). Zero-valued on the model engine, whose
+// SchedStats reports how the native engine's randomized work-stealing
+// scheduler behaved in a run: steal probes, grabs, tasks moved (at most 8
+// per grab) and idle parks. Zero-valued on the model engine, whose
 // scheduler cost is part of the model's accounting.
 type SchedStats = native.SchedStats
 
@@ -47,7 +47,7 @@ func nativeConfig(c config) native.Config {
 		DurablePath:        c.nativeDurable,
 		FaultRate:          c.faultRate,
 		CrashAfterPersists: c.nativeCrashAfter,
-		WARCheck:           c.nativeWARCheck,
+		WARCheck:           c.warCheck,
 	}
 }
 

@@ -9,17 +9,10 @@ import (
 
 // TestWARCheckCrossEngine plants the same WAR-conflicted capsules on both
 // engines — a word read then rewritten, and an indexed GatherAt followed by a
-// Set into a block it read — and asserts both dynamic checkers flag each,
-// naming the capsule the same way: the cross-validation that makes
-// WithNativeWARCheck trustworthy.
+// Set into a block it read — and asserts that the one WithWARCheck option
+// makes both dynamic checkers flag each, naming the capsule the same way.
 func TestWARCheckCrossEngine(t *testing.T) {
-	engines := []struct {
-		eng ppm.Engine
-		opt ppm.Option
-	}{
-		{ppm.EngineModel, ppm.WithWARCheck()},
-		{ppm.EngineNative, ppm.WithNativeWARCheck()},
-	}
+	engines := []ppm.Engine{ppm.EngineModel, ppm.EngineNative}
 	plants := []struct {
 		name string
 		body func(cells ppm.Array) ppm.Func
@@ -41,10 +34,10 @@ func TestWARCheckCrossEngine(t *testing.T) {
 			}
 		}},
 	}
-	for _, tc := range engines {
+	for _, eng := range engines {
 		for _, p := range plants {
-			t.Run(string(tc.eng)+"/"+p.name, func(t *testing.T) {
-				rt := ppm.New(ppm.WithEngine(tc.eng), tc.opt)
+			t.Run(string(eng)+"/"+p.name, func(t *testing.T) {
+				rt := ppm.New(ppm.WithEngine(eng), ppm.WithWARCheck())
 				defer rt.Close()
 				bad := rt.Register(p.name, p.body(rt.NewArray(64)))
 				rt.RunOnAll(bad)
@@ -77,7 +70,7 @@ func TestNativeWARCheckCleanWorkload(t *testing.T) {
 				ppm.WithProcs(4),
 				ppm.WithSeed(7),
 				ppm.WithMemWords(1<<24),
-				ppm.WithNativeWARCheck(),
+				ppm.WithWARCheck(),
 			)
 			algo := spec.New("nwar", catalogSize(spec.Name), 13)
 			algo.Build(rt)

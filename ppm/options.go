@@ -23,7 +23,6 @@ type config struct {
 	faultRate        float64
 	seed             uint64
 	warCheck         bool
-	nativeWARCheck   bool
 	nativePersist    bool
 	nativeDurable    string
 	nativeCrashAfter int64
@@ -43,8 +42,7 @@ func defaultConfig() config {
 // Deterministic and hard-fault placement (WithHardFault, WithSoftFaultAt)
 // remain model-engine features and are ignored natively — the native
 // takeover protocol for dead processors is simulated only. The dynamic WAR
-// checker exists on both engines: WithWARCheck covers the model,
-// WithNativeWARCheck the native backend.
+// checker (WithWARCheck) runs on both engines.
 func WithEngine(e Engine) Option { return func(c *config) { c.engine = e } }
 
 // WithNativePersist makes the native engine commit a persistence point at
@@ -145,20 +143,13 @@ func WithSeed(s uint64) Option { return func(c *config) { c.seed = s } }
 
 // WithWARCheck enables the write-after-read conflict checker, which flags
 // capsules whose replay would not be idempotent (Theorem 3.1). Violations
-// are reported by Runtime.WARViolations. Model engine only; see
-// WithNativeWARCheck for the native backend, and the warfree analyzer in
-// cmd/ppmvet for the compile-time counterpart.
+// are reported by Runtime.WARViolations on both engines, in the same
+// format. The model checks the capsules it simulates; the native engine
+// threads the same block-granular tracker through its capsule boundaries
+// (its allocations are block-aligned, so block indices agree with the
+// model's), a debug cost on every memory operation. The warfree analyzer in
+// cmd/ppmvet is the compile-time counterpart.
 func WithWARCheck() Option { return func(c *config) { c.warCheck = true } }
-
-// WithNativeWARCheck threads the same write-after-read tracker through the
-// native engine's capsule boundaries: each worker records its current task's
-// block-granular access sequence, and conflicts surface through
-// Runtime.WARViolations in the model checker's format, so a program can be
-// cross-validated on both engines. Native allocations are block-aligned, so
-// block indices agree with the model. Debug option: it adds tracker
-// bookkeeping to every memory operation. Ignored by the model engine (use
-// WithWARCheck there).
-func WithNativeWARCheck() Option { return func(c *config) { c.nativeWARCheck = true } }
 
 // firstOf consults injectors in order and returns the first non-None
 // verdict. Every injector sees every access, so access-ordinal counters

@@ -108,8 +108,8 @@ func New(opts ...Option) *Runtime {
 
 // Recover reopens a durable native region file (see WithNativeDurable) and
 // returns a runtime in rebuild mode over it. The processor count and memory
-// geometry come from the file; opts supply the rest (scheduler knobs,
-// seeds). The caller must then reconstruct the program exactly as the
+// geometry come from the file; opts supply the rest (seed, fault rate,
+// WAR check). The caller must then reconstruct the program exactly as the
 // original process did — same registrations in the same order, same Build
 // calls with the same parameters — and call Resume in place of the original
 // Run. During rebuild, setup allocations replay to their pre-crash addresses
@@ -216,18 +216,17 @@ func (r *Runtime) Engine() Engine { return r.eng.name() }
 // Stats summarizes the cost counters accumulated so far.
 func (r *Runtime) Stats() Stats { return r.eng.engineStats() }
 
-// AllocStats reports the native engine's sharded-allocator counters (shard
-// count, segment size, refills, spills, heap high-water mark). Zero-valued
-// on the model engine.
+// AllocStats reports the native engine's allocator counters (segment
+// refills, spills, heap high-water mark). Zero-valued on the model engine.
 func (r *Runtime) AllocStats() AllocStats { return r.eng.allocStats() }
 
 // SchedStats reports the native engine's work-stealing scheduler counters
-// (steal-batch cap, affinity groups, probes, grabs, batch sizes, local vs
-// remote hits, idle parks). Zero-valued on the model engine.
+// (probes, grabs, tasks moved by stealing, idle parks). Zero-valued on the
+// model engine.
 func (r *Runtime) SchedStats() SchedStats { return r.eng.schedStats() }
 
 // WARViolations returns the write-after-read conflicts detected so far.
-// Empty unless WithWARCheck was given (model engine only).
+// Empty unless WithWARCheck was given.
 func (r *Runtime) WARViolations() []string { return r.eng.warViolations() }
 
 // Procs returns the number of processors P.

@@ -174,22 +174,22 @@ func section7Rows() []section7Row {
 func TestSection7(t *testing.T) {
 	for _, row := range section7Rows() {
 		if !row.native {
-			section7Run(t, row.name, row, ppm.WithWARCheck())
+			section7Run(t, row.name, row)
 			continue
 		}
-		section7Run(t, "model/"+row.name, row, ppm.WithWARCheck())
-		section7Run(t, "native/"+row.name, row, ppm.WithEngine(ppm.EngineNative), ppm.WithNativeWARCheck())
+		section7Run(t, "model/"+row.name, row)
+		section7Run(t, "native/"+row.name, row, ppm.WithEngine(ppm.EngineNative))
 	}
 }
 
-// section7Run runs row as the subtest name on the runtime that engine
-// selects.
+// section7Run runs row as the subtest name, with the WAR checker on, on the
+// runtime that engine selects.
 func section7Run(t *testing.T, name string, row section7Row, engine ...ppm.Option) {
 	t.Helper()
 	t.Run(name, func(t *testing.T) {
 		v := make([]float64, len(row.runs))
 		for i, algo := range row.runs {
-			rt := ppm.New(append(append([]ppm.Option{ppm.WithSeed(7)}, engine...), row.opts...)...)
+			rt := ppm.New(append(append([]ppm.Option{ppm.WithSeed(7), ppm.WithWARCheck()}, engine...), row.opts...)...)
 			defer rt.Close()
 			algo.Build(rt)
 			if !algo.Run() {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 )
 
@@ -77,12 +78,19 @@ func Handler(s *Server) http.Handler {
 
 // decodeBody decodes the request's JSON body into v, reading no more than
 // limit bytes of it, so that what a client sends is bounded before it is
-// parsed. On failure it answers — 413 for an oversized body, 400 for
-// anything else — and returns false.
+// parsed. The body must be that one JSON value: anything but whitespace
+// after it is refused. On failure it answers — 413 for an oversized body,
+// 400 for anything else — and returns false.
 func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	err := dec.Decode(v)
 	if err == nil {
-		return true
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		}
+		if err == nil {
+			err = errors.New("trailing data after the JSON value")
+		}
 	}
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {

@@ -435,8 +435,9 @@ func TestHTTPMixedBurst(t *testing.T) {
 
 // TestHTTPBodyBounds: /query and /mutate read a bounded body. One longer
 // than any MutBatchCap-edge batch needs is refused with 413 before it is
-// parsed to the end, a truncated one with 400, both as the structured error;
-// a full batch of the widest ids, indented, still fits.
+// parsed to the end, a truncated one or one with data after its JSON value
+// with 400, all as the structured error; trailing whitespace is fine, and a
+// full batch of the widest ids, indented, still fits.
 func TestHTTPBodyBounds(t *testing.T) {
 	cfg := testConfig()
 	cfg.MutBatchCap = 8
@@ -463,6 +464,7 @@ func TestHTTPBodyBounds(t *testing.T) {
 	}
 
 	spec, _ := json.Marshal(smallGraph(31))
+	query := `{"kind":"cc","graph":` + string(spec) + `}`
 	edges := strings.Repeat("[0,1],", limit/6+1)
 	for _, tc := range []struct {
 		name, path, body string
@@ -472,6 +474,8 @@ func TestHTTPBodyBounds(t *testing.T) {
 		{"mutate/oversized", "/mutate", `{"graph":` + string(spec) + `,"insert":[` + edges + `[0,1]]}`, http.StatusRequestEntityTooLarge},
 		{"query/truncated", "/query", `{"kind":"cc","graph":{"kind":"rand"`, http.StatusBadRequest},
 		{"mutate/truncated", "/mutate", `{"graph":` + string(spec) + `,"insert":[[0,1],[2`, http.StatusBadRequest},
+		{"query/trailing", "/query", query + query, http.StatusBadRequest},
+		{"mutate/trailing", "/mutate", `{"graph":` + string(spec) + `,"insert":[[0,1]]} junk`, http.StatusBadRequest},
 	} {
 		code, msg := post(tc.path, tc.body)
 		if code != tc.want || msg == "" {
@@ -480,6 +484,9 @@ func TestHTTPBodyBounds(t *testing.T) {
 	}
 	if st := s.Stats(); st.Runs != 0 || st.Mutations != 0 {
 		t.Errorf("a refused body reached a runner: %+v", st)
+	}
+	if code, msg := post("/query", query+" \n\t "); code != http.StatusOK {
+		t.Errorf("query with trailing whitespace: status %d, error %q; want 200", code, msg)
 	}
 
 	// The widest legal batch is refused for its vertex ids, not its length.
