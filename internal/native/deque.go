@@ -209,7 +209,9 @@ func (d *deque) stealHalf(dst *deque, max int) (*task, int) {
 	return first, int(n)
 }
 
-// size reports a racy estimate of resident entries (monitoring only).
+// size reports a racy estimate of resident entries. A parking worker's
+// re-check reads it (see park): both loads are atomic, so a push ordered
+// before the re-check shows as nonzero unless a thief already took it.
 func (d *deque) size() int64 {
 	n := d.bottom.Load() - d.top.Load()
 	if n < 0 {

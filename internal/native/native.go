@@ -207,6 +207,10 @@ type Runtime struct {
 
 	workers []*Ctx
 	done    atomic.Bool
+	// sleepers counts the workers parked in schedLoop (see park). Every
+	// spawn reads it, so it sits on a line of its own, apart from done and
+	// the deque headers.
+	sleepers *lineCounter
 
 	// overflow receives externally injected tasks (the root task of a run);
 	// worker-spawned tasks always fit their growable deques and never land
@@ -278,6 +282,7 @@ func build(cfg Config, reg *durable.Region, recovered bool) *Runtime {
 		fnames:    []string{""},
 		region:    reg,
 		recovered: recovered,
+		sleepers:  new(lineCounter),
 	}
 	if reg != nil {
 		rt.mem = reg.Words()
@@ -316,6 +321,8 @@ func build(cfg Config, reg *durable.Region, recovered bool) *Runtime {
 		faultLog = math.Log1p(-f)
 	}
 	for p := 0; p < cfg.P; p++ {
+		timer := time.NewTimer(parkFallback)
+		timer.Stop() // park resets it
 		rt.workers[p] = &Ctx{
 			rt:          rt,
 			id:          p,
@@ -324,6 +331,8 @@ func build(cfg Config, reg *durable.Region, recovered bool) *Runtime {
 			war:         warcheck.New(cfg.WARCheck),
 			faultThresh: faultThresh,
 			faultLog:    faultLog,
+			wake:        make(chan struct{}, 1),
+			timer:       timer,
 		}
 	}
 	return rt
@@ -722,6 +731,13 @@ type Ctx struct {
 	faultLog    float64
 	transferred bool
 
+	// Park state (see park): parked is set while the worker is registered
+	// as asleep; wake carries the one token a waker owes it; timer is the
+	// fallback, stopped and drained whenever the worker is not parked.
+	parked atomic.Bool
+	wake   chan struct{}
+	timer  *time.Timer
+
 	// Counters are plain fields: each is touched only by the owning worker
 	// goroutine during a run and read by the harness after Wait. persists is
 	// atomic as the one exception — serving reads it live (/statsz) while
@@ -731,6 +747,7 @@ type Ctx struct {
 	steals, stealTries int64
 	batchTasks         int64
 	parks              int64
+	fallbacks          int64 // parks that ended on the fallback timer
 	refills, spills    int64
 	persists           atomic.Int64
 	softFaults         int64
@@ -747,12 +764,14 @@ type Ctx struct {
 }
 
 // schedLoop is the work-stealing scheduler: own deque first, then the
-// overflow queue, then randomized stealing (see trySteal). Idle workers
-// back off quickly into escalating sleeps: on machines with fewer cores than
-// P, a spinning thief would steal cycles from the worker that has the work.
-// The sleeps are counted as parks so SchedStats makes idle pressure visible.
+// overflow queue, then randomized stealing (see trySteal). An idle worker
+// yields its thread for spinWindow empty probes, then parks until a spawn
+// or the end of the run wakes it (see park): on machines with fewer cores
+// than P, a spinning thief would steal cycles from the worker that has the
+// work, and a napping one would sleep through work that appeared. Each
+// park is counted so SchedStats makes idle pressure visible.
 func (w *Ctx) schedLoop() {
-	backoff := 0
+	misses := 0
 	for !w.rt.done.Load() {
 		t := w.dq.popBottom()
 		if t == nil {
@@ -762,20 +781,15 @@ func (w *Ctx) schedLoop() {
 			t = w.trySteal()
 		}
 		if t == nil {
-			backoff++
-			switch {
-			case backoff < 32:
+			if misses++; misses < spinWindow {
 				runtime.Gosched()
-			case backoff < 64:
-				w.parks++
-				time.Sleep(50 * time.Microsecond)
-			default:
-				w.parks++
-				time.Sleep(500 * time.Microsecond)
+			} else {
+				w.park()
+				misses = 0
 			}
 			continue
 		}
-		backoff = 0
+		misses = 0
 		w.execute(t)
 	}
 }
@@ -818,7 +832,7 @@ func (w *Ctx) execute(t *task) {
 			// quiescent and safe to commit durably. A commit whose barrier
 			// failed ends the run here, as a kill at this boundary would:
 			// later steps may overwrite what the uncommitted ones read.
-			w.rt.done.Store(true)
+			w.rt.endRun()
 			return
 		}
 		w.cur, w.next = t, nil
@@ -946,11 +960,15 @@ func (w *Ctx) warWriteSpan(lo, hi pmem.Addr) { // addresses [lo, hi)
 	}
 }
 
-// spawn makes t available to thieves. The deque ring grows on demand, so
-// spawned work always lands in the owner's deque — no overflow spill, no
-// lock on the spawn path.
+// spawn makes t available to thieves and wakes one parked worker, if any
+// (see park). The deque ring grows on demand, so spawned work always lands
+// in the owner's deque — no overflow spill, no lock on the spawn path, and
+// with nobody parked one atomic load beyond the push.
 func (w *Ctx) spawn(t *task) {
 	w.dq.push(t)
+	if w.rt.sleepers.n.Load() != 0 {
+		w.rt.wakeOne(w.id)
+	}
 }
 
 // resolve delivers one completion to j.
@@ -965,7 +983,7 @@ func (w *Ctx) resolve(j *join) {
 	cont := j.cont
 	w.freeJoin(j)
 	if cont == nil {
-		w.rt.done.Store(true) // root completion
+		w.rt.endRun() // root completion
 		return
 	}
 	w.next = cont

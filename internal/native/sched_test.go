@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 	"unsafe"
 
 	"repro/internal/capsule"
@@ -316,6 +317,184 @@ func TestDequeHeadersOwnTheirLines(t *testing.T) {
 			t.Errorf("workers %d and %d deque headers share line %#x", other, w.id, a/64*64)
 		}
 		lines[a/64] = w.id
+	}
+	// Every spawn reads the sleepers count: it shares no line with done,
+	// which every idle probe reads, or with a deque header.
+	if size := unsafe.Sizeof(*rt.sleepers); size != 64 {
+		t.Fatalf("sleepers counter is %d bytes, want 64: one cache line", size)
+	}
+	s := uintptr(unsafe.Pointer(rt.sleepers))
+	if s%64 != 0 {
+		t.Errorf("sleepers counter at %#x is not line-aligned", s)
+	}
+	if other, ok := lines[s/64]; ok {
+		t.Errorf("sleepers counter shares line %#x with worker %d's deque header", s/64*64, other)
+	}
+	if d := uintptr(unsafe.Pointer(&rt.done)); d/64 == s/64 {
+		t.Errorf("sleepers counter shares line %#x with done", s/64*64)
+	}
+}
+
+// phases registers a program of rounds Seq phases, each a 16-leaf
+// parallel for followed by a serial capsule that busy-waits for serial.
+// During the serial stretch every other worker runs out of work, spins
+// through its window and parks; the next phase's spawns, or the end of the
+// run after the last one, must wake it. The program stamps the clock, as
+// an offset from base, when each parallel for starts (stamps[r]) and when
+// the last serial stretch ends (stamps[rounds]).
+type phases struct {
+	root   capsule.FuncID
+	base   time.Time
+	stamps []atomic.Int64
+}
+
+func newPhases(rt *Runtime, rounds int, serial time.Duration) *phases {
+	ph := &phases{base: time.Now(), stamps: make([]atomic.Int64, rounds+1)}
+	out := rt.HeapAllocBlocks(16)
+	leaf := rt.Register("leaf", func(c *Ctx) {
+		for i := int(c.Arg(0)); i < int(c.Arg(1)); i++ {
+			c.Write(out+pmem.Addr(i), uint64(i))
+		}
+		c.Done()
+	})
+	wide := rt.Register("wide", func(c *Ctx) {
+		ph.stamps[c.Arg(0)].Store(int64(time.Since(ph.base)))
+		c.ParallelFor(leaf, 0, 16, 1, 0, 0)
+	})
+	busy := rt.Register("busy", func(c *Ctx) {
+		for start := time.Now(); time.Since(start) < serial; {
+		}
+		ph.stamps[rounds].Store(int64(time.Since(ph.base)))
+		c.Done()
+	})
+	fids := make([]capsule.FuncID, 0, 2*rounds)
+	argss := make([]capsule.Args, 0, 2*rounds)
+	for r := 0; r < rounds; r++ {
+		fids = append(fids, wide, busy)
+		argss = append(argss, capsule.ArgsOf(uint64(r)), capsule.Args{})
+	}
+	ph.root = rt.Register("phases", func(c *Ctx) { c.Seq(fids, argss) })
+	return ph
+}
+
+// maxGap returns the longest stretch of the last run, from start through
+// each stamp in turn, in which no spawn or run end could wake a parked
+// worker: a worker parked longer than that missed a wake.
+func (ph *phases) maxGap(start time.Duration) time.Duration {
+	var gap time.Duration
+	prev := start
+	for i := range ph.stamps {
+		at := time.Duration(ph.stamps[i].Load())
+		gap = max(gap, at-prev)
+		prev = at
+	}
+	return gap
+}
+
+// parkState fails t unless every worker is off the sleepers count with its
+// flag clear and its token channel empty — the state the wake protocol
+// must leave behind at the end of every run.
+func parkState(t *testing.T, rt *Runtime) {
+	t.Helper()
+	if n := rt.sleepers.n.Load(); n != 0 {
+		t.Errorf("sleepers = %d after the run, want 0", n)
+	}
+	for _, w := range rt.workers {
+		if w.parked.Load() || len(w.wake) != 0 {
+			t.Errorf("worker %d: parked = %v, %d tokens queued after the run",
+				w.id, w.parked.Load(), len(w.wake))
+		}
+	}
+}
+
+func fallbacks(rt *Runtime) int64 {
+	var n int64
+	for _, w := range rt.workers {
+		n += w.fallbacks
+	}
+	return n
+}
+
+// TestParkWakesWithoutFallback runs many programs whose 100 µs serial
+// stretches park the idle workers, and which last longer than parkFallback
+// in all: every park must end on a token — from a spawn of the next phase
+// or from the end of the run — never on the fallback timer. A lost wake, on
+// the spawn path or at run end, shows up as a fallback expiry. A run in
+// which the host stalled the busy worker for 3/4 of the fallback or more is
+// not held to that, since its parks may legitimately expire; most runs
+// must be free of such stalls.
+func TestParkWakesWithoutFallback(t *testing.T) {
+	const runs, rounds = 40, 24
+	for _, p := range []int{2, 4} {
+		rt := New(Config{P: p, MemWords: 1 << 16, Seed: uint64(p)})
+		ph := newPhases(rt, rounds, 100*time.Microsecond)
+		clean := 0
+		for i := 0; i < runs; i++ {
+			before := fallbacks(rt)
+			start := time.Since(ph.base)
+			if ok, err := rt.TryRun(ph.root); !ok || err != nil {
+				t.Fatalf("P=%d run %d: TryRun = (%v, %v)", p, i, ok, err)
+			}
+			parkState(t, rt)
+			if gap := ph.maxGap(start); gap >= parkFallback*3/4 {
+				t.Logf("P=%d run %d: the host stalled it for %v; not counted", p, i, gap)
+				continue
+			}
+			clean++
+			if n := fallbacks(rt) - before; n != 0 {
+				t.Errorf("P=%d run %d: %d parks ended on the fallback timer, want 0", p, i, n)
+			}
+		}
+		parks := rt.SchedStats().Parks
+		t.Logf("P=%d: %d parks, %d of %d runs counted", p, parks, clean, runs)
+		if parks == 0 {
+			t.Errorf("P=%d: no worker parked; the serial stretches exercise nothing", p)
+		}
+		if clean < runs/2 {
+			t.Errorf("P=%d: only %d of %d runs free of host stalls", p, clean, runs)
+		}
+		rt.Close()
+	}
+}
+
+// TestRunEndWakesParkedWorkers ends a run on a long serial capsule, which
+// holds until every other worker is parked: the root's completion must wake
+// them all, the run return, and the next TryRun find the runtime free.
+func TestRunEndWakesParkedWorkers(t *testing.T) {
+	const p = 4
+	rt := New(Config{P: p, MemWords: 1 << 16, Seed: 9})
+	defer rt.Close()
+	short := newPhases(rt, 1, 100*time.Microsecond).root
+	last := rt.Register("last", func(c *Ctx) {
+		start := time.Now()
+		for rt.sleepers.n.Load() != p-1 || time.Since(start) < 10*parkFallback {
+			if time.Since(start) > 10*time.Second {
+				panic("the idle workers never all parked")
+			}
+		}
+		c.Done()
+	})
+	root := rt.Register("root", func(c *Ctx) {
+		c.Seq([]capsule.FuncID{short, last}, []capsule.Args{{}, {}})
+	})
+	for i := 0; i < 5; i++ {
+		done := make(chan error, 1)
+		go func() {
+			_, err := rt.TryRun(root)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("run %d: %v", i, err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("run %d never returned", i)
+		}
+		parkState(t, rt)
+		if ok, err := rt.TryRun(short); !ok || err != nil {
+			t.Fatalf("TryRun after run %d = (%v, %v), want (true, nil)", i, ok, err)
+		}
 	}
 }
 

@@ -27,17 +27,22 @@ const (
 // The native engine counts word accesses, and a capsule costs 26–32 ns to
 // spawn and join (native.spawn_join_ns on a 2-core box) against a few ns per
 // word, so its grains are four times coarser and a small frontier is swept
-// by one capsule (frontier.go). A step does ≈ 3 words per entry and ≈ 3 per
-// arc, so the fuse count is a budget of entries plus arcs, turned into
-// entries at the graph's average degree: 1 280 is 142 entries at degree 8
-// (≈ 4 000 words) and 257 on a mesh (≈ 4 400). A flat 256 entries let the
-// catalog BFS on Rand(16384, 65536) reach 8 440 words, past the 5 000 that
-// f = 1e-4 allows. On that input, Rand(32768, 131072) and the 128×128 mesh
-// the largest capsule of bfs, cc, pagerank, an 8-wide MultiBFS and a 64-edge
-// Resident.Apply does at most 4 323 words, the MultiBFS on the mesh
-// (TestCapsuleWorkUnderFaultCeiling). The average degree bounds C only on
-// average: a frontier of hubs can still pass 5 000, in a step or in a tree
-// leaf.
+// by one capsule (frontier.go). A step does ≈ 3 words per entry and, when
+// most targets are new, ≈ 5 per arc: the gather, the CAM, its read-back,
+// the frontier SetRange and the level ScatterAt; an arc to a vertex already
+// claimed pays only the first three. The fuse count is a budget of entries
+// plus arcs, turned into entries at the graph's average degree: 1 280 is
+// 142 entries at degree 8, 257 on a mesh and 256 on a degree-4 random
+// graph. A flat 256 entries let the catalog BFS on Rand(16384, 65536) reach
+// 8 440 words, past the 5 000 that f = 1e-4 allows. On that input,
+// Rand(32768, 131072) and the 128×128 mesh the largest capsule of bfs, cc,
+// pagerank, an 8-wide MultiBFS and a 64-edge Resident.Apply does at most
+// 4 323 words, the MultiBFS on the mesh (TestCapsuleWorkUnderFaultCeiling).
+// That bound does not hold at degree 4 on a random graph, where most of a
+// fused round's 1 024 arcs find new vertices: the bfs step on Rand(32768,
+// 65536, 22) does 6 272 words, a row the test logs without asserting. The
+// average degree bounds C only on average: a frontier of hubs can still pass
+// 5 000, in a step or in a tree leaf.
 //
 // A pulling BFS round (frontier.go) sweeps every id of the search in scan
 // leaves: a leaf reads and writes its range's levels and gathers the arcs

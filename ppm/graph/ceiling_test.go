@@ -20,36 +20,54 @@ import (
 // entries swept its 186-entry third frontier in one capsule of 8 440 words.
 // One worker, a fresh runtime per kernel: each maximum is exact and the
 // kernel's own.
+//
+// Logged rows print C and 2fC without asserting them: inputs known to pass
+// the ceiling until capsules are sized by their real arcs. The serving
+// benchmark's graph shape, Rand(32768, 65536) at degree 4, is one: the fuse
+// budget lets a BFS step sweep up to 256 entries there, and when their
+// targets are mostly new it pays ≈ 5 words per arc. At seed 22 the bfs
+// kernel's step reaches C = 6 272 (2fC = 1.25).
 func TestCapsuleWorkUnderFaultCeiling(t *testing.T) {
 	for _, tc := range []struct {
-		eng    ppm.Engine
-		f      float64
-		inputs map[string]*graph.Graph
+		eng            ppm.Engine
+		f              float64
+		inputs, logged map[string]*graph.Graph
 	}{
 		{ppm.EngineNative, 1e-4, map[string]*graph.Graph{
 			"rand":         graph.Rand(32768, 131072, 7),
 			"rand/catalog": graph.Rand(16384, 4*16384, 2024),
 			"grid":         graph.Grid(128, 128),
+		}, map[string]*graph.Graph{
+			"rand/serve": graph.Rand(32768, 65536, 22),
 		}},
 		{ppm.EngineModel, 0.002, map[string]*graph.Graph{
 			"rand":          graph.Rand(256, 512, 13),
 			"grid/permuted": permuted(graph.Grid(24, 24), 3),
-		}},
+		}, nil},
 	} {
-		for name, g := range tc.inputs {
-			for _, k := range ceilingKernels(g) {
-				t.Run(string(tc.eng)+"/"+name+"/"+k.name, func(t *testing.T) {
-					rt := ppm.New(ppm.WithEngine(tc.eng), ppm.WithProcs(1), ppm.WithSeed(17),
-						ppm.WithMemWords(1<<22), ppm.WithPoolWords(1<<19))
-					defer rt.Close()
-					k.run(t, rt)
-					c := rt.Stats().MaxCapsWork
-					t.Logf("largest capsule: C = %d, 2fC = %.3f", c, 2*tc.f*float64(c))
-					if 2*tc.f*float64(c) >= 1 {
-						t.Errorf("largest capsule does %d units: 2fC = %.2f at f = %g, the replay bound needs < 1",
-							c, 2*tc.f*float64(c), tc.f)
-					}
-				})
+		for _, set := range []struct {
+			inputs map[string]*graph.Graph
+			assert bool
+		}{{tc.inputs, true}, {tc.logged, false}} {
+			for name, g := range set.inputs {
+				for _, k := range ceilingKernels(g) {
+					t.Run(string(tc.eng)+"/"+name+"/"+k.name, func(t *testing.T) {
+						rt := ppm.New(ppm.WithEngine(tc.eng), ppm.WithProcs(1), ppm.WithSeed(17),
+							ppm.WithMemWords(1<<22), ppm.WithPoolWords(1<<19))
+						defer rt.Close()
+						k.run(t, rt)
+						c := rt.Stats().MaxCapsWork
+						if !set.assert {
+							t.Logf("largest capsule: C = %d, 2fC = %.3f (logged, not asserted)", c, 2*tc.f*float64(c))
+							return
+						}
+						t.Logf("largest capsule: C = %d, 2fC = %.3f", c, 2*tc.f*float64(c))
+						if 2*tc.f*float64(c) >= 1 {
+							t.Errorf("largest capsule does %d units: 2fC = %.2f at f = %g, the replay bound needs < 1",
+								c, 2*tc.f*float64(c), tc.f)
+						}
+					})
+				}
 			}
 		}
 	}

@@ -17,8 +17,9 @@ type AllocStats = native.AllocStats
 
 // SchedStats reports how the native engine's randomized work-stealing
 // scheduler behaved in a run: steal probes, grabs, tasks moved (at most 8
-// per grab) and idle parks. Zero-valued on the model engine, whose
-// scheduler cost is part of the model's accounting.
+// per grab) and parks, the times a worker blocked waiting for work.
+// Zero-valued on the model engine, whose scheduler cost is part of the
+// model's accounting.
 type SchedStats = native.SchedStats
 
 // nativeEngine runs programs on the goroutine work-stealing backend.

@@ -221,8 +221,8 @@ func (r *Runtime) Stats() Stats { return r.eng.engineStats() }
 func (r *Runtime) AllocStats() AllocStats { return r.eng.allocStats() }
 
 // SchedStats reports the native engine's work-stealing scheduler counters
-// (probes, grabs, tasks moved by stealing, idle parks). Zero-valued on the
-// model engine.
+// (probes, grabs, tasks moved by stealing, and parks: times a worker blocked
+// waiting for work). Zero-valued on the model engine.
 func (r *Runtime) SchedStats() SchedStats { return r.eng.schedStats() }
 
 // WARViolations returns the write-after-read conflicts detected so far.

@@ -194,6 +194,35 @@ func TestServeMutate(t *testing.T) {
 	}
 }
 
+// TestCoalesceRatioCountsReadRunsOnly: a commit is a program run, and Runs
+// counts it, but the coalesce ratio is queries per read run. One read, one
+// commit and one read at the new epoch answer two queries in two read runs:
+// a ratio of 1, not the 2/3 that dividing by all three runs would report.
+func TestCoalesceRatioCountsReadRunsOnly(t *testing.T) {
+	cfg := testConfig()
+	s := New(cfg)
+	defer s.Close()
+	spec := smallGraph(22)
+	host := serveGraph(t, cfg, spec)
+	if _, err := s.Submit(Query{Graph: spec, Kind: "bfs", Source: 0}); err != nil {
+		t.Fatalf("bfs@0: %v", err)
+	}
+	b := mkBatch(host, spec.Seed, 1)
+	if _, err := s.Mutate(Mutation{Graph: spec, Insert: b.Insert, Delete: b.Delete}); err != nil {
+		t.Fatalf("mutate: %v", err)
+	}
+	if r, err := s.Submit(Query{Graph: spec, Kind: "bfs", Source: 0}); err != nil || r.Cached {
+		t.Fatalf("bfs@1 = %+v, %v; want a fresh run", r, err)
+	}
+	st := s.Stats()
+	if st.Runs != 3 || st.RunQueries != 2 || st.Mutations != 1 {
+		t.Fatalf("Runs/RunQueries/Mutations = %d/%d/%d, want 3/2/1", st.Runs, st.RunQueries, st.Mutations)
+	}
+	if st.CoalesceRatio < 1 {
+		t.Fatalf("CoalesceRatio = %.2f, want >= 1: fewer than one query per read run", st.CoalesceRatio)
+	}
+}
+
 // TestServeSnapshotGone pins a reader at an epoch, commits enough batches to
 // push it out of the 2-slot ring, and checks the runner answers
 // ErrSnapshotGone (503) rather than silently reading a newer version.

@@ -263,7 +263,7 @@ type Stats struct {
 	GraphsBuilt   int64   `json:"graphs_built"`   // entries constructed
 	Mutations     int64   `json:"mutations"`      // mutation batches committed
 	MutQueued     int64   `json:"mut_queued"`     // mutation batches admitted, not yet applied
-	CoalesceRatio float64 `json:"coalesce_ratio"` // RunQueries / Runs
+	CoalesceRatio float64 `json:"coalesce_ratio"` // RunQueries per successful read run; Runs also counts commits
 	// Epochs maps each resident graph key to its last committed epoch.
 	Epochs map[string]uint64 `json:"epochs,omitempty"`
 	// PersistPoints maps each resident graph key to the capsule-boundary
@@ -275,7 +275,8 @@ type Stats struct {
 
 type counters struct {
 	queries, answered, shed429, shed503 atomic.Int64
-	runs, runQueries, cacheHits         atomic.Int64
+	runs, readRuns, runQueries          atomic.Int64
+	cacheHits                           atomic.Int64
 	evictions, graphsBuilt              atomic.Int64
 	mutations, mutQueued                atomic.Int64
 	inFlight                            atomic.Int64
@@ -517,18 +518,17 @@ func (s *Server) RecoverResident() int {
 
 // Stats snapshots the counters.
 func (s *Server) Stats() Stats {
-	runs := s.ctr.runs.Load()
 	rq := s.ctr.runQueries.Load()
 	ratio := 0.0
-	if runs > 0 {
-		ratio = float64(rq) / float64(runs)
+	if reads := s.ctr.readRuns.Load(); reads > 0 {
+		ratio = float64(rq) / float64(reads)
 	}
 	st := Stats{
 		Queries:       s.ctr.queries.Load(),
 		Answered:      s.ctr.answered.Load(),
 		Shed429:       s.ctr.shed429.Load(),
 		Shed503:       s.ctr.shed503.Load(),
-		Runs:          runs,
+		Runs:          s.ctr.runs.Load(),
 		RunQueries:    rq,
 		CacheHits:     s.ctr.cacheHits.Load(),
 		Evictions:     s.ctr.evictions.Load(),
@@ -1180,6 +1180,7 @@ func (e *entry) serveEpoch(k *kind, ep uint64, ps []*pending) {
 			e.remember(memoKey{k.name, src, ep}, r)
 			rows[i] = r
 		}
+		e.srv.ctr.readRuns.Add(1)
 		e.srv.ctr.runQueries.Add(int64(len(runPs)))
 		for _, p := range runPs {
 			r := *rows[at[p.q.Source]]
