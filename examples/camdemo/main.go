@@ -16,13 +16,14 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"repro/ppm"
 )
 
 const procs = 4
 
-func race(eng ppm.Engine) {
+func race(eng ppm.Engine) (oneWinner bool) {
 	opts := []ppm.Option{
 		ppm.WithEngine(eng),
 		ppm.WithProcs(procs),
@@ -79,10 +80,13 @@ func race(eng ppm.Engine) {
 	} else {
 		fmt.Printf("PROTOCOL VIOLATION: %d winners\n", winners)
 	}
+	return winners == 1
 }
 
 func main() {
-	race(ppm.EngineModel)
+	ok := race(ppm.EngineModel)
 	fmt.Println()
-	race(ppm.EngineNative)
+	if !race(ppm.EngineNative) || !ok {
+		os.Exit(1)
+	}
 }

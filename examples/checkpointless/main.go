@@ -13,6 +13,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"repro/internal/simram"
 	"repro/ppm"
@@ -20,7 +21,7 @@ import (
 
 func main() {
 	prog := simram.FibProgram(40)
-	_, steps, err := prog.RunNative(nil, 1<<30)
+	want, steps, err := prog.RunNative(nil, 1<<30)
 	if err != nil {
 		panic(err)
 	}
@@ -36,6 +37,10 @@ func main() {
 		s := rt.Stats()
 		fmt.Printf("%8.3f %14d %12d %10.1f\n",
 			f, regs[0], s.Work, float64(s.Work)/float64(steps))
+		if regs[0] != want[0] {
+			fmt.Printf("WRONG: f = %v gave %d, the RAM program %d\n", f, regs[0], want[0])
+			os.Exit(1)
+		}
 	}
 	fmt.Println("\nsame answer at every fault rate; cost stays O(t) with a")
 	fmt.Println("fault-dependent constant — Theorem 3.2 in action")

@@ -13,6 +13,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 	"time"
 
 	"repro/ppm"
@@ -43,12 +44,12 @@ func main() {
 	start := time.Now()
 	if !algo.Run() {
 		fmt.Println("FATAL: every processor died")
-		return
+		os.Exit(1)
 	}
 	modelWall := time.Since(start)
 	if err := algo.Verify(); err != nil {
 		fmt.Println("VERIFY FAILED:", err)
-		return
+		os.Exit(1)
 	}
 	s := rt.Stats()
 	fmt.Printf("[model]  verified in %v — %d block transfers, %d capsules, %d soft faults replayed\n",
@@ -68,12 +69,12 @@ func main() {
 	start = time.Now()
 	if !nalgo.Run() {
 		fmt.Println("FATAL: native run did not complete")
-		return
+		os.Exit(1)
 	}
 	nativeWall := time.Since(start)
 	if err := nalgo.Verify(); err != nil {
 		fmt.Println("VERIFY FAILED:", err)
-		return
+		os.Exit(1)
 	}
 	ns := nrt.Stats()
 	fmt.Printf("[native] verified in %v — %d word accesses, %d capsules, %d steals\n",

@@ -15,6 +15,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 	"time"
 
 	"repro/ppm"
@@ -50,7 +51,9 @@ func buildTreeSum(rt *ppm.Runtime) (ppm.FuncRef, ppm.Array, uint64) {
 		lo, hi, dst := c.Int(0), c.Int(1), c.Addr(2)
 		if hi-lo <= leaf {
 			var acc uint64
-			in.Range(c, lo, hi, func(_ int, v uint64) { acc += v })
+			for _, v := range in.Slice(c, lo, hi) {
+				acc += v
+			}
 			c.Write(dst, acc)
 			c.Done()
 			return
@@ -77,7 +80,7 @@ func main() {
 	sum, out, want := buildTreeSum(rt)
 	if !rt.Run(sum, 0, n, out.At(0)) {
 		fmt.Println("FATAL: every processor died before completion")
-		return
+		os.Exit(1)
 	}
 	got := out.Snapshot()[0]
 	s := rt.Stats()
@@ -87,8 +90,9 @@ func main() {
 	fmt.Printf("soft faults injected: %d, capsule restarts: %d\n", s.SoftFaults, s.Restarts)
 	fmt.Printf("total work Wf = %d transfers (faultless W would be less); steals = %d\n",
 		s.Work, s.Steals)
-	if v := rt.WARViolations(); len(v) > 0 {
-		fmt.Printf("WAR violations (should be none!): %v\n", v)
+	wars := rt.WARViolations()
+	if len(wars) > 0 {
+		fmt.Printf("WAR violations (should be none!): %v\n", wars)
 	} else {
 		fmt.Println("write-after-read conflict freedom verified: all capsules idempotent")
 	}
@@ -100,11 +104,15 @@ func main() {
 	start := time.Now()
 	nrt.Run(nsum, 0, n, nout.At(0))
 	wall := time.Since(start)
+	ngot := nout.Snapshot()[0]
 	ns := nrt.Stats()
 	fmt.Printf("\n[native] same program, engine=%s: sum = %d (%s) in %s\n",
-		nrt.Engine(), nout.Snapshot()[0],
-		map[bool]string{true: "CORRECT", false: "WRONG"}[nout.Snapshot()[0] == want],
+		nrt.Engine(), ngot,
+		map[bool]string{true: "CORRECT", false: "WRONG"}[ngot == want],
 		wall.Round(time.Microsecond))
 	fmt.Printf("capsules executed: %d, steals: %d — zero algorithm changes between engines\n",
 		ns.Capsules, ns.Steals)
+	if got != want || ngot != want || len(wars) > 0 {
+		os.Exit(1)
+	}
 }

@@ -14,6 +14,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 	"time"
 
 	"repro/internal/rng"
@@ -31,6 +32,7 @@ func main() {
 	}
 	x.Shuffle(readings)
 
+	failed := false
 	run := func(eng ppm.Engine, algo ppm.Algorithm) []uint64 {
 		// Soft faults strike both engines, but f must respect the model's
 		// f < 1/(2C) replay bound against each engine's own capsule grain:
@@ -54,12 +56,14 @@ func main() {
 		start := time.Now()
 		if !algo.Run() {
 			fmt.Printf("%s: cluster lost\n", algo.Name())
+			failed = true
 			return nil
 		}
 		wall := time.Since(start)
 		status := "exact"
 		if err := algo.Verify(); err != nil {
 			status = err.Error()
+			failed = true
 		}
 		s := rt.Stats()
 		if eng == ppm.EngineModel {
@@ -86,4 +90,7 @@ func main() {
 	}
 	fmt.Printf("samplesort and mergesort outputs identical: %v\n", same)
 	fmt.Println("(faults on both engines — simulated with cost accounting on the model, replay-emulated at hardware speed natively; dead node on the model only)")
+	if failed || !same {
+		os.Exit(1)
+	}
 }

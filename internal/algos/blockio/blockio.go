@@ -1,5 +1,6 @@
 // Package blockio provides the block-granular range I/O behind the model
-// engine's Ctx range accessors (Slice, Gather, SetRange, Scatter).
+// engine's range accessors (Slice and Gather read through ReadRange;
+// SetRange, and Scatter span by span, write through WriteRange).
 //
 // Algorithm leaves operate on arbitrary sub-ranges [lo, hi) of block-aligned
 // arrays. Reading is easy — whole-block reads are always safe. Writing must
@@ -32,14 +33,6 @@ func ReadRange(e capsule.Env, b int, base pmem.Addr, lo, hi int, fn func(idx int
 	}
 }
 
-// ReadAt returns base[idx] with a single block transfer (the rest of the
-// block is discarded — use ReadRange for bulk access).
-func ReadAt(e capsule.Env, b int, base pmem.Addr, idx int) uint64 {
-	buf := make([]uint64, b)
-	blkBase := e.ReadBlock(base+pmem.Addr(idx), buf)
-	return buf[int(base)+idx-int(blkBase)]
-}
-
 // WriteRange writes vals to base[lo,hi): full blocks by block transfer,
 // boundary words individually so concurrent leaves sharing a boundary block
 // never overwrite each other. base must be block-aligned.
@@ -67,27 +60,4 @@ func WriteRange(e capsule.Env, b int, base pmem.Addr, lo, hi int, vals []uint64)
 		e.Write(base+pmem.Addr(w), vals[w-lo])
 		w++
 	}
-}
-
-// Transfers returns the number of block transfers WriteRange will charge
-// for a range — used by tests asserting the cost model.
-func Transfers(b int, base pmem.Addr, lo, hi int) int {
-	if lo >= hi {
-		return 0
-	}
-	n := 0
-	w := lo
-	for w < hi && (int(base)+w)%b != 0 {
-		n++
-		w++
-	}
-	for w+b <= hi {
-		n++
-		w += b
-	}
-	for w < hi {
-		n++
-		w++
-	}
-	return n
 }

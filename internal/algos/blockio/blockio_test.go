@@ -108,8 +108,9 @@ func TestWriteRangeLengthMismatchPanics(t *testing.T) {
 	m.RunProc(0)
 }
 
+// TestTransfersCount pins what WriteRange charges: one transfer per full
+// block, one per boundary word.
 func TestTransfersCount(t *testing.T) {
-	base := pmem.Addr(16) // block-aligned for b=8
 	cases := []struct{ lo, hi, want int }{
 		{0, 0, 0},
 		{0, 8, 1},          // one full block
@@ -119,24 +120,17 @@ func TestTransfersCount(t *testing.T) {
 		{5, 18, 3 + 1 + 2}, // 3 lead words, 1 full block, 2 tail words
 	}
 	for _, c := range cases {
-		if got := Transfers(b, base, c.lo, c.hi); got != c.want {
-			t.Errorf("Transfers(%d,%d) = %d, want %d", c.lo, c.hi, got, c.want)
+		m := machine.New(machine.Config{P: 1, BlockWords: b})
+		base := m.HeapAllocBlocks(32)
+		fid := m.Registry.Register("t", func(e capsule.Env) {
+			WriteRange(e, b, base, c.lo, c.hi, make([]uint64, c.hi-c.lo))
+			e.Halt()
+		})
+		m.SetRestart(0, m.BuildClosure(0, fid, pmem.Nil))
+		m.Run()
+		// The halt is one more write.
+		if got := m.Stats.Summarize().Writes - 1; got != int64(c.want) {
+			t.Errorf("WriteRange(%d,%d) charged %d transfers, want %d", c.lo, c.hi, got, c.want)
 		}
-	}
-}
-
-func TestReadAt(t *testing.T) {
-	m := machine.New(machine.Config{P: 1, BlockWords: b})
-	base := m.HeapAllocBlocks(16)
-	m.Mem.Write(base+9, 4242)
-	var got uint64
-	fid := m.Registry.Register("t", func(e capsule.Env) {
-		got = ReadAt(e, b, base, 9)
-		e.Halt()
-	})
-	m.SetRestart(0, m.BuildClosure(0, fid, pmem.Nil))
-	m.Run()
-	if got != 4242 {
-		t.Errorf("ReadAt = %d", got)
 	}
 }

@@ -165,8 +165,8 @@ func Transfer(info *types.Info, call *ast.CallExpr) (string, bool) {
 type AccessKind int
 
 const (
-	// ReadAccess is an exposed-read candidate: Array.{Get,Slice,Range,
-	// Gather,GatherAt} or Ctx.Read.
+	// ReadAccess is an exposed-read candidate: Array.{Get,Slice,Gather,
+	// GatherAt} or Ctx.Read.
 	ReadAccess AccessKind = iota
 	// WriteAccess is a persistent write: Array.{Set,SetRange,Scatter,
 	// ScatterAt,CAMAt}, Ctx.Write, or Ctx.CAM (the model counts CAM as a
@@ -194,7 +194,7 @@ type Access struct {
 }
 
 var arrayReads = map[string]bool{
-	"Get": true, "Slice": true, "Range": true, "Gather": true, "GatherAt": true,
+	"Get": true, "Slice": true, "Gather": true, "GatherAt": true,
 }
 var arrayWrites = map[string]bool{
 	"Set": true, "SetRange": true, "Scatter": true, "ScatterAt": true, "CAMAt": true,

@@ -59,7 +59,6 @@ func (a Array) Load(vals []uint64)                                   {}
 func (a Array) Snapshot() []uint64                                   { return nil }
 func (a Array) Get(c Ctx, i int) uint64                              { return 0 }
 func (a Array) Set(c Ctx, i int, v uint64)                           {}
-func (a Array) Range(c Ctx, lo, hi int, fn func(i int, v uint64))    {}
 func (a Array) Slice(c Ctx, lo, hi int) []uint64                     { return nil }
 func (a Array) Gather(c Ctx, spans [][2]int, dst []uint64) []uint64  { return nil }
 func (a Array) GatherAt(c Ctx, idx []uint64, dst []uint64) []uint64  { return nil }

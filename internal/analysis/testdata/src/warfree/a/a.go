@@ -2,7 +2,11 @@
 // idioms that must stay clean.
 package a
 
-import "repro/ppm"
+import (
+	"sort"
+
+	"repro/ppm"
+)
 
 var src ppm.Array
 var dst ppm.Array
@@ -65,13 +69,20 @@ func camClaim(c ppm.Ctx) {
 	c.Done()
 }
 
-// Range is a read; the callback without its own Ctx is inlined, and a later
-// write to the ranged array conflicts.
-func rangeThenWrite(c ppm.Ctx) {
-	src.Range(c, 0, 4, func(i int, v uint64) {
-		dst.Set(c, i, v)
-	})
+// Slice is a read of the array it views: storing what it read elsewhere is
+// clean, and a later write to the sliced array conflicts.
+func sliceThenWrite(c ppm.Ctx) {
+	dst.SetRange(c, 0, src.Slice(c, 0, 4))
 	src.Set(c, 0, 9) // want `write-after-read conflict`
+	c.Done()
+}
+
+// A callback without its own Ctx is inlined where it is defined: the Gets of
+// a sort.Search probe are reads, and a later write to the probed array
+// conflicts.
+func searchThenWrite(c ppm.Ctx) {
+	k := sort.Search(4, func(i int) bool { return src.Get(c, i) > 0 })
+	src.Set(c, 0, uint64(k)) // want `write-after-read conflict`
 	c.Done()
 }
 

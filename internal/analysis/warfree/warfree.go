@@ -146,8 +146,8 @@ func (w *walker) access(a analysis.Access, st state) {
 // expr records the accesses of e in evaluation order: a call's arguments
 // are evaluated before the call itself runs, so `dst.Set(c, i, src.Get(c,
 // i))` reads src before writing dst even though Set appears first in the
-// source text. Function literals without their own Ctx parameter (Range and
-// sort.Search callbacks) are inlined at their definition point; literals
+// source text. Function literals without their own Ctx parameter (sort.Search
+// callbacks) are inlined at their definition point; literals
 // with one are separate capsule bodies analyzed on their own.
 func (w *walker) expr(e ast.Expr, st state) {
 	switch e := e.(type) {

@@ -18,6 +18,9 @@ import (
 	"repro/internal/stats"
 )
 
+// dequeEntries is the scheduler's per-processor deque capacity.
+const dequeEntries = 4096
+
 // Config selects the machine and fault model.
 type Config struct {
 	// P is the number of processors (default 1).
@@ -30,9 +33,6 @@ type Config struct {
 	MemWords int
 	// PoolWords sizes each processor's closure pool (default 1M words).
 	PoolWords int
-	// DequeEntries is the scheduler's per-processor deque capacity
-	// (default 4096).
-	DequeEntries int
 	// FaultRate is the per-access soft-fault probability f (0 = faultless).
 	FaultRate float64
 	// DieAt schedules hard faults: processor -> persistent-access ordinal.
@@ -78,11 +78,7 @@ func New(cfg Config) *Runtime {
 		Check:      cfg.Check,
 		Injector:   inj,
 	})
-	entries := cfg.DequeEntries
-	if entries <= 0 {
-		entries = 4096
-	}
-	s := sched.New(m, entries)
+	s := sched.New(m, dequeEntries)
 	return &Runtime{Machine: m, Sched: s, FJ: forkjoin.New(m, s)}
 }
 

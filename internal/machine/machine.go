@@ -57,8 +57,6 @@ type Config struct {
 	Check       bool
 	StrictCheck bool
 	Injector    fault.Injector
-	// Trace logs every capsule start to stderr — a debugging aid only.
-	Trace bool
 }
 
 func (c *Config) fill() {

@@ -151,10 +151,6 @@ func (p *Proc) runCapsule(base pmem.Addr) {
 	p.retrying = true
 
 	p.beginCapsule(base)
-	if p.m.cfg.Trace {
-		fmt.Printf("[proc %d] capsule %-24s base=%-6d alloc=%-6d args=%v\n",
-			p.id, p.m.Registry.Name(p.fid), base, p.allocPtr, p.args[:p.nargs])
-	}
 	fn := p.m.Registry.Lookup(p.fid)
 	if fn == nil {
 		panic(fmt.Sprintf("machine: proc %d: closure at %d has unknown function id %d", p.id, base, p.fid))

@@ -1035,11 +1035,7 @@ func (w *Ctx) Rand() uint64 { return w.rng.Next() }
 // Read loads the word at a.
 func (w *Ctx) Read(a pmem.Addr) uint64 {
 	w.rt.check(a)
-	w.reads++
-	w.taskWork++
-	if w.faultThresh != 0 {
-		w.maybeFault(1)
-	}
+	w.batch(1, &w.reads)
 	if w.war.Enabled() {
 		w.warRead(a)
 	}
@@ -1049,11 +1045,7 @@ func (w *Ctx) Read(a pmem.Addr) uint64 {
 // Write stores v at a.
 func (w *Ctx) Write(a pmem.Addr, v uint64) {
 	w.rt.check(a)
-	w.writes++
-	w.taskWork++
-	if w.faultThresh != 0 {
-		w.maybeFault(1)
-	}
+	w.batch(1, &w.writes)
 	if w.war.Enabled() {
 		w.warWrite(a)
 	}
@@ -1064,11 +1056,7 @@ func (w *Ctx) Write(a pmem.Addr, v uint64) {
 // matching the model's only safe read-modify-write.
 func (w *Ctx) CAM(a pmem.Addr, old, new uint64) {
 	w.rt.check(a)
-	w.writes++
-	w.taskWork++
-	if w.faultThresh != 0 {
-		w.maybeFault(1)
-	}
+	w.batch(1, &w.writes)
 	if w.war.Enabled() {
 		w.warWrite(a)
 	}
@@ -1082,44 +1070,6 @@ func (w *Ctx) CAM(a pmem.Addr, old, new uint64) {
 	atomic.CompareAndSwapUint64(p, old, new)
 }
 
-// ReadAt returns base[idx].
-func (w *Ctx) ReadAt(base pmem.Addr, idx int) uint64 {
-	return w.Read(base + pmem.Addr(idx))
-}
-
-// Bulk range accesses use plain loads and stores: capsules exchange bulk
-// data only through fork-join ordering (a reader runs strictly after the
-// writer's join resolves), and every join/steal transition goes through
-// sync/atomic, which carries the happens-before edge. Racing on individual
-// words is the CAM idiom and stays on the sequentially consistent
-// single-word operations above. This mirrors the model, where bulk block
-// transfers are only well-defined between ordered capsules while racing
-// word access is CAM territory.
-
-// ReadRange streams base[lo,hi) through fn.
-func (w *Ctx) ReadRange(base pmem.Addr, lo, hi int, fn func(idx int, v uint64)) {
-	if lo >= hi {
-		return
-	}
-	w.rt.check(base + pmem.Addr(lo))
-	w.rt.check(base + pmem.Addr(hi-1))
-	if w.faultThresh != 0 {
-		w.maybeFault(int64(hi - lo))
-	}
-	if w.war.Enabled() {
-		// Before the loop: fn may write through the worker, and the tracker
-		// must see this read first to keep it exposed.
-		w.warReadSpan(base+pmem.Addr(lo), base+pmem.Addr(hi))
-	}
-	mem := w.rt.mem[base+pmem.Addr(lo) : base+pmem.Addr(hi)]
-	for i, v := range mem {
-		fn(lo+i, v)
-	}
-	n := int64(hi - lo)
-	w.reads += n
-	w.taskWork += n
-}
-
 // Scratch returns n zeroed words of ephemeral memory: a capsule-local vector
 // that dies with the capsule, like every buffer the arena hands out.
 func (w *Ctx) Scratch(n int) []uint64 {
@@ -1128,7 +1078,7 @@ func (w *Ctx) Scratch(n int) []uint64 {
 	return s
 }
 
-// ScratchSpans is Scratch for the span vectors Gather and Scatter take.
+// ScratchSpans is Scratch for span vectors, such as Gather's.
 func (w *Ctx) ScratchSpans(n int) [][2]int {
 	s := w.ephSpans.alloc(n)
 	clear(s)
@@ -1156,6 +1106,16 @@ func (w *Ctx) Slice(base pmem.Addr, lo, hi int) []uint64 {
 // window returns the n words at base, checked against the memory once and
 // capacity-clipped: the range of Slice and WriteRange, and the array the
 // batched accessors index into.
+//
+// Bulk accesses through a window use plain loads and stores: capsules
+// exchange bulk data only through fork-join ordering (a reader runs strictly
+// after the writer's join resolves), and every join/steal transition goes
+// through sync/atomic, which carries the happens-before edge. Racing on
+// individual words is the CAM idiom and stays on sequentially consistent
+// single-word operations (Read, Write, CAM, and the atomic loads and CASes
+// of GatherAt and CAMAt). This mirrors the model, where bulk block transfers
+// are only well-defined between ordered capsules while racing word access
+// is CAM territory.
 func (w *Ctx) window(base pmem.Addr, n int) []uint64 {
 	if n <= 0 {
 		return nil
@@ -1292,10 +1252,10 @@ func (w *Ctx) CAMAt(base pmem.Addr, n int, idx []uint64, old uint64, vals []uint
 }
 
 // ScatterAt stores vals[k] at base[idx[k]] for every k, over the n-word
-// window at base: the indexed mirror of Scatter, with its one window check,
-// fault draw and counter update, and its plain stores — the words a batch
-// writes are read only by capsules ordered after it by a join. ok is false
-// when an index lies outside the window; the stores before it have landed.
+// window at base, with one window check, fault draw and counter update, and
+// plain stores — the words a batch writes are read only by capsules ordered
+// after it by a join. ok is false when an index lies outside the window; the
+// stores before it have landed.
 func (w *Ctx) ScatterAt(base pmem.Addr, n int, idx []uint64, vals []uint64) (ok bool) {
 	if len(idx) == 0 {
 		return true
@@ -1315,32 +1275,6 @@ func (w *Ctx) ScatterAt(base pmem.Addr, n int, idx []uint64, vals []uint64) (ok 
 		win[i] = vals[k]
 	}
 	return true
-}
-
-// Scatter writes consecutive words of src over k disjoint spans of base in
-// one tight loop — the write-side mirror of Gather, the batched path of
-// samplesort's bucket scatter and frontier compaction writes.
-func (w *Ctx) Scatter(base pmem.Addr, spans [][2]int, src []uint64) {
-	var n int64
-	for _, s := range spans {
-		lo, hi := s[0], s[1]
-		if lo >= hi {
-			continue
-		}
-		w.rt.check(base + pmem.Addr(lo))
-		w.rt.check(base + pmem.Addr(hi-1))
-		if w.faultThresh != 0 {
-			w.maybeFault(int64(hi - lo))
-		}
-		copy(w.rt.mem[base+pmem.Addr(lo):base+pmem.Addr(hi)], src[:hi-lo])
-		if w.war.Enabled() {
-			w.warWriteSpan(base+pmem.Addr(lo), base+pmem.Addr(hi))
-		}
-		src = src[hi-lo:]
-		n += int64(hi - lo)
-	}
-	w.writes += n
-	w.taskWork += n
 }
 
 // WriteRange writes vals over base[lo,hi).
@@ -1455,7 +1389,3 @@ func (w *Ctx) ParallelFor(body capsule.FuncID, lo, hi, grain int, a0, a1 uint64)
 	grain = max(grain, 1)
 	w.next = w.pforTask(w.cur.join, uint64(body), uint64(lo), uint64(hi), uint64(grain), a0, a1)
 }
-
-// ModelEnv returns nil: native capsules have no simulated machine behind
-// them. Present so the ppm layer can expose Raw() uniformly.
-func (w *Ctx) ModelEnv() capsule.Env { return nil }

@@ -36,7 +36,9 @@ func TestTreeSum(t *testing.T) {
 		lo, hi, dst := int(c.Arg(0)), int(c.Arg(1)), pmem.Addr(c.Arg(2))
 		if hi-lo <= leaf {
 			var acc uint64
-			c.ReadRange(in, lo, hi, func(_ int, v uint64) { acc += v })
+			for _, v := range c.Slice(in, lo, hi) {
+				acc += v
+			}
 			c.Write(dst, acc)
 			c.Done()
 			return

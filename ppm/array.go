@@ -3,7 +3,7 @@ package ppm
 // Array is a typed view of a region of persistent memory: n elements of one
 // word each, element i at At(i). It replaces manual base-plus-offset address
 // arithmetic in programs. Load and Snapshot are harness-side (zero-cost)
-// bulk accessors for staging inputs and reading results; Get, Set, Range,
+// bulk accessors for staging inputs and reading results; Get, Set, Slice,
 // and SetRange are the capsule-side accessors, charged block transfers on
 // the model engine like any other persistent access.
 type Array struct {
@@ -94,34 +94,22 @@ func (a Array) SnapshotRange(lo, hi int) []uint64 {
 
 // Get reads element i from capsule code (one block transfer on the model
 // engine).
-func (a Array) Get(c Ctx, i int) uint64 {
-	if i < 0 || i >= a.n {
-		panic("ppm: array index out of range")
-	}
-	return c.e.ReadAt(a.base, i*a.stride)
-}
+func (a Array) Get(c Ctx, i int) uint64 { return c.e.Read(a.At(i)) }
 
 // Set writes element i from capsule code (one transfer).
 func (a Array) Set(c Ctx, i int, v uint64) { c.e.Write(a.At(i), v) }
 
-// Range streams elements [lo, hi) through fn using one block transfer per
-// touched block on the model engine. Only for word-packed arrays (NewArray,
-// Alloc).
-func (a Array) Range(c Ctx, lo, hi int, fn func(i int, v uint64)) {
-	a.needPacked()
-	c.e.ReadRange(a.base, lo, hi, fn)
-}
-
 // Slice returns elements [lo, hi) for reading — the bulk read path of leaf
-// sorts, merges and scan leaves. Charged like Range on the model engine,
-// which copies into a capsule-local slice; on the native engine it is a
-// window onto persistent memory itself, so no word moves: the bounds check,
-// fault draw and word count are taken at the call, as for a copy. The result
-// is read-only — on the native engine a write through it (an index
-// assignment, a copy, clear or in-place sort into it, an append onto a
-// sub-slice of it) would be an uncounted, unfaulted persistent write; copy
-// it into Scratch to edit it. It is valid until this capsule's control
-// transfer and must not be kept in host state. Only for word-packed arrays.
+// sorts, merges and scan leaves. The model engine charges one block transfer
+// per touched block and copies into a capsule-local slice; on the native
+// engine it is a window onto persistent memory itself, so no word moves: the
+// bounds check, fault draw and word count are taken at the call, as for a
+// copy. The result is read-only — on the native engine a write through it
+// (an index assignment, a copy, clear or in-place sort into it, an append
+// onto a sub-slice of it) would be an uncounted, unfaulted persistent write;
+// copy it into Scratch to edit it. It is valid until this capsule's control
+// transfer and must not be kept in host state. Only for word-packed arrays
+// (NewArray, Alloc).
 func (a Array) Slice(c Ctx, lo, hi int) []uint64 {
 	a.needPacked()
 	if lo < 0 || hi > a.n || lo > hi {
@@ -137,7 +125,7 @@ func (a Array) Slice(c Ctx, lo, hi int) []uint64 {
 // reuse a buffer of the capsule's own across calls (never a Slice result,
 // which an append would write through). On the model engine the k spans are
 // issued as a single round of block transfers — each touched block costs
-// one transfer, exactly like k separate Ranges, but as one logical
+// one transfer, exactly like k separate Slices, but as one logical
 // operation; on the native engine the batch is paid once, not per span: one
 // check of the spans against the array, one fault draw for the batch total,
 // one counter update, then one copy loop that moves short spans inline.
@@ -214,12 +202,11 @@ func (a Array) ScatterAt(c Ctx, idx []uint64, vals []uint64) {
 // hi1-lo1 elements, and so on — the write-side mirror of Gather. len(src)
 // must equal the total span length, and spans must be disjoint (concurrent
 // capsules scattering into overlapping ranges is a data race, exactly as
-// with SetRange). On the model engine the k spans are issued as a single
-// round of block transfers — each span charged exactly like a SetRange, but
-// as one logical operation; on the native engine the whole batch is one
-// tight copy loop with no per-span dispatch. This is the bucket-scatter
-// primitive of samplesort: a chunk writes all its bucket segments in one
-// call. Only for word-packed arrays.
+// with SetRange). Every span is checked before any word is written; then
+// each non-empty span is written, and charged on either engine, exactly as
+// SetRange writes it. This is the bucket-scatter primitive of samplesort: a
+// chunk writes all its bucket segments in one call. Only for word-packed
+// arrays.
 func (a Array) Scatter(c Ctx, spans [][2]int, src []uint64) {
 	a.needPacked()
 	need := 0
@@ -232,7 +219,12 @@ func (a Array) Scatter(c Ctx, spans [][2]int, src []uint64) {
 	if need != len(src) {
 		panic("ppm: Scatter length mismatch")
 	}
-	c.e.Scatter(a.base, spans, src)
+	for _, s := range spans {
+		if k := s[1] - s[0]; k > 0 {
+			c.e.WriteRange(a.base, s[0], s[1], src[:k])
+			src = src[k:]
+		}
+	}
 }
 
 // SetRange writes vals over elements [lo, lo+len(vals)): full blocks by
@@ -241,11 +233,14 @@ func (a Array) Scatter(c Ctx, spans [][2]int, src []uint64) {
 // arrays.
 func (a Array) SetRange(c Ctx, lo int, vals []uint64) {
 	a.needPacked()
+	if lo < 0 || lo+len(vals) > a.n {
+		panic("ppm: SetRange out of range")
+	}
 	c.e.WriteRange(a.base, lo, lo+len(vals), vals)
 }
 
 func (a Array) needPacked() {
 	if a.stride != 1 {
-		panic("ppm: Range/SetRange require a word-packed array")
+		panic("ppm: bulk accessors require a word-packed array")
 	}
 }

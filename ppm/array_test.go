@@ -127,7 +127,7 @@ func TestScatterModelCost(t *testing.T) {
 
 // TestGatherModelCost checks the model-engine cost contract: a batched
 // Gather of k spans charges exactly the block transfers of k individual
-// Ranges — batching buys one logical round, not a different bill.
+// Slices — batching buys one logical round, not a different bill.
 func TestGatherModelCost(t *testing.T) {
 	const n = 512
 	spans := [][2]int{{0, 64}, {65, 66}, {130, 200}, {300, 511}}
@@ -148,7 +148,9 @@ func TestGatherModelCost(t *testing.T) {
 				}
 			} else {
 				for _, s := range spans {
-					in.Range(c, s[0], s[1], func(_ int, v uint64) { acc += v })
+					for _, v := range in.Slice(c, s[0], s[1]) {
+						acc += v
+					}
 				}
 			}
 			sink.Set(c, 0, acc)
@@ -164,7 +166,7 @@ func TestGatherModelCost(t *testing.T) {
 	}
 	g, r := reads(true), reads(false)
 	if g != r {
-		t.Fatalf("Gather charged %d read transfers, k Ranges charge %d", g, r)
+		t.Fatalf("Gather charged %d read transfers, k Slices charge %d", g, r)
 	}
 }
 
@@ -179,10 +181,10 @@ func panicText(f func()) (msg string) {
 	return ""
 }
 
-// TestIndexedAccessOutOfRange: an index past the array's window panics, on
-// both engines, with the message of the indexed accessor it was passed to —
-// not Gather's span message — even when the word behind it exists in the
-// runtime's memory.
+// TestIndexedAccessOutOfRange: an index or a range past the array's window
+// panics, on both engines, with the message of the accessor it was passed
+// to — not Gather's span message — even when the word behind it exists in
+// the runtime's memory.
 func TestIndexedAccessOutOfRange(t *testing.T) {
 	const n = 64
 	want := []string{
@@ -190,6 +192,8 @@ func TestIndexedAccessOutOfRange(t *testing.T) {
 		"ppm: ScatterAt index out of range",
 		"ppm: CAMAt length mismatch",
 		"ppm: ScatterAt length mismatch",
+		"ppm: SetRange out of range",
+		"ppm: SetRange out of range",
 		"ppm: Gather span out of range",
 		"ppm: GatherAt index out of range",
 		"ppm: GatherAt index out of range",
@@ -206,6 +210,8 @@ func TestIndexedAccessOutOfRange(t *testing.T) {
 				panicText(func() { in.ScatterAt(c, []uint64{^uint64(0)}, one) }),
 				panicText(func() { in.CAMAt(c, []uint64{1, 2}, 0, one) }),
 				panicText(func() { in.ScatterAt(c, nil, one) }),
+				panicText(func() { in.SetRange(c, n-1, []uint64{1, 2}) }),
+				panicText(func() { in.SetRange(c, -1, one) }),
 				panicText(func() { in.Gather(c, [][2]int{{n, n + 1}}, nil) }),
 				panicText(func() { in.GatherAt(c, []uint64{3, n}, nil) }),
 				panicText(func() { in.GatherAt(c, []uint64{^uint64(0)}, nil) }),
@@ -257,13 +263,14 @@ func runBatch(t *testing.T, eng ppm.Engine, n int, init []uint64, body func(c pp
 	return batchRun{append(a.Snapshot(), out.Snapshot()...), rt.Stats(), rt.WARViolations()}
 }
 
-// TestBatchedAccessorsMatchLoops holds Gather, CAMAt and ScatterAt to the
-// per-span or per-word loops they replace, on both engines: the same words,
-// the same Stats (on the model, the same block transfers), and the same WAR
-// checker lines for a conflict planted behind each batch. Gather's spans
+// TestBatchedAccessorsMatchLoops holds Gather, CAMAt, ScatterAt and Scatter
+// to the per-span or per-word loops they replace, on both engines: the same
+// words, the same Stats (on the model, the same block transfers), and the
+// same WAR checker lines for a conflict planted behind each batch. The spans
 // have lengths 0, 1, 2, 8, 9 and 1 000, out of order, one ending on the
-// array's last word, read into a nil dst and appended to a non-nil one;
-// CAMAt's indices repeat, so the first claim of each must win.
+// array's last word; Gather reads them into a nil dst and appends them to a
+// non-nil one, and Scatter writes them. CAMAt's indices repeat, so the first
+// claim of each must win.
 func TestBatchedAccessorsMatchLoops(t *testing.T) {
 	const n = 2048
 	spans := [][2]int{{700, 709}, {5, 5}, {1048, 2048}, {40, 42}, {3, 4}, {100, 108}, {0, 1}}
@@ -277,6 +284,12 @@ func TestBatchedAccessorsMatchLoops(t *testing.T) {
 		claimable[i] = 0
 	}
 	claimable[512] = 1
+	src := make([]uint64, 0, n)
+	for _, s := range spans {
+		for i := s[0]; i < s[1]; i++ {
+			src = append(src, uint64(5000+i))
+		}
+	}
 	cases := []struct {
 		name        string
 		init        []uint64
@@ -348,6 +361,29 @@ func TestBatchedAccessorsMatchLoops(t *testing.T) {
 			func(w []uint64) []uint64 {
 				for k, i := range idx {
 					w[i] = vals[k] // the last write of a repeated index wins
+				}
+				return w
+			},
+		},
+		{"scatter", seqWords(n),
+			func(c ppm.Ctx, a, out ppm.Array) {
+				_ = a.Get(c, 41)
+				//ppm:allow warfree this test plants the conflict both dynamic checkers must flag
+				a.Scatter(c, spans, src)
+			},
+			func(c ppm.Ctx, a, out ppm.Array) {
+				_ = a.Get(c, 41)
+				at := 0
+				for _, s := range spans {
+					//ppm:allow warfree this test plants the conflict both dynamic checkers must flag
+					a.SetRange(c, s[0], src[at:at+s[1]-s[0]])
+					at += s[1] - s[0]
+				}
+			},
+			func(w []uint64) []uint64 {
+				at := 0
+				for _, s := range spans {
+					at += copy(w[s[0]:s[1]], src[at:])
 				}
 				return w
 			},

@@ -81,11 +81,6 @@ func (c Ctx) Scratch(n int) []uint64 { return c.e.Scratch(n) }
 // ScratchSpans is Scratch for the span vectors Gather and Scatter take.
 func (c Ctx) ScratchSpans(n int) [][2]int { return c.e.ScratchSpans(n) }
 
-// Raw exposes the untyped capsule environment for code that needs the full
-// simulated-machine interface (block transfers, ephemeral memory, install
-// primitives). Model engine only; returns nil on the native engine.
-func (c Ctx) Raw() capsule.Env { return c.e.ModelEnv() }
-
 // ---- control transfer ----
 
 // Call pairs a registered function with its arguments, for Fork, ForkThen,

@@ -80,8 +80,6 @@ type capCtx interface {
 	Write(a pmem.Addr, v uint64)
 	CAM(a pmem.Addr, old, new uint64)
 	Alloc(n int) pmem.Addr
-	ReadAt(base pmem.Addr, idx int) uint64
-	ReadRange(base pmem.Addr, lo, hi int, fn func(idx int, v uint64))
 	Slice(base pmem.Addr, lo, hi int) []uint64
 	Gather(base pmem.Addr, n int, spans [][2]int, dst []uint64) ([]uint64, bool)
 	GatherAt(base pmem.Addr, n int, idx []uint64, dst []uint64) ([]uint64, bool)
@@ -89,7 +87,6 @@ type capCtx interface {
 	ScatterAt(base pmem.Addr, n int, idx []uint64, vals []uint64) bool
 	Scratch(n int) []uint64
 	ScratchSpans(n int) [][2]int
-	Scatter(base pmem.Addr, spans [][2]int, src []uint64)
 	WriteRange(base pmem.Addr, lo, hi int, vals []uint64)
 	Done()
 	Halt()
@@ -104,7 +101,6 @@ type capCtx interface {
 	Fork(lf capsule.FuncID, la capsule.Args, rf capsule.FuncID, ra capsule.Args,
 		jf capsule.FuncID, ja capsule.Args, hasJoin bool)
 	ParallelFor(body capsule.FuncID, lo, hi, grain int, a0, a1 uint64)
-	ModelEnv() capsule.Env // nil on engines without a model machine
 }
 
 // ---- model engine ----
@@ -220,19 +216,9 @@ func (m *modelCtx) Read(a pmem.Addr) uint64          { return m.e.Read(a) }
 func (m *modelCtx) Write(a pmem.Addr, v uint64)      { m.e.Write(a, v) }
 func (m *modelCtx) CAM(a pmem.Addr, old, new uint64) { m.e.CAM(a, old, new) }
 func (m *modelCtx) Alloc(n int) pmem.Addr            { return m.e.Alloc(n) }
-func (m *modelCtx) ModelEnv() capsule.Env            { return m.e }
 
-func (m *modelCtx) ReadAt(base pmem.Addr, idx int) uint64 {
-	return blockio.ReadAt(m.e, m.b, base, idx)
-}
-
-func (m *modelCtx) ReadRange(base pmem.Addr, lo, hi int, fn func(int, uint64)) {
-	blockio.ReadRange(m.e, m.b, base, lo, hi, fn)
-}
-
-// The model engine's capsule-local vectors are ordinary Go slices: its
-// ephemeral memory is the simulated one behind Raw(), and what it charges is
-// block transfers, which these do not touch.
+// The model engine's capsule-local vectors are ordinary Go slices: what it
+// charges is block transfers, which these do not touch.
 func (m *modelCtx) Scratch(n int) []uint64      { return make([]uint64, n) }
 func (m *modelCtx) ScratchSpans(n int) [][2]int { return make([][2]int, n) }
 
@@ -243,10 +229,10 @@ func (m *modelCtx) Slice(base pmem.Addr, lo, hi int) []uint64 {
 }
 
 // Gather issues the k spans as one batched round of block transfers: each
-// touched block is charged exactly as a ReadRange over that span would
-// charge it, but the batch is a single logical operation of the capsule (one
-// round of concurrent transfers in the model's sense, not k dependent ones).
-// The spans are checked against the n-word array before any is charged.
+// touched block is charged exactly as a Slice of that span would charge it,
+// but the batch is a single logical operation of the capsule (one round of
+// concurrent transfers in the model's sense, not k dependent ones). The
+// spans are checked against the n-word array before any is charged.
 func (m *modelCtx) Gather(base pmem.Addr, n int, spans [][2]int, dst []uint64) ([]uint64, bool) {
 	for _, s := range spans {
 		if s[0] < 0 || s[1] > n || s[0] > s[1] {
@@ -272,7 +258,7 @@ func (m *modelCtx) GatherAt(base pmem.Addr, n int, idx []uint64, dst []uint64) (
 		if i >= uint64(n) {
 			return nil, false
 		}
-		dst = append(dst, blockio.ReadAt(m.e, m.b, base, int(i)))
+		dst = append(dst, m.e.Read(base+pmem.Addr(i)))
 	}
 	return dst, true
 }
@@ -301,23 +287,6 @@ func (m *modelCtx) ScatterAt(base pmem.Addr, n int, idx []uint64, vals []uint64)
 
 func (m *modelCtx) WriteRange(base pmem.Addr, lo, hi int, vals []uint64) {
 	blockio.WriteRange(m.e, m.b, base, lo, hi, vals)
-}
-
-// Scatter issues the k spans as one batched round of block transfers: each
-// touched block is charged exactly as a WriteRange over that span would
-// charge it (full blocks by block transfer, boundary words individually),
-// but the batch is one logical operation of the capsule — the write-side
-// mirror of Gather.
-func (m *modelCtx) Scatter(base pmem.Addr, spans [][2]int, src []uint64) {
-	at := 0
-	for _, s := range spans {
-		lo, hi := s[0], s[1]
-		if lo >= hi {
-			continue
-		}
-		blockio.WriteRange(m.e, m.b, base, lo, hi, src[at:at+hi-lo])
-		at += hi - lo
-	}
 }
 
 func (m *modelCtx) Done() { m.fj.TaskDone(m.e) }

@@ -28,7 +28,9 @@
 //		lo, hi, dst := c.Int(0), c.Int(1), c.Addr(2)
 //		if hi-lo <= leaf {
 //			acc := uint64(0)
-//			in.Range(c, lo, hi, func(_ int, v uint64) { acc += v })
+//			for _, v := range in.Slice(c, lo, hi) {
+//				acc += v
+//			}
 //			c.Write(dst, acc)
 //			c.Done()
 //			return

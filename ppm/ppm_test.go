@@ -46,7 +46,9 @@ func TestTreeSumUnderFaults(t *testing.T) {
 		lo, hi, dst := c.Int(0), c.Int(1), c.Addr(2)
 		if hi-lo <= leaf {
 			var acc uint64
-			in.Range(c, lo, hi, func(_ int, v uint64) { acc += v })
+			for _, v := range in.Slice(c, lo, hi) {
+				acc += v
+			}
 			c.Write(dst, acc)
 			c.Done()
 			return
@@ -119,7 +121,7 @@ func TestScriptedSoftFault(t *testing.T) {
 }
 
 // TestArrayRoundTrip: Load/Snapshot round-trips, At spacing for packed and
-// block arrays, and capsule-side Get/Set/Range/SetRange agreement.
+// block arrays, and capsule-side Get/Set/Slice/SetRange agreement.
 func TestArrayRoundTrip(t *testing.T) {
 	rt := ppm.New()
 	a := rt.NewArray(100)
@@ -143,12 +145,14 @@ func TestArrayRoundTrip(t *testing.T) {
 		t.Errorf("block array stride = %d, want %d", d, rt.BlockWords())
 	}
 
-	// Capsule-side accessors: copy a into dst via Range/SetRange, bump a
+	// Capsule-side accessors: copy a into dst via Slice/SetRange, bump a
 	// block-array slot with Set/Get.
 	dst := rt.NewArray(100)
 	cp := rt.Register("copy", func(c ppm.Ctx) {
 		buf := make([]uint64, 100)
-		a.Range(c, 0, 100, func(i int, v uint64) { buf[i] = v + 1 })
+		for i, v := range a.Slice(c, 0, 100) {
+			buf[i] = v + 1
+		}
 		dst.SetRange(c, 0, buf)
 		b.Set(c, 3, b.Get(c, 2)+41)
 		c.Halt()
