@@ -128,18 +128,36 @@ func TestBarrierSnapshotRecovery(t *testing.T) {
 			}
 			requireMidCommitSnap(t, *snaps)
 			// Five barriers frame any run (Create, run begin, finish's two,
-			// Close) and every phase commit adds two. cc commits initP, the
-			// first driver, then scan and check each round: 9 + 4·rounds. A
-			// third phase in a round would make it 9 + 6·rounds. bfs commits
-			// seed and the first round driver, then per round (one per level;
-			// the driver that finds the frontier empty starts no phase) each
-			// phase of its chain but the first: the next driver after a fused
-			// step or a pull, the down sweep too after a tree's up sweep, and
-			// the push too after a compaction: 9 + 2·fused + 4·tree + 2·pull +
-			// 2·compact, a compacting round counted once more as its push.
-			if name == "cc" && (len(*snaps)-9)%4 != 0 {
-				t.Errorf("cc: %d barriers is not 9 + 4·rounds: a round is not two phase commits", len(*snaps))
+			// Close) and every phase commit adds two; a chain of k phases
+			// commits k − 1 times. cc's root chain is Seq(initP, driver) and
+			// each round's Seq(scanP, check), so it commits once and then once
+			// per round: 7 + 2·rounds. A third phase in a round would make it
+			// 7 + 4·rounds. Each round's chain names its iteration, check's
+			// first argument.
+			if name == "cc" {
+				iters := map[uint64]bool{}
+				for _, s := range *snaps {
+					if len(s.chain) == 2 && len(s.chain[0].Args) == 1 && len(s.chain[1].Args) == 2 {
+						iters[s.chain[1].Args[0]] = true
+					}
+				}
+				for i := range uint64(len(iters)) {
+					if !iters[i] {
+						t.Fatalf("cc: the chains name iterations %v, not 0 to %d", iters, len(iters)-1)
+					}
+				}
+				t.Logf("cc: %d rounds", len(iters))
+				if want := 7 + 2*len(iters); len(*snaps) != want {
+					t.Errorf("cc: %d barriers over %d rounds, want 7 + 2·rounds = %d", len(*snaps), len(iters), want)
+				}
 			}
+			// bfs commits seed and the first round driver, then per round (one
+			// per level; the driver that finds the frontier empty starts no
+			// phase) each phase of its chain but the first: the next driver
+			// after a fused step or a pull, the down sweep too after a tree's up
+			// sweep, and the push too after a compaction: 9 + 2·fused + 4·tree +
+			// 2·pull + 2·compact, a compacting round counted once more as its
+			// push.
 			if name == "bfs" {
 				// round' carries the next level, so each round records a chain
 				// of its own, named by the function it starts with.

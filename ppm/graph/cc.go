@@ -8,42 +8,53 @@ import (
 
 // CC is connected components by shortcutting label propagation. Every
 // vertex starts labelled with its own id; a label is always the id of a
-// vertex of the same component, so it can be followed like a parent pointer,
-// and each round a vertex takes the minimum, over itself and its
-// neighbours, of the label's label:
+// vertex of the same component, so it can be followed like a parent pointer.
+// Each round a vertex takes label propagation's minimum over itself and its
+// neighbours, then follows it, and its own label, one step:
 //
-//	next[v] = min(cur[cur[v]], min over arcs v→u of cur[cur[u]])
+//	m = min(cur[v], min over arcs v→u of cur[u])
+//	next[v] = min(cur[cur[v]], cur[m])
 //
-// The leaf only reads cur (a Slice, the adjacency, and GatherAt calls on cur)
-// and only writes next (ping-pong), so every capsule is WAR-free and
-// replay-safe exactly as plain label propagation is (Theorem 3.1).
+// The leaf gathers each arc's label once and then, per vertex, the two
+// labels' labels. It only reads cur (a Slice, the adjacency, two GatherAt
+// calls on cur) and only writes next (ping-pong), so every capsule is
+// WAR-free and replay-safe exactly as plain label propagation is (Theorem
+// 3.1). The init leaf writes the first round straight from the arcs,
+// min(v, min over arcs v→u of u): with cur the identity the formula reduces
+// to that, so a round that would only read back ids is folded into the init.
 //
-// Invariant: next[v] ≤ cur[cur[v]] ≤ cur[v] ≤ v. Labels never rise, and
-// since cur[cur[u]] ≤ cur[u], a round lowers every label at least as far as
-// a label-propagation round from the same labels would: on no input does
-// the kernel take more rounds than label propagation.
+// Labels never rise: next[v] ≤ cur[m] ≤ m ≤ cur[v], since every label is at
+// most its vertex's id (it starts there and never rises). A vertex labelled 0
+// holds the least id, so its label is final: the leaf skips its arcs and
+// writes 0, which is what the formula gives (m = 0, cur[0] = 0), and a leaf
+// whose labels are all 0 just writes zeros.
 //
-// Fixpoint: when a round changes nothing, cur[v] ≤ cur[cur[u]] ≤ cur[u] on
+// No labelling takes more rounds than label propagation: next[v] ≤ m, which
+// is label propagation's round applied to cur, and that round is monotone,
+// so after k rounds every label is at most the one k rounds of label
+// propagation give; the init is its first round exactly.
+//
+// Fixpoint: when a round changes nothing, cur[v] = next[v] ≤ m ≤ cur[u] on
 // every arc v→u and, the graph being symmetric, the reverse, so labels are
 // equal along arcs and constant on a component. That constant is the id of a
 // member, hence ≥ the component's minimum, and ≤ it because the minimum
-// vertex's own label is ≤ its id. So the output is still the minimum vertex
-// id of each component, which is exactly what the sequential union-find
-// reference computes, on either engine, bit for bit.
+// vertex's own label is ≤ its id. So the output is the minimum vertex id of
+// each component, which is exactly what the sequential union-find reference
+// computes, on either engine, bit for bit.
 //
 // Rounds: where ids are local — meshes, paths, anything numbered in
 // traversal order — labels chain through lower neighbours and the reach
-// doubles every round: O(log n) rounds on a path, 9 on the 128×128 mesh
-// against label propagation's 255. The bound is NOT label-independent. The
-// kernel only pulls: a vertex adopts labels, it never hooks the root of its
-// label tree under another tree, so two trees merge only along the arcs
-// between them and, with adversarially permuted ids, rounds stay bound by
-// the diameter (over five random permutations a 128×128 mesh takes 77–89
-// rounds against label propagation's 148–209, and a 4000-vertex path
-// 833–1832 against 2044–3968: still a constant fraction of n). Hooking
-// roots — an arbitrary-winner CAM against the round's known old label, the
-// BFS claim idiom — gives the O(log n) bound of Andoni et al. on every
-// labelling, at the price of schedule-dependent capsule counts.
+// doubles every round: O(log n) rounds on a path, 8 scans after the init on
+// the 128×128 mesh against label propagation's 255. The bound is NOT
+// label-independent. The kernel only pulls: a vertex adopts labels, it never
+// hooks the root of its label tree under another tree, so two trees merge
+// only along the arcs between them and, with adversarially permuted ids,
+// rounds stay bound by the diameter (over five random permutations a 128×128
+// mesh takes 78–85 scans against label propagation's 148–209 rounds, and a
+// 4000-vertex path 837–1835 against 2044–3968: still a constant fraction of
+// n). Hooking roots — an arbitrary-winner CAM against the round's known old
+// label, the BFS claim idiom — gives the O(log n) bound of Andoni et al. on
+// every labelling, at the price of schedule-dependent capsule counts.
 //
 // A leaf that lowered any label CAMs the round's changed flag from 0 to 1
 // (idempotent). There are two flags, one per round parity, in separate
@@ -79,14 +90,27 @@ func (a *CC) Build(rt *ppm.Runtime) {
 	// conflicts are block-granular.
 	changed := rt.NewBlockArray(2)
 
+	// initLeaf writes the first round straight from the arcs (see CC).
 	initLeaf := rt.Register(name+"/init", func(c ppm.Ctx) {
 		lo, hi := c.Int(0), c.Int(1)
-		a.labels[0].SetRange(c, lo, iotaVec(c, lo, hi-lo))
+		offs, arcs := cs.adjRange(c, lo, hi)
+		vals := c.Scratch(hi - lo)
+		i := 0
+		for k := range vals {
+			m := uint64(lo + k)
+			end := i + int(offs[k+1]-offs[k])
+			for _, u := range arcs[i:end] {
+				m = min(m, u)
+			}
+			i = end
+			vals[k] = m
+		}
+		a.labels[0].SetRange(c, lo, vals)
 		c.Done()
 	})
 	initP := rt.Register(name+"/initP", func(c ppm.Ctx) {
 		changed.Set(c, 0, 0) // a re-run finds the last run's flags
-		c.ParallelFor(initLeaf, 0, n, grain.dense)
+		c.ParallelFor(initLeaf, 0, n, grain.scan)
 	})
 
 	// scanLeaf covers vertices [lo, hi): args [lo, hi, parity].
@@ -94,21 +118,47 @@ func (a *CC) Build(rt *ppm.Runtime) {
 		lo, hi, parity := c.Int(0), c.Int(1), c.Int(2)
 		cur, next := a.labels[parity], a.labels[1-parity]
 		mine := cur.Slice(c, lo, hi)
-		offs, arcs := cs.adjRange(c, lo, hi)
-		// Two batched rounds per operand: a label, then that label's label.
-		// vals starts as cur[cur[v]] and becomes the leaf's output.
-		vals := cur.GatherAt(c, mine, nil)
-		nlab := cur.GatherAt(c, cur.GatherAt(c, arcs, nil), nil)
-		lowered := false
-		i := 0
-		for idx, m := range vals {
-			end := i + int(offs[idx+1]-offs[idx])
-			for _, l := range nlab[i:end] {
-				m = min(m, l)
+		live := 0 // vertices whose label is not yet 0
+		for _, l := range mine {
+			if l != 0 {
+				live++
+			}
+		}
+		if live == 0 {
+			next.SetRange(c, lo, mine) // every label is 0, hence final
+			c.Done()
+			return
+		}
+		// One gather of the live vertices' arc labels gives each its m; a
+		// second, per vertex, reads cur[cur[v]] and cur[m].
+		offs, arcs := cs.adjLive(c, lo, hi, mine)
+		nlab := cur.GatherAt(c, arcs, nil)
+		idx := c.Scratch(2 * live)
+		i, j := 0, 0
+		for k, l := range mine {
+			if l == 0 {
+				continue
+			}
+			end := i + int(offs[k+1]-offs[k])
+			m := l
+			for _, x := range nlab[i:end] {
+				m = min(m, x)
 			}
 			i = end
-			vals[idx] = m
-			if m != mine[idx] {
+			idx[j], idx[j+1] = l, m
+			j += 2
+		}
+		got := cur.GatherAt(c, idx, nil)
+		vals := c.Scratch(hi - lo) // zeroed: a label-0 vertex stays 0
+		lowered := false
+		j = 0
+		for k, l := range mine {
+			if l == 0 {
+				continue
+			}
+			vals[k] = min(got[j], got[j+1])
+			j += 2
+			if vals[k] != l {
 				lowered = true
 			}
 		}

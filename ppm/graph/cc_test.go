@@ -9,19 +9,16 @@ import (
 	"repro/ppm/graph"
 )
 
-// ccRun runs connected components over g, checks the labels against the
-// union-find reference, and returns the capsules the run executed. A round
-// is a fixed number of capsules for a fixed n (one ParallelFor tree, a check
-// and a driver), so capsule counts measure rounds without a counter in the
-// kernel. The model engine counts its scheduler's capsules too, and those are
-// deterministic only when no processor idles, so it runs with one.
-func ccRun(t *testing.T, eng ppm.Engine, g *graph.Graph) int64 {
+// ccRun runs connected components over g on a runtime of procs processors,
+// checks the labels against the union-find reference, and returns the
+// capsules the run executed. A round is a fixed number of capsules for a
+// fixed n (one ParallelFor tree, a check and a driver), so capsule counts
+// measure rounds without a counter in the kernel. The model engine counts its
+// scheduler's capsules too, and those are deterministic only when no
+// processor idles, so it runs with one.
+func ccRun(t *testing.T, eng ppm.Engine, procs int, g *graph.Graph, opts ...ppm.Option) int64 {
 	t.Helper()
-	procs := 2
-	if eng == ppm.EngineModel {
-		procs = 1
-	}
-	rt := newRT(eng, procs)
+	rt := newRT(eng, procs, opts...)
 	defer rt.Close()
 	algo := graph.Components("rounds", g)
 	algo.Build(rt)
@@ -35,18 +32,37 @@ func ccRun(t *testing.T, eng ppm.Engine, g *graph.Graph) int64 {
 	return rt.Stats().Capsules - before
 }
 
-// ccRounds returns the scan rounds cc takes on g, the last (unchanged) one
-// included. An edgeless graph takes one round and a single edge two; their
-// difference is the capsules of one round at this n.
-func ccRounds(t *testing.T, eng ppm.Engine, g *graph.Graph) int {
+// ccRoundsFrom returns the scan rounds a run of got capsules took, the last
+// (unchanged) one included, given the capsules of an edgeless graph (one
+// round) and of the path 0—1—2 (two: the init writes label propagation's
+// first round, [0, 0, 1], and one scan lowers vertex 2) at the same n: their
+// difference is the capsules of one round.
+func ccRoundsFrom(t *testing.T, eng ppm.Engine, one, two, got int64) int {
 	t.Helper()
-	one := ccRun(t, eng, graph.FromArcs(g.N, nil))
-	two := ccRun(t, eng, graph.FromArcs(g.N, [][2]int{{0, 1}, {1, 0}}))
-	got := ccRun(t, eng, g)
 	if two <= one || got < one || (got-one)%(two-one) != 0 {
 		t.Fatalf("%s: capsules %d are not %d + k·%d", eng, got, one, two-one)
 	}
 	return 1 + int((got-one)/(two-one))
+}
+
+// ccBaselines runs the edgeless graph and the path 0—1—2 on n vertices, for
+// ccRoundsFrom.
+func ccBaselines(t *testing.T, eng ppm.Engine, procs, n int, opts ...ppm.Option) (one, two int64) {
+	t.Helper()
+	return ccRun(t, eng, procs, graph.FromArcs(n, nil), opts...),
+		ccRun(t, eng, procs, graph.FromArcs(n, [][2]int{{0, 1}, {1, 0}, {1, 2}, {2, 1}}), opts...)
+}
+
+// ccRounds returns the scan rounds cc takes on g: one processor on the
+// model, two on the native engine.
+func ccRounds(t *testing.T, eng ppm.Engine, g *graph.Graph) int {
+	t.Helper()
+	procs := 2
+	if eng == ppm.EngineModel {
+		procs = 1
+	}
+	one, two := ccBaselines(t, eng, procs, g.N)
+	return ccRoundsFrom(t, eng, one, two, ccRun(t, eng, procs, g))
 }
 
 // lpRounds counts the scan rounds of plain synchronous label propagation on
@@ -171,13 +187,14 @@ func TestCCFaultsWARAndRerun(t *testing.T) {
 }
 
 // TestCCResidentRoundsForgetLastRun: a run that ends on an odd round leaves
-// changed[0] set. The rounds of the next run on that runtime must depend on
-// its graph alone: once the only edge is deleted, one round, not the two the
-// stale flag would buy.
+// changed[0] set, as the path 0—1—2 does (its init writes [0, 0, 1] and the
+// first scan lowers vertex 2). The rounds of the next run on that runtime
+// must depend on its graph alone: once edge 0—1 is deleted the init writes
+// the final [0, 1, 1], so one round, not the two the stale flag would buy.
 func TestCCResidentRoundsForgetLastRun(t *testing.T) {
 	for _, eng := range bothEngines {
 		rt := newRT(eng, 1)
-		res := graph.NewResident("stale", graph.FromArcs(64, [][2]int{{0, 1}, {1, 0}}), 2, 0, 2)
+		res := graph.NewResident("stale", graph.FromArcs(64, [][2]int{{0, 1}, {1, 0}, {1, 2}, {2, 1}}), 2, 0, 2)
 		res.Build(rt)
 		cc := graph.Components("stale", res)
 		cc.Build(rt)
@@ -195,8 +212,8 @@ func TestCCResidentRoundsForgetLastRun(t *testing.T) {
 				}
 			}
 		}
-		if out := cc.Output(); out[1] != 1 {
-			t.Errorf("%s: label[1] = %d after the edge was deleted, want 1", eng, out[1])
+		if out := cc.Output(); out[1] != 1 || out[2] != 1 {
+			t.Errorf("%s: labels[1:3] = %v after edge 0—1 was deleted, want [1 1]", eng, out[1:3])
 		}
 		if capsules[1] >= capsules[0] {
 			t.Errorf("%s: %d capsules on the edgeless epoch, %d with the edge: a stale flag bought a round",
@@ -204,4 +221,72 @@ func TestCCResidentRoundsForgetLastRun(t *testing.T) {
 		}
 		rt.Close()
 	}
+}
+
+// FuzzComponents runs connectivity on small multigraphs built from the fuzz
+// input (fuzzMultigraph) on the native engine at P = 1 and 2 and on the model
+// at P = 1. Labels must equal the union-find reference, and no run may take
+// more rounds than label propagation on the same graph.
+func FuzzComponents(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 0, 1, 1, 2})                                      // the path 0—1—2
+	f.Add([]byte{20, 1, 0, 0, 5, 5, 5, 5, 6, 5, 6, 7, 1})                   // 0 isolated, a self-loop, a duplicate
+	f.Add([]byte{45, 2, 9, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9}) // a permuted path
+	f.Add([]byte{30, 3, 4, 0, 1, 0, 2, 0, 3, 3, 3, 10, 11, 11, 12, 12, 10}) // permuted, 0 isolated
+	// One runtime per run; small memories keep an input's nine runs cheap.
+	small := []ppm.Option{ppm.WithMemWords(1 << 16), ppm.WithPoolWords(1 << 14)}
+	type config struct {
+		eng   ppm.Engine
+		procs int
+		n     int
+	}
+	baselines := map[config][2]int64{}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g := fuzzMultigraph(data)
+		lp := lpRounds(g)
+		for _, cfg := range []config{
+			{ppm.EngineNative, 1, g.N}, {ppm.EngineNative, 2, g.N}, {ppm.EngineModel, 1, g.N},
+		} {
+			b, ok := baselines[cfg]
+			if !ok {
+				b[0], b[1] = ccBaselines(t, cfg.eng, cfg.procs, cfg.n, small...)
+				baselines[cfg] = b
+			}
+			got := ccRun(t, cfg.eng, cfg.procs, g, small...) // Verify: labels are exact
+			if rounds := ccRoundsFrom(t, cfg.eng, b[0], b[1], got); rounds > lp {
+				t.Fatalf("%s P=%d, n=%d arcs %v: %d rounds, label propagation takes %d",
+					cfg.eng, cfg.procs, g.N, g.Adj, rounds, lp)
+			}
+		}
+	})
+}
+
+// fuzzMultigraph builds a symmetric multigraph from fuzz bytes: n = 3 +
+// data[0] mod 48, flags data[1] (bit 0: vertex 0 isolated, bit 1: ids
+// permuted by the seed data[2]), then one undirected edge per byte pair, so
+// an equal pair is a self-loop and a repeated pair a duplicate arc.
+func fuzzMultigraph(data []byte) *graph.Graph {
+	at := func(i int) int {
+		if i < len(data) {
+			return int(data[i])
+		}
+		return 0
+	}
+	n, flags := 3+at(0)%48, at(1)
+	perm := make([]int, n)
+	for v := range perm {
+		perm[v] = v
+	}
+	if flags&2 != 0 {
+		perm = rand.New(rand.NewSource(int64(at(2)))).Perm(n)
+	}
+	var arcs [][2]int
+	for i := 3; i+1 < len(data); i += 2 {
+		u, v := perm[int(data[i])%n], perm[int(data[i+1])%n]
+		if flags&1 != 0 && (u == 0 || v == 0) {
+			continue
+		}
+		arcs = append(arcs, [2]int{u, v}, [2]int{v, u})
+	}
+	return graph.FromArcs(n, arcs)
 }

@@ -39,12 +39,15 @@ import (
 // search's extent, the combined ids [0, rows·n) of the rows in use:
 //
 //	pull — a fork-join tree with grains.scan leaves. A leaf finds its ids
-//	       still at INF in level[cur], gathers only their arc lists, reads
-//	       their targets' levels back with one GatherAt, and gives each the
-//	       first target at level d-1, in arc order, as its parent. It writes
-//	       its whole range of level[1-cur], stores the parents in owner, which
-//	       it never reads, and leaves its count at its tree node of sums, so
-//	       sums[1] holds the next frontier's size as the up sweep leaves it.
+//	       still at INF in level[cur] and reads their offsets in place, one
+//	       Slice per row segment of its range (at most two wherever a leaf
+//	       is narrower than a row). It gathers only their arc lists, in one
+//	       Gather, reads their targets' levels back with one GatherAt, and
+//	       gives each the first target at level d-1, in arc order, as its
+//	       parent. It writes its whole range of level[1-cur], stores the
+//	       parents in owner, which it never reads, and leaves its count at
+//	       its tree node of sums, so sums[1] holds the next frontier's size
+//	       as the up sweep leaves it.
 //
 // No CAM is needed: an id has one leaf, and the leaf reads only level[cur],
 // which no capsule of the phase writes. Levels ping-pong between level[0]
@@ -367,28 +370,51 @@ func (f *frontier) pull(c ppm.Ctx, lo, hi int, d uint64, cur int) uint64 {
 	// The range's levels, edited below: a copy, since a Slice is read-only.
 	lv := c.Scratch(hi - lo)
 	copy(lv, f.level[cur].Slice(c, lo, hi))
+	// The unvisited ids and their arc spans. A row's offsets are contiguous,
+	// so each row segment of the range reads its unvisited ids' offsets in
+	// place, as one Slice from the first to the last.
+	ob, ab := f.cs.bases(c)
 	ids := c.Scratch(hi - lo)[:0]
-	for i, l := range lv {
-		if l == inf {
-			ids = append(ids, uint64(lo+i))
+	spans := c.ScratchSpans(hi - lo)[:0]
+	for s := lo; s < hi; {
+		v0 := s % f.n
+		e := min(hi, s-v0+f.n)
+		seg := lv[s-lo : e-lo]
+		if first, last := slices.Index(seg, inf), len(seg)-1; first >= 0 {
+			for seg[last] != inf {
+				last--
+			}
+			offs := f.cs.offs.Slice(c, ob+v0+first, ob+v0+last+2)
+			for k := first; k <= last; k++ {
+				if seg[k] == inf {
+					ids = append(ids, uint64(s+k))
+					spans = append(spans, [2]int{ab + int(offs[k-first]), ab + int(offs[k-first+1])})
+				}
+			}
 		}
+		s = e
 	}
-	vs := c.Scratch(len(ids))
-	for i, id := range ids {
-		vs[i] = id % uint64(f.n)
-	}
-	spans, tgts := f.cs.gatherAdj(c, vs)
-	i := 0
-	for idx, id := range ids {
-		for end := i + spans[idx][1] - spans[idx][0]; i < end; i++ {
-			tgts[i] += id - vs[idx] // arc target → combined id in the row
+	tgts := f.cs.adj.Gather(c, spans, nil)
+	if hi > f.n {
+		// Arc target → combined id in the row: ids ascend, so the row base
+		// advances with them. Row 0's base is 0.
+		n := uint64(f.n)
+		base := uint64(lo) - uint64(lo)%n
+		i := 0
+		for idx, id := range ids {
+			for id >= base+n {
+				base += n
+			}
+			for end := i + spans[idx][1] - spans[idx][0]; i < end; i++ {
+				tgts[i] += base
+			}
 		}
 	}
 	tl := f.level[cur].GatherAt(c, tgts, nil)
 	// found and parents list the ids reached and their parents, for one
 	// batched ScatterAt into owner.
 	found, parents := c.Scratch(len(ids))[:0], c.Scratch(len(ids))[:0]
-	i = 0
+	i := 0
 	for idx, id := range ids {
 		end := i + spans[idx][1] - spans[idx][0]
 		for ; i < end; i++ {

@@ -24,13 +24,14 @@
 // returns to pushing. Capsule grains come from a per-engine table, and the
 // direction thresholds are two constants beside it (bfs.go). The bulk edge
 // reads are batched: a frontier or pull leaf Gathers the adjacency lists of
-// all its vertices in one multi-range operation and reads its targets'
-// claimant words or levels back with one GatherAt, and a scan leaf over a
-// contiguous vertex range reads its arcs as one Slice and the per-arc labels
-// or contributions with one GatherAt. The model charges each as a single
-// round of block transfers; the native engine runs each as one tight loop
-// into the worker's ephemeral memory, so a leaf allocates nothing on the Go
-// heap.
+// all its vertices in one multi-range operation (a pull leaf, whose ids are
+// a range, reads their offsets in place) and reads its targets' claimant
+// words or levels back with one GatherAt, and a scan leaf over a contiguous
+// vertex range reads its arcs as one Slice (cc's, once some of its labels
+// are final, one Gather of the rest's) and the per-arc labels or
+// contributions with one GatherAt. The model charges each as a single round
+// of block transfers; the native engine runs each as one tight loop into the
+// worker's ephemeral memory, so a leaf allocates nothing on the Go heap.
 //
 // Importing this package (even blank) registers bfs, cc, and pagerank in
 // ppm.Catalog(), so catalog-driven experiments and tests pick the graph
@@ -39,6 +40,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/rng"
 	"repro/ppm"
@@ -284,7 +286,8 @@ func (v vcsr) bases(c ppm.Ctx) (int, int) {
 // offset pair of every vertex, then every arc list. It returns the
 // per-vertex spans (into adj) and the concatenated arc targets, both in
 // ephemeral memory; the offset spans are dead once gathered, so their vector
-// is reused for the arc spans. The frontier leaves use this.
+// is reused for the arc spans. The push leaves (step, up, down) use this; a
+// pull leaf's ids are a contiguous range, whose offsets it reads in place.
 func (v vcsr) gatherAdj(c ppm.Ctx, vs []uint64) (spans [][2]int, nbrs []uint64) {
 	ob, ab := v.bases(c)
 	spans = c.ScratchSpans(len(vs))
@@ -301,13 +304,39 @@ func (v vcsr) gatherAdj(c ppm.Ctx, vs []uint64) (spans [][2]int, nbrs []uint64) 
 // adjRange reads the adjacency of the contiguous vertex range [lo, hi) of
 // the run's slot: its hi-lo+1 offsets and, because consecutive vertices'
 // lists are consecutive in a CSR, every arc as ONE Slice. Vertex lo+i owns
-// the next offs[i+1]-offs[i] words of arcs. The dense scan leaves (cc,
-// pagerank) walk arcs with that running cursor and fetch the per-arc words
-// with GatherAt(arcs).
+// the next offs[i+1]-offs[i] words of arcs. The dense scan leaves walk arcs
+// with that running cursor: pagerank's fetches the per-arc words with
+// GatherAt(arcs), cc's init takes the targets themselves.
 func (v vcsr) adjRange(c ppm.Ctx, lo, hi int) (offs, arcs []uint64) {
 	ob, ab := v.bases(c)
 	offs = v.offs.Slice(c, ob+lo, ob+hi+1)
 	return offs, v.adj.Slice(c, ab+int(offs[0]), ab+int(offs[hi-lo]))
+}
+
+// adjLive is adjRange restricted to the vertices lo+i with live[i] != 0:
+// offs as adjRange returns them, and only those vertices' arcs, in order.
+// With every vertex live that is adjRange's one Slice; otherwise one Gather
+// span per run of live vertices.
+func (v vcsr) adjLive(c ppm.Ctx, lo, hi int, live []uint64) (offs, arcs []uint64) {
+	if !slices.Contains(live, 0) {
+		return v.adjRange(c, lo, hi)
+	}
+	ob, ab := v.bases(c)
+	offs = v.offs.Slice(c, ob+lo, ob+hi+1)
+	spans := c.ScratchSpans(len(live))[:0]
+	for k := 0; k < len(live); k++ {
+		if live[k] == 0 {
+			continue
+		}
+		start := k
+		for k < len(live) && live[k] != 0 {
+			k++
+		}
+		if offs[start] < offs[k] {
+			spans = append(spans, [2]int{ab + int(offs[start]), ab + int(offs[k])})
+		}
+	}
+	return offs, v.adj.Gather(c, spans, nil)
 }
 
 // binding ties a kernel to its Source: the runtime it is built on, its root
@@ -359,15 +388,6 @@ func fillVec(c ppm.Ctx, k int, x uint64) []uint64 {
 	out := c.Scratch(k)
 	for i := range out {
 		out[i] = x
-	}
-	return out
-}
-
-// iotaVec returns [lo, lo+k) as uint64s, in ephemeral memory.
-func iotaVec(c ppm.Ctx, lo, k int) []uint64 {
-	out := c.Scratch(k)
-	for i := range out {
-		out[i] = uint64(lo + i)
 	}
 	return out
 }

@@ -11,15 +11,15 @@ import (
 )
 
 // newRT builds a test runtime on the given engine, sized for the small
-// graphs below.
-func newRT(eng ppm.Engine, p int) *ppm.Runtime {
-	return ppm.New(
+// graphs below; opts apply after the defaults and may override them.
+func newRT(eng ppm.Engine, p int, opts ...ppm.Option) *ppm.Runtime {
+	return ppm.New(append([]ppm.Option{
 		ppm.WithEngine(eng),
 		ppm.WithProcs(p),
 		ppm.WithSeed(17),
-		ppm.WithMemWords(1<<22),
-		ppm.WithPoolWords(1<<19),
-	)
+		ppm.WithMemWords(1 << 22),
+		ppm.WithPoolWords(1 << 19),
+	}, opts...)...)
 }
 
 var bothEngines = []ppm.Engine{ppm.EngineModel, ppm.EngineNative}
@@ -342,8 +342,16 @@ func (a msbfsAlgo) Output() []uint64 { return a.Levels(0) }
 // per capsule at these sizes. One heap object per leaf, fork or phase would
 // cost 0.25 or more; the mesh, 255 thin rounds of two capsules each, is where
 // a per-phase object shows.
+//
+// The star row is cc's init at full weight: its init leaves read every arc
+// and write the final labels, so the run is the init and one scan round that
+// only writes zeros.
 func TestScanLeavesAllocateNothing(t *testing.T) {
 	g := graph.Rand(1<<12, 1<<14, 3)
+	var spokes [][2]int
+	for v := 1; v < 1<<12; v++ {
+		spokes = append(spokes, [2]int{0, v}, [2]int{v, 0})
+	}
 	in := make([]uint64, 1<<14)
 	for i := range in {
 		in[i] = uint64(i*7919) % 1000
@@ -353,6 +361,7 @@ func TestScanLeavesAllocateNothing(t *testing.T) {
 		algo ppm.Algorithm
 	}{
 		{"cc", graph.Components("alloc", g)},
+		{"cc/star", graph.Components("alloc-star", graph.FromArcs(1<<12, spokes))},
 		{"pagerank", graph.PageRank("alloc", g, 4)},
 		{"bfs", graph.BFS("alloc", g, 0)},
 		{"bfs/mesh", graph.BFS("alloc-mesh", graph.Grid(128, 128), 0)},

@@ -3,6 +3,8 @@ package graph_test
 import (
 	"errors"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/ppm"
@@ -131,5 +133,57 @@ func TestMultiBFSRefusedRunLeavesBatchAlone(t *testing.T) {
 	}
 	if err := ms.Verify(); err != nil { // lastSrcs: a refused call records nothing
 		t.Fatal(err)
+	}
+}
+
+// TestMultiBFSPullStraddlesRows runs MultiBFS batches of two and three rows
+// over graphs whose n is a multiple of neither engine's scan grain. At width
+// 2 the row boundary is the pull tree's root split; at width 3 pull leaves
+// straddle both boundaries, so a leaf reads each row segment's offsets
+// separately and must map every arc target into its own id's row. Levels,
+// parents and the frontier total are checked exactly by Verify, under soft
+// faults and each engine's WAR checker, and every batch must pull.
+func TestMultiBFSPullStraddlesRows(t *testing.T) {
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+		srcs []int
+	}{
+		{"rand1000", graph.Rand(1000, 4000, 5), []int{0, 517, 999}},
+		{"grid31x33", graph.Grid(31, 33), []int{511, 545, 478}},
+	}
+	for _, tc := range []struct {
+		eng  ppm.Engine
+		opts []ppm.Option
+	}{
+		{ppm.EngineModel, []ppm.Option{ppm.WithFaultRate(0.002), ppm.WithWARCheck()}},
+		{ppm.EngineNative, []ppm.Option{ppm.WithFaultRate(1e-4), ppm.WithWARCheck()}},
+	} {
+		t.Run(string(tc.eng), func(t *testing.T) {
+			rt := newRT(tc.eng, 2, tc.opts...)
+			defer rt.Close()
+			for _, gc := range graphs {
+				ms := graph.NewMultiBFS("straddle-"+gc.name, gc.g, 3)
+				ms.Build(rt)
+				for width := 2; width <= 3; width++ {
+					srcs := gc.srcs[:width]
+					if ok, err := ms.RunBatch(srcs); err != nil || !ok {
+						t.Fatalf("%s: RunBatch(%v) = (%v, %v)", gc.name, srcs, ok, err)
+					}
+					if err := ms.Verify(); err != nil {
+						t.Fatalf("%s: %v", gc.name, err)
+					}
+					if kinds := graph.RoundKinds(ms); !slices.Contains(kinds, "pull") {
+						t.Fatalf("%s: sources %v: rounds %v: no pull", gc.name, srcs, kinds)
+					}
+				}
+			}
+			if rt.Stats().SoftFaults == 0 {
+				t.Error("no fault was injected")
+			}
+			if vs := rt.WARViolations(); len(vs) != 0 {
+				t.Fatalf("WAR violations:\n%s", strings.Join(vs, "\n"))
+			}
+		})
 	}
 }
