@@ -1,15 +1,16 @@
 // Package durable maps a PPM word region onto a file so capsule effects
 // survive the process. The layout mirrors the paper's persistent-memory
-// contract: a small metadata prefix (run header, per-processor frontier
-// records, the root Seq chain) followed by the word memory itself, all in
-// one MAP_SHARED mapping so ordinary stores land in the page cache and an
-// msync drains them to the file.
+// contract: a small metadata prefix (run header, the root Seq chain)
+// followed by the word memory itself, all in one MAP_SHARED mapping so
+// ordinary stores land in the page cache and an msync drains them to the
+// file. A persistence point is one store to its worker's epoch word in the
+// word memory; recovery reads only the header and the chain.
 //
 // Flush discipline — what is guaranteed, and by what:
 //
 //   - kill -9: every completed store survives, because the page cache of a
 //     MAP_SHARED mapping outlives the process. No call buys this, so a
-//     persistence point (WriteFrontier) is stores only.
+//     persistence point is a store only.
 //   - Power cut: the file holds at least everything stored before the last
 //     MS_SYNC barrier that returned (SyncWords(.., true), SyncMeta, SyncAll,
 //     Close). Callers advance the committed index between two of them, data
@@ -18,8 +19,7 @@
 //   - MS_ASYNC (SyncWords(.., false)) buys neither — a no-op since Linux
 //     2.6.19 — and remains only as the arm the benchmark prices.
 //
-// Header and chain words are accessed with atomics; a frontier record is
-// plain stores by its one owner, published by its epoch word.
+// Header and chain words are accessed with atomics.
 package durable
 
 import (
@@ -31,17 +31,16 @@ import (
 	"unsafe"
 )
 
-// File geometry. The header occupies one page; each worker owns a 512-byte
-// frontier record; the chain area holds up to chainCap recorded root-Seq
-// steps. The data region starts at the next page boundary.
+// File geometry. The header occupies one page; the chain area after it
+// holds up to chainCap recorded root-Seq steps. The data region starts at
+// the next page boundary.
 const (
-	headerBytes   = 4096
-	frontierBytes = 512
-	stepWords     = 20 // fid, nargs, args[16], 2 reserved
-	chainCap      = 256
-	maxArgs       = 16
+	headerBytes = 4096
+	stepWords   = 20 // fid, nargs, args[16], 2 reserved
+	chainCap    = 256
+	maxArgs     = 16
 
-	regionMagic = 0x50504d5244555231 // "PPMRDUR1"
+	regionMagic = 0x50504d5244555232 // "PPMRDUR2"
 )
 
 // Header word indices (within the first page viewed as uint64s).
@@ -51,7 +50,6 @@ const (
 	hBlockWords
 	hP
 	hState
-	hRunSeq
 	hRootFid
 	hRootNArgs
 	hRootArgs0 // ..hRootArgs0+15
@@ -103,7 +101,6 @@ type Region struct {
 	hdr     []uint64 // header page
 	chain   []uint64 // chain area
 	words   []uint64 // the PPM word memory
-	fr      []uint64 // frontier area, frontierBytes/8 words per worker
 	dataOff int
 	p       int
 	mem     int
@@ -112,14 +109,12 @@ type Region struct {
 	syncs   atomic.Int64 // MS_SYNC barriers issued
 }
 
-func layout(p, memWords int) (frOff, chainOff, dataOff, total int) {
+// layout returns where the word memory starts, the page after the header
+// and chain area, and the file size of a region of memWords words.
+func layout(memWords int) (dataOff, total int) {
 	page := syscall.Getpagesize()
-	frOff = headerBytes
-	chainOff = frOff + p*frontierBytes
-	meta := chainOff + chainCap*stepWords*8
-	dataOff = (meta + page - 1) / page * page
-	total = dataOff + memWords*8
-	total = (total + page - 1) / page * page
+	dataOff = (headerBytes + chainCap*stepWords*8 + page - 1) / page * page
+	total = (dataOff + memWords*8 + page - 1) / page * page
 	return
 }
 
@@ -133,7 +128,7 @@ func Create(path string, p, memWords, blockWords int) (*Region, error) {
 	if err != nil {
 		return nil, fmt.Errorf("durable: %w", err)
 	}
-	_, _, _, total := layout(p, memWords)
+	_, total := layout(memWords)
 	// Truncate twice so a reused path starts from a hole-backed zero file
 	// rather than inheriting stale words.
 	if err := f.Truncate(0); err != nil {
@@ -186,15 +181,16 @@ func Open(path string) (*Region, error) {
 		f.Close()
 		return nil, fmt.Errorf("durable: %s has a corrupt header (p=%d memWords=%d blockWords=%d)", path, p, memWords, blockWords)
 	}
-	_, _, _, total := layout(p, memWords)
 	st, err := f.Stat()
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("durable: %w", err)
 	}
-	if st.Size() < int64(total) {
+	// Bound memWords by the file before sizing anything from it: a corrupt
+	// count would overflow memWords*8 and slip under the size check.
+	if dataOff, _ := layout(0); int64(memWords) > (st.Size()-int64(dataOff))/8 {
 		f.Close()
-		return nil, fmt.Errorf("durable: %s truncated (%d bytes, want %d)", path, st.Size(), total)
+		return nil, fmt.Errorf("durable: %s truncated (%d bytes, header claims %d words)", path, st.Size(), memWords)
 	}
 	r, err := mapRegion(f, p, memWords, blockWords)
 	if err != nil {
@@ -205,7 +201,7 @@ func Open(path string) (*Region, error) {
 }
 
 func mapRegion(f *os.File, p, memWords, blockWords int) (*Region, error) {
-	frOff, chainOff, dataOff, total := layout(p, memWords)
+	dataOff, total := layout(memWords)
 	data, err := syscall.Mmap(int(f.Fd()), 0, total, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
 	if err != nil {
 		return nil, fmt.Errorf("durable: mmap: %w", err)
@@ -214,9 +210,8 @@ func mapRegion(f *os.File, p, memWords, blockWords int) (*Region, error) {
 		f:       f,
 		data:    data,
 		hdr:     unsafe.Slice((*uint64)(unsafe.Pointer(&data[0])), headerBytes/8),
-		chain:   unsafe.Slice((*uint64)(unsafe.Pointer(&data[chainOff])), chainCap*stepWords),
+		chain:   unsafe.Slice((*uint64)(unsafe.Pointer(&data[headerBytes])), chainCap*stepWords),
 		words:   unsafe.Slice((*uint64)(unsafe.Pointer(&data[dataOff])), memWords),
-		fr:      unsafe.Slice((*uint64)(unsafe.Pointer(&data[frOff])), p*frontierBytes/8),
 		dataOff: dataOff,
 		p:       p,
 		mem:     memWords,
@@ -234,7 +229,7 @@ func (r *Region) Close() error {
 	}
 	data := r.data
 	err := r.msync(0, len(data), msSync)
-	r.data, r.hdr, r.fr, r.chain, r.words = nil, nil, nil, nil, nil
+	r.data, r.hdr, r.chain, r.words = nil, nil, nil, nil
 	return errors.Join(err, syscall.Munmap(data), r.f.Close())
 }
 
@@ -303,7 +298,7 @@ func (r *Region) SyncWords(lo, hi int64, sync bool) error {
 	return r.msync(r.dataOff+int(lo)*8, int(hi-lo)*8, flags)
 }
 
-// SyncMeta is an MS_SYNC barrier over the header, frontier, and chain areas.
+// SyncMeta is an MS_SYNC barrier over the header and chain areas.
 func (r *Region) SyncMeta() error { return r.msync(0, r.dataOff, msSync) }
 
 // SyncAll is an MS_SYNC barrier over the entire mapping.
@@ -317,10 +312,6 @@ func (r *Region) set(i int, v uint64) { atomic.StoreUint64(&r.hdr[i], v) }
 // State/SetState track the run lifecycle (StateNew/Running/Done).
 func (r *Region) State() uint64     { return r.get(hState) }
 func (r *Region) SetState(s uint64) { r.set(hState, s) }
-
-// RunSeq counts runs begun against this region.
-func (r *Region) RunSeq() uint64 { return r.get(hRunSeq) }
-func (r *Region) BumpRunSeq()    { r.set(hRunSeq, r.get(hRunSeq)+1) }
 
 // SetRoot records the run's root capsule (closure id + args) so recovery can
 // restart the whole run when no chain step has committed.
@@ -386,33 +377,6 @@ func (r *Region) SetFuncSig(count, hash uint64) {
 	r.set(hFuncHash, hash)
 }
 func (r *Region) FuncSig() (count, hash uint64) { return r.get(hFuncCount), r.get(hFuncHash) }
-
-// --- frontier records -------------------------------------------------------
-
-// WriteFrontier publishes worker w's current capsule (epoch = its capsule
-// counter, closure id, args). Layout per record: epoch, fid, nargs, args[16].
-// Only the owning worker writes a record: plain stores, then one atomic store
-// of the epoch word (a torn record is detectable as epoch lagging the fields).
-func (r *Region) WriteFrontier(worker int, epoch, fid uint64, args []uint64) {
-	rec := r.frontierRec(worker)
-	rec[1] = fid
-	rec[2] = uint64(copy(rec[3:3+maxArgs], args))
-	atomic.StoreUint64(&rec[0], epoch)
-}
-
-func (r *Region) frontierRec(worker int) []uint64 {
-	return r.fr[worker*frontierBytes/8 : (worker+1)*frontierBytes/8]
-}
-
-// Frontier reads worker w's last published record.
-func (r *Region) Frontier(worker int) (epoch, fid uint64, args []uint64) {
-	rec := r.frontierRec(worker)
-	epoch = atomic.LoadUint64(&rec[0])
-	fid = rec[1]
-	n := min(int(rec[2]), maxArgs)
-	args = append([]uint64(nil), rec[3:3+n]...)
-	return
-}
 
 // --- root chain -------------------------------------------------------------
 

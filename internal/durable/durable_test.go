@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
@@ -19,21 +20,19 @@ func TestCreateOpenRoundTrip(t *testing.T) {
 		t.Fatalf("fresh state = %d, want StateNew", got)
 	}
 
-	// Words, header fields, frontier, and chain all round-trip through a
-	// close/reopen cycle.
+	// Words, header fields, and chain all round-trip through a close/reopen
+	// cycle.
 	w := r.Words()
 	for i := 0; i < 100; i++ {
 		w[i] = uint64(i * 3)
 	}
 	r.SetRoot(7, []uint64{1, 2, 3})
 	r.SetState(StateRunning)
-	r.BumpRunSeq()
 	r.RaiseHeapHW(4096)
 	r.RaiseHeapHW(1024) // monotonic: must not lower
 	r.SetSetupHW(2048)
 	r.SetPersistBase(8)
 	r.SetFuncSig(12, 0xdeadbeef)
-	r.WriteFrontier(2, 41, 9, []uint64{5, 6})
 	r.RecordChain([]ChainStep{{Fid: 3, Args: []uint64{10}}, {Fid: 4, Args: nil}})
 	r.SetCommittedIdx(1)
 	if err := r.Close(); err != nil {
@@ -60,17 +59,14 @@ func TestCreateOpenRoundTrip(t *testing.T) {
 	if fid, args := r2.Root(); fid != 7 || len(args) != 3 || args[2] != 3 {
 		t.Fatalf("root = %d %v", fid, args)
 	}
-	if r2.State() != StateRunning || r2.RunSeq() != 1 {
-		t.Fatalf("state/runseq = %d/%d", r2.State(), r2.RunSeq())
+	if r2.State() != StateRunning {
+		t.Fatalf("state = %d", r2.State())
 	}
 	if r2.HeapHW() != 4096 || r2.SetupHW() != 2048 || r2.PersistBase() != 8 {
 		t.Fatalf("marks = %d/%d/%d", r2.HeapHW(), r2.SetupHW(), r2.PersistBase())
 	}
 	if c, h := r2.FuncSig(); c != 12 || h != 0xdeadbeef {
 		t.Fatalf("funcsig = %d/%x", c, h)
-	}
-	if ep, fid, args := r2.Frontier(2); ep != 41 || fid != 9 || len(args) != 2 || args[1] != 6 {
-		t.Fatalf("frontier = %d %d %v", ep, fid, args)
 	}
 	steps := r2.ChainSteps()
 	if len(steps) != 2 || steps[0].Fid != 3 || steps[0].Args[0] != 10 || steps[1].Fid != 4 {
@@ -103,15 +99,35 @@ func TestCreateTruncatesStale(t *testing.T) {
 }
 
 func TestOpenRejectsGarbage(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "junk")
-	if err := os.WriteFile(path, make([]byte, 8192), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(path); err == nil {
-		t.Fatal("Open accepted a zero-magic file")
-	}
-	if _, err := Open(filepath.Join(t.TempDir(), "missing")); err == nil {
+	dir := t.TempDir()
+	if _, err := Open(filepath.Join(dir, "missing")); err == nil {
 		t.Fatal("Open accepted a missing file")
+	}
+	// Each row is a header over a 1 MiB file; Open must return an error,
+	// never panic or map it.
+	for _, tc := range []struct {
+		name                       string
+		magic, p, memWords, blockW uint64
+	}{
+		{"zero magic", 0, 1, 8, 8},
+		{"old format", 0x50504d5244555231, 1, 8, 8}, // "PPMRDUR1": chain area moved
+		{"memWords overflows bytes", regionMagic, 1, 1<<61 + 1, 8},
+		{"memWords past file", regionMagic, 1, 1 << 62, 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			buf := make([]byte, 1<<20)
+			for i, v := range map[int]uint64{hMagic: tc.magic, hP: tc.p, hMemWords: tc.memWords, hBlockWords: tc.blockW} {
+				binary.NativeEndian.PutUint64(buf[i*8:], v)
+			}
+			path := filepath.Join(dir, "junk")
+			if err := os.WriteFile(path, buf, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if r, err := Open(path); err == nil {
+				r.Close()
+				t.Fatal("Open accepted the file")
+			}
+		})
 	}
 }
 

@@ -30,8 +30,8 @@ import (
 //      makes re-execution of already-finished capsules idempotent, so this
 //      is always sound — just slower.
 //
-// Both tiers re-run the partially-executed frontier capsules, which is
-// exactly the model's replay semantics for soft faults.
+// Either way replay re-runs a whole phase (tier 2: the whole run), not a
+// capsule per worker; the finished capsules in it re-run idempotently.
 
 // errSoftFault is the sentinel the fault-emulation path panics with to abort
 // the current capsule; the scheduler's recover barrier converts it into a
@@ -91,6 +91,11 @@ func faultThreshold(p float64) uint64 {
 	return uint64(p * span)
 }
 
+// CrashAfterPersists is a test seam; nothing outside a test assigns it. When
+// positive, each runtime New builds SIGKILLs the process at its own n-th
+// persistence point; the kill-9 drills set it in their child process.
+var CrashAfterPersists int64
+
 // crashNow is the CrashAfterPersists trigger: SIGKILL to self, exactly what
 // the recovery drill wants — no deferred functions, no flushes, no goodbye.
 func crashNow() {
@@ -129,7 +134,6 @@ func (rt *Runtime) beginDurableRun(root capsule.FuncID, args []uint64) bool {
 	}
 	reg.SetFuncSig(rt.funcSig())
 	reg.SetRoot(uint64(root), args)
-	reg.BumpRunSeq()
 	reg.ClearChain()
 	reg.SetCommittedIdx(0)
 	reg.RaiseHeapHW(rt.heap.Load())

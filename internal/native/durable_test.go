@@ -120,13 +120,15 @@ func TestDurableBarrierCount(t *testing.T) {
 		if pts := rt.PersistPoints(); pts != caps || caps < pingPongN/16 {
 			t.Errorf("steps=%d: %d persistence points for %d capsules", steps, pts, caps)
 		}
-		var epochs int64 // a frontier record's epoch is its worker's capsule count
+		// A worker's epoch word in the file holds its capsule count: each
+		// persistence point's one store reached the region.
+		var epochs int64
+		words := rt.region.Words()
 		for w := 0; w < rt.P(); w++ {
-			ep, _, _ := rt.region.Frontier(w)
-			epochs += int64(ep)
+			epochs += int64(atomic.LoadUint64(&words[rt.region.PersistBase()+int64(w*rt.region.BlockWords())]))
 		}
 		if epochs != caps {
-			t.Errorf("steps=%d: frontier epochs sum to %d, want %d", steps, epochs, caps)
+			t.Errorf("steps=%d: epoch words sum to %d, want %d", steps, epochs, caps)
 		}
 		pp.check(t, rt, steps)
 		if err := rt.Close(); err != nil {

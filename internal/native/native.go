@@ -47,12 +47,12 @@ type Config struct {
 	// word, the overhead the paper's native experiments measure (§7).
 	Persist bool
 	// DurablePath, when non-empty, backs the word memory with an mmap'd
-	// region file at this path (created fresh) and implies Persist: every
-	// persistence point additionally publishes a per-worker frontier record
-	// into the file — stores only, no syscall — and run/phase boundaries are
-	// MS_SYNC barriers. kill -9 loses no completed store (MAP_SHARED); a
-	// power cut loses nothing stored before the last barrier that returned,
-	// and the committed index never runs ahead. Recover reopens such a file.
+	// region file at this path (created fresh) and implies Persist; the
+	// epoch words are in the file, and run/phase boundaries are MS_SYNC
+	// barriers. kill -9 loses no completed store (MAP_SHARED); a power cut
+	// loses nothing stored before the last barrier that returned. Recover
+	// reopens such a file: a root Seq chain resumes at its committed phase,
+	// any other root replays whole.
 	DurablePath string
 	// FaultRate enables replay-based soft-fault emulation: each tracked
 	// memory access aborts the current capsule with this probability, and
@@ -61,11 +61,6 @@ type Config struct {
 	// for WAR-free programs (Theorem 3.1) and how the f < 1/(2C) replay
 	// bound is measured natively. 0 disables.
 	FaultRate float64
-	// CrashAfterPersists, when > 0, SIGKILLs the process the moment the
-	// global persistence-point counter reaches this value. It exists for
-	// recovery drills: a subprocess harness sets it to a randomized point
-	// and the parent proves the durable file resumes to bit-exact output.
-	CrashAfterPersists int64
 	// WARCheck threads a warcheck.Tracker through every capsule boundary and
 	// memory operation: each worker tracks the block-granular access sequence
 	// of its current task and records write-after-read conflicts (the same
@@ -225,13 +220,14 @@ type Runtime struct {
 	// harness writes are suppressed (the region already holds the durable
 	// state) and setup allocations replay from replayCur so Build reproduces
 	// the pre-crash addresses; Resume exits rebuild mode and re-executes the
-	// un-committed tail. persistCtr is the global persistence-point counter
-	// the CrashAfterPersists drill triggers on. syncErr latches the first
-	// failed MS_SYNC barrier (see barrier).
+	// un-committed tail. crashAfter is CrashAfterPersists as New read it,
+	// and persistCtr the runtime-wide persistence-point count it triggers
+	// on. syncErr latches the first failed MS_SYNC barrier (see barrier).
 	region     *durable.Region
 	recovered  bool
 	rebuild    atomic.Bool
 	replayCur  int64
+	crashAfter int64
 	persistCtr atomic.Int64
 	syncErr    error
 
@@ -267,7 +263,9 @@ func New(cfg Config) *Runtime {
 			panic(fmt.Sprintf("native: durable region: %v", err))
 		}
 	}
-	return build(cfg, reg, false)
+	rt := build(cfg, reg, false)
+	rt.crashAfter = CrashAfterPersists
+	return rt
 }
 
 func build(cfg Config, reg *durable.Region, recovered bool) *Runtime {
@@ -842,7 +840,7 @@ func (w *Ctx) execute(t *task) {
 			w.maxTaskWork = w.taskWork
 		}
 		if w.rt.cfg.Persist {
-			w.persistPoint(t)
+			w.persistPoint()
 		}
 		w.freeTask(t)
 		t = w.next
@@ -904,20 +902,17 @@ func (w *Ctx) attempt(t *task) (faulted bool) {
 	return false
 }
 
-// persistPoint commits the capsule boundary with stores only — the paper's
-// one persistent write: the epoch word always, and on a durable region the
-// worker's frontier record, its own epoch word last. No syscall: kill -9
-// keeps every completed store (MAP_SHARED), and against a power cut only the
+// persistPoint commits the capsule boundary with the paper's one persistent
+// write: the worker's capsule count, stored to its epoch word. On a durable
+// region that word is in the file, and no syscall is made: kill -9 keeps
+// every completed store (MAP_SHARED), and against a power cut only the
 // MS_SYNC barriers at phase and run boundaries carry a guarantee.
-func (w *Ctx) persistPoint(t *task) {
+func (w *Ctx) persistPoint() {
 	w.persists.Add(1)
 	epochAddr := w.rt.persistBase + pmem.Addr(w.id*w.rt.cfg.BlockWords)
 	atomic.StoreUint64(&w.rt.mem[epochAddr], uint64(w.capsules))
 	w.writes++
-	if reg := w.rt.region; reg != nil {
-		reg.WriteFrontier(w.id, uint64(w.capsules), uint64(t.fn), t.args)
-	}
-	if c := w.rt.cfg.CrashAfterPersists; c > 0 && w.rt.persistCtr.Add(1) >= c {
+	if c := w.rt.crashAfter; c > 0 && w.rt.persistCtr.Add(1) >= c {
 		crashNow()
 	}
 }

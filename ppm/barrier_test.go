@@ -23,9 +23,9 @@ import (
 //
 // What this does not model: pages the kernel wrote back between barriers (a
 // real cut leaves some later stores in the file as well, page by page), and
-// chain or frontier records torn by such a partial write. Those wait for
-// checksummed records; until then the randomized kill-9 harness is the only
-// cover for mid-phase states, and it keeps every store.
+// chain records torn by such a partial write. Those wait for checksummed
+// records; until then the randomized kill-9 harness is the only cover for
+// mid-phase states, and it keeps every store.
 
 const (
 	snapProcs    = 2

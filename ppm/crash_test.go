@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/durable"
+	"repro/internal/native"
 	"repro/ppm"
 	// Registers bfs/cc/pagerank so the kill-9 sweep covers irregular
 	// workloads, not just the sort tree.
@@ -83,9 +84,8 @@ func TestCrashChild(t *testing.T) {
 		fmt.Fprintf(os.Stderr, "unknown workload %q\n", name)
 		os.Exit(3)
 	}
-	rt := ppm.New(crashOpts(
-		ppm.WithNativeDurable(file),
-		ppm.WithNativeCrashAfterPersists(kill))...)
+	native.CrashAfterPersists = kill
+	rt := ppm.New(crashOpts(ppm.WithNativeDurable(file))...)
 	alg.Build(rt)
 	alg.Run()
 	// The SIGKILL fires inside a persistence point, so reaching this line

@@ -40,15 +40,14 @@ func nativeConfig(c config) native.Config {
 		mem = nativeMemWords
 	}
 	return native.Config{
-		P:                  c.procs,
-		MemWords:           mem,
-		BlockWords:         c.blockWords,
-		Seed:               c.seed,
-		Persist:            c.nativePersist,
-		DurablePath:        c.nativeDurable,
-		FaultRate:          c.faultRate,
-		CrashAfterPersists: c.nativeCrashAfter,
-		WARCheck:           c.warCheck,
+		P:           c.procs,
+		MemWords:    mem,
+		BlockWords:  c.blockWords,
+		Seed:        c.seed,
+		Persist:     c.nativePersist,
+		DurablePath: c.nativeDurable,
+		FaultRate:   c.faultRate,
+		WARCheck:    c.warCheck,
 	}
 }
 

@@ -14,20 +14,19 @@ type scriptedFault struct {
 }
 
 type config struct {
-	engine           Engine
-	procs            int
-	blockWords       int
-	ephWords         int
-	memWords         int
-	poolWords        int
-	faultRate        float64
-	seed             uint64
-	warCheck         bool
-	nativePersist    bool
-	nativeDurable    string
-	nativeCrashAfter int64
-	hardAt           map[int]int64
-	scripted         []scriptedFault
+	engine        Engine
+	procs         int
+	blockWords    int
+	ephWords      int
+	memWords      int
+	poolWords     int
+	faultRate     float64
+	seed          uint64
+	warCheck      bool
+	nativePersist bool
+	nativeDurable string
+	hardAt        map[int]int64
+	scripted      []scriptedFault
 }
 
 func defaultConfig() config {
@@ -55,31 +54,22 @@ func WithNativePersist() Option { return func(c *config) { c.nativePersist = tru
 
 // WithNativeDurable backs the native engine's word memory with an mmap'd
 // region file at path (created fresh, truncating any previous file) and
-// implies WithNativePersist: every persistence point additionally stores a
-// per-worker frontier record (closure id, args, epoch) into the file — the
-// paper's one persistent write, no syscall — and run starts, root-chain
-// phase commits, run completion, and Close are MS_SYNC barriers. What that
-// guarantees: after kill -9, every completed store is in the file (the
-// mapping is MAP_SHARED); after a power cut, the file holds at least
-// everything before the last barrier that returned, and the committed phase
-// index never runs ahead of it. A barrier that fails commits nothing and
-// surfaces as ErrDurableSync. A process killed mid-run leaves a file that
-// ppm.Recover reopens; Runtime.Resume then re-executes only the un-committed
-// tail — sound for WAR-free programs (Theorem 3.1, enforced statically by
+// implies WithNativePersist: the workers' epoch words live in the file, so
+// a persistence point is still the paper's one persistent write, one store
+// and no syscall, and run starts, root-chain phase commits, run completion,
+// and Close are MS_SYNC barriers. What that guarantees: after kill -9, every
+// completed store is in the file (the mapping is MAP_SHARED); after a power
+// cut, the file holds at least everything before the last barrier that
+// returned, and the committed phase index never runs ahead of it. A barrier
+// that fails commits nothing and surfaces as ErrDurableSync. A process
+// killed mid-run leaves a file that ppm.Recover reopens; Runtime.Resume then
+// re-executes the un-committed tail: a root Seq chain from its first
+// uncommitted phase, a fork-tree root (merge sort) from the recorded root.
+// That is sound for WAR-free programs (Theorem 3.1, enforced statically by
 // ppmvet's warfree analyzer). Native engine only; the model simulates
 // persistence by construction.
 func WithNativeDurable(path string) Option {
 	return func(c *config) { c.nativeDurable = path }
-}
-
-// WithNativeCrashAfterPersists makes the native engine SIGKILL its own
-// process the moment the runtime's n-th persistence point commits. This is
-// a recovery drill (chaos) hook, meant for subprocess harnesses that prove a
-// durable region resumes to bit-exact output after kill -9 at an arbitrary
-// point; it has no effect unless persistence points are on, and none on the
-// model engine.
-func WithNativeCrashAfterPersists(n int64) Option {
-	return func(c *config) { c.nativeCrashAfter = n }
 }
 
 // WithProcs sets the number of virtual processors P (default 1).

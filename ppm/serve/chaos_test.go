@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/native"
 	"repro/ppm/graph"
 )
 
@@ -98,13 +99,13 @@ func TestServeCrashChild(t *testing.T) {
 	seed, _ := strconv.ParseUint(os.Getenv("PPM_SERVE_CRASH_SEED"), 10, 64)
 	kill, _ := strconv.ParseInt(os.Getenv("PPM_SERVE_CRASH_AFTER"), 10, 64)
 	cfg := chaosConfig(dir)
-	cfg.CrashAfterPersists = kill
 	spec := chaosSpec(seed)
 	host, err := graph.Generate(spec.Kind, spec.N, spec.M, spec.Seed^cfg.Seed)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "generate: %v\n", err)
 		os.Exit(3)
 	}
+	native.CrashAfterPersists = kill
 	s := New(cfg)
 	if _, err := driveChaosOps(s, spec, host); err != nil {
 		// Dying mid-batch surfaces as SIGKILL, never as an error return; any

@@ -140,10 +140,6 @@ type Config struct {
 	// FaultRate injects soft faults into every entry runtime (capsule
 	// abort-and-replay; see ppm.WithFaultRate). Chaos testing only.
 	FaultRate float64
-	// CrashAfterPersists, when positive, SIGKILLs the process at the Nth
-	// persistence point of each entry runtime (ppm.WithNativeCrashAfterPersists).
-	// Chaos testing only; requires DurableDir to be meaningful.
-	CrashAfterPersists int64
 }
 
 // Default returns the configuration cmd/ppmserve starts from.
@@ -708,9 +704,6 @@ func (s *Server) buildEntry(spec GraphSpec) (*entry, error) {
 	}
 	if s.cfg.FaultRate > 0 {
 		opts = append(opts, ppm.WithFaultRate(s.cfg.FaultRate))
-	}
-	if s.cfg.CrashAfterPersists > 0 {
-		opts = append(opts, ppm.WithNativeCrashAfterPersists(s.cfg.CrashAfterPersists))
 	}
 	e := s.newEntry(spec, g, ppm.New(opts...), durablePath)
 	s.ctr.graphsBuilt.Add(1)
