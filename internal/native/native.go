@@ -235,7 +235,9 @@ type Runtime struct {
 	// they park on runCond between runs, and Close stops them and releases
 	// the region. runMu is held for the whole of a run (TryLock gives the
 	// defined ErrBusy on overlap) and taken by Close so shutdown waits for
-	// any in-flight run. runGen, runDone, and stopping are guarded by parkMu.
+	// any in-flight run. runGen and stopping are guarded by parkMu. runDone
+	// holds the one token the last worker out of a run sends; it is made
+	// once, so a run allocates no channel.
 	runMu    sync.Mutex
 	closed   atomic.Bool
 	parkMu   sync.Mutex
@@ -281,6 +283,7 @@ func build(cfg Config, reg *durable.Region, recovered bool) *Runtime {
 		region:    reg,
 		recovered: recovered,
 		sleepers:  new(lineCounter),
+		runDone:   make(chan struct{}, 1),
 	}
 	if reg != nil {
 		rt.mem = reg.Words()
@@ -510,15 +513,14 @@ func (rt *Runtime) runLocked(t *task) (bool, error) {
 	rt.inject(t)
 
 	rt.active.Store(int32(rt.cfg.P))
-	done := make(chan struct{})
 	rt.parkMu.Lock()
-	rt.runDone = done
 	rt.runGen++
 	rt.parkCond.Broadcast()
 	rt.parkMu.Unlock()
-	// The last worker to drain out of schedLoop closes done; the atomic
-	// decrement chain orders every worker's counters before our return.
-	<-done
+	// The last worker to drain out of schedLoop sends the run's token; the
+	// atomic decrement chain orders every worker's counters before our
+	// return.
+	<-rt.runDone
 	if rt.region != nil && !rt.finishDurableRun() {
 		return false, rt.syncErr
 	}
@@ -554,11 +556,10 @@ func (rt *Runtime) workerLoop(w *Ctx) {
 			return
 		}
 		seen = rt.runGen
-		done := rt.runDone
 		rt.parkMu.Unlock()
 		w.schedLoop()
 		if rt.active.Add(-1) == 0 {
-			close(done)
+			rt.runDone <- struct{}{}
 		}
 	}
 }

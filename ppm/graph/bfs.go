@@ -12,22 +12,41 @@ const (
 	nilParent = ^uint64(0)
 )
 
-// grains is one engine's capsule sizes, in vertices (frontier slots for the
-// frontier leaves; entries plus arcs for fuse). A capsule may be replayed, so
-// the paper requires f < 1/(2C) for the largest capsule work C, and C is
-// counted in each engine's own unit.
+// grains is one engine's capsule sizes: vertices for the per-vertex leaves,
+// frontier slots for the frontier leaves, entries plus arcs for fuse, and a
+// budget of arcs plus leafVertexCost per vertex for the per-arc sweeps. A
+// capsule may be replayed, so the paper requires f < 1/(2C) for the largest
+// capsule work C, and C is counted in each engine's own unit.
+//
+// The per-arc sweeps — cc's init and scan, pagerank's scan, a BFS pull and
+// its compaction, and Resident.Apply's deg and emit — run over a leaf table
+// (leafTable): consecutive vertex ranges cut from the epoch-0 offsets so that
+// a leaf's arcs plus leafVertexCost per vertex fit grains.leaf. Each leaf
+// reads at most 5 words per vertex and 2 per arc (cc's scan; a pull reads 4
+// per unvisited id and 2 per arc of those, pagerank's scan 2 and 2), so a
+// leaf does at most ≈ 2·leaf words whatever the degrees, unless it is one
+// vertex whose arcs alone pass the budget: a hub keeps a leaf of its own.
 //
 // The model engine charges a block transfer per claim and per GatherAt
 // index, so leaves whose cost is per arc stay small enough that C is a few
 // hundred transfers at typical degrees, under 1/(2f) at the f = 0.002 its
-// fault sweeps use. Dense bulk leaves move whole blocks and take more
-// vertices per capsule. Its fuse budget of 40 is one frontier leaf, 8
-// entries, at degree 4.
+// fault sweeps use. Its leaf budget of 80 holds ≈ 11 vertices at degree 4,
+// a largest cc leaf of ≈ 100 transfers. A budget of 60 kept every model
+// row of TestCapsuleWorkUnderFaultCeiling at or under the C of the 16-vertex
+// leaves before it, but cut the 128×128 mesh into ≈ 1 800 leaves, more
+// closures in one phase than a 2^19-word pool holds at P = 1. Dense bulk
+// leaves move whole blocks and take more vertices per capsule. Its fuse
+// budget of 40 is one frontier leaf, 8 entries, at degree 4.
 //
 // The native engine counts word accesses, and a capsule costs 26–32 ns to
 // spawn and join (native.spawn_join_ns on a 2-core box) against a few ns per
-// word, so its grains are four times coarser and a small frontier is swept
-// by one capsule (frontier.go). A step does ≈ 3 words per entry and, when
+// word, so its grains are coarser and a small frontier is swept by one
+// capsule (frontier.go). A leaf budget of 2 048 keeps a per-arc leaf under
+// ≈ 4 100 words: ≈ 186 vertices at degree 8, 539 leaves on Rand(100000,
+// 400000), where halving to a 64-vertex grain made 2 048 leaves of ≈ 49,
+// and 56 on the 128×128 mesh, where it made 256. The per-vertex leaves take 1 024 vertices; the
+// largest, pagerank's contrib, does ≈ 3 100 words. A step does ≈ 3 words
+// per entry and, when
 // most targets are new, ≈ 5 per arc: the gather, the CAM, its read-back,
 // the frontier SetRange and the level ScatterAt; an arc to a vertex already
 // claimed pays only the first three. The fuse count is a budget of entries
@@ -35,35 +54,44 @@ const (
 // 142 entries at degree 8, 257 on a mesh and 256 on a degree-4 random
 // graph. A flat 256 entries let the catalog BFS on Rand(16384, 65536) reach
 // 8 440 words, past the 5 000 that f = 1e-4 allows. On that input,
-// Rand(32768, 131072) and the 128×128 mesh the largest capsule of bfs, cc,
-// pagerank, an 8-wide MultiBFS and a 64-edge Resident.Apply does at most
-// 4 323 words, the MultiBFS on the mesh (TestCapsuleWorkUnderFaultCeiling).
-// That bound does not hold at degree 4 on a random graph, where most of a
-// fused round's 1 024 arcs find new vertices: the bfs step on Rand(32768,
-// 65536, 22) does 6 272 words, a row the test logs without asserting. The
-// average degree bounds C only on average: a frontier of hubs can still pass
-// 5 000, in a step or in a tree leaf.
+// Rand(32768, 131072), Rand(32768, 65536) and the 128×128 mesh the largest
+// capsule of cc, pagerank, an 8-wide MultiBFS and a 64-edge Resident.Apply
+// stays under 5 000 words (TestCapsuleWorkUnderFaultCeiling), and so does
+// bfs's, except at degree 4 on a random graph, where most of a fused round's
+// 1 024 arcs find new vertices: the bfs step on Rand(32768, 65536, 22) does
+// 6 272 words, a row the test logs without asserting. The average degree
+// bounds a step's C only on average: a frontier of hubs can still pass
+// 5 000, in a step or in a tree leaf, and so can a hub's own leaf.
 //
-// A pulling BFS round (frontier.go) sweeps every id of the search in scan
-// leaves: a leaf reads and writes its range's levels and gathers the arcs
-// of its unvisited ids only, ≈ 1 300 words for 64 unvisited ids at degree 8.
+// A pulling BFS round (frontier.go) sweeps every leaf of every row of the
+// search: a leaf reads and writes its range's levels and gathers the arcs of
+// its unvisited ids only, so a leaf does at most 4 words per id and 2 per
+// arc of the unvisited ones, under ≈ 2·leaf words however many of its ids
+// are still unvisited.
 //
-// The table depends on the engine alone, and the fuse count in entries on
-// the engine and the graph, never on a measurement: the exact capsule
-// counters must not depend on the machine, and a recovered runtime must
-// rebuild the crashed one's trees, because a BFS down sweep reads the partial
-// sums its up sweep (or compaction those its pull) left at tree-node indices.
+// The table depends on the engine alone, and the fuse count in entries and
+// the leaf table on the engine and the graph, never on a measurement: the
+// exact capsule counters must not depend on the machine, and a recovered
+// runtime must rebuild the crashed one's trees, because a BFS down sweep
+// reads the partial sums its up sweep (or compaction those its pull) left at
+// tree-node indices. The leaf table is in persistent memory besides, so a
+// recovered runtime reads the one the crashed runtime stored.
 type grains struct {
 	frontier int // frontier leaves: a CAM and a read-back per arc dominate
-	scan     int // per-arc gather leaves (cc and pagerank scan, apply deg/emit, BFS pull and compact)
+	leaf     int // per-arc leaves: arcs plus leafVertexCost per vertex (leafTable)
 	dense    int // bulk per-vertex leaves (init, contrib, offsets)
 	fuse     int // a BFS round is one capsule up to this many entries plus arcs
 }
 
 var (
-	modelGrains  = grains{frontier: 8, scan: 16, dense: 64, fuse: 40}
-	nativeGrains = grains{frontier: 32, scan: 64, dense: 256, fuse: 1280}
+	modelGrains  = grains{frontier: 8, leaf: 80, dense: 64, fuse: 40}
+	nativeGrains = grains{frontier: 32, leaf: 2048, dense: 1024, fuse: 1280}
 )
+
+// leafVertexCost is what a vertex weighs in a leaf table besides its arcs:
+// with it, a leaf's arcs plus its vertices' weight bound the words every
+// per-arc leaf reads and writes (see grains).
+const leafVertexCost = 3
 
 // The BFS direction rule (roundKind, frontier.go) on both engines: a round
 // pulls while its frontier holds at least 1/pullFrontier of the search's

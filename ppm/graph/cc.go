@@ -82,7 +82,6 @@ func (a *CC) Name() string { return "cc/" + a.tag }
 func (a *CC) Build(rt *ppm.Runtime) {
 	n := a.src.epoch0().N
 	name := "graph/" + a.Name()
-	grain := grainsFor(rt)
 	cs := a.bind(rt)
 	a.labels = [2]ppm.Array{rt.NewArray(n), rt.NewArray(n)}
 	// changed[p] is the flag of the rounds of parity p. One block each: the
@@ -90,9 +89,10 @@ func (a *CC) Build(rt *ppm.Runtime) {
 	// conflicts are block-granular.
 	changed := rt.NewBlockArray(2)
 
-	// initLeaf writes the first round straight from the arcs (see CC).
+	// initLeaf writes the first round straight from the arcs (see CC) for
+	// the vertices of leaf c.Int(0).
 	initLeaf := rt.Register(name+"/init", func(c ppm.Ctx) {
-		lo, hi := c.Int(0), c.Int(1)
+		lo, hi := cs.leaves.at(c, c.Int(0))
 		offs, arcs := cs.adjRange(c, lo, hi)
 		vals := c.Scratch(hi - lo)
 		i := 0
@@ -110,12 +110,13 @@ func (a *CC) Build(rt *ppm.Runtime) {
 	})
 	initP := rt.Register(name+"/initP", func(c ppm.Ctx) {
 		changed.Set(c, 0, 0) // a re-run finds the last run's flags
-		c.ParallelFor(initLeaf, 0, n, grain.scan)
+		c.ParallelFor(initLeaf, 0, cs.leaves.count(), 1)
 	})
 
-	// scanLeaf covers vertices [lo, hi): args [lo, hi, parity].
+	// scanLeaf covers the vertices of one leaf: args [leaf, leaf+1, parity].
 	scanLeaf := rt.Register(name+"/scan", func(c ppm.Ctx) {
-		lo, hi, parity := c.Int(0), c.Int(1), c.Int(2)
+		lo, hi := cs.leaves.at(c, c.Int(0))
+		parity := c.Int(2)
 		cur, next := a.labels[parity], a.labels[1-parity]
 		mine := cur.Slice(c, lo, hi)
 		live := 0 // vertices whose label is not yet 0
@@ -169,7 +170,7 @@ func (a *CC) Build(rt *ppm.Runtime) {
 		c.Done()
 	})
 	scanP := rt.Register(name+"/scanP", func(c ppm.Ctx) {
-		c.ParallelFor(scanLeaf, 0, n, grain.scan, c.Uint(0))
+		c.ParallelFor(scanLeaf, 0, cs.leaves.count(), 1, c.Uint(0))
 	})
 
 	var driver ppm.FuncRef

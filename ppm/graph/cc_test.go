@@ -12,10 +12,10 @@ import (
 // ccRun runs connected components over g on a runtime of procs processors,
 // checks the labels against the union-find reference, and returns the
 // capsules the run executed. A round is a fixed number of capsules for a
-// fixed n (one ParallelFor tree, a check and a driver), so capsule counts
-// measure rounds without a counter in the kernel. The model engine counts its
-// scheduler's capsules too, and those are deterministic only when no
-// processor idles, so it runs with one.
+// fixed leaf count (one ParallelFor tree over g's leaf table, a check and a
+// driver), so capsule counts measure rounds without a counter in the kernel.
+// The model engine counts its scheduler's capsules too, and those are
+// deterministic only when no processor idles, so it runs with one.
 func ccRun(t *testing.T, eng ppm.Engine, procs int, g *graph.Graph, opts ...ppm.Option) int64 {
 	t.Helper()
 	rt := newRT(eng, procs, opts...)
@@ -35,8 +35,8 @@ func ccRun(t *testing.T, eng ppm.Engine, procs int, g *graph.Graph, opts ...ppm.
 // ccRoundsFrom returns the scan rounds a run of got capsules took, the last
 // (unchanged) one included, given the capsules of an edgeless graph (one
 // round) and of the path 0—1—2 (two: the init writes label propagation's
-// first round, [0, 0, 1], and one scan lowers vertex 2) at the same n: their
-// difference is the capsules of one round.
+// first round, [0, 0, 1], and one scan lowers vertex 2) with the same leaf
+// count: their difference is the capsules of one round.
 func ccRoundsFrom(t *testing.T, eng ppm.Engine, one, two, got int64) int {
 	t.Helper()
 	if two <= one || got < one || (got-one)%(two-one) != 0 {
@@ -45,12 +45,28 @@ func ccRoundsFrom(t *testing.T, eng ppm.Engine, one, two, got int64) int {
 	return 1 + int((got-one)/(two-one))
 }
 
-// ccBaselines runs the edgeless graph and the path 0—1—2 on n vertices, for
-// ccRoundsFrom.
-func ccBaselines(t *testing.T, eng ppm.Engine, procs, n int, opts ...ppm.Option) (one, two int64) {
+// ccBaselines runs an edgeless graph and the path 0—1—2 with the given leaf
+// count on eng, for ccRoundsFrom. Both have the fewest vertices that make
+// an edgeless graph that many leaves; the path's three heavier vertices move
+// no leaf past the last, which that fewest count leaves one vertex.
+func ccBaselines(t *testing.T, eng ppm.Engine, procs, leaves int, opts ...ppm.Option) (one, two int64) {
 	t.Helper()
-	return ccRun(t, eng, procs, graph.FromArcs(n, nil), opts...),
-		ccRun(t, eng, procs, graph.FromArcs(n, [][2]int{{0, 1}, {1, 0}, {1, 2}, {2, 1}}), opts...)
+	lo, hi := 3, 3
+	for graph.Leaves(eng, graph.FromArcs(hi, nil)) < leaves {
+		lo, hi = hi+1, 2*hi
+	}
+	for lo < hi {
+		if mid := (lo + hi) / 2; graph.Leaves(eng, graph.FromArcs(mid, nil)) < leaves {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	edgeless, path := graph.FromArcs(lo, nil), graph.FromArcs(lo, [][2]int{{0, 1}, {1, 0}, {1, 2}, {2, 1}})
+	if a, b := graph.Leaves(eng, edgeless), graph.Leaves(eng, path); a != leaves || b != leaves {
+		t.Fatalf("%s: baselines on %d vertices have %d and %d leaves, want %d", eng, lo, a, b, leaves)
+	}
+	return ccRun(t, eng, procs, edgeless, opts...), ccRun(t, eng, procs, path, opts...)
 }
 
 // ccRounds returns the scan rounds cc takes on g: one processor on the
@@ -61,7 +77,7 @@ func ccRounds(t *testing.T, eng ppm.Engine, g *graph.Graph) int {
 	if eng == ppm.EngineModel {
 		procs = 1
 	}
-	one, two := ccBaselines(t, eng, procs, g.N)
+	one, two := ccBaselines(t, eng, procs, graph.Leaves(eng, g))
 	return ccRoundsFrom(t, eng, one, two, ccRun(t, eng, procs, g))
 }
 
@@ -236,20 +252,21 @@ func FuzzComponents(f *testing.F) {
 	// One runtime per run; small memories keep an input's nine runs cheap.
 	small := []ppm.Option{ppm.WithMemWords(1 << 16), ppm.WithPoolWords(1 << 14)}
 	type config struct {
-		eng   ppm.Engine
-		procs int
-		n     int
+		eng    ppm.Engine
+		procs  int
+		leaves int
 	}
 	baselines := map[config][2]int64{}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := fuzzMultigraph(data)
 		lp := lpRounds(g)
 		for _, cfg := range []config{
-			{ppm.EngineNative, 1, g.N}, {ppm.EngineNative, 2, g.N}, {ppm.EngineModel, 1, g.N},
+			{ppm.EngineNative, 1, 0}, {ppm.EngineNative, 2, 0}, {ppm.EngineModel, 1, 0},
 		} {
+			cfg.leaves = graph.Leaves(cfg.eng, g)
 			b, ok := baselines[cfg]
 			if !ok {
-				b[0], b[1] = ccBaselines(t, cfg.eng, cfg.procs, cfg.n, small...)
+				b[0], b[1] = ccBaselines(t, cfg.eng, cfg.procs, cfg.leaves, small...)
 				baselines[cfg] = b
 			}
 			got := ccRun(t, cfg.eng, cfg.procs, g, small...) // Verify: labels are exact

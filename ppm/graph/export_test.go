@@ -6,6 +6,24 @@ import "repro/ppm"
 // work bounds of the external tests.
 func FrontierGrain(rt *ppm.Runtime) int { return grainsFor(rt).frontier }
 
+// LeafTable is the leaf table of the CSR offsets offs under budget, and
+// LeafVertexCost the weight each vertex adds to its arcs there, for the
+// table's own tests.
+func LeafTable(offs []uint64, budget int) []uint64 { return leafTable(offs, budget) }
+
+const LeafVertexCost = leafVertexCost
+
+// Leaves is the number of leaves in g's leaf table on engine eng: the width
+// of the fork-join tree of every per-arc sweep over g, on which its capsule
+// count depends.
+func Leaves(eng ppm.Engine, g *Graph) int {
+	budget := modelGrains.leaf
+	if eng == ppm.EngineNative {
+		budget = nativeGrains.leaf
+	}
+	return len(leafTable(g.Offs, budget)) - 1
+}
+
 // RoundKinds reads the round log of the last search a BFS or MultiBFS ran:
 // "fused", "tree", "pull", "compact+fused" or "compact+tree" per round.
 func RoundKinds(a any) []string {

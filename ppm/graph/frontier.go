@@ -38,16 +38,18 @@ import (
 // A pulling round is one root-chain phase, Seq(pull, next round), over the
 // search's extent, the combined ids [0, rows·n) of the rows in use:
 //
-//	pull — a fork-join tree with grains.scan leaves. A leaf finds its ids
-//	       still at INF in level[cur] and reads their offsets in place, one
-//	       Slice per row segment of its range (at most two wherever a leaf
-//	       is narrower than a row). It gathers only their arc lists, in one
-//	       Gather, reads their targets' levels back with one GatherAt, and
-//	       gives each the first target at level d-1, in arc order, as its
-//	       parent. It writes its whole range of level[1-cur], stores the
-//	       parents in owner, which it never reads, and leaves its count at
-//	       its tree node of sums, so sums[1] holds the next frontier's size
-//	       as the up sweep leaves it.
+//	pull — a fork-join tree over the rows·L leaves of the search, L the
+//	       leaf table's count (leafTable): leaf j covers the combined ids
+//	       row·n + [b[k], b[k+1]) with row = j / L and k = j mod L, so it
+//	       never straddles a row and its arcs fit the leaf budget. A leaf
+//	       finds its ids still at INF in level[cur] and reads their offsets
+//	       in place, as one Slice from the first to the last. It gathers
+//	       only their arc lists, in one Gather, reads their targets' levels
+//	       back with one GatherAt, and gives each the first target at level
+//	       d-1, in arc order, as its parent. It writes its whole range of
+//	       level[1-cur], stores the parents in owner, which it never reads,
+//	       and leaves its count at its tree node of sums, so sums[1] holds
+//	       the next frontier's size as the up sweep leaves it.
 //
 // No CAM is needed: an id has one leaf, and the leaf reads only level[cur],
 // which no capsule of the phase writes. Levels ping-pong between level[0]
@@ -55,9 +57,10 @@ import (
 // pulled frontier is listed nowhere, so a push that follows a pull is
 // preceded, in its own chain, by
 //
-//	compact — a down sweep over the pull's tree and the sums it left, which
-//	       lists the ids at level d-1 in front[0] at their prefix offsets and
-//	       copies level[1] into level[0] when the levels are in level[1].
+//	compact — a down sweep over the pull's tree of leaves and the sums it
+//	       left, which lists the ids at level d-1 in front[0] at their prefix
+//	       offsets and copies level[1] into level[0] when the levels are in
+//	       level[1].
 //
 // A push reads front[parity] and writes front[1-parity], level[0], owner (by
 // CAM) and sums; a pull reads level[cur] and writes level[1-cur], owner and
@@ -137,9 +140,10 @@ func newFrontier(rt *ppm.Runtime, name string, cs vcsr, g *Graph, rows int) *fro
 	// fit the engine's fuse budget.
 	fuse := uint64(grain.fuse * n / (n + g.Arcs()))
 	// The round trees' partial sums, heap-numbered from the root at 1; one
-	// block each, so a combine writes no block it read. Sized for the
-	// frontier tree; the pull tree's leaves are no smaller.
-	sums := rt.NewBlockArray(4 * (rows*n/min(grain.frontier, grain.scan) + 2))
+	// block each, so a combine writes no block it read. Sized for the larger
+	// of the frontier tree, over at most rows·n slots, and the pull tree,
+	// over rows·L leaves.
+	sums := rt.NewBlockArray(4 * (max(rows*n/grain.frontier, rows*cs.leaves.count()) + 2))
 
 	initLeaf := rt.Register(name+"/init", func(c ppm.Ctx) {
 		lo, hi := c.Int(0), c.Int(1)
@@ -214,14 +218,14 @@ func newFrontier(rt *ppm.Runtime, name string, cs vcsr, g *Graph, rows int) *fro
 			down.Call(2*node+1, mid, hi, parity, d, t+lsum))
 	})
 
-	// pull finds round d's ids among combined ids [lo, hi) by reading
+	// pull finds round d's ids among the ids of leaves [lo, hi) by reading
 	// level[cur]: args [node, lo, hi, d, cur].
 	var pull ppm.FuncRef
 	pull = rt.Register(name+"/pull", func(c ppm.Ctx) {
 		node, lo, hi := c.Int(0), c.Int(1), c.Int(2)
 		d, cur := c.Uint(3), c.Int(4)
-		if hi-lo <= grain.scan {
-			sums.Set(c, node, f.pull(c, lo, hi, d, cur))
+		if hi-lo == 1 {
+			sums.Set(c, node, f.pull(c, lo, d, cur))
 			c.Done()
 			return
 		}
@@ -231,14 +235,15 @@ func newFrontier(rt *ppm.Runtime, name string, cs vcsr, g *Graph, rows int) *fro
 			pull.Call(2*node+1, mid, hi, d, cur),
 			upCmb.Call(node))
 	})
-	// compact lists the ids at level lvl among combined ids [lo, hi) in
-	// front[0] at offset t, down the tree of the pull before it: args [node,
-	// lo, hi, lvl, t, cur].
+	// compact lists the ids at level lvl among the ids of leaves [lo, hi)
+	// in front[0] at offset t, down the tree of the pull before it: args
+	// [node, lo, hi, lvl, t, cur].
 	var compact ppm.FuncRef
 	compact = rt.Register(name+"/compact", func(c ppm.Ctx) {
 		node, lo, hi := c.Int(0), c.Int(1), c.Int(2)
 		lvl, t, cur := c.Uint(3), c.Int(4), c.Int(5)
-		if hi-lo <= grain.scan {
+		if hi-lo == 1 {
+			lo, hi := f.leaf(c, lo)
 			lv := f.level[cur].Slice(c, lo, hi)
 			if cur == 1 {
 				f.level[0].SetRange(c, lo, lv)
@@ -271,6 +276,7 @@ func newFrontier(rt *ppm.Runtime, name string, cs vcsr, g *Graph, rows int) *fro
 		d, parity, seen := c.Uint(0), c.Int(1), c.Uint(2)
 		extent, cur, pulled := c.Int(3), c.Int(4), c.Uint(5) == 1
 		cnt := sums.Get(c, 1)
+		nleaves := extent / n * cs.leaves.count() // the pull tree's leaves
 		kind := roundKind(cnt, seen, uint64(extent), fuse, pulled)
 		f.kinds.Set(c, int(d-1), kind)
 		if kind&roundCompact != 0 {
@@ -284,17 +290,17 @@ func newFrontier(rt *ppm.Runtime, name string, cs vcsr, g *Graph, rows int) *fro
 			c.Done()
 		case roundPull:
 			c.Seq(
-				pull.Call(1, 0, extent, d, cur),
+				pull.Call(1, 0, nleaves, d, cur),
 				f.round.Call(d+1, 0, seen+cnt, extent, 1-cur, 1))
 		case roundFused:
 			c.Seq(step.Call(d, parity, cnt), next)
 		case roundTree:
 			c.Seq(up.Call(1, 0, cnt, parity), down.Call(1, 0, cnt, parity, d, 0), next)
 		case roundCompact | roundFused:
-			c.Seq(compact.Call(1, 0, extent, d-1, 0, cur), step.Call(d, parity, cnt), next)
+			c.Seq(compact.Call(1, 0, nleaves, d-1, 0, cur), step.Call(d, parity, cnt), next)
 		default: // roundCompact | roundTree
 			c.Seq(
-				compact.Call(1, 0, extent, d-1, 0, cur),
+				compact.Call(1, 0, nleaves, d-1, 0, cur),
 				up.Call(1, 0, cnt, parity),
 				down.Call(1, 0, cnt, parity, d, 0),
 				next)
@@ -361,53 +367,50 @@ func (f *frontier) emit(c ppm.Ctx, parity, t int, d uint64, out []uint64) {
 	f.level[0].ScatterAt(c, out, fillVec(c, len(out), d))
 }
 
-// pull finds the ids of combined ids [lo, hi) that round d reaches: those
-// level[cur] holds at INF with an arc to an id of their row at level d-1.
-// Each takes the first such target, in arc order, as its parent. It writes
-// the range's levels, d for every id found, to level[1-cur] and the parents
-// to owner, and returns how many it found.
-func (f *frontier) pull(c ppm.Ctx, lo, hi int, d uint64, cur int) uint64 {
-	// The range's levels, edited below: a copy, since a Slice is read-only.
+// leaf reads the combined ids [lo, hi) of pull leaf j: leaf j mod L of the
+// leaf table in row j / L.
+func (f *frontier) leaf(c ppm.Ctx, j int) (lo, hi int) {
+	l := f.cs.leaves.count()
+	base := j / l * f.n
+	lo, hi = f.cs.leaves.at(c, j%l)
+	return base + lo, base + hi
+}
+
+// pull finds the ids of pull leaf j that round d reaches: those level[cur]
+// holds at INF with an arc to an id of their row at level d-1. Each takes
+// the first such target, in arc order, as its parent. It writes the leaf's
+// levels, d for every id found, to level[1-cur] and the parents to owner,
+// and returns how many it found.
+func (f *frontier) pull(c ppm.Ctx, j int, d uint64, cur int) uint64 {
+	lo, hi := f.leaf(c, j)
+	base := lo - lo%f.n // the leaf's row, whose vertex v is combined id base+v
+	// The leaf's levels, edited below: a copy, since a Slice is read-only.
 	lv := c.Scratch(hi - lo)
 	copy(lv, f.level[cur].Slice(c, lo, hi))
-	// The unvisited ids and their arc spans. A row's offsets are contiguous,
-	// so each row segment of the range reads its unvisited ids' offsets in
-	// place, as one Slice from the first to the last.
+	// The unvisited ids and their arc spans. The leaf is one row's vertex
+	// range, so it reads its unvisited ids' offsets in place, as one Slice
+	// from the first to the last.
 	ob, ab := f.cs.bases(c)
 	ids := c.Scratch(hi - lo)[:0]
 	spans := c.ScratchSpans(hi - lo)[:0]
-	for s := lo; s < hi; {
-		v0 := s % f.n
-		e := min(hi, s-v0+f.n)
-		seg := lv[s-lo : e-lo]
-		if first, last := slices.Index(seg, inf), len(seg)-1; first >= 0 {
-			for seg[last] != inf {
-				last--
-			}
-			offs := f.cs.offs.Slice(c, ob+v0+first, ob+v0+last+2)
-			for k := first; k <= last; k++ {
-				if seg[k] == inf {
-					ids = append(ids, uint64(s+k))
-					spans = append(spans, [2]int{ab + int(offs[k-first]), ab + int(offs[k-first+1])})
-				}
+	if first := slices.Index(lv, inf); first >= 0 {
+		last := len(lv) - 1
+		for lv[last] != inf {
+			last--
+		}
+		v0 := lo - base + first
+		offs := f.cs.offs.Slice(c, ob+v0, ob+v0+last-first+2)
+		for k := first; k <= last; k++ {
+			if lv[k] == inf {
+				ids = append(ids, uint64(lo+k))
+				spans = append(spans, [2]int{ab + int(offs[k-first]), ab + int(offs[k-first+1])})
 			}
 		}
-		s = e
 	}
 	tgts := f.cs.adj.Gather(c, spans, nil)
-	if hi > f.n {
-		// Arc target → combined id in the row: ids ascend, so the row base
-		// advances with them. Row 0's base is 0.
-		n := uint64(f.n)
-		base := uint64(lo) - uint64(lo)%n
-		i := 0
-		for idx, id := range ids {
-			for id >= base+n {
-				base += n
-			}
-			for end := i + spans[idx][1] - spans[idx][0]; i < end; i++ {
-				tgts[i] += base
-			}
+	if base > 0 {
+		for i := range tgts {
+			tgts[i] += uint64(base) // arc target → combined id in the leaf's row
 		}
 	}
 	tl := f.level[cur].GatherAt(c, tgts, nil)

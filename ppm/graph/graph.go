@@ -22,7 +22,9 @@
 // adopting a neighbour of the frontier as its parent, with no CAM and no
 // second sweep, and a compaction lists the frontier again before the search
 // returns to pushing. Capsule grains come from a per-engine table, and the
-// direction thresholds are two constants beside it (bfs.go). The bulk edge
+// direction thresholds are two constants beside it (bfs.go); the per-arc
+// sweeps split the vertices by a leaf table cut once from the offsets,
+// each leaf's arcs plus vertices within a budget (leafTable). The bulk edge
 // reads are batched: a frontier or pull leaf Gathers the adjacency lists of
 // all its vertices in one multi-range operation (a pull leaf, whose ids are
 // a range, reads their offsets in place) and reads its targets' claimant
@@ -248,11 +250,12 @@ type Source interface {
 func (g *Graph) bind(rt *ppm.Runtime, slotW ppm.Array) vcsr {
 	offs := rt.NewArray(g.N + 1)
 	offs.Load(g.Offs)
+	lt := loadLeaves(rt, g.Offs)
 	adj := rt.NewArray(max(1, len(g.Adj)))
 	if len(g.Adj) > 0 {
 		adj.Load(g.Adj)
 	}
-	return vcsr{offs: offs, adj: adj, slotW: slotW, n: g.N, cap: adj.Len()}
+	return vcsr{offs: offs, adj: adj, leaves: lt, slotW: slotW, n: g.N, cap: adj.Len()}
 }
 
 func (g *Graph) epoch0() *Graph    { return g }
@@ -261,18 +264,68 @@ func (g *Graph) numSlots() int     { return 1 }
 func (g *Graph) at(int) *Graph     { return g }
 func (g *Graph) transpose() Source { return g.Reverse() }
 
+// leafTable cuts the vertices of a CSR with offsets offs into the leaves of
+// the per-arc sweeps: boundaries b[0] = 0 < b[1] < … < b[L] = n, leaf i
+// covering vertices [b[i], b[i+1]). It fills each leaf greedily while its
+// vertices' degrees plus leafVertexCost each sum to at most budget, so a
+// leaf ends only where its next vertex would pass the budget; a vertex that
+// passes it alone gets a leaf of its own. An empty graph has no leaves.
+func leafTable(offs []uint64, budget int) []uint64 {
+	n := len(offs) - 1
+	b := []uint64{0}
+	w := 0
+	for v := 0; v < n; v++ {
+		wv := int(offs[v+1]-offs[v]) + leafVertexCost
+		if w > 0 && w+wv > budget {
+			b = append(b, uint64(v))
+			w = 0
+		}
+		w += wv
+	}
+	if n > 0 {
+		b = append(b, uint64(n))
+	}
+	return b
+}
+
+// leaves is a leaf table in persistent memory, cut once from the epoch-0
+// offsets at Build and read by every epoch: any partition of the vertices
+// is correct, and mutations only drift its balance. A leaf capsule reads its
+// two boundary words.
+type leaves struct{ b ppm.Array }
+
+// loadLeaves stores the leaf table of offs, at rt's engine's leaf budget, as
+// a source's offsets are stored: on a recovered runtime the load is
+// suppressed and the capsules read the table the crashed runtime stored.
+func loadLeaves(rt *ppm.Runtime, offs []uint64) leaves {
+	t := leafTable(offs, grainsFor(rt).leaf)
+	b := rt.NewArray(len(t))
+	b.Load(t)
+	return leaves{b}
+}
+
+// count is the number of leaves.
+func (l leaves) count() int { return l.b.Len() - 1 }
+
+// at reads the vertex range [lo, hi) of leaf i.
+func (l leaves) at(c ppm.Ctx, i int) (lo, hi int) {
+	b := l.b.Slice(c, i, i+2)
+	return int(b[0]), int(b[1])
+}
+
 // vcsr is a Source as a kernel's capsules see it: offs holds slots*(n+1)
 // words and adj slots*cap words, and the slot a run reads is the value of
 // slotW[0], the kernel's own slot word. The run's root capsule stores it from
 // its argument, so nothing is staged before the run is owned, and the word is
 // persistent memory, so a durable replay of any capsule re-reads the same
-// slot.
+// slot. leaves is the source's leaf table, shared by every slot.
 type vcsr struct {
-	offs  ppm.Array // per slot: N+1 arc offsets
-	adj   ppm.Array // per slot: arc targets
-	slotW ppm.Array
-	n     int
-	cap   int
+	offs   ppm.Array // per slot: N+1 arc offsets
+	adj    ppm.Array // per slot: arc targets
+	leaves leaves
+	slotW  ppm.Array
+	n      int
+	cap    int
 }
 
 // bases reads the run's slot and returns the offset/adjacency array bases.
@@ -301,22 +354,27 @@ func (v vcsr) gatherAdj(c ppm.Ctx, vs []uint64) (spans [][2]int, nbrs []uint64) 
 	return spans, v.adj.Gather(c, spans, nil)
 }
 
-// adjRange reads the adjacency of the contiguous vertex range [lo, hi) of
-// the run's slot: its hi-lo+1 offsets and, because consecutive vertices'
-// lists are consecutive in a CSR, every arc as ONE Slice. Vertex lo+i owns
-// the next offs[i+1]-offs[i] words of arcs. The dense scan leaves walk arcs
-// with that running cursor: pagerank's fetches the per-arc words with
-// GatherAt(arcs), cc's init takes the targets themselves.
+// adjRange reads the adjacency of a leaf's vertex range [lo, hi) in the
+// run's slot: its hi-lo+1 offsets and, because consecutive vertices' lists
+// are consecutive in a CSR, every arc as ONE Slice. Vertex lo+i owns the
+// next offs[i+1]-offs[i] words of arcs. The range is a leaf of the leaf
+// table, so the Slice holds at most the leaf budget's arcs at epoch 0,
+// unless the leaf is one hub; a later epoch's leaf holds what mutations
+// added or removed besides. The
+// per-arc leaves walk arcs with that running cursor: pagerank's scan fetches
+// the per-arc words with GatherAt(arcs), cc's init takes the targets
+// themselves.
 func (v vcsr) adjRange(c ppm.Ctx, lo, hi int) (offs, arcs []uint64) {
 	ob, ab := v.bases(c)
 	offs = v.offs.Slice(c, ob+lo, ob+hi+1)
 	return offs, v.adj.Slice(c, ab+int(offs[0]), ab+int(offs[hi-lo]))
 }
 
-// adjLive is adjRange restricted to the vertices lo+i with live[i] != 0:
-// offs as adjRange returns them, and only those vertices' arcs, in order.
-// With every vertex live that is adjRange's one Slice; otherwise one Gather
-// span per run of live vertices.
+// adjLive is adjRange restricted to the vertices lo+i of a leaf with
+// live[i] != 0: offs as adjRange returns them, and only those vertices'
+// arcs, in order, so a leaf whose labels are mostly final reads few of its
+// budgeted arcs. With every vertex live that is adjRange's one Slice;
+// otherwise one Gather span per run of live vertices.
 func (v vcsr) adjLive(c ppm.Ctx, lo, hi int, live []uint64) (offs, arcs []uint64) {
 	if !slices.Contains(live, 0) {
 		return v.adjRange(c, lo, hi)

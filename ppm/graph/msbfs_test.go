@@ -137,12 +137,13 @@ func TestMultiBFSRefusedRunLeavesBatchAlone(t *testing.T) {
 }
 
 // TestMultiBFSPullStraddlesRows runs MultiBFS batches of two and three rows
-// over graphs whose n is a multiple of neither engine's scan grain. At width
-// 2 the row boundary is the pull tree's root split; at width 3 pull leaves
-// straddle both boundaries, so a leaf reads each row segment's offsets
-// separately and must map every arc target into its own id's row. Levels,
-// parents and the frontier total are checked exactly by Verify, under soft
-// faults and each engine's WAR checker, and every batch must pull.
+// over graphs of several leaves per row on both engines, so the pull tree's
+// splits over rows·L leaves fall inside rows as well as between them. No
+// leaf straddles a row: leaf j reads leaf j mod L of the table in row j / L,
+// and must map every arc target into that row, by a base that is 0 only in
+// row 0. Levels, parents and the frontier total are checked exactly by
+// Verify, under soft faults and each engine's WAR checker, and every batch
+// must pull.
 func TestMultiBFSPullStraddlesRows(t *testing.T) {
 	graphs := []struct {
 		name string

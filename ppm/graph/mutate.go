@@ -139,6 +139,7 @@ type Resident struct {
 
 	rt     *ppm.Runtime
 	offs   ppm.Array // slots*(n+1) per-slot arc offsets
+	leaves leaves    // cut from the base graph, shared by every slot and kernel
 	adj    ppm.Array // slots*arcCap per-slot arc targets
 	epochW ppm.Array // 1 durable word: last committed epoch
 	deg    ppm.Array // n scratch: next epoch's degrees
@@ -213,7 +214,7 @@ func (r *Resident) SlotFor(epoch uint64) (int, bool) {
 // bind hands a kernel the version ring, read at the slot its root capsule
 // stores in slotW. The Resident's own Build must come first.
 func (r *Resident) bind(_ *ppm.Runtime, slotW ppm.Array) vcsr {
-	return vcsr{offs: r.offs, adj: r.adj, slotW: slotW, n: r.n, cap: r.arcCap}
+	return vcsr{offs: r.offs, adj: r.adj, leaves: r.leaves, slotW: slotW, n: r.n, cap: r.arcCap}
 }
 
 func (r *Resident) epoch0() *Graph    { return r.base }
@@ -230,8 +231,9 @@ func (r *Resident) at(slot int) *Graph {
 	return &Graph{N: r.n, Offs: offs, Adj: r.adj.SnapshotRange(slot*r.arcCap, slot*r.arcCap+arcs)}
 }
 
-// Build allocates the version ring, the durable epoch word, and the staging
-// areas, loads epoch 0 into slot 0, and registers the batch-apply program.
+// Build allocates the version ring, its leaf table, the durable epoch word,
+// and the staging areas, loads epoch 0 into slot 0 and the table cut from
+// it, and registers the batch-apply program.
 // Allocation and registration order is fixed — a recovered runtime replays
 // it identically (loads are suppressed in rebuild mode; the region already
 // holds the durable state).
@@ -242,6 +244,7 @@ func (r *Resident) Build(rt *ppm.Runtime) {
 	grain := grainsFor(rt)
 	r.offs = rt.NewArray(r.slots * (n + 1))
 	r.offs.LoadAt(0, r.base.Offs) // slot 0
+	r.leaves = loadLeaves(rt, r.base.Offs)
 	r.adj = rt.NewArray(r.slots * r.arcCap)
 	r.adj.LoadAt(0, r.base.Adj) // slot 0
 	r.epochW = rt.NewArray(1)   // zero value = epoch 0
@@ -253,12 +256,13 @@ func (r *Resident) Build(rt *ppm.Runtime) {
 	r.delT = rt.NewArray(2 * r.batchCap)
 	r.mutW = rt.NewArray(2)
 
-	// degLeaf computes the next epoch's degree of vertices [lo, hi): old arcs
-	// surviving the staged deletes plus the staged inserts. Reads the source
-	// slot and the staging areas, writes only deg — WAR-free, and every
-	// replay recomputes the same values from durable inputs.
+	// degLeaf computes the next epoch's degree of the vertices [lo, hi) of
+	// leaf c.Int(0): old arcs surviving the staged deletes plus the staged
+	// inserts. Reads the source slot and the staging areas, writes only deg —
+	// WAR-free, and every replay recomputes the same values from durable
+	// inputs.
 	degLeaf := rt.Register(name+"/deg", func(c ppm.Ctx) {
-		lo, hi := c.Int(0), c.Int(1)
+		lo, hi := r.leaves.at(c, c.Int(0))
 		mw := r.mutW.Slice(c, 0, 2)
 		srcOB, srcAB := int(mw[0])*(n+1), int(mw[0])*r.arcCap
 		ovals := r.offs.Slice(c, srcOB+lo, srcOB+hi+1)
@@ -286,7 +290,7 @@ func (r *Resident) Build(rt *ppm.Runtime) {
 		c.Done()
 	})
 	degP := rt.Register(name+"/degP", func(c ppm.Ctx) {
-		c.ParallelFor(degLeaf, 0, n, grain.scan)
+		c.ParallelFor(degLeaf, 0, r.leaves.count(), 1)
 	})
 
 	psumRoot := ppm.RegisterPrefixSum(rt, name+"/psum", n, psumLeaf, r.deg, r.ndeg)
@@ -307,14 +311,14 @@ func (r *Resident) Build(rt *ppm.Runtime) {
 		c.ParallelFor(offsLeaf, 0, n, grain.dense)
 	})
 
-	// emitLeaf writes the destination slot's arcs for vertices [lo, hi):
-	// survivors of the old list in old order, then inserted targets in batch
-	// order. Destination start offsets come from ndeg (written two phases
-	// ago), so the leaf reads only the source slot, the staging areas, and
-	// the prefix sums, and writes a contiguous destination range no other
-	// leaf touches.
+	// emitLeaf writes the destination slot's arcs for the vertices [lo, hi)
+	// of leaf c.Int(0): survivors of the old list in old order, then
+	// inserted targets in batch order. Destination start offsets come from
+	// ndeg (written two phases ago), so the leaf reads only the source slot,
+	// the staging areas, and the prefix sums, and writes a contiguous
+	// destination range no other leaf touches.
 	emitLeaf := rt.Register(name+"/emit", func(c ppm.Ctx) {
-		lo, hi := c.Int(0), c.Int(1)
+		lo, hi := r.leaves.at(c, c.Int(0))
 		mw := r.mutW.Slice(c, 0, 2)
 		srcOB, srcAB := int(mw[0])*(n+1), int(mw[0])*r.arcCap
 		dstAB := int(mw[1]) * r.arcCap
@@ -351,7 +355,7 @@ func (r *Resident) Build(rt *ppm.Runtime) {
 		c.Done()
 	})
 	emitP := rt.Register(name+"/emitP", func(c ppm.Ctx) {
-		c.ParallelFor(emitLeaf, 0, n, grain.scan)
+		c.ParallelFor(emitLeaf, 0, r.leaves.count(), 1)
 	})
 
 	// commit publishes the new epoch. The value arrives as an argument (the

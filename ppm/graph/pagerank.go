@@ -91,8 +91,10 @@ func (a *PR) Build(rt *ppm.Runtime) {
 		c.ParallelFor(contribLeaf, 0, n, grain.dense, c.Uint(0))
 	})
 
+	// scanLeaf covers the vertices of one leaf: args [leaf, leaf+1, parity].
 	scanLeaf := rt.Register(name+"/scan", func(c ppm.Ctx) {
-		lo, hi, parity := c.Int(0), c.Int(1), c.Int(2)
+		lo, hi := in.leaves.at(c, c.Int(0))
+		parity := c.Int(2)
 		offs, srcs := in.adjRange(c, lo, hi)
 		// One more batched round: the contribution of every in-neighbour.
 		cvals := contrib.GatherAt(c, srcs, nil)
@@ -112,7 +114,7 @@ func (a *PR) Build(rt *ppm.Runtime) {
 		c.Done()
 	})
 	scanP := rt.Register(name+"/scanP", func(c ppm.Ctx) {
-		c.ParallelFor(scanLeaf, 0, n, grain.scan, c.Uint(0))
+		c.ParallelFor(scanLeaf, 0, in.leaves.count(), 1, c.Uint(0))
 	})
 
 	var driver ppm.FuncRef

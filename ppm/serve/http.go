@@ -104,7 +104,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string
 
 // statusFor maps service errors onto HTTP statuses: full queue → 429;
 // deadline, eviction, snapshot-gone, and shutdown → 503; malformed queries
-// and mutations → 400.
+// and mutations, and graphs too large for MemWords → 400.
 func statusFor(err error) int {
 	switch {
 	case errors.Is(err, ErrOverloaded):

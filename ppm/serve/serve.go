@@ -633,6 +633,17 @@ func (s *Server) entryFor(spec GraphSpec) (*entry, error) {
 	b := &buildState{ready: make(chan struct{})}
 	s.builds[key] = b
 	s.mu.Unlock()
+	// Every path releases the build slot, a build that panics included, so
+	// no later query for key waits on it without end.
+	defer func() {
+		if b.e == nil && b.err == nil {
+			b.err = fmt.Errorf("serve: building graph %s failed", key)
+			s.mu.Lock()
+			delete(s.builds, key)
+			s.mu.Unlock()
+		}
+		close(b.ready)
+	}()
 
 	e, err := s.buildEntry(spec)
 
@@ -647,7 +658,6 @@ func (s *Server) entryFor(spec GraphSpec) (*entry, error) {
 			e.close(false)
 		}
 		b.err = err
-		close(b.ready)
 		return nil, err
 	}
 	s.entries[key] = e
@@ -662,7 +672,6 @@ func (s *Server) entryFor(spec GraphSpec) (*entry, error) {
 	}
 	s.mu.Unlock()
 	b.e = e
-	close(b.ready)
 	for _, old := range evict {
 		old.close(false)
 		s.ctr.evictions.Add(1)
@@ -705,7 +714,10 @@ func (s *Server) buildEntry(spec GraphSpec) (*entry, error) {
 	if s.cfg.FaultRate > 0 {
 		opts = append(opts, ppm.WithFaultRate(s.cfg.FaultRate))
 	}
-	e := s.newEntry(spec, g, ppm.New(opts...), durablePath)
+	e, err := s.buildPrograms(spec, g, ppm.New(opts...), durablePath)
+	if err != nil {
+		return nil, err
+	}
 	s.ctr.graphsBuilt.Add(1)
 	e.start()
 	return e, nil
@@ -723,7 +735,10 @@ func (s *Server) recoverEntry(spec GraphSpec, g *graph.Graph, durablePath string
 	if err != nil {
 		return nil, err
 	}
-	e := s.newEntry(spec, g, rt, durablePath)
+	e, err := s.buildPrograms(spec, g, rt, durablePath)
+	if err != nil {
+		return nil, err
+	}
 	done, err := rt.Resume()
 	if err == nil && !done {
 		err = fmt.Errorf("serve: replay of %s did not complete", spec.Key())
@@ -738,6 +753,25 @@ func (s *Server) recoverEntry(spec GraphSpec, g *graph.Graph, durablePath string
 	s.ctr.graphsBuilt.Add(1)
 	e.start()
 	return e, nil
+}
+
+// buildPrograms is newEntry on rt, with a build that panics reported as an
+// error: rt is closed and its region file removed. A fresh build panics
+// when its graph does not fit in MemWords; a rebuild on a recovered region
+// also when that region's recorded setup does not match these programs, as
+// when a build that allocates differently wrote it, and buildEntry then
+// builds the graph fresh.
+func (s *Server) buildPrograms(spec GraphSpec, g *graph.Graph, rt *ppm.Runtime, durablePath string) (e *entry, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			rt.Close()
+			if durablePath != "" {
+				os.Remove(durablePath)
+			}
+			e, err = nil, fmt.Errorf("serve: building graph %s: %v", spec.Key(), r)
+		}
+	}()
+	return s.newEntry(spec, g, rt, durablePath), nil
 }
 
 // newEntry allocates the entry and builds its four programs in a fixed order

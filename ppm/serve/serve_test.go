@@ -338,6 +338,67 @@ func TestConcurrentFirstQueriesShareOneBuild(t *testing.T) {
 	}
 }
 
+// TestGraphOverMemWordsIsRefused: a query naming a graph whose build runs
+// out of MemWords gets an error, not a panic, and the build slot is
+// released, so every later query for that graph is refused as well, each
+// well inside its deadline. Over HTTP the refusal is a 400. The server stays
+// live, no entry stays resident, and the half-built durable region is
+// removed.
+func TestGraphOverMemWordsIsRefused(t *testing.T) {
+	cfg := testConfig()
+	cfg.MemWords = 1 << 16
+	cfg.DurableDir = t.TempDir()
+	s := New(cfg)
+	defer s.Close()
+	big := GraphSpec{Kind: "rand", N: 20000, M: 40000, Seed: 1}
+	const deadlineMS = 200
+	for i := 0; i < 2; i++ {
+		start := time.Now()
+		_, err := s.Submit(Query{Graph: big, Kind: "bfs", Source: 0, DeadlineMS: deadlineMS})
+		if err == nil || !strings.Contains(err.Error(), "MemWords") {
+			t.Fatalf("Submit %d: err = %v, want a MemWords error", i, err)
+		}
+		if d := time.Since(start); d > deadlineMS*time.Millisecond/2 {
+			t.Fatalf("Submit %d took %v, deadline %d ms", i, d, deadlineMS)
+		}
+	}
+	ts := httptest.NewServer(Handler(s))
+	defer ts.Close()
+	body, _ := json.Marshal(Query{Graph: big, Kind: "cc", DeadlineMS: deadlineMS})
+	for i := 0; i < 2; i++ {
+		start := time.Now()
+		resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("POST /query %d: status %d, want 400", i, resp.StatusCode)
+		}
+		if d := time.Since(start); d > deadlineMS*time.Millisecond/2 {
+			t.Fatalf("POST /query %d took %v, deadline %d ms", i, d, deadlineMS)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz: status %d", resp.StatusCode)
+	}
+	if gs := s.Graphs(); len(gs) != 0 {
+		t.Fatalf("resident graphs %v, want none", gs)
+	}
+	if files, _ := os.ReadDir(cfg.DurableDir); len(files) != 0 {
+		t.Fatalf("durable dir holds %d files, want none", len(files))
+	}
+	// A graph that fits is still served.
+	if _, err := s.Submit(Query{Graph: smallGraph(1), Kind: "bfs", Source: 0}); err != nil {
+		t.Fatalf("small graph: %v", err)
+	}
+}
+
 func TestServerCloseRefusesQueries(t *testing.T) {
 	s := New(testConfig())
 	g := smallGraph(7)
@@ -590,6 +651,36 @@ func TestDurableServing(t *testing.T) {
 	s.Close()
 	if _, err := os.Stat(regionFile(g2)); !os.IsNotExist(err) {
 		t.Fatalf("Close left a region file behind (stat err = %v)", err)
+	}
+}
+
+// TestRecoveredRegionOfOtherProgramsRebuilds: a region file whose setup
+// other programs recorded — here a server with a narrower MaxBatch, whose
+// MultiBFS allocates less — cannot be rebuilt by these programs. Recovery
+// discards it and builds the graph fresh, at epoch 0, instead of panicking
+// out of RecoverResident.
+func TestRecoveredRegionOfOtherProgramsRebuilds(t *testing.T) {
+	cfg := testConfig()
+	cfg.DurableDir = t.TempDir()
+	cfg.MaxBatch = 2
+	g := smallGraph(13)
+	s := New(cfg)
+	if _, err := s.Mutate(Mutation{Graph: g, Insert: [][2]int{{1, 2}}}); err != nil {
+		t.Fatalf("mutate: %v", err)
+	}
+	s.Drain(5 * time.Second) // keeps the region file
+	s.Close()
+
+	cfg.MaxBatch = 8
+	s2 := New(cfg)
+	defer s2.Close()
+	s2.RecoverResident()
+	r, err := s2.Submit(Query{Graph: g, Kind: "bfs", Source: 0})
+	if err != nil {
+		t.Fatalf("bfs after recovery: %v", err)
+	}
+	if r.Epoch != 0 {
+		t.Fatalf("epoch %d, want 0: the region of other programs was not rebuilt fresh", r.Epoch)
 	}
 }
 
