@@ -207,12 +207,6 @@ type Runtime struct {
 	// the deque headers.
 	sleepers *lineCounter
 
-	// overflow receives externally injected tasks (the root task of a run);
-	// worker-spawned tasks always fit their growable deques and never land
-	// here.
-	ovMu     sync.Mutex
-	overflow []*task
-
 	persistBase pmem.Addr // P block-spaced epoch words, when Persist is on
 
 	// Durable backend state. region is nil unless DurablePath was set or the
@@ -442,25 +436,6 @@ func (rt *Runtime) HeapAllocBlocks(n int) pmem.Addr {
 
 // ---- run ----
 
-func (rt *Runtime) inject(t *task) {
-	rt.ovMu.Lock()
-	rt.overflow = append(rt.overflow, t)
-	rt.ovMu.Unlock()
-}
-
-func (rt *Runtime) popOverflow() *task {
-	rt.ovMu.Lock()
-	defer rt.ovMu.Unlock()
-	n := len(rt.overflow)
-	if n == 0 {
-		return nil
-	}
-	t := rt.overflow[n-1]
-	rt.overflow[n-1] = nil
-	rt.overflow = rt.overflow[:n-1]
-	return t
-}
-
 // Run executes root(args...) to completion on all P workers and returns
 // whether the computation finished (it always does natively — hard faults
 // are a model-engine concern). Run on a busy or closed runtime panics with
@@ -504,13 +479,16 @@ func (rt *Runtime) TryRun(root capsule.FuncID, args ...uint64) (bool, error) {
 	return rt.runLocked(&task{kind: taskUser, fn: root, args: args, join: rootJoin, chainTail: true})
 }
 
-// runLocked injects t as the run's root work and drives the resident workers
-// through one run generation. Callers hold runMu.
+// runLocked pushes t, the run's root, onto worker 0's deque and drives the
+// resident workers through one run generation. Callers hold runMu. Every
+// worker left schedLoop before the previous run's token arrived, so the
+// deque has no owner to race, and the push happens before the runGen
+// broadcast each worker waits on; thieves take the root like any task.
 func (rt *Runtime) runLocked(t *task) (bool, error) {
 	rt.ensureStarted()
 
 	rt.done.Store(false)
-	rt.inject(t)
+	rt.workers[0].dq.push(t)
 
 	rt.active.Store(int32(rt.cfg.P))
 	rt.parkMu.Lock()
@@ -762,20 +740,17 @@ type Ctx struct {
 	_ [64]byte
 }
 
-// schedLoop is the work-stealing scheduler: own deque first, then the
-// overflow queue, then randomized stealing (see trySteal). An idle worker
-// yields its thread for spinWindow empty probes, then parks until a spawn
-// or the end of the run wakes it (see park): on machines with fewer cores
-// than P, a spinning thief would steal cycles from the worker that has the
-// work, and a napping one would sleep through work that appeared. Each
-// park is counted so SchedStats makes idle pressure visible.
+// schedLoop is the work-stealing scheduler: own deque first, then randomized
+// stealing (see trySteal). An idle worker yields its thread for spinWindow
+// empty probes, then parks until a spawn or the end of the run wakes it (see
+// park): on machines with fewer cores than P, a spinning thief would steal
+// cycles from the worker that has the work, and a napping one would sleep
+// through work that appeared. Each park is counted so SchedStats makes idle
+// pressure visible.
 func (w *Ctx) schedLoop() {
 	misses := 0
 	for !w.rt.done.Load() {
 		t := w.dq.popBottom()
-		if t == nil {
-			t = w.rt.popOverflow()
-		}
 		if t == nil {
 			t = w.trySteal()
 		}

@@ -50,9 +50,9 @@ type lineCounter struct {
 // park blocks an idle worker until a spawn or the end of the run hands it
 // a token, or parkFallback passes. The worker registers first — its parked
 // flag, then the runtime's sleepers count — and only then re-checks every
-// deque and the overflow queue. A spawn pushes first and reads the count
-// after. Go's atomics are sequentially consistent, so either the spawn
-// sees the sleeper and wakes it, or the re-check sees the task.
+// deque. A spawn pushes first and reads the count after. Go's atomics are
+// sequentially consistent, so either the spawn sees the sleeper and wakes
+// it, or the re-check sees the task.
 //
 // Whoever clears a set parked flag (claim, or the worker itself) takes the
 // worker off the sleepers count, and a claimer owes it exactly one token,
@@ -122,16 +122,13 @@ func (rt *Runtime) endRun() {
 	}
 }
 
-// workVisible reports whether any deque or the overflow queue holds a
-// task: a parking worker's re-check.
+// workVisible reports whether any deque holds a task: a parking worker's
+// re-check.
 func (rt *Runtime) workVisible() bool {
 	for _, w := range rt.workers {
 		if w.dq.size() > 0 {
 			return true
 		}
 	}
-	rt.ovMu.Lock()
-	n := len(rt.overflow)
-	rt.ovMu.Unlock()
-	return n > 0
+	return false
 }

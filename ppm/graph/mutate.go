@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/ppm"
 )
@@ -58,9 +59,10 @@ func (b MutationBatch) validate(n int) error {
 	return check(b.Delete, "delete")
 }
 
-// ApplyTo returns the graph after the batch, host-side. The per-vertex arc
-// order matches the capsule program bit for bit: survivors of the old list in
-// old order, then inserted targets in batch order.
+// ApplyTo returns the graph after the batch, host-side: the reference a
+// Resident's ring is checked against. The per-vertex arc order matches the
+// capsule program bit for bit: survivors of the old list in old order, then
+// inserted targets in batch order.
 func (b MutationBatch) ApplyTo(g *Graph) (*Graph, error) {
 	if err := b.validate(g.N); err != nil {
 		return nil, err
@@ -127,8 +129,9 @@ func (b MutationBatch) deltaCSR(n int) (insOffs, insTgts, delOffs, delTgts []uin
 // epoch-versioned CSR ring. Slot e%slots holds epoch e's arrays while e is
 // within the last `slots` committed epochs; Apply writes the next epoch's
 // slot and commits the durable epoch word as the final root-chain step.
-// Apply may be called concurrently: one batch is staged and applied at a
-// time, and a call that finds another in flight is refused.
+// The ring is the only copy of later epochs: Current and Arcs read it back
+// from an open runtime. Apply may be called concurrently: one batch is staged
+// and applied at a time, and a call that finds another in flight is refused.
 type Resident struct {
 	tag      string
 	base     *Graph // epoch-0 host graph
@@ -155,10 +158,7 @@ type Resident struct {
 	// applyMu is held by the Apply that owns the staging arrays, from the
 	// first staged word until its run returns.
 	applyMu sync.Mutex
-
-	mu    sync.Mutex
-	epoch uint64
-	cur   *Graph // host mirror of the current epoch
+	epoch   atomic.Uint64 // last committed epoch: stored by Apply and Recovered
 }
 
 // ErrEpochGone reports a reader pinned to an epoch that has fallen out of
@@ -181,31 +181,28 @@ func NewResident(tag string, g *Graph, slots, arcCap, batchCap int) *Resident {
 		arcCap = min
 	}
 	return &Resident{tag: tag, base: g, n: g.N, slots: slots,
-		arcCap: arcCap, batchCap: batchCap, cur: g}
+		arcCap: arcCap, batchCap: batchCap}
 }
 
 // Epoch returns the last committed epoch. This is the "pin" operation: a
 // reader captures the epoch at admission and later binds its run to that
 // epoch's slot via SlotFor.
-func (r *Resident) Epoch() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.epoch
-}
+func (r *Resident) Epoch() uint64 { return r.epoch.Load() }
 
-// Current returns the host mirror of the current epoch's graph.
-func (r *Resident) Current() *Graph {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.cur
-}
+// Current reads the committed epoch's graph out of its version slot, the
+// path Verify takes. Beside a concurrent Apply it reads the epoch committed
+// when it was called, which stays intact until it falls out of the ring.
+func (r *Resident) Current() *Graph { return r.at(r.slot()) }
+
+// Arcs returns the committed epoch's arc count: one word of its slot's
+// offsets, read without copying the graph.
+func (r *Resident) Arcs() int { return int(r.arcsAt(r.slot())) }
 
 // SlotFor maps a pinned epoch to its version slot. ok is false when the
 // epoch has been overwritten by later batches (the ring keeps slots epochs).
 func (r *Resident) SlotFor(epoch uint64) (int, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if epoch > r.epoch || r.epoch-epoch >= uint64(r.slots) {
+	cur := r.epoch.Load()
+	if epoch > cur || cur-epoch >= uint64(r.slots) {
 		return 0, false
 	}
 	return int(epoch % uint64(r.slots)), true
@@ -221,6 +218,12 @@ func (r *Resident) epoch0() *Graph    { return r.base }
 func (r *Resident) slot() int         { return int(r.Epoch() % uint64(r.slots)) }
 func (r *Resident) numSlots() int     { return r.slots }
 func (r *Resident) transpose() Source { return r }
+
+// arcsAt reads a version slot's last offset, its arc count.
+func (r *Resident) arcsAt(slot int) uint64 {
+	i := slot*(r.n+1) + r.n
+	return r.offs.SnapshotRange(i, i+1)[0]
+}
 
 // at reads the graph of a version slot back out of persistent memory. A slot
 // claiming more arcs than it holds is cut at its capacity; Recovered reports
@@ -377,6 +380,8 @@ func (r *Resident) Build(rt *ppm.Runtime) {
 }
 
 // Apply stages the batch and runs the apply program, committing epoch+1.
+// The committed arcs plus two per inserted edge must fit a slot: deletes are
+// not credited, so a mixed batch whose deletes would make room is refused.
 // The commit is a persistence point on a durable runtime: once Apply returns
 // true, the batch survives kill-9; if the process dies mid-run, Recover +
 // Build + Resume completes the interrupted batch from its last committed
@@ -393,19 +398,16 @@ func (r *Resident) Apply(b MutationBatch) (ok bool, err error) {
 		return false, ppm.ErrRuntimeBusy
 	}
 	defer r.applyMu.Unlock()
-	r.mu.Lock()
-	cur, epoch := r.cur, r.epoch
-	r.mu.Unlock()
-	next, err := b.ApplyTo(cur)
-	if err != nil {
+	// deltaCSR indexes by endpoint, so the batch is checked before staging.
+	if err := b.validate(r.n); err != nil {
 		return false, err
-	}
-	if len(next.Adj) > r.arcCap {
-		return false, fmt.Errorf("graph: batch grows graph to %d arcs, slot capacity %d",
-			len(next.Adj), r.arcCap)
 	}
 	if r.rt.Closed() {
 		return false, ppm.ErrRuntimeClosed
+	}
+	epoch := r.epoch.Load()
+	if arcs := r.arcsAt(int(epoch%uint64(r.slots))) + 2*uint64(len(b.Insert)); arcs > uint64(r.arcCap) {
+		return false, fmt.Errorf("graph: batch may grow graph to %d arcs, slot capacity %d", arcs, r.arcCap)
 	}
 	insO, insT, delO, delT := b.deltaCSR(r.n)
 	r.insO.Load(insO)
@@ -419,25 +421,20 @@ func (r *Resident) Apply(b MutationBatch) (ok bool, err error) {
 	if err != nil || !ok {
 		return ok, err
 	}
-	r.mu.Lock()
-	r.epoch, r.cur = epoch+1, next
-	r.mu.Unlock()
+	r.epoch.Store(epoch + 1)
 	return true, nil
 }
 
-// Recovered re-synchronizes the host mirror from persistent memory after a
-// recovered runtime's Resume: the durable epoch word names the committed
-// epoch, and its slot's arrays are the committed CSR. Call it once, after
-// Resume returns true.
+// Recovered re-reads the committed epoch from the durable epoch word after a
+// recovered runtime's Resume; its slot's arrays are the committed CSR. Call
+// it once, after Resume returns true. A slot claiming more arcs than its
+// capacity marks a corrupt region and is refused.
 func (r *Resident) Recovered() error {
 	epoch := r.epochW.Snapshot()[0]
 	slot := int(epoch % uint64(r.slots))
-	g := r.at(slot)
-	if arcs := g.Offs[r.n]; arcs > uint64(r.arcCap) {
+	if arcs := r.arcsAt(slot); arcs > uint64(r.arcCap) {
 		return fmt.Errorf("graph: recovered slot %d holds %d arcs, capacity %d", slot, arcs, r.arcCap)
 	}
-	r.mu.Lock()
-	r.epoch, r.cur = epoch, g
-	r.mu.Unlock()
+	r.epoch.Store(epoch)
 	return nil
 }

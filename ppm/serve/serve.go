@@ -485,10 +485,10 @@ func (s *Server) Ready() bool {
 // RecoverResident scans DurableDir for region files left by a previous
 // process (a crash, or a Drain shutdown) and re-admits each one through the
 // recovery path: ppm.Recover, identical program rebuild, Resume of any
-// un-committed mutation tail, and host-mirror resync at the committed epoch.
+// un-committed mutation tail, and a re-read of the committed epoch.
 // Ready() is false for the duration. Returns the number of graphs recovered;
-// a region that fails to recover is removed and skipped (the graph rebuilds
-// fresh on next use) rather than wedging startup.
+// a region that fails to recover is removed and its graph built fresh at
+// epoch 0, which does not count, rather than wedging startup.
 func (s *Server) RecoverResident() int {
 	if s.cfg.DurableDir == "" {
 		return 0
@@ -501,12 +501,10 @@ func (s *Server) RecoverResident() int {
 	}
 	n := 0
 	for _, f := range matches {
-		spec, ok := specFromRegion(filepath.Base(f))
-		if !ok {
-			continue
-		}
-		if _, err := s.entryFor(spec); err == nil {
-			n++
+		if spec, ok := specFromRegion(filepath.Base(f)); ok {
+			if e, err := s.entryFor(spec); err == nil && e.recovered {
+				n++
+			}
 		}
 	}
 	return n
@@ -751,6 +749,7 @@ func (s *Server) recoverEntry(spec GraphSpec, g *graph.Graph, durablePath string
 		return nil, err
 	}
 	s.ctr.graphsBuilt.Add(1)
+	e.recovered = true
 	e.start()
 	return e, nil
 }
@@ -865,6 +864,7 @@ type entry struct {
 	// runs without DurableDir); close(false) removes it after the runtime's
 	// final msync, close(true) keeps it for recovery.
 	durablePath string
+	recovered   bool // re-admitted from a surviving region file, not built fresh
 
 	queue chan *pending
 	quit  chan struct{}
@@ -1228,9 +1228,8 @@ func (e *entry) serveMut(ps []*pending) {
 		}
 		e.srv.ctr.mutations.Add(1)
 		e.pruneMemos()
-		cur := e.res.Current()
 		p.finish(&Result{Kind: "mutate", N: e.g.N, Epoch: e.res.Epoch(),
-			Extra: uint64(p.mut.Edges()), Checksum: uint64(cur.Arcs())}, nil)
+			Extra: uint64(p.mut.Edges()), Checksum: uint64(e.res.Arcs())}, nil)
 	}
 }
 

@@ -658,7 +658,7 @@ func TestDurableServing(t *testing.T) {
 // other programs recorded — here a server with a narrower MaxBatch, whose
 // MultiBFS allocates less — cannot be rebuilt by these programs. Recovery
 // discards it and builds the graph fresh, at epoch 0, instead of panicking
-// out of RecoverResident.
+// out of RecoverResident, which does not count it as recovered.
 func TestRecoveredRegionOfOtherProgramsRebuilds(t *testing.T) {
 	cfg := testConfig()
 	cfg.DurableDir = t.TempDir()
@@ -674,7 +674,9 @@ func TestRecoveredRegionOfOtherProgramsRebuilds(t *testing.T) {
 	cfg.MaxBatch = 8
 	s2 := New(cfg)
 	defer s2.Close()
-	s2.RecoverResident()
+	if n := s2.RecoverResident(); n != 0 {
+		t.Fatalf("RecoverResident = %d, want 0: the graph was built fresh, not recovered", n)
+	}
 	r, err := s2.Submit(Query{Graph: g, Kind: "bfs", Source: 0})
 	if err != nil {
 		t.Fatalf("bfs after recovery: %v", err)
