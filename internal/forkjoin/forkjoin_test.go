@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/capsule"
+	"repro/internal/deque"
 	"repro/internal/fault"
 	"repro/internal/machine"
 	"repro/internal/pmem"
@@ -225,6 +226,58 @@ func TestTreeSumSoftAndHardFaults(t *testing.T) {
 			}
 			ts.checkClean(t)
 		})
+	}
+}
+
+// TestTreeDequeTransitionsValid checks the deque protocol of Figures 3–4 on
+// the fork-join tree: every entry rewrite across the run, under soft faults
+// and with processor P−1 hard-faulting at its 400th access, must follow the
+// Figure 4 transition table (plus the Lemma A.12 exception), and the run
+// must end with every deque shape-valid and the right sum.
+func TestTreeDequeTransitionsValid(t *testing.T) {
+	for _, p := range []int{2, 4, 8} {
+		for _, f := range []float64{0, 0.01} {
+			t.Run(fmt.Sprintf("P=%d/f=%v", p, f), func(t *testing.T) {
+				seed := uint64(p)*7 + 1
+				var base fault.Injector = fault.NoFaults{}
+				if f > 0 {
+					base = fault.NewIID(p, f, seed)
+				}
+				inj := fault.NewCombined(base, map[int]int64{p - 1: 400})
+				ts := newTreeSum(machine.Config{P: p, Check: true, Seed: seed, Injector: inj}, 2048, 32)
+				l := ts.fj.Scheduler().Layout()
+				isEntry := map[pmem.Addr]bool{}
+				for q := 0; q < p; q++ {
+					for i := 0; i < l.Entries; i++ {
+						isEntry[l.EntryAddr(q, i)] = true
+					}
+				}
+				var mu sync.Mutex
+				var rewrites int
+				var bad []string
+				ts.m.Mem.SetWatcher(func(a pmem.Addr, old, new uint64) {
+					if !isEntry[a] {
+						return
+					}
+					mu.Lock()
+					defer mu.Unlock()
+					rewrites++
+					if !deque.ValidTransition(old, new) {
+						bad = append(bad, fmt.Sprintf("entry %d: %s(tag %d) -> %s(tag %d)",
+							a, deque.StateOf(old), deque.Tag(old), deque.StateOf(new), deque.Tag(new)))
+					}
+				})
+				if got := ts.run(t); got != ts.expected() {
+					t.Errorf("sum = %d, want %d", got, ts.expected())
+				}
+				ts.checkClean(t)
+				s := ts.m.Stats.Summarize()
+				t.Logf("steals %d, entry rewrites %d, invalid %d, dead %d", s.Steals, rewrites, len(bad), s.Dead)
+				if len(bad) != 0 {
+					t.Errorf("invalid deque transitions:\n%v", bad)
+				}
+			})
+		}
 	}
 }
 

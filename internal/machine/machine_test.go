@@ -127,7 +127,9 @@ func TestWARViolationCorruptsUnderFault(t *testing.T) {
 	// The replay re-reads the already-incremented cell: double increment.
 	m.SetRestart(0, m.BuildClosure(0, fid, pmem.Nil))
 	m.Run()
-	if got := m.Mem.Read(cell); got != 2 {
+	got := m.Mem.Read(cell)
+	t.Logf("in-place increment with one fault: cell = %d (correct would be 1)", got)
+	if got != 2 {
 		t.Errorf("cell = %d; expected the WAR bug to double-increment (2)", got)
 	}
 }

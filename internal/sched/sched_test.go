@@ -146,6 +146,7 @@ func TestDequeTransitionsValid(t *testing.T) {
 		}
 	})
 	fo.run(t)
+	t.Logf("steals %d, invalid transitions %d", fo.m.Stats.Summarize().Steals, len(bad))
 	if len(bad) != 0 {
 		t.Errorf("invalid deque transitions:\n%v", bad)
 	}
@@ -261,7 +262,9 @@ func TestCASLosesStealCAMDoesNot(t *testing.T) {
 		}
 		m.SetRestart(0, m.BuildClosure(0, grab, pmem.Nil))
 		m.Run()
-		return m.Mem.Read(out), deque.StateOf(m.Mem.Read(entry))
+		got, entryState = m.Mem.Read(out), deque.StateOf(m.Mem.Read(entry))
+		t.Logf("CAS=%v, fault after the swap: job executed %v, entry %v", useCAS, got == 777, entryState)
+		return got, entryState
 	}
 
 	// CAM version: fault after the CAM; the replayed capsule re-reads the

@@ -127,6 +127,7 @@ func TestTheorem34CostTracksMisses(t *testing.T) {
 	cost := func(r int) int64 {
 		init := make([]uint64, k)
 		_, w := runPM(t, "hotratio", &HotLoop{K: k, R: r}, init, k, 8*testB, fault.NoFaults{})
+		t.Logf("R=%d PM work=%d", r, w)
 		return w
 	}
 	w1 := cost(2)

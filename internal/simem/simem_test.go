@@ -1,6 +1,7 @@
 package simem
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/fault"
@@ -99,23 +100,48 @@ func TestFill(t *testing.T) {
 }
 
 // TestTheorem33LinearInT verifies the O(t) shape: PM work per source access
-// stays bounded as t grows, for fixed M/B.
+// stays bounded as t grows, for fixed M/B. The faulty rows run at the
+// theorem's rate f = B/(cM) with c = 4, which keeps a round's failure
+// probability constant, so Wf/t stays bounded there too.
 func TestTheorem33LinearInT(t *testing.T) {
-	ratio := func(nb int) float64 {
-		init := extInit(nb + 1)
-		prog := &ScanSum{NBlocks: nb, OutBlock: nb, B: testB, M: 4 * testB}
-		natExt := append([]uint64(nil), init...)
-		tAcc, err := RunNative(&ScanSum{NBlocks: nb, OutBlock: nb, B: testB, M: 4 * testB}, natExt, testB, 1<<24)
-		if err != nil {
-			t.Fatal(err)
+	for _, row := range []struct {
+		mb     int // M/B
+		faulty bool
+		sizes  []int // t grows with the scanned blocks
+	}{
+		{mb: 4, sizes: []int{16, 256}},
+		{mb: 4, faulty: true, sizes: []int{32, 128, 512}},
+		{mb: 16, faulty: true, sizes: []int{32, 128, 512}},
+	} {
+		m := row.mb * testB
+		f := 0.0
+		if row.faulty {
+			f = float64(testB) / float64(4*m)
 		}
-		_, work := runPM(t, "ratio", prog, init, nb+1, fault.NoFaults{})
-		return float64(work) / float64(tAcc)
-	}
-	small := ratio(16)
-	large := ratio(256)
-	if large > small*1.5 {
-		t.Errorf("per-access cost grew %f -> %f; not O(t)", small, large)
+		t.Run(fmt.Sprintf("M/B=%d/f=%v", row.mb, f), func(t *testing.T) {
+			var ratios []float64
+			for _, nb := range row.sizes {
+				init := extInit(nb + 1)
+				natExt := append([]uint64(nil), init...)
+				tAcc, err := RunNative(&ScanSum{NBlocks: nb, OutBlock: nb, B: testB, M: m}, natExt, testB, 1<<24)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var inj fault.Injector = fault.NoFaults{}
+				if f > 0 {
+					inj = fault.NewIID(1, f, 3)
+				}
+				ext, work := runPM(t, "ratio", &ScanSum{NBlocks: nb, OutBlock: nb, B: testB, M: m}, init, nb+1, inj)
+				if ext[nb*testB] != natExt[nb*testB] {
+					t.Fatalf("t=%d: PM sum = %d, want %d", tAcc, ext[nb*testB], natExt[nb*testB])
+				}
+				ratios = append(ratios, float64(work)/float64(tAcc))
+				t.Logf("t=%d Wf=%d Wf/t=%.1f", tAcc, work, ratios[len(ratios)-1])
+			}
+			if small, large := ratios[0], ratios[len(ratios)-1]; large > small*1.5 {
+				t.Errorf("per-access cost grew %f -> %f; not O(t)", small, large)
+			}
+		})
 	}
 }
 

@@ -124,6 +124,7 @@ func TestTheorem32LinearOverhead(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, _, work := runSim(t, prog, []uint64{0}, fault.NewIID(1, 0.01, 9))
+		t.Logf("f=0.01 t=%d Wf=%d Wf/t=%.1f", steps, work, float64(work)/float64(steps))
 		return float64(work) / float64(steps)
 	}
 	small := ratio(10)

@@ -93,6 +93,7 @@ func TestMultipleBlocksIndependent(t *testing.T) {
 // conflict free; a capsule that reads a block strictly before writing it is
 // flagged.
 func TestPropertyFirstAccessDecides(t *testing.T) {
+	planted, clean := 0, 0
 	f := func(ops []bool, blocks []uint8) bool {
 		tr := New(true)
 		firstIsRead := map[int]bool{}
@@ -114,6 +115,11 @@ func TestPropertyFirstAccessDecides(t *testing.T) {
 				}
 			}
 		}
+		if len(expect) > 0 {
+			planted++
+		} else {
+			clean++
+		}
 		got := map[int]bool{}
 		for _, v := range tr.Violations() {
 			got[v.Block] = true
@@ -131,4 +137,5 @@ func TestPropertyFirstAccessDecides(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+	t.Logf("%d capsules with a planted conflict, %d clean", planted, clean)
 }

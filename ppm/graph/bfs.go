@@ -133,7 +133,7 @@ type bfs struct{ *MultiBFS }
 // register as bfs/<tag>, apart from a MultiBFS's msbfs/<tag>, so the two
 // kernels may share a tag on one runtime.
 func BFS(tag string, g Source, src int) ppm.Algorithm {
-	if n := g.epoch0().N; src < 0 || src >= n {
+	if n, _ := g.size(); src < 0 || src >= n {
 		panic(fmt.Sprintf("graph: BFS source %d out of range for n=%d", src, n))
 	}
 	return bfs{&MultiBFS{binding: binding{src: g}, kind: "bfs", tag: tag, kMax: 1, lastSrcs: []int{src}}}

@@ -80,7 +80,7 @@ func (a *CC) Name() string { return "cc/" + a.tag }
 
 // Build loads a *Graph source and registers the program on rt.
 func (a *CC) Build(rt *ppm.Runtime) {
-	n := a.src.epoch0().N
+	n, _ := a.src.size()
 	name := "graph/" + a.Name()
 	cs := a.bind(rt)
 	a.labels = [2]ppm.Array{rt.NewArray(n), rt.NewArray(n)}

@@ -46,3 +46,7 @@ func RoundKinds(a any) []string {
 	}
 	return out
 }
+
+// HoldsHostGraph reports whether r still points at the host graph it was
+// made from: Build drops it once epoch 0 is loaded.
+func HoldsHostGraph(r *Resident) bool { return r.base != nil }

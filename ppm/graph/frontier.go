@@ -126,8 +126,8 @@ func roundKind(cnt, seen, extent, fuse uint64, pulled bool) uint64 {
 	return kind
 }
 
-func newFrontier(rt *ppm.Runtime, name string, cs vcsr, g *Graph, rows int) *frontier {
-	n := g.N
+func newFrontier(rt *ppm.Runtime, name string, cs vcsr, arcs, rows int) *frontier {
+	n := cs.n
 	f := &frontier{n: n, cs: cs,
 		owner: rt.NewArray(rows * n),
 		level: [2]ppm.Array{rt.NewArray(rows * n), rt.NewArray(rows * n)},
@@ -136,9 +136,9 @@ func newFrontier(rt *ppm.Runtime, name string, cs vcsr, g *Graph, rows int) *fro
 		done:  rt.NewArray(2),
 	}
 	grain := grainsFor(rt)
-	// A round fuses when its entries and their arcs, at g's average degree,
-	// fit the engine's fuse budget.
-	fuse := uint64(grain.fuse * n / (n + g.Arcs()))
+	// A round fuses when its entries and their arcs, at the epoch-0 average
+	// degree, fit the engine's fuse budget.
+	fuse := uint64(grain.fuse * n / (n + arcs))
 	// The round trees' partial sums, heap-numbered from the root at 1; one
 	// block each, so a combine writes no block it read. Sized for the larger
 	// of the frontier tree, over at most rows·n slots, and the pull tree,

@@ -235,8 +235,9 @@ func Generate(kind string, n, m int, seed uint64) (*Graph, error) {
 type Source interface {
 	// bind returns the CSR the kernel's capsules read through slotW.
 	bind(rt *ppm.Runtime, slotW ppm.Array) vcsr
-	// epoch0 is the graph at epoch 0: what sizes the kernel.
-	epoch0() *Graph
+	// size is the vertex count and the epoch-0 arc count: what sizes the
+	// kernel.
+	size() (n, arcs int)
 	// slot is the version slot of the last committed epoch.
 	slot() int
 	// numSlots is the number of version slots a run may read.
@@ -258,7 +259,7 @@ func (g *Graph) bind(rt *ppm.Runtime, slotW ppm.Array) vcsr {
 	return vcsr{offs: offs, adj: adj, leaves: lt, slotW: slotW, n: g.N, cap: adj.Len()}
 }
 
-func (g *Graph) epoch0() *Graph    { return g }
+func (g *Graph) size() (int, int)  { return g.N, g.Arcs() }
 func (g *Graph) slot() int         { return 0 }
 func (g *Graph) numSlots() int     { return 1 }
 func (g *Graph) at(int) *Graph     { return g }

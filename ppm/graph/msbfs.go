@@ -68,10 +68,9 @@ func (a *MultiBFS) Name() string { return a.kind + "/" + a.tag }
 
 // Build loads a *Graph source and registers the batch program on rt.
 func (a *MultiBFS) Build(rt *ppm.Runtime) {
-	g := a.src.epoch0()
-	n := g.N
+	n, arcs := a.src.size()
 	name := "graph/" + a.Name()
-	a.fr = newFrontier(rt, name, a.bind(rt), g, a.kMax)
+	a.fr = newFrontier(rt, name, a.bind(rt), arcs, a.kMax)
 	// root takes [slot, src0, src1, …]: source s seeds row s.
 	a.root = rt.Register(name+"/root", func(c ppm.Ctx) {
 		a.slotW.Set(c, 0, c.Uint(0))

@@ -129,13 +129,15 @@ func (b MutationBatch) deltaCSR(n int) (insOffs, insTgts, delOffs, delTgts []uin
 // epoch-versioned CSR ring. Slot e%slots holds epoch e's arrays while e is
 // within the last `slots` committed epochs; Apply writes the next epoch's
 // slot and commits the durable epoch word as the final root-chain step.
-// The ring is the only copy of later epochs: Current and Arcs read it back
-// from an open runtime. Apply may be called concurrently: one batch is staged
-// and applied at a time, and a call that finds another in flight is refused.
+// Once Build has loaded epoch 0, the ring is the only copy of every epoch:
+// Current and Arcs read it back from an open runtime. Apply may be called
+// concurrently: one batch is staged and applied at a time, and a call that
+// finds another in flight is refused.
 type Resident struct {
 	tag      string
-	base     *Graph // epoch-0 host graph
+	base     *Graph // epoch-0 host graph, dropped once Build has loaded it
 	n        int
+	arcs0    int // epoch-0 arc count, which sizes the kernels' fuse count
 	slots    int
 	arcCap   int // arcs capacity per version slot
 	batchCap int // max edges per batch (staging capacity)
@@ -180,7 +182,7 @@ func NewResident(tag string, g *Graph, slots, arcCap, batchCap int) *Resident {
 	if min := len(g.Adj) + 2*batchCap; arcCap < min {
 		arcCap = min
 	}
-	return &Resident{tag: tag, base: g, n: g.N, slots: slots,
+	return &Resident{tag: tag, base: g, n: g.N, arcs0: len(g.Adj), slots: slots,
 		arcCap: arcCap, batchCap: batchCap}
 }
 
@@ -214,7 +216,7 @@ func (r *Resident) bind(_ *ppm.Runtime, slotW ppm.Array) vcsr {
 	return vcsr{offs: r.offs, adj: r.adj, leaves: r.leaves, slotW: slotW, n: r.n, cap: r.arcCap}
 }
 
-func (r *Resident) epoch0() *Graph    { return r.base }
+func (r *Resident) size() (int, int)  { return r.n, r.arcs0 }
 func (r *Resident) slot() int         { return int(r.Epoch() % uint64(r.slots)) }
 func (r *Resident) numSlots() int     { return r.slots }
 func (r *Resident) transpose() Source { return r }
@@ -250,6 +252,7 @@ func (r *Resident) Build(rt *ppm.Runtime) {
 	r.leaves = loadLeaves(rt, r.base.Offs)
 	r.adj = rt.NewArray(r.slots * r.arcCap)
 	r.adj.LoadAt(0, r.base.Adj) // slot 0
+	r.base = nil                // the ring is the only copy from here on
 	r.epochW = rt.NewArray(1)   // zero value = epoch 0
 	r.deg = rt.NewArray(n)
 	r.ndeg = rt.NewArray(n)

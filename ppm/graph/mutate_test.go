@@ -91,12 +91,13 @@ func sameGraph(t *testing.T, what string, got, want *graph.Graph) {
 	}
 }
 
-// TestResidentApplyBothEngines applies a batch sequence and, after every
-// commit, demands (a) Recovered() re-read the committed epoch from its durable
-// word, (b) the graph read back from that epoch's slot match an independent
-// ApplyTo chain, with Arcs agreeing, and (c) all three kernels over the Resident agree bit-exactly with host
-// references computed on the mutated graph and pass their own Verify, which
-// must check the slot the run read, not epoch 0.
+// TestResidentApplyBothEngines demands that Build drop the host graph it
+// loaded, applies a batch sequence and, after every commit, demands (a)
+// Recovered() re-read the committed epoch from its durable word, (b) the
+// graph read back from that epoch's slot match an independent ApplyTo chain,
+// with Arcs agreeing, and (c) all three kernels over the Resident agree
+// bit-exactly with host references computed on the mutated graph and pass
+// their own Verify, which must check the slot the run read, not epoch 0.
 func TestResidentApplyBothEngines(t *testing.T) {
 	for _, eng := range bothEngines {
 		eng := eng
@@ -106,6 +107,9 @@ func TestResidentApplyBothEngines(t *testing.T) {
 			rt := newRT(eng, 2)
 			defer rt.Close()
 			res.Build(rt)
+			if graph.HoldsHostGraph(res) {
+				t.Fatal("Build kept the host graph: the ring must be the only copy")
+			}
 			ms := graph.NewMultiBFSResident("apply", res, 2)
 			ms.Build(rt)
 			cc := graph.Components("apply", res)

@@ -40,14 +40,16 @@ type PR struct {
 // PageRank builds iters rounds of pull-style PageRank over g. Output is the
 // final rank vector as float64 bits; Verify demands bitwise equality with a
 // sequential reference in the same summation order plus the geometric
-// residual bound. It panics unless every vertex's in-degree equals its
-// out-degree (g.Reverse().Offs == g.Offs), as every symmetric graph's does.
+// residual bound. On a *Graph it panics unless every vertex's in-degree
+// equals its out-degree (g.Reverse().Offs == g.Offs), as every symmetric
+// graph's does; a Resident is its own transpose, its batches keeping it
+// symmetric.
 func PageRank(tag string, g Source, iters int) *PR {
 	if iters < 1 {
 		panic("graph: PageRank needs at least one iteration")
 	}
 	in := g.transpose()
-	if !slices.Equal(in.epoch0().Offs, g.epoch0().Offs) {
+	if rev, ok := in.(*Graph); ok && !slices.Equal(rev.Offs, g.(*Graph).Offs) {
 		panic("graph: PageRank needs every in-degree equal to the out-degree (Reverse().Offs == Offs)")
 	}
 	return &PR{binding: binding{src: in}, tag: tag, iters: iters}
@@ -57,7 +59,7 @@ func (a *PR) Name() string { return "pagerank/" + a.tag }
 
 // Build loads a *Graph source's in-lists and registers the program on rt.
 func (a *PR) Build(rt *ppm.Runtime) {
-	n := a.src.epoch0().N
+	n, _ := a.src.size()
 	name := "graph/" + a.Name()
 	grain := grainsFor(rt)
 	in := a.bind(rt)

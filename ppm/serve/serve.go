@@ -376,8 +376,8 @@ func (s *Server) Submit(q Query) (*Result, error) {
 	if err != nil {
 		return s.refuse(err)
 	}
-	if sourced && (q.Source < 0 || q.Source >= e.g.N) {
-		return nil, fmt.Errorf("serve: %s source %d out of range for n=%d", q.Kind, q.Source, e.g.N)
+	if sourced && (q.Source < 0 || q.Source >= e.n) {
+		return nil, fmt.Errorf("serve: %s source %d out of range for n=%d", q.Kind, q.Source, e.n)
 	}
 
 	// Pin the graph version: the answer is computed against the epoch
@@ -785,7 +785,7 @@ func (s *Server) newEntry(spec GraphSpec, g *graph.Graph, rt *ppm.Runtime, durab
 	e := &entry{
 		srv:         s,
 		key:         spec.Key(),
-		g:           g,
+		n:           g.N,
 		rt:          rt,
 		res:         res,
 		durablePath: durablePath,
@@ -853,7 +853,7 @@ type memoEntry struct {
 type entry struct {
 	srv   *Server
 	key   string
-	g     *graph.Graph // epoch-0 base graph (N is fixed under mutation)
+	n     int // vertex count, fixed under mutation
 	rt    *ppm.Runtime
 	res   *graph.Resident
 	ms    *graph.MultiBFS
@@ -1203,7 +1203,7 @@ func (e *entry) serveEpoch(k *kind, ep uint64, ps []*pending) {
 		rows := make([]*Result, len(srcs))
 		for i, src := range srcs {
 			r := k.answer(e, i, src)
-			r.Kind, r.Source, r.N, r.Epoch = k.name, src, e.g.N, ep
+			r.Kind, r.Source, r.N, r.Epoch = k.name, src, e.n, ep
 			e.remember(memoKey{k.name, src, ep}, r)
 			rows[i] = r
 		}
@@ -1228,7 +1228,7 @@ func (e *entry) serveMut(ps []*pending) {
 		}
 		e.srv.ctr.mutations.Add(1)
 		e.pruneMemos()
-		p.finish(&Result{Kind: "mutate", N: e.g.N, Epoch: e.res.Epoch(),
+		p.finish(&Result{Kind: "mutate", N: e.n, Epoch: e.res.Epoch(),
 			Extra: uint64(p.mut.Edges()), Checksum: uint64(e.res.Arcs())}, nil)
 	}
 }
