@@ -43,15 +43,20 @@ func main() {
 		if eng == ppm.EngineNative {
 			faultRate = 2e-5
 		}
-		rt := ppm.New(
+		opts := []ppm.Option{
 			ppm.WithEngine(eng),
 			ppm.WithProcs(4),
 			ppm.WithFaultRate(faultRate),
-			ppm.WithHardFault(0, 5000), // one node dies mid-batch (model engine only)
 			ppm.WithSeed(99),
-			ppm.WithEphWords(1<<13),
-			ppm.WithMemWords(1<<24),
-		)
+			ppm.WithEphWords(1 << 13),
+			ppm.WithMemWords(1 << 24),
+		}
+		if eng == ppm.EngineModel {
+			// One node dies mid-batch. Only the model simulates hard faults;
+			// New refuses WithHardFault on the native engine.
+			opts = append(opts, ppm.WithHardFault(0, 5000))
+		}
+		rt := ppm.New(opts...)
 		algo.Build(rt)
 		start := time.Now()
 		if !algo.Run() {

@@ -5,9 +5,9 @@
 //
 // The package supplies pluggable injectors so experiments can run the same
 // computation faultlessly (to measure W and D), under i.i.d. soft faults with
-// a given f (to measure Wf and Tf), under scripted hard-fault schedules, or
-// under deterministic "fault the k-th access" scripts used by unit tests to
-// reach specific interleavings.
+// a given f (to measure Wf and Tf), or under a Script that soft- or
+// hard-faults a processor at its k-th access (to place a death or reach a
+// specific interleaving); First composes them.
 package fault
 
 import (
@@ -71,8 +71,10 @@ func (in *IID) At(proc int) Kind {
 	return None
 }
 
-// Script faults specific processors at specific access indices. Used by unit
-// tests to force exact interleavings (e.g. "die right after the CAM").
+// Script faults specific processors at specific access indices: a soft fault
+// to force an exact interleaving (e.g. "replay right after the CAM"), a hard
+// fault to place a death. A hard fault is reported once, at its ordinal; the
+// machine never queries a dead processor again.
 type Script struct {
 	mu      sync.Mutex
 	counts  map[int]int64
@@ -110,37 +112,20 @@ func (s *Script) At(proc int) Kind {
 	return None
 }
 
-// Combined layers a hard-fault schedule over a soft-fault injector: procs in
-// dieAt hard-fault at the given access index; otherwise the base injector
-// decides.
-type Combined struct {
-	Base  Injector
-	mu    sync.Mutex
-	count map[int]int64
-	dieAt map[int]int64
-}
+// First composes injectors: it consults each in order and reports the first
+// non-None verdict. Every injector sees every fault point, so the ordinals a
+// Script counts and the draws an IID makes stay those of the bare injector.
+type First []Injector
 
-// NewCombined wraps base with hard faults: processor p dies at its dieAt[p]-th
-// fault point.
-func NewCombined(base Injector, dieAt map[int]int64) *Combined {
-	d := make(map[int]int64, len(dieAt))
-	for k, v := range dieAt {
-		d[k] = v
+// At reports the first non-None verdict of the injectors.
+func (f First) At(proc int) Kind {
+	verdict := None
+	for _, in := range f {
+		if k := in.At(proc); k != None && verdict == None {
+			verdict = k
+		}
 	}
-	return &Combined{Base: base, count: map[int]int64{}, dieAt: d}
-}
-
-// At applies the hard-fault schedule first, then defers to the base injector.
-func (c *Combined) At(proc int) Kind {
-	c.mu.Lock()
-	n := c.count[proc]
-	c.count[proc] = n + 1
-	die, ok := c.dieAt[proc]
-	c.mu.Unlock()
-	if ok && n >= die {
-		return Hard
-	}
-	return c.Base.At(proc)
+	return verdict
 }
 
 // Liveness is the model's liveness oracle isLive(procID). The scheduler uses

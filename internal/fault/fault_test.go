@@ -75,23 +75,39 @@ func TestScript(t *testing.T) {
 	}
 }
 
-func TestCombinedHardFaultFires(t *testing.T) {
-	c := NewCombined(NoFaults{}, map[int]int64{0: 3})
-	for i := 0; i < 3; i++ {
-		if c.At(0) != None {
-			t.Fatalf("early fault at access %d", i)
+// TestFirstScriptBeforeIID: a Script in front of an IID leaves the IID's
+// verdicts untouched before a scripted hard fault, but for a scripted soft
+// fault at its own ordinal, and reports Hard at its ordinal; every injector
+// sees every access, so the IID's draws stay aligned past the soft fault.
+// Other processors see the bare IID throughout.
+func TestFirstScriptBeforeIID(t *testing.T) {
+	const soft, k = 10, 40
+	bare := NewIID(2, 0.2, 11)
+	f := First{NewScript().Add(0, soft, Soft).Add(0, k, Hard), NewIID(2, 0.2, 11)}
+	draws := 0
+	for i := 0; i < k; i++ {
+		want := bare.At(0)
+		if want == Soft {
+			draws++
+		}
+		if i == soft {
+			want = Soft
+		}
+		if got := f.At(0); got != want {
+			t.Fatalf("proc 0 access %d: got %v, want %v", i, got, want)
 		}
 	}
-	if c.At(0) != Hard {
-		t.Fatal("hard fault did not fire at index 3")
+	if draws == 0 {
+		t.Fatal("the IID drew no soft fault before the hard one; the check saw nothing")
 	}
-	// Hard faults are sticky: any later query still reports Hard.
-	if c.At(0) != Hard {
-		t.Fatal("hard fault not sticky")
+	bare.At(0)
+	if got := f.At(0); got != Hard {
+		t.Fatalf("proc 0 access %d: got %v, want Hard", k, got)
 	}
-	// Other processors unaffected.
-	if c.At(1) != None {
-		t.Fatal("unrelated proc faulted")
+	for i := 0; i < 2*k; i++ {
+		if got, want := f.At(1), bare.At(1); got != want {
+			t.Fatalf("proc 1 access %d: got %v, want the bare IID's %v", i, got, want)
+		}
 	}
 }
 

@@ -146,14 +146,14 @@ func TestTreeSumSoftFaults(t *testing.T) {
 	}
 }
 
-// victimsFirst is a hard-fault schedule whose deaths fire on a host with
-// fewer cores than processors. Processors are goroutines, so a victim the Go
+// victimsFirst hard-faults each victim once, at its ordinal, as a Script's
+// Hard entries would, and makes those deaths fire on a host with fewer cores
+// than processors. Processors are goroutines, so a victim the Go
 // scheduler has not run yet may reach none of its fault points before the
 // survivors finish. Until every victim has reached its ordinal, a survivor
 // sleeps briefly at each of its fault points. Which accesses fault is
 // unchanged.
 type victimsFirst struct {
-	fault.Injector
 	dieAt map[int]int64
 	mu    sync.Mutex
 	count map[int]int64
@@ -161,8 +161,7 @@ type victimsFirst struct {
 }
 
 func newVictimsFirst(dieAt map[int]int64) *victimsFirst {
-	return &victimsFirst{Injector: fault.NewCombined(fault.NoFaults{}, dieAt),
-		dieAt: dieAt, count: map[int]int64{}}
+	return &victimsFirst{dieAt: dieAt, count: map[int]int64{}}
 }
 
 func (v *victimsFirst) At(proc int) fault.Kind {
@@ -170,7 +169,8 @@ func (v *victimsFirst) At(proc int) fault.Kind {
 	n := v.count[proc]
 	v.count[proc] = n + 1
 	die, victim := v.dieAt[proc]
-	if victim && n == die {
+	hit := victim && n == die
+	if hit {
 		v.fired++
 	}
 	wait := !victim && v.fired < len(v.dieAt)
@@ -178,7 +178,10 @@ func (v *victimsFirst) At(proc int) fault.Kind {
 	if wait {
 		time.Sleep(50 * time.Microsecond)
 	}
-	return v.Injector.At(proc)
+	if hit {
+		return fault.Hard
+	}
+	return fault.None
 }
 
 func TestTreeSumHardFaults(t *testing.T) {
@@ -204,7 +207,7 @@ func TestTreeSumHardFaults(t *testing.T) {
 func TestTreeSumRootProcDies(t *testing.T) {
 	// Even the processor running the root thread may die; its in-progress
 	// capsule must be taken over via the local-entry steal path.
-	inj := fault.NewCombined(fault.NoFaults{}, map[int]int64{0: 25})
+	inj := fault.NewScript().Add(0, 25, fault.Hard)
 	ts := newTreeSum(machine.Config{P: 4, Check: true, Injector: inj}, 512, 16)
 	if got := ts.run(t); got != ts.expected() {
 		t.Errorf("sum = %d, want %d", got, ts.expected())
@@ -218,8 +221,8 @@ func TestTreeSumRootProcDies(t *testing.T) {
 func TestTreeSumSoftAndHardFaults(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			inj := fault.NewCombined(fault.NewIID(4, 0.01, seed),
-				map[int]int64{2: int64(150 + seed*31)})
+			inj := fault.First{fault.NewScript().Add(2, int64(150+seed*31), fault.Hard),
+				fault.NewIID(4, 0.01, seed)}
 			ts := newTreeSum(machine.Config{P: 4, Check: true, Seed: seed, Injector: inj}, 256, 8)
 			if got := ts.run(t); got != ts.expected() {
 				t.Errorf("sum = %d, want %d", got, ts.expected())
@@ -243,7 +246,7 @@ func TestTreeDequeTransitionsValid(t *testing.T) {
 				if f > 0 {
 					base = fault.NewIID(p, f, seed)
 				}
-				inj := fault.NewCombined(base, map[int]int64{p - 1: 400})
+				inj := fault.First{fault.NewScript().Add(p-1, 400, fault.Hard), base}
 				ts := newTreeSum(machine.Config{P: p, Check: true, Seed: seed, Injector: inj}, 2048, 32)
 				l := ts.fj.Scheduler().Layout()
 				isEntry := map[pmem.Addr]bool{}

@@ -46,7 +46,7 @@ func TestHardFaultAtJoinWindow(t *testing.T) {
 	for k := int64(20); k < 160; k += 4 {
 		k := k
 		t.Run(fmt.Sprintf("die@%d", k), func(t *testing.T) {
-			inj := fault.NewCombined(fault.NoFaults{}, map[int]int64{1: k})
+			inj := fault.NewScript().Add(1, k, fault.Hard)
 			ts := newTreeSum(machine.Config{P: 3, Seed: 22, Check: true, Injector: inj}, 96, 8)
 			if got := ts.run(t); got != ts.expected() {
 				t.Fatalf("sum = %d, want %d", got, ts.expected())

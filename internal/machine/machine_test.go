@@ -171,6 +171,37 @@ func TestHardFaultKillsProcessor(t *testing.T) {
 	}
 }
 
+// TestDeadProcStaysDeadAcrossRuns: a processor a Script hard-faulted runs
+// nothing on a later Run, even with a restart pointer installed. The Script
+// answers Hard once, at its ordinal, so the machine itself keeps the
+// processor dead.
+func TestDeadProcStaysDeadAcrossRuns(t *testing.T) {
+	m := New(Config{P: 2, Injector: fault.NewScript().Add(1, 2, fault.Hard)})
+	cells := [2]pmem.Addr{m.HeapAllocBlocks(1), m.HeapAllocBlocks(1)}
+	fid := m.Registry.Register("mark", func(e capsule.Env) {
+		e.Write(cells[e.ProcID()], e.Arg(0))
+		e.Halt()
+	})
+	for run := uint64(1); run <= 2; run++ {
+		for p := 0; p < 2; p++ {
+			m.SetRestart(p, m.BuildClosure(p, fid, pmem.Nil, run))
+		}
+		m.Run()
+		// Proc 1's accesses are its restart load (0), the closure header
+		// (1) and the write (2), where it dies.
+		if got := m.Mem.Read(cells[0]); got != run {
+			t.Errorf("run %d: proc 0 cell = %d, want %d", run, got, run)
+		}
+		if got := m.Mem.Read(cells[1]); got != 0 {
+			t.Errorf("run %d: dead proc 1 wrote its cell (%d)", run, got)
+		}
+		if !m.Proc(1).Dead() || m.Stats.Summarize().Dead != 1 {
+			t.Errorf("run %d: proc 1 dead = %v, summary Dead = %d; want true, 1",
+				run, m.Proc(1).Dead(), m.Stats.Summarize().Dead)
+		}
+	}
+}
+
 func TestPersistentCallChain(t *testing.T) {
 	// callee writes its result into the continuation closure's result slot
 	// (arg 0), then installs the continuation — the §4.1 convention.

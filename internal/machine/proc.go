@@ -85,22 +85,18 @@ func newProc(m *Machine, id int, seed uint64) *Proc {
 
 // loop is the processor's top-level run loop: load restart pointer, run the
 // capsule it designates, repeat; a soft fault replays, a hard fault kills.
+// A dead processor returns at once: hard faults are permanent, and an
+// injector reports one only at the access it strikes.
 func (p *Proc) loop() {
-	for !p.haltAfter {
+	for !p.haltAfter && !p.dead {
 		rp, ok := p.loadRestart()
 		if !ok {
-			if p.dead {
-				return
-			}
-			continue // soft fault on the restart load itself; retry
+			continue // a fault on the restart load itself: retry, unless hard
 		}
 		if rp == HaltWord {
 			return
 		}
 		p.runCapsule(pmem.Addr(rp))
-		if p.dead {
-			return
-		}
 	}
 }
 

@@ -231,7 +231,9 @@ type Runtime struct {
 	// defined ErrBusy on overlap) and taken by Close so shutdown waits for
 	// any in-flight run. runGen and stopping are guarded by parkMu. runDone
 	// holds the one token the last worker out of a run sends; it is made
-	// once, so a run allocates no channel.
+	// once, so a run allocates no channel. root and rootJoin are TryRun's
+	// root task and its join, reset by each run under runMu; they never
+	// enter a worker's free list.
 	runMu    sync.Mutex
 	closed   atomic.Bool
 	parkMu   sync.Mutex
@@ -242,6 +244,8 @@ type Runtime struct {
 	started  bool // workers launched (guarded by runMu)
 	active   atomic.Int32
 	wg       sync.WaitGroup
+	root     task
+	rootJoin join
 }
 
 // New builds a native runtime. With Config.DurablePath set it creates the
@@ -474,9 +478,9 @@ func (rt *Runtime) TryRun(root capsule.FuncID, args ...uint64) (bool, error) {
 	if rt.region != nil && !rt.beginDurableRun(root, args) {
 		return false, rt.syncErr
 	}
-	rootJoin := &join{}
-	rootJoin.pending.Store(1)
-	return rt.runLocked(&task{kind: taskUser, fn: root, args: args, join: rootJoin, chainTail: true})
+	rt.rootJoin.pending.Store(1)
+	rt.root = task{kind: taskUser, fn: root, args: args, join: &rt.rootJoin, chainTail: true}
+	return rt.runLocked(&rt.root)
 }
 
 // runLocked pushes t, the run's root, onto worker 0's deque and drives the
@@ -818,7 +822,9 @@ func (w *Ctx) execute(t *task) {
 		if w.rt.cfg.Persist {
 			w.persistPoint()
 		}
-		w.freeTask(t)
+		if t != &w.rt.root {
+			w.freeTask(t)
+		}
 		t = w.next
 	}
 }
@@ -952,11 +958,11 @@ func (w *Ctx) resolve(j *join) {
 		return
 	}
 	cont := j.cont
-	w.freeJoin(j)
 	if cont == nil {
-		w.rt.endRun() // root completion
+		w.rt.endRun() // root completion; the root join is not the worker's to free
 		return
 	}
+	w.freeJoin(j)
 	w.next = cont
 }
 

@@ -109,8 +109,9 @@ func TestFanoutSoftFaults(t *testing.T) {
 func TestFanoutHardFaults(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			inj := fault.NewCombined(fault.NewIID(4, 0.01, seed),
-				map[int]int64{1: int64(15 + seed*11), 2: int64(40 + seed*17)})
+			inj := fault.First{fault.NewScript().
+				Add(1, int64(15+seed*11), fault.Hard).
+				Add(2, int64(40+seed*17), fault.Hard), fault.NewIID(4, 0.01, seed)}
 			fo := newFanout(machine.Config{P: 4, Seed: seed, Check: true, Injector: inj}, 40)
 			fo.run(t)
 		})
@@ -121,7 +122,7 @@ func TestFanoutHardFaults(t *testing.T) {
 // entry rewrite against the Figure 4 transition table (plus the documented
 // Lemma A.12 exception), across a faulty multi-processor run.
 func TestDequeTransitionsValid(t *testing.T) {
-	inj := fault.NewCombined(fault.NewIID(4, 0.02, 9), map[int]int64{2: 60})
+	inj := fault.First{fault.NewScript().Add(2, 60, fault.Hard), fault.NewIID(4, 0.02, 9)}
 	fo := newFanout(machine.Config{P: 4, Seed: 9, Injector: inj}, 48)
 	l := fo.s.Layout()
 

@@ -37,7 +37,7 @@ func TestHardFaultSweep(t *testing.T) {
 	for k := int64(0); k < maxAcc; k += step {
 		k := k
 		t.Run(fmt.Sprintf("die@%d", k), func(t *testing.T) {
-			inj := fault.NewCombined(fault.NoFaults{}, map[int]int64{0: k})
+			inj := fault.NewScript().Add(0, k, fault.Hard)
 			fo := newFanout(machine.Config{P: 2, Seed: 42, Check: true, Injector: inj}, 12)
 			fo.run(t) // asserts completion and per-leaf results
 			// Whether the death fires depends on proc 0 reaching fault
@@ -72,14 +72,14 @@ func TestSoftFaultSweep(t *testing.T) {
 	}
 }
 
-// victimsFirst is a hard-fault schedule whose deaths fire on a host with
-// fewer cores than processors. Processors are goroutines, so a victim the Go
+// victimsFirst hard-faults each victim once, at its ordinal, as a Script's
+// Hard entries would, and makes those deaths fire on a host with fewer cores
+// than processors. Processors are goroutines, so a victim the Go
 // scheduler has not run yet may reach none of its fault points before the
 // survivors finish. Until every victim has reached its ordinal, a survivor
 // sleeps briefly at each of its fault points. Which accesses fault is
 // unchanged.
 type victimsFirst struct {
-	fault.Injector
 	dieAt map[int]int64
 	mu    sync.Mutex
 	count map[int]int64
@@ -87,8 +87,7 @@ type victimsFirst struct {
 }
 
 func newVictimsFirst(dieAt map[int]int64) *victimsFirst {
-	return &victimsFirst{Injector: fault.NewCombined(fault.NoFaults{}, dieAt),
-		dieAt: dieAt, count: map[int]int64{}}
+	return &victimsFirst{dieAt: dieAt, count: map[int]int64{}}
 }
 
 func (v *victimsFirst) At(proc int) fault.Kind {
@@ -96,7 +95,8 @@ func (v *victimsFirst) At(proc int) fault.Kind {
 	n := v.count[proc]
 	v.count[proc] = n + 1
 	die, victim := v.dieAt[proc]
-	if victim && n == die {
+	hit := victim && n == die
+	if hit {
 		v.fired++
 	}
 	wait := !victim && v.fired < len(v.dieAt)
@@ -104,7 +104,10 @@ func (v *victimsFirst) At(proc int) fault.Kind {
 	if wait {
 		time.Sleep(50 * time.Microsecond)
 	}
-	return v.Injector.At(proc)
+	if hit {
+		return fault.Hard
+	}
+	return fault.None
 }
 
 // TestDoubleHardFault: both processors of the pair holding work die at

@@ -6,10 +6,10 @@ import (
 
 	"repro/internal/algos/blockio"
 	"repro/internal/capsule"
-	"repro/internal/core"
 	"repro/internal/forkjoin"
 	"repro/internal/machine"
 	"repro/internal/pmem"
+	"repro/internal/sched"
 )
 
 // Engine names an execution backend.
@@ -21,7 +21,8 @@ import (
 //   - EngineNative is a real goroutine-per-processor work-stealing runtime
 //     (internal/native) executing the same programs directly on hardware —
 //     orders of magnitude faster, with optional capsule-boundary
-//     persistence points, but no fault injection and word-granular (not
+//     persistence points and soft faults emulated by capsule replay
+//     (WithFaultRate), but no placed or hard faults and word-granular (not
 //     block-granular) access counters.
 //
 // Programs written against Ctx and Array run on either engine unchanged.
@@ -105,38 +106,42 @@ type capCtx interface {
 
 // ---- model engine ----
 
-// modelEngine wraps the assembled simulator (machine + scheduler +
-// fork-join) behind the engine seam. The lifecycle flags give the simulator
-// the same defined misuse errors as the native backend: a second Run while
-// one is stepping the machine would corrupt closure-pool state, so it is
-// refused, and a closed engine refuses to run at all (the simulator has no
-// worker goroutines or region to release — Close only latches the flag).
+// modelEngine wraps the simulator (the machine, the §6 work-stealing
+// scheduler over it, and the §4 fork-join layer over both) behind the engine
+// seam. The lifecycle flags give the simulator the same defined misuse
+// errors as the native backend: a second Run while one is stepping the
+// machine would corrupt closure-pool state, so it is refused, and a closed
+// engine refuses to run at all (the simulator has no worker goroutines or
+// region to release — Close only latches the flag).
 type modelEngine struct {
-	rt      *core.Runtime
+	mach    *machine.Machine
+	fj      *forkjoin.FJ
 	running atomic.Bool
 	closed  atomic.Bool
 }
 
+// dequeEntries is the scheduler's per-processor deque capacity.
+const dequeEntries = 4096
+
 func newModelEngine(c config) *modelEngine {
-	return &modelEngine{rt: core.New(core.Config{
-		P:          c.procs,
-		BlockWords: c.blockWords,
-		EphWords:   c.ephWords,
-		MemWords:   c.memWords,
-		PoolWords:  c.poolWords,
-		FaultRate:  c.faultRate,
-		Seed:       c.seed,
-		Check:      c.warCheck,
-		Injector:   c.buildInjector(),
-	})}
+	m := machine.New(machine.Config{
+		P:         c.procs,
+		EphWords:  c.ephWords,
+		MemWords:  c.memWords,
+		PoolWords: c.poolWords,
+		Seed:      c.seed,
+		Check:     c.warCheck,
+		Injector:  c.buildInjector(),
+	})
+	return &modelEngine{mach: m, fj: forkjoin.New(m, sched.New(m, dequeEntries))}
 }
 
 func (m *modelEngine) name() Engine { return EngineModel }
 
 func (m *modelEngine) register(name string, fn Func, rt *Runtime) FuncRef {
-	b := m.rt.Machine.BlockWords()
-	fid := m.rt.Machine.Registry.Register(name, func(e capsule.Env) {
-		fn(Ctx{e: &modelCtx{e: e, fj: m.rt.FJ, b: b}, rt: rt})
+	b := m.mach.BlockWords()
+	fid := m.mach.Registry.Register(name, func(e capsule.Env) {
+		fn(Ctx{e: &modelCtx{e: e, fj: m.fj, b: b}, rt: rt})
 	})
 	return FuncRef{fid: fid}
 }
@@ -154,12 +159,12 @@ func (m *modelEngine) tryRun(root FuncRef, args []uint64) (bool, error) {
 	// forever, so it is refused up front. A fresh machine has no dead
 	// processors, so first runs — including the hard-fault sweeps, whose
 	// deaths happen mid-run — are never affected.
-	for p := 0; p < m.rt.Machine.P(); p++ {
-		if m.rt.Machine.Proc(p).Dead() {
+	for p := 0; p < m.mach.P(); p++ {
+		if m.mach.Proc(p).Dead() {
 			return false, ErrRuntimeDead
 		}
 	}
-	return m.rt.Run(root.fid, args...), nil
+	return m.fj.Run(root.fid, args...), nil
 }
 
 func (m *modelEngine) close() error {
@@ -170,31 +175,30 @@ func (m *modelEngine) close() error {
 func (m *modelEngine) isClosed() bool { return m.closed.Load() }
 
 func (m *modelEngine) runOnAll(fn FuncRef, args []uint64) {
-	mach := m.rt.Machine
-	for p := 0; p < mach.P(); p++ {
-		mach.SetRestart(p, mach.BuildClosure(p, fn.fid, pmem.Nil, args...))
+	for p := 0; p < m.mach.P(); p++ {
+		m.mach.SetRestart(p, m.mach.BuildClosure(p, fn.fid, pmem.Nil, args...))
 	}
-	mach.Run()
+	m.mach.Run()
 }
 
-func (m *modelEngine) heapAllocBlocks(n int) Addr { return m.rt.Machine.HeapAllocBlocks(n) }
-func (m *modelEngine) engineStats() Stats         { return m.rt.Stats() }
+func (m *modelEngine) heapAllocBlocks(n int) Addr { return m.mach.HeapAllocBlocks(n) }
+func (m *modelEngine) engineStats() Stats         { return m.mach.Stats.Summarize() }
 func (m *modelEngine) allocStats() AllocStats     { return AllocStats{} }
 func (m *modelEngine) schedStats() SchedStats     { return SchedStats{} }
-func (m *modelEngine) procs() int                 { return m.rt.Machine.P() }
-func (m *modelEngine) blockWords() int            { return m.rt.Machine.BlockWords() }
-func (m *modelEngine) warViolations() []string    { return m.rt.Machine.WARViolations() }
-func (m *modelEngine) machine() *machine.Machine  { return m.rt.Machine }
+func (m *modelEngine) procs() int                 { return m.mach.P() }
+func (m *modelEngine) blockWords() int            { return m.mach.BlockWords() }
+func (m *modelEngine) warViolations() []string    { return m.mach.WARViolations() }
+func (m *modelEngine) machine() *machine.Machine  { return m.mach }
 
 func (m *modelEngine) memReadRange(a Addr, dst []uint64) {
 	for i := range dst {
-		dst[i] = m.rt.Machine.Mem.Read(a + Addr(i))
+		dst[i] = m.mach.Mem.Read(a + Addr(i))
 	}
 }
 
 func (m *modelEngine) memWriteRange(a Addr, vals []uint64) {
 	for i, v := range vals {
-		m.rt.Machine.Mem.Write(a+Addr(i), v)
+		m.mach.Mem.Write(a+Addr(i), v)
 	}
 }
 

@@ -186,6 +186,21 @@ func NewResident(tag string, g *Graph, slots, arcCap, batchCap int) *Resident {
 		arcCap: arcCap, batchCap: batchCap}
 }
 
+// MinBuildWords is a lower bound on the heap words that Build allocates for
+// a Resident of n vertices with NewResident's slots and batchCap, and for a
+// MultiBFS of width kMax, Components and PageRank over it: the arrays whose
+// lengths n and those widths fix, each slot's arcs counted at the least
+// capacity NewResident gives it. A runtime with fewer MemWords cannot build
+// them, so a caller can refuse such a graph before generating it.
+func MinBuildWords(n, slots, batchCap, kMax int) int {
+	slots, batchCap = max(slots, 2), max(batchCap, 1)
+	kMax = min(max(kMax, 1), maxBatchWidth)
+	resident := slots*(n+1) + slots*2*batchCap + // offsets and arcs ring
+		1 + 2*n + 2*(n+1) + 4*batchCap + 2 // epoch, degrees, staging, mutW
+	msbfs := 5*kMax*n + n + 1 + 2       // owner, levels, fronts, kinds, done
+	return resident + msbfs + 2*n + 3*n // CC labels; PageRank ranks, contrib
+}
+
 // Epoch returns the last committed epoch. This is the "pin" operation: a
 // reader captures the epoch at admission and later binds its run to that
 // epoch's slot via SlotFor.

@@ -561,3 +561,32 @@ func TestMutationBatchApplyTo(t *testing.T) {
 		t.Fatalf("Edges = %d, want 3", n)
 	}
 }
+
+// TestMinBuildWordsIsALowerBound: the serving layer's four builds on one
+// native runtime take at least MinBuildWords heap words, so a refusal from
+// the bound never refuses a graph that fits. kMax 20 checks the bound caps
+// the width as NewMultiBFS does.
+func TestMinBuildWordsIsALowerBound(t *testing.T) {
+	for _, tc := range []struct{ n, slots, batchCap, kMax int }{
+		{1, 2, 1, 1},
+		{200, 2, 1024, 4},
+		{3000, 3, 64, 8},
+		{3000, 2, 16, 20},
+	} {
+		g := graph.Rand(tc.n, 2*tc.n, 3)
+		rt := ppm.New(ppm.WithEngine(ppm.EngineNative), ppm.WithProcs(2), ppm.WithMemWords(1<<22))
+		before := rt.AllocStats().HeapWords
+		res := graph.NewResident("floor", g, tc.slots, 0, tc.batchCap)
+		res.Build(rt)
+		graph.NewMultiBFS("floor", res, tc.kMax).Build(rt)
+		graph.Components("floor", res).Build(rt)
+		graph.PageRank("floor", res, 2).Build(rt)
+		used := rt.AllocStats().HeapWords - before
+		rt.Close()
+		bound := graph.MinBuildWords(tc.n, tc.slots, tc.batchCap, tc.kMax)
+		if int64(bound) > used {
+			t.Errorf("%+v: bound %d words, builds used %d", tc, bound, used)
+		}
+		t.Logf("%+v: bound %d words, builds used %d", tc, bound, used)
+	}
+}

@@ -2,6 +2,8 @@ package ppm
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -285,5 +287,92 @@ func TestModelCloseLatches(t *testing.T) {
 	}
 	if _, err := rt.TryRun(root); !errors.Is(err, ErrRuntimeClosed) {
 		t.Fatalf("TryRun after Close = %v, want ErrRuntimeClosed", err)
+	}
+}
+
+// TestUnsupportedOptionRefused: an option the selected engine cannot honour
+// is refused with ErrUnsupportedOption, by a panic from New or an error from
+// Recover, and before New creates a region file. The simulator-sizing
+// options stay accepted on the native engine, which ignores them.
+func TestUnsupportedOptionRefused(t *testing.T) {
+	dir := t.TempDir()
+	native := WithEngine(EngineNative)
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"native/WithHardFault", []Option{native, WithProcs(2), WithHardFault(1, 10)}},
+		{"native/WithSoftFaultAt", []Option{native, WithSoftFaultAt(0, 10)}},
+		{"native/both", []Option{native, WithSoftFaultAt(0, 10), WithHardFault(0, 20)}},
+		{"model/WithNativePersist", []Option{WithNativePersist()}},
+		{"model/WithNativeDurable", []Option{WithEngine(EngineModel), WithNativeDurable(filepath.Join(dir, "model.region"))}},
+	} {
+		t.Run("New/"+tc.name, func(t *testing.T) {
+			defer func() {
+				err, _ := recover().(error)
+				if !errors.Is(err, ErrUnsupportedOption) {
+					t.Fatalf("New panicked with %v, want ErrUnsupportedOption", err)
+				}
+			}()
+			New(tc.opts...).Close()
+		})
+	}
+	if _, err := os.Stat(filepath.Join(dir, "model.region")); !os.IsNotExist(err) {
+		t.Errorf("refused WithNativeDurable left a region file (stat: %v)", err)
+	}
+
+	path := filepath.Join(dir, "native.region")
+	rt := New(native, WithProcs(2), WithNativeDurable(path))
+	root, _ := busyWork(rt, 64, 1)
+	if ok, err := rt.TryRun(root); err != nil || !ok {
+		t.Fatalf("durable run: ok=%v err=%v", ok, err)
+	}
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"WithHardFault", []Option{WithHardFault(0, 10)}},
+		{"WithSoftFaultAt", []Option{WithSoftFaultAt(1, 10)}},
+		{"WithEngine(model)", []Option{WithEngine(EngineModel)}},
+	} {
+		if rec, err := Recover(path, tc.opts...); !errors.Is(err, ErrUnsupportedOption) {
+			if rec != nil {
+				rec.Close()
+			}
+			t.Errorf("Recover with %s = %v, want ErrUnsupportedOption", tc.name, err)
+		}
+	}
+	rec, err := Recover(path, WithSeed(3))
+	if err != nil {
+		t.Fatalf("Recover with portable options: %v", err)
+	}
+	rec.Close()
+
+	// Accepted and ignored: the same program computes the same words and
+	// counts the same accesses with or without the simulator sizes.
+	run := func(opts ...Option) ([]uint64, Stats) {
+		rt := New(append([]Option{native, WithProcs(1), WithSeed(5)}, opts...)...)
+		defer rt.Close()
+		root, out := busyWork(rt, 256, 3)
+		if ok, err := rt.TryRun(root); err != nil || !ok {
+			t.Fatalf("native run: ok=%v err=%v", ok, err)
+		}
+		return out.Snapshot(), rt.Stats()
+	}
+	wantOut, wantStats := run()
+	gotOut, gotStats := run(WithEphWords(1<<13), WithPoolWords(1<<12))
+	if len(gotOut) != len(wantOut) {
+		t.Fatalf("output length %d, want %d", len(gotOut), len(wantOut))
+	}
+	for i := range wantOut {
+		if gotOut[i] != wantOut[i] {
+			t.Fatalf("out[%d] = %d with WithEphWords/WithPoolWords, want %d", i, gotOut[i], wantOut[i])
+		}
+	}
+	if gotStats.Reads != wantStats.Reads || gotStats.Writes != wantStats.Writes || gotStats.Capsules != wantStats.Capsules {
+		t.Errorf("stats with WithEphWords/WithPoolWords = %+v, want %+v", gotStats, wantStats)
 	}
 }

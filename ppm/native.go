@@ -42,7 +42,6 @@ func nativeConfig(c config) native.Config {
 	return native.Config{
 		P:           c.procs,
 		MemWords:    mem,
-		BlockWords:  c.blockWords,
 		Seed:        c.seed,
 		Persist:     c.nativePersist,
 		DurablePath: c.nativeDurable,

@@ -1,6 +1,8 @@
 package ppm
 
 import (
+	"fmt"
+
 	"repro/internal/fault"
 )
 
@@ -16,7 +18,6 @@ type scriptedFault struct {
 type config struct {
 	engine        Engine
 	procs         int
-	blockWords    int
 	ephWords      int
 	memWords      int
 	poolWords     int
@@ -25,8 +26,7 @@ type config struct {
 	warCheck      bool
 	nativePersist bool
 	nativeDurable string
-	hardAt        map[int]int64
-	scripted      []scriptedFault
+	scripted      []scriptedFault // WithHardFault and WithSoftFaultAt, in order
 }
 
 func defaultConfig() config {
@@ -39,17 +39,19 @@ func defaultConfig() config {
 // them with full cost accounting, while the native engine emulates them by
 // aborting and replaying capsules at hardware speed (WithFaultRate).
 // Deterministic and hard-fault placement (WithHardFault, WithSoftFaultAt)
-// remain model-engine features and are ignored natively — the native
-// takeover protocol for dead processors is simulated only. The dynamic WAR
-// checker (WithWARCheck) runs on both engines.
+// are model-engine features — the native takeover protocol for dead
+// processors is simulated only — and WithNativePersist/WithNativeDurable are
+// native-engine features. New panics, and Recover returns, with
+// ErrUnsupportedOption when an option meets the engine that cannot honour
+// it. The dynamic WAR checker (WithWARCheck) runs on both engines.
 func WithEngine(e Engine) Option { return func(c *config) { c.engine = e } }
 
 // WithNativePersist makes the native engine commit a persistence point at
 // every capsule boundary — a committed write of the worker's capsule
 // counter to a dedicated epoch word — so the overhead of capsule-boundary
 // persistence can be measured at hardware speed (the §7 methodology).
-// Ignored by the model engine, whose capsule installs persist by
-// construction.
+// Native engine only: the model's capsule installs persist by construction,
+// so New refuses it there with ErrUnsupportedOption.
 func WithNativePersist() Option { return func(c *config) { c.nativePersist = true } }
 
 // WithNativeDurable backs the native engine's word memory with an mmap'd
@@ -66,8 +68,9 @@ func WithNativePersist() Option { return func(c *config) { c.nativePersist = tru
 // re-executes the un-committed tail: a root Seq chain from its first
 // uncommitted phase, a fork-tree root (merge sort) from the recorded root.
 // That is sound for WAR-free programs (Theorem 3.1, enforced statically by
-// ppmvet's warfree analyzer). Native engine only; the model simulates
-// persistence by construction.
+// ppmvet's warfree analyzer). Native engine only: the model simulates
+// persistence by construction, so New refuses it there with
+// ErrUnsupportedOption.
 func WithNativeDurable(path string) Option {
 	return func(c *config) { c.nativeDurable = path }
 }
@@ -75,12 +78,10 @@ func WithNativeDurable(path string) Option {
 // WithProcs sets the number of virtual processors P (default 1).
 func WithProcs(p int) Option { return func(c *config) { c.procs = p } }
 
-// WithBlockWords sets the persistent-memory block size B in words
-// (default 8). Every block transfer costs one unit in the model.
-func WithBlockWords(b int) Option { return func(c *config) { c.blockWords = b } }
-
 // WithEphWords sets the per-processor ephemeral memory size M in words
 // (default 4096). Ephemeral state is free to access and lost on faults.
+// It sizes the model's simulated memory; the native engine, whose ephemeral
+// state is a capsule's Go locals, ignores it.
 func WithEphWords(m int) Option { return func(c *config) { c.ephWords = m } }
 
 // WithMemWords sizes the persistent memory (default: pools plus a one
@@ -88,7 +89,7 @@ func WithEphWords(m int) Option { return func(c *config) { c.ephWords = m } }
 func WithMemWords(n int) Option { return func(c *config) { c.memWords = n } }
 
 // WithPoolWords sizes each processor's closure pool (default one million
-// words).
+// words). The native engine keeps closures on the Go heap and ignores it.
 func WithPoolWords(n int) Option { return func(c *config) { c.poolWords = n } }
 
 // WithFaultRate sets the per-persistent-access soft-fault probability f.
@@ -106,21 +107,20 @@ func WithPoolWords(n int) Option { return func(c *config) { c.poolWords = n } }
 func WithFaultRate(f float64) Option { return func(c *config) { c.faultRate = f } }
 
 // WithHardFault schedules processor proc to fail permanently at its at-th
-// persistent access. Repeat for several processors; the scheduler's
-// takeover protocol keeps the computation exactly-once as long as one
-// processor survives.
+// persistent access (0-based). Repeat for several processors; the
+// scheduler's takeover protocol keeps the computation exactly-once as long
+// as one processor survives. Model engine only.
 func WithHardFault(proc int, at int64) Option {
 	return func(c *config) {
-		if c.hardAt == nil {
-			c.hardAt = map[int]int64{}
-		}
-		c.hardAt[proc] = at
+		c.scripted = append(c.scripted, scriptedFault{proc: proc, at: at, kind: fault.Hard})
 	}
 }
 
 // WithSoftFaultAt injects one soft fault at processor proc's at-th
-// persistent access — deterministic fault placement for tests and
-// demonstrations, composable with WithFaultRate.
+// persistent access (0-based) — deterministic fault placement for tests and
+// demonstrations, composable with WithFaultRate. Of a WithSoftFaultAt and a
+// WithHardFault at the same processor and access, the later option holds.
+// Model engine only.
 func WithSoftFaultAt(proc int, at int64) Option {
 	return func(c *config) {
 		c.scripted = append(c.scripted, scriptedFault{proc: proc, at: at, kind: fault.Soft})
@@ -141,37 +141,41 @@ func WithSeed(s uint64) Option { return func(c *config) { c.seed = s } }
 // cmd/ppmvet is the compile-time counterpart.
 func WithWARCheck() Option { return func(c *config) { c.warCheck = true } }
 
-// firstOf consults injectors in order and returns the first non-None
-// verdict. Every injector sees every access, so access-ordinal counters
-// stay aligned across them.
-type firstOf []fault.Injector
-
-func (f firstOf) At(proc int) fault.Kind {
-	verdict := fault.None
-	for _, in := range f {
-		if k := in.At(proc); k != fault.None && verdict == fault.None {
-			verdict = k
+// unsupported names the first option the selected engine cannot honour,
+// wrapped in ErrUnsupportedOption, or returns nil.
+func (c *config) unsupported() error {
+	opt := ""
+	if c.engine == EngineNative {
+		if len(c.scripted) > 0 {
+			opt = "WithSoftFaultAt"
+			if c.scripted[0].kind == fault.Hard {
+				opt = "WithHardFault"
+			}
 		}
+	} else if c.nativePersist {
+		opt = "WithNativePersist"
+	} else if c.nativeDurable != "" {
+		opt = "WithNativeDurable"
 	}
-	return verdict
+	if opt == "" {
+		return nil
+	}
+	return fmt.Errorf("%w: %s on the %s engine", ErrUnsupportedOption, opt, c.engine)
 }
 
-// buildInjector assembles the fault model: IID soft faults at faultRate,
-// scheduled hard faults, and scripted one-shot faults, in that composition.
+// buildInjector assembles the model's fault model: one Script of the hard
+// and scripted soft faults in front of IID soft faults at faultRate.
 func (c *config) buildInjector() fault.Injector {
-	var base fault.Injector = fault.NoFaults{}
+	var iid fault.Injector = fault.NoFaults{}
 	if c.faultRate > 0 {
-		base = fault.NewIID(c.procs, c.faultRate, c.seed^0x9e3779b97f4a7c15)
+		iid = fault.NewIID(c.procs, c.faultRate, c.seed^0x9e3779b97f4a7c15)
 	}
-	if len(c.hardAt) > 0 {
-		base = fault.NewCombined(base, c.hardAt)
+	if len(c.scripted) == 0 {
+		return iid
 	}
-	if len(c.scripted) > 0 {
-		s := fault.NewScript()
-		for _, f := range c.scripted {
-			s.Add(f.proc, f.at, f.kind)
-		}
-		base = firstOf{s, base}
+	s := fault.NewScript()
+	for _, f := range c.scripted {
+		s.Add(f.proc, f.at, f.kind)
 	}
-	return base
+	return fault.First{s, iid}
 }

@@ -44,14 +44,16 @@
 //	})
 //	rt.Run(sum, 0, n, out.At(0))
 //
-// Swapping ppm.WithEngine(ppm.EngineNative) into New runs the same program
-// on real goroutines at hardware speed. The examples/ directory holds
+// Swapping ppm.WithEngine(ppm.EngineNative) into New, and dropping the
+// hard fault that only the model simulates, runs the same program on real
+// goroutines at hardware speed. The examples/ directory holds
 // complete programs; the internal packages remain available for harnesses
 // that need the raw simulated machine (see Machine).
 package ppm
 
 import (
 	"errors"
+	"fmt"
 
 	"repro/internal/capsule"
 	"repro/internal/machine"
@@ -75,6 +77,12 @@ var (
 	// and Close keep returning the error; the file is left as a kill at that
 	// point would leave it, for Recover on a healthy medium.
 	ErrDurableSync = errors.New("ppm: durable barrier failed")
+	// ErrUnsupportedOption refuses an option the selected engine cannot
+	// honour, in place of a run that silently drops it: WithHardFault or
+	// WithSoftFaultAt on the native engine or passed to Recover, and
+	// WithNativePersist or WithNativeDurable on the model engine. New
+	// panics with it (wrapped with the option's name); Recover returns it.
+	ErrUnsupportedOption = errors.New("ppm: option not supported by the engine")
 )
 
 // Addr is a word address in the runtime's persistent memory.
@@ -93,10 +101,14 @@ type Runtime struct {
 
 // New assembles a runtime. With no options: the model engine, one
 // processor, no faults, block size 8, and the write-after-read checker off.
+// It panics with ErrUnsupportedOption if an option needs the other engine.
 func New(opts ...Option) *Runtime {
 	c := defaultConfig()
 	for _, o := range opts {
 		o(&c)
+	}
+	if err := c.unsupported(); err != nil {
+		panic(err)
 	}
 	r := &Runtime{}
 	switch c.engine {
@@ -111,17 +123,25 @@ func New(opts ...Option) *Runtime {
 // Recover reopens a durable native region file (see WithNativeDurable) and
 // returns a runtime in rebuild mode over it. The processor count and memory
 // geometry come from the file; opts supply the rest (seed, fault rate,
-// WAR check). The caller must then reconstruct the program exactly as the
-// original process did — same registrations in the same order, same Build
-// calls with the same parameters — and call Resume in place of the original
-// Run. During rebuild, setup allocations replay to their pre-crash addresses
-// and input staging (Array.Load, memory writes) is suppressed, because the
-// file already holds the durable state; registration mismatches are detected
-// and refused at Resume.
+// WAR check), and a model-only option returns ErrUnsupportedOption. The
+// caller must then reconstruct the program exactly as the original process
+// did — same registrations in the same order, same Build calls with the
+// same parameters — and call Resume in place of the original Run. During
+// rebuild, setup allocations replay to their pre-crash addresses and input
+// staging (Array.Load, memory writes) is suppressed, because the file
+// already holds the durable state; registration mismatches are detected and
+// refused at Resume.
 func Recover(path string, opts ...Option) (*Runtime, error) {
 	c := defaultConfig()
+	c.engine = EngineNative
 	for _, o := range opts {
 		o(&c)
+	}
+	if c.engine != EngineNative {
+		return nil, fmt.Errorf("%w: Recover reopens a native region, not the %s engine", ErrUnsupportedOption, c.engine)
+	}
+	if err := c.unsupported(); err != nil {
+		return nil, err
 	}
 	eng, err := newRecoveredEngine(path, c)
 	if err != nil {

@@ -89,12 +89,15 @@ func TestOptionDefaults(t *testing.T) {
 		t.Errorf("default block words = %d, want 8", got)
 	}
 
-	rt2 := ppm.New(ppm.WithProcs(3), ppm.WithBlockWords(4))
-	if got := rt2.Procs(); got != 3 {
-		t.Errorf("procs = %d, want 3", got)
-	}
-	if got := rt2.BlockWords(); got != 4 {
-		t.Errorf("block words = %d, want 4", got)
+	for _, eng := range []ppm.Engine{ppm.EngineModel, ppm.EngineNative} {
+		rt2 := ppm.New(ppm.WithEngine(eng), ppm.WithProcs(3))
+		if got := rt2.Procs(); got != 3 {
+			t.Errorf("%s: procs = %d, want 3", eng, got)
+		}
+		if got := rt2.BlockWords(); got != 8 {
+			t.Errorf("%s: block words = %d, want 8", eng, got)
+		}
+		rt2.Close()
 	}
 }
 

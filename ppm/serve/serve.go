@@ -682,23 +682,33 @@ func (s *Server) entryFor(spec GraphSpec) (*entry, error) {
 // the entry comes back through the recovery path instead of a fresh build;
 // a region that fails to recover is removed and rebuilt fresh.
 func (s *Server) buildEntry(spec GraphSpec) (*entry, error) {
-	g, err := graph.Generate(spec.Kind, spec.N, spec.M, spec.Seed^s.cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	durablePath := ""
+	durablePath, recoverable := "", false
 	if s.cfg.DurableDir != "" {
 		if err := os.MkdirAll(s.cfg.DurableDir, 0o755); err != nil {
 			return nil, fmt.Errorf("serve: durable dir: %w", err)
 		}
 		durablePath = filepath.Join(s.cfg.DurableDir, spec.regionName())
-		if _, err := os.Stat(durablePath); err == nil {
-			if e, err := s.recoverEntry(spec, g, durablePath); err == nil {
-				return e, nil
-			}
-			// Unrecoverable region: discard it and build fresh.
-			os.Remove(durablePath)
+		_, err := os.Stat(durablePath)
+		recoverable = err == nil
+	}
+	// A fresh build that cannot fit is refused from the spec, before any
+	// work in proportion to the graph. A surviving region keeps the
+	// geometry it was written with, so it is left to recovery.
+	need := graph.MinBuildWords(spec.N, s.cfg.EpochSlots, s.cfg.MutBatchCap, s.cfg.MaxBatch)
+	if !recoverable && need > s.cfg.MemWords {
+		return nil, fmt.Errorf("serve: graph %s needs at least %d words, over MemWords %d",
+			spec.Key(), need, s.cfg.MemWords)
+	}
+	g, err := graph.Generate(spec.Kind, spec.N, spec.M, spec.Seed^s.cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
+	if recoverable {
+		if e, err := s.recoverEntry(spec, g, durablePath); err == nil {
+			return e, nil
 		}
+		// Unrecoverable region: discard it and build fresh.
+		os.Remove(durablePath)
 	}
 	opts := []ppm.Option{
 		ppm.WithEngine(ppm.EngineNative),
