@@ -1,6 +1,7 @@
 package warcheck
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -134,7 +135,8 @@ func TestPropertyFirstAccessDecides(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, nil); err != nil {
+	// A fixed seed, so the logged row repeats bit for bit.
+	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(12))}); err != nil {
 		t.Error(err)
 	}
 	t.Logf("%d capsules with a planted conflict, %d clean", planted, clean)

@@ -151,6 +151,27 @@ func TestBarrierSnapshotRecovery(t *testing.T) {
 					t.Errorf("cc: %d barriers over %d rounds, want 7 + 2·rounds = %d", len(*snaps), len(iters), want)
 				}
 			}
+			// pagerank's root chain is Seq(initP, driver) and each
+			// iteration's Seq(scanP(it), driver(it+1)), one phase and one
+			// commit per iteration: 7 + 2·iters. A second phase per
+			// iteration would make it 7 + 4·iters.
+			if name == "pagerank" {
+				if want := 7 + 2*graph.DefaultIters; len(*snaps) != want {
+					t.Errorf("pagerank: %d barriers over %d iterations, want 7 + 2·iters = %d",
+						len(*snaps), graph.DefaultIters, want)
+				}
+				iters := map[uint64]bool{}
+				for _, s := range *snaps {
+					if len(s.chain) == 2 && len(s.chain[0].Args) == 1 && len(s.chain[1].Args) == 1 {
+						iters[s.chain[0].Args[0]] = true
+					}
+				}
+				for i := range uint64(graph.DefaultIters) {
+					if !iters[i] {
+						t.Fatalf("pagerank: the chains name iterations %v, not 0 to %d", iters, graph.DefaultIters-1)
+					}
+				}
+			}
 			// bfs commits seed and the first round driver, then per round (one
 			// per level; the driver that finds the frontier empty starts no
 			// phase) each phase of its chain but the first: the next driver

@@ -44,16 +44,18 @@ const (
 // capsule (frontier.go). A leaf budget of 2 048 keeps a per-arc leaf under
 // ≈ 4 100 words: ≈ 186 vertices at degree 8, 539 leaves on Rand(100000,
 // 400000), where halving to a 64-vertex grain made 2 048 leaves of ≈ 49,
-// and 56 on the 128×128 mesh, where it made 256. The per-vertex leaves take 1 024 vertices; the
-// largest, pagerank's contrib, does ≈ 3 100 words. A step does ≈ 3 words
-// per entry and, when
-// most targets are new, ≈ 5 per arc: the gather, the CAM, its read-back,
-// the frontier SetRange and the level ScatterAt; an arc to a vertex already
-// claimed pays only the first three. The fuse count is a budget of entries
-// plus arcs, turned into entries at the graph's average degree: 1 280 is
-// 142 entries at degree 8, 257 on a mesh and 256 on a degree-4 random
-// graph. A flat 256 entries let the catalog BFS on Rand(16384, 65536) reach
-// 8 440 words, past the 5 000 that f = 1e-4 allows. On that input,
+// and 56 on the 128×128 mesh, where it made 256. The per-vertex leaves take
+// 1 024 vertices and move ≈ 2 050 words: bfs's init writes two vectors,
+// pagerank's init reads the offsets and writes the contributions (the ranks
+// too at one iteration), and Apply's offs copies the prefix sums. A step
+// does ≈ 3 words per entry and, when most targets are new, ≈ 5 per arc: the
+// gather, the CAM, its read-back, the frontier SetRange and the level
+// ScatterAt; an arc to a vertex already claimed pays only the first three.
+// The fuse count is a budget of entries plus arcs, turned into entries at
+// the graph's average degree: 1 280 is 142 entries at degree 8, 257 on a
+// mesh and 256 on a degree-4 random graph. A flat 256 entries let the
+// catalog BFS on Rand(16384, 65536) reach 8 440 words, past the 5 000 that
+// f = 1e-4 allows. On that input,
 // Rand(32768, 131072), Rand(32768, 65536) and the 128×128 mesh the largest
 // capsule of cc, pagerank, an 8-wide MultiBFS and a 64-edge Resident.Apply
 // stays under 5 000 words (TestCapsuleWorkUnderFaultCeiling), and so does
@@ -79,7 +81,7 @@ const (
 type grains struct {
 	frontier int // frontier leaves: a CAM and a read-back per arc dominate
 	leaf     int // per-arc leaves: arcs plus leafVertexCost per vertex (leafTable)
-	dense    int // bulk per-vertex leaves (init, contrib, offsets)
+	dense    int // bulk per-vertex leaves (inits, offsets)
 	fuse     int // a BFS round is one capsule up to this many entries plus arcs
 }
 

@@ -2,6 +2,7 @@ package graph_test
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -273,6 +274,46 @@ func FuzzComponents(f *testing.F) {
 			if rounds := ccRoundsFrom(t, cfg.eng, b[0], b[1], got); rounds > lp {
 				t.Fatalf("%s P=%d, n=%d arcs %v: %d rounds, label propagation takes %d",
 					cfg.eng, cfg.procs, g.N, g.Adj, rounds, lp)
+			}
+		}
+	})
+}
+
+// FuzzPageRank runs iters = 1 + k mod 4 PageRank iterations, which covers a
+// run whose init writes the previous ranks (K = 1) and one whose every
+// iteration writes ranks (K = 2), over a Resident holding a fuzzed
+// multigraph (fuzzMultigraph) on the native engine at P = 1 and 2 and on the
+// model at P = 1. Verify must hold, and the ranks must equal
+// PageRankResidentRef bit for bit.
+func FuzzPageRank(f *testing.F) {
+	f.Add([]byte{}, uint8(0))                                // edgeless: every vertex dangling
+	f.Add([]byte{4, 0, 0, 2, 2, 0, 1}, uint8(1))             // a self-loop beside an edge
+	f.Add([]byte{5, 0, 0, 1, 2, 1, 2, 2, 3}, uint8(2))       // a duplicate arc
+	f.Add([]byte{9, 1, 0, 0, 1, 1, 2, 2, 3, 4, 5}, uint8(3)) // 0 isolated
+	small := []ppm.Option{ppm.WithMemWords(1 << 16), ppm.WithPoolWords(1 << 14)}
+	f.Fuzz(func(t *testing.T, data []byte, k uint8) {
+		g := fuzzMultigraph(data)
+		iters := 1 + int(k%4)
+		want := graph.PageRankResidentRef(g, iters)
+		for _, cfg := range []struct {
+			eng   ppm.Engine
+			procs int
+		}{{ppm.EngineNative, 1}, {ppm.EngineNative, 2}, {ppm.EngineModel, 1}} {
+			rt := newRT(cfg.eng, cfg.procs, small...)
+			defer rt.Close()
+			res := graph.NewResident("fuzz", g, 2, 0, 1)
+			res.Build(rt)
+			pr := graph.PageRank("fuzz", res, iters)
+			pr.Build(rt)
+			if !pr.Run() {
+				t.Fatalf("%s P=%d: did not complete", cfg.eng, cfg.procs)
+			}
+			if err := pr.Verify(); err != nil {
+				t.Fatalf("%s P=%d, n=%d arcs %v, %d iterations: %v", cfg.eng, cfg.procs, g.N, g.Adj, iters, err)
+			}
+			if got := pr.Output(); !slices.Equal(got, want) {
+				t.Fatalf("%s P=%d, n=%d arcs %v, %d iterations: ranks %x, want %x",
+					cfg.eng, cfg.procs, g.N, g.Adj, iters, got, want)
 			}
 		}
 	})

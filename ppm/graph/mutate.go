@@ -198,7 +198,7 @@ func MinBuildWords(n, slots, batchCap, kMax int) int {
 	resident := slots*(n+1) + slots*2*batchCap + // offsets and arcs ring
 		1 + 2*n + 2*(n+1) + 4*batchCap + 2 // epoch, degrees, staging, mutW
 	msbfs := 5*kMax*n + n + 1 + 2       // owner, levels, fronts, kinds, done
-	return resident + msbfs + 2*n + 3*n // CC labels; PageRank ranks, contrib
+	return resident + msbfs + 2*n + 4*n // CC: 2 label vectors; PageRank: 2 rank, 2 contribution
 }
 
 // Epoch returns the last committed epoch. This is the "pin" operation: a

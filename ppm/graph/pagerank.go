@@ -11,15 +11,21 @@ import (
 // damping is the standard PageRank damping factor.
 const damping = 0.85
 
-// PR is pull-style PageRank over its source's in-lists. Each of the fixed K
-// iterations is a two-phase WAR-free chain over ping-pong rank buffers (ranks
-// stored as float64 bit patterns in the word array):
+// PR is pull-style PageRank over its source's in-lists. Its ping-pong
+// vectors hold contributions c[u] = r[u]/deg(u) (0 for dangling vertices),
+// not ranks, stored as float64 bit patterns in the word array, so each of
+// the fixed K iterations is one WAR-free phase:
 //
-//	contrib — contrib[u] = rank[u] / deg[u] (0 for dangling vertices), deg[u]
-//	          read off the in-lists' offsets of the run's slot
-//	scan    — rank'[v] = (1-d)/n + d · Σ contrib[u] over in-neighbours u,
-//	          summed sequentially in in-list order, so the result is bit-exact
-//	          identical on both engines and to the sequential reference.
+//	init — c₀[u] = (1/n)/deg(u), deg(u) read off the in-lists' offsets of
+//	       the run's slot
+//	scan — r[v] = (1-d)/n + d · Σ c_it[u] over in-neighbours u, summed
+//	       sequentially in in-list order, then c_{it+1}[v] = r[v]/deg(v) in
+//	       the same capsule; the last iteration writes no contribution.
+//
+// Only the last two iterations also write r, into ranks[(it+1)%2], so Output
+// and Verify read r_K and r_{K−1} (with K = 1, init writes r_0). The divisions
+// are the sequential reference's, on the same operands, so the result is
+// bit-exact identical on both engines and to that reference.
 //
 // A *Graph's in-lists are g.Reverse(), loaded into one slot. A Resident is
 // read as its own in-lists: its graphs are symmetric, as the generators make
@@ -34,7 +40,7 @@ type PR struct {
 	binding // over the in-lists of the graph ranked
 	tag     string
 	iters   int
-	ranks   [2]ppm.Array
+	ranks   [2]ppm.Array // r_K in ranks[K%2], r_{K−1} in the other
 }
 
 // PageRank builds iters rounds of pull-style PageRank over g. Output is the
@@ -64,55 +70,60 @@ func (a *PR) Build(rt *ppm.Runtime) {
 	grain := grainsFor(rt)
 	in := a.bind(rt)
 	a.ranks = [2]ppm.Array{rt.NewArray(n), rt.NewArray(n)}
-	contrib := rt.NewArray(n)
+	contribs := [2]ppm.Array{rt.NewArray(n), rt.NewArray(n)}
+	r0 := 1 / float64(n)
 
 	initLeaf := rt.Register(name+"/init", func(c ppm.Ctx) {
 		lo, hi := c.Int(0), c.Int(1)
-		a.ranks[0].SetRange(c, lo, fillVec(c, hi-lo, math.Float64bits(1/float64(n))))
+		ob, _ := in.bases(c)
+		offs := in.offs.Slice(c, ob+lo, ob+hi+1)
+		vals := c.Scratch(hi - lo)
+		for i := range vals {
+			if d := offs[i+1] - offs[i]; d > 0 {
+				vals[i] = math.Float64bits(r0 / float64(d))
+			}
+		}
+		contribs[0].SetRange(c, lo, vals)
+		if a.iters == 1 {
+			a.ranks[0].SetRange(c, lo, fillVec(c, hi-lo, math.Float64bits(r0)))
+		}
 		c.Done()
 	})
 	initP := rt.Register(name+"/initP", func(c ppm.Ctx) {
 		c.ParallelFor(initLeaf, 0, n, grain.dense)
 	})
 
-	contribLeaf := rt.Register(name+"/contrib", func(c ppm.Ctx) {
-		lo, hi, parity := c.Int(0), c.Int(1), c.Int(2)
-		r := a.ranks[parity].Slice(c, lo, hi)
-		ob, _ := in.bases(c)
-		offs := in.offs.Slice(c, ob+lo, ob+hi+1)
-		vals := c.Scratch(hi - lo)
-		for i := range vals {
-			if d := offs[i+1] - offs[i]; d > 0 {
-				vals[i] = math.Float64bits(math.Float64frombits(r[i]) / float64(d))
-			}
-		}
-		contrib.SetRange(c, lo, vals)
-		c.Done()
-	})
-	contribP := rt.Register(name+"/contribP", func(c ppm.Ctx) {
-		c.ParallelFor(contribLeaf, 0, n, grain.dense, c.Uint(0))
-	})
-
-	// scanLeaf covers the vertices of one leaf: args [leaf, leaf+1, parity].
+	// scanLeaf covers the vertices of one leaf: args [leaf, leaf+1, it].
 	scanLeaf := rt.Register(name+"/scan", func(c ppm.Ctx) {
 		lo, hi := in.leaves.at(c, c.Int(0))
-		parity := c.Int(2)
+		it := c.Int(2)
 		offs, srcs := in.adjRange(c, lo, hi)
-		// One more batched round: the contribution of every in-neighbour.
-		cvals := contrib.GatherAt(c, srcs, nil)
+		// One batched round: the contribution of every in-neighbour.
+		cvals := contribs[it%2].GatherAt(c, srcs, nil)
 		base := (1 - damping) / float64(n)
-		vals := c.Scratch(hi - lo)
+		ranks := c.Scratch(hi - lo)
 		i := 0
-		for idx := range vals {
+		for idx := range ranks {
 			sum := 0.0
 			end := i + int(offs[idx+1]-offs[idx])
 			for _, cv := range cvals[i:end] {
 				sum += math.Float64frombits(cv)
 			}
 			i = end
-			vals[idx] = math.Float64bits(base + damping*sum)
+			ranks[idx] = math.Float64bits(base + damping*sum)
 		}
-		a.ranks[1-parity].SetRange(c, lo, vals)
+		if it >= a.iters-2 {
+			a.ranks[(it+1)%2].SetRange(c, lo, ranks)
+		}
+		if it < a.iters-1 {
+			vals := c.Scratch(hi - lo)
+			for idx, r := range ranks {
+				if d := offs[idx+1] - offs[idx]; d > 0 {
+					vals[idx] = math.Float64bits(math.Float64frombits(r) / float64(d))
+				}
+			}
+			contribs[(it+1)%2].SetRange(c, lo, vals)
+		}
 		c.Done()
 	})
 	scanP := rt.Register(name+"/scanP", func(c ppm.Ctx) {
@@ -121,18 +132,18 @@ func (a *PR) Build(rt *ppm.Runtime) {
 
 	var driver ppm.FuncRef
 	driver = rt.Register(name+"/round", func(c ppm.Ctx) {
-		iter, parity := c.Int(0), c.Int(1)
-		if iter == a.iters {
+		it := c.Int(0)
+		if it == a.iters {
 			c.Done()
 			return
 		}
-		c.Seq(contribP.Call(parity), scanP.Call(parity), driver.Call(iter+1, 1-parity))
+		c.Seq(scanP.Call(it), driver.Call(it+1))
 	})
 	// root stores its argument, the CSR version slot, for the leaves (see
 	// CC: no staging before the run is owned).
 	a.root = rt.Register(name+"/root", func(c ppm.Ctx) {
 		a.slotW.Set(c, 0, c.Uint(0))
-		c.Seq(initP.Call(), driver.Call(0, 0))
+		c.Seq(initP.Call(), driver.Call(0))
 	})
 }
 
