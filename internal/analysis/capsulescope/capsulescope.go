@@ -266,9 +266,10 @@ func rootIdent(e ast.Expr) *ast.Ident {
 // checkViewWrites flags writes through an Array.Slice result or a sub-slice
 // of one: the targets of index assignments and increments, the destination
 // of copy and clear, the slice an in-place slices or sort call edits, the
-// first argument of append, and the dst of Gather and GatherAt (which append
-// into it). Reading a view, passing it to SetRange, and appending it to a
-// fresh buffer are the intended uses and pass.
+// first argument of append, the dst of Gather and GatherAt (which append
+// into it), and the acc of FoldAt (which it folds into). Reading a view,
+// passing it to SetRange, and appending it to a fresh buffer are the
+// intended uses and pass.
 func checkViewWrites(pass *analysis.Pass, fn analysis.FuncInfo) {
 	info := pass.TypesInfo
 	views := bindLocals(info, fn, ephemerals.view)
@@ -309,9 +310,13 @@ func checkViewWrites(pass *analysis.Pass, fn analysis.FuncInfo) {
 				}
 			} else if name, ok := inPlaceCall(info, n); ok {
 				report(n.Args[0], name)
-			} else if _, name, recvType, ok := analysis.MethodCall(info, n); ok &&
-				analysis.IsArray(recvType) && (name == "Gather" || name == "GatherAt") && len(n.Args) == 3 {
-				report(n.Args[2], "Array."+name+" dst")
+			} else if _, name, recvType, ok := analysis.MethodCall(info, n); ok && analysis.IsArray(recvType) {
+				switch {
+				case (name == "Gather" || name == "GatherAt") && len(n.Args) == 3:
+					report(n.Args[2], "Array."+name+" dst")
+				case name == "FoldAt" && len(n.Args) == 5:
+					report(n.Args[4], "Array.FoldAt acc")
+				}
 			}
 		}
 		return true

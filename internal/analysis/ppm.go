@@ -166,7 +166,7 @@ type AccessKind int
 
 const (
 	// ReadAccess is an exposed-read candidate: Array.{Get,Slice,Gather,
-	// GatherAt} or Ctx.Read.
+	// GatherAt,FoldAt} or Ctx.Read.
 	ReadAccess AccessKind = iota
 	// WriteAccess is a persistent write: Array.{Set,SetRange,Scatter,
 	// ScatterAt,CAMAt}, Ctx.Write, or Ctx.CAM (the model counts CAM as a
@@ -194,7 +194,7 @@ type Access struct {
 }
 
 var arrayReads = map[string]bool{
-	"Get": true, "Slice": true, "Gather": true, "GatherAt": true,
+	"Get": true, "Slice": true, "Gather": true, "GatherAt": true, "FoldAt": true,
 }
 var arrayWrites = map[string]bool{
 	"Set": true, "SetRange": true, "Scatter": true, "ScatterAt": true, "CAMAt": true,

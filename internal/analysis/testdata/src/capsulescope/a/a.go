@@ -92,6 +92,7 @@ func register(rt *ppm.Runtime) {
 		sort.Slice(v, func(i, j int) bool { return v[i] < v[j] }) // want `write through an Array\.Slice result \(sort\.Slice\)`
 		grown := append(v[:1], 5)                                 // want `write through an Array\.Slice result \(append onto it\)`
 		_ = arr.Gather(c, nil, grown)                             // want `write through an Array\.Slice result \(Array\.Gather dst\)`
+		arr.FoldAt(c, ppm.FoldMin, nil, nil, v[:0])               // want `write through an Array\.Slice result \(Array\.FoldAt acc\)`
 		c.Done()
 	})
 
@@ -112,6 +113,7 @@ func register(rt *ppm.Runtime) {
 		_ = slices.Index(v, 3)
 		_ = sort.SliceIsSorted(v, func(i, j int) bool { return v[i] < v[j] })
 		_ = arr.GatherAt(c, v, nil)
+		arr.FoldAt(c, ppm.FoldSum, v, v[:1], buf[:1])
 		arr.SetRange(c, 0, own)
 		c.Done()
 	})

@@ -50,6 +50,14 @@ type FuncRef struct{}
 
 func (f FuncRef) Call(args ...any) Call { return Call{} }
 
+// Fold names FoldAt's reduction.
+type Fold uint8
+
+const (
+	FoldMin Fold = iota
+	FoldSum
+)
+
 // Array is a handle to a persistent array.
 type Array struct{}
 
@@ -62,6 +70,7 @@ func (a Array) Set(c Ctx, i int, v uint64)                           {}
 func (a Array) Slice(c Ctx, lo, hi int) []uint64                     { return nil }
 func (a Array) Gather(c Ctx, spans [][2]int, dst []uint64) []uint64  { return nil }
 func (a Array) GatherAt(c Ctx, idx []uint64, dst []uint64) []uint64  { return nil }
+func (a Array) FoldAt(c Ctx, op Fold, idx, lens, acc []uint64)       {}
 func (a Array) CAMAt(c Ctx, idx []uint64, old uint64, vals []uint64) {}
 func (a Array) ScatterAt(c Ctx, idx []uint64, vals []uint64)         {}
 func (a Array) Scatter(c Ctx, spans [][2]int, src []uint64)          {}

@@ -97,6 +97,26 @@ func gatherAtThenWrite(c ppm.Ctx) {
 	c.Done()
 }
 
+// FoldAt reads the words it folds, like GatherAt: folding over cur and then
+// writing cur conflicts, and writing the folded values into next is the cc
+// and pagerank scan leaves' clean shape.
+func foldAtThenWrite(c ppm.Ctx) {
+	idx, lens, acc := c.Scratch(4), c.Scratch(1), c.Scratch(1)
+	lens[0] = 4
+	src.FoldAt(c, ppm.FoldMin, idx, lens, acc)
+	src.SetRange(c, 0, acc) // want `write-after-read conflict`
+	c.Done()
+}
+
+func foldAtIntoNext(c ppm.Ctx) {
+	cur, next := src, dst
+	idx, lens, acc := c.Scratch(4), c.Scratch(1), c.Scratch(1)
+	lens[0] = 4
+	cur.FoldAt(c, ppm.FoldSum, idx, lens, acc)
+	next.SetRange(c, 0, acc)
+	c.Done()
+}
+
 // CAM a set of words, then GatherAt the same words: every word read is one
 // the capsule already wrote, so a replay re-reads what the first execution
 // left — the frontier claim leaf's shape (claim every target, then read the

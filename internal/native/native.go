@@ -1166,9 +1166,9 @@ func (w *Ctx) Gather(base pmem.Addr, n int, spans [][2]int, dst []uint64) (out [
 
 // GatherAt appends base[i] for every i of idx to dst: one indexed loop over
 // the n-word window at base, one scaled fault draw for the batch. It is the
-// scattered-read path of the scan leaves (the label or contribution of every
-// arc target). ok is false when an index lies outside the window, for the
-// caller to panic on. A nil dst is taken from ephemeral memory.
+// scattered-read path of the graph kernels (a BFS leaf's claimant words,
+// cc's labels of labels). ok is false when an index lies outside the window,
+// for the caller to panic on. A nil dst is taken from ephemeral memory.
 func (w *Ctx) GatherAt(base pmem.Addr, n int, idx []uint64, dst []uint64) (out []uint64, ok bool) {
 	if len(idx) == 0 {
 		return dst, true
@@ -1196,6 +1196,73 @@ func (w *Ctx) GatherAt(base pmem.Addr, n int, idx []uint64, dst []uint64) (out [
 		}
 	}
 	return dst, true
+}
+
+// Fold names the reduction FoldAt applies.
+type Fold uint8
+
+const (
+	FoldMin Fold = iota // uint64 minimum
+	FoldSum             // float64 addition on the words' bit patterns
+)
+
+// FoldAt reduces the words GatherAt would read for idx into acc instead of
+// a buffer: segment s is the next lens[s] entries of idx, and each of its
+// words is folded into acc[s] by op, in index order. It takes GatherAt's
+// bookkeeping (one window check, one fault draw and counter update for
+// len(idx) words, the same atomic loads and per-index WAR read marks). Each
+// segment has one accumulator: a sum stays bit-exact against the sequential
+// loop, and at the scan leaves' few words a segment a min with two measured
+// slower than with one. The lens must sum to len(idx) and len(acc) must
+// equal len(lens), as the caller checks. ok is false when an index lies
+// outside the window; the segments before it have been folded.
+func (w *Ctx) FoldAt(base pmem.Addr, n int, op Fold, idx, lens, acc []uint64) (ok bool) {
+	if len(idx) == 0 {
+		return true
+	}
+	win := w.window(base, n)
+	w.batch(int64(len(idx)), &w.reads)
+	if !foldWindow(win, op, idx, lens, acc) {
+		return false
+	}
+	if w.war.Enabled() {
+		for _, i := range idx {
+			w.warRead(base + pmem.Addr(i))
+		}
+	}
+	return true
+}
+
+// foldWindow is FoldAt's loop, kept apart from its bookkeeping so the
+// per-index loops keep their cursors in registers: one loop per op, one
+// accumulator per segment.
+func foldWindow(win []uint64, op Fold, idx, lens, acc []uint64) bool {
+	if op == FoldSum {
+		for s, l := range lens {
+			sum := math.Float64frombits(acc[s])
+			for _, i := range idx[:l] {
+				if i >= uint64(len(win)) {
+					return false
+				}
+				sum += math.Float64frombits(atomic.LoadUint64(&win[i]))
+			}
+			idx = idx[l:]
+			acc[s] = math.Float64bits(sum)
+		}
+		return true
+	}
+	for s, l := range lens {
+		m := acc[s]
+		for _, i := range idx[:l] {
+			if i >= uint64(len(win)) {
+				return false
+			}
+			m = min(m, atomic.LoadUint64(&win[i]))
+		}
+		idx = idx[l:]
+		acc[s] = m
+	}
+	return true
 }
 
 // CAMAt is CAM over the n-word window at base, once per index: base[idx[k]]

@@ -1,5 +1,7 @@
 package ppm
 
+import "repro/internal/native"
+
 // Array is a typed view of a region of persistent memory: n elements of one
 // word each, element i at At(i). It replaces manual base-plus-offset address
 // arithmetic in programs. Load and Snapshot are harness-side (zero-cost)
@@ -145,9 +147,10 @@ func (a Array) Gather(c Ctx, spans [][2]int, dst []uint64) []uint64 {
 // operation, appending a[idx[0]], a[idx[1]], … to dst and returning the
 // extended slice; a nil dst comes from ephemeral memory, with Gather's
 // lifetime. Indices may repeat and need no order. It is the scattered-read
-// primitive of the graph scan leaves: after one Slice of a vertex range's
-// adjacency, GatherAt fetches the label or contribution of every arc target.
-// The model engine charges one block transfer per index — what Gather
+// primitive of the graph kernels: a BFS leaf reads the claimant words or
+// levels of its arc targets back, and cc's scan the labels of its vertices'
+// labels (a leaf that only reduces the words it reads uses FoldAt). The
+// model engine charges one block transfer per index — what Gather
 // charges the same batch written as one-word spans; the native engine runs
 // one bounds-checked indexed loop. Only for word-packed arrays.
 func (a Array) GatherAt(c Ctx, idx []uint64, dst []uint64) []uint64 {
@@ -157,6 +160,46 @@ func (a Array) GatherAt(c Ctx, idx []uint64, dst []uint64) []uint64 {
 		panic("ppm: GatherAt index out of range")
 	}
 	return out
+}
+
+// Fold names the reduction FoldAt applies to each segment.
+type Fold = native.Fold
+
+// The folds of FoldAt.
+const (
+	FoldMin = native.FoldMin // uint64 minimum
+	FoldSum = native.FoldSum // float64 addition on the words' bit patterns, in index order
+)
+
+// FoldAt reduces the elements at the given indices into acc in one batched
+// operation, with no buffer for the words it reads: segment s covers the
+// next lens[s] entries of idx, and for each index i of it, in order,
+// acc[s] = op(acc[s], a[i]). The lens must sum to len(idx) and acc must hold
+// one accumulator per segment; an empty segment leaves its accumulator as it
+// is. It is the reduce form of GatherAt: a scan leaf folds every arc
+// target's label or contribution into its vertex's minimum or sum. It is
+// charged exactly as GatherAt(c, idx, …) on both engines — one block
+// transfer per index on the model, one batched read natively. A FoldSum is
+// added in index order, so its result is bit-exact against the sequential
+// loop; FoldMin's does not depend on order. Only for word-packed arrays.
+func (a Array) FoldAt(c Ctx, op Fold, idx, lens, acc []uint64) {
+	a.needPacked()
+	if op != FoldMin && op != FoldSum {
+		panic("ppm: FoldAt unknown fold")
+	}
+	rest := uint64(len(idx))
+	for _, l := range lens {
+		if l > rest {
+			panic("ppm: FoldAt length mismatch")
+		}
+		rest -= l
+	}
+	if rest != 0 || len(acc) != len(lens) {
+		panic("ppm: FoldAt length mismatch")
+	}
+	if !c.e.FoldAt(a.base, a.n, op, idx, lens, acc) {
+		panic("ppm: FoldAt index out of range")
+	}
 }
 
 // CAMAt compare-and-modifies the elements at the given indices in one

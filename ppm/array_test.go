@@ -2,6 +2,7 @@ package ppm_test
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -197,6 +198,11 @@ func TestIndexedAccessOutOfRange(t *testing.T) {
 		"ppm: Gather span out of range",
 		"ppm: GatherAt index out of range",
 		"ppm: GatherAt index out of range",
+		"ppm: FoldAt index out of range",
+		"ppm: FoldAt index out of range",
+		"ppm: FoldAt length mismatch",
+		"ppm: FoldAt length mismatch",
+		"ppm: FoldAt unknown fold",
 	}
 	for _, eng := range bothEngines {
 		rt := ppm.New(ppm.WithEngine(eng), ppm.WithProcs(1), ppm.WithSeed(1))
@@ -215,6 +221,11 @@ func TestIndexedAccessOutOfRange(t *testing.T) {
 				panicText(func() { in.Gather(c, [][2]int{{n, n + 1}}, nil) }),
 				panicText(func() { in.GatherAt(c, []uint64{3, n}, nil) }),
 				panicText(func() { in.GatherAt(c, []uint64{^uint64(0)}, nil) }),
+				panicText(func() { in.FoldAt(c, ppm.FoldMin, []uint64{3, n}, []uint64{0, 2}, c.Scratch(2)) }),
+				panicText(func() { in.FoldAt(c, ppm.FoldSum, []uint64{^uint64(0)}, one, c.Scratch(1)) }),
+				panicText(func() { in.FoldAt(c, ppm.FoldMin, []uint64{1, 2}, []uint64{1, ^uint64(0)}, c.Scratch(2)) }),
+				panicText(func() { in.FoldAt(c, ppm.FoldSum, []uint64{1}, one, nil) }),
+				panicText(func() { in.FoldAt(c, ppm.Fold(2), []uint64{1}, one, c.Scratch(1)) }),
 			}
 			for k, msg := range got {
 				if msg == want[k] {
@@ -232,6 +243,46 @@ func TestIndexedAccessOutOfRange(t *testing.T) {
 			}
 		}
 		rt.Close()
+	}
+}
+
+// TestFoldAtCost: FoldAt charges exactly what GatherAt charges for the same
+// indices — on the model one block transfer per index, natively one batch of
+// len(idx) words — for both folds.
+func TestFoldAtCost(t *testing.T) {
+	const n = 512
+	idx := []uint64{0, 1, 9, 8, 8, 511, 64, 300, 301, 7}
+	lens := []uint64{4, 0, 5, 1}
+	for _, eng := range bothEngines {
+		run := func(fold bool, op ppm.Fold) ppm.Stats {
+			rt := ppm.New(ppm.WithEngine(eng), ppm.WithProcs(1), ppm.WithSeed(2))
+			defer rt.Close()
+			in := rt.NewArray(n)
+			in.Load(seqWords(n))
+			sink := rt.NewArray(len(lens))
+			root := rt.Register("cost/root", func(c ppm.Ctx) {
+				if fold {
+					acc := c.Scratch(len(lens))
+					in.FoldAt(c, op, idx, lens, acc)
+					sink.SetRange(c, 0, acc)
+				} else {
+					sink.SetRange(c, 0, in.GatherAt(c, idx, nil)[:len(lens)])
+				}
+				c.Done()
+			})
+			if !rt.Run(root) {
+				t.Fatalf("%s: did not complete", eng)
+			}
+			return rt.Stats()
+		}
+		g := run(false, 0)
+		for _, op := range []ppm.Fold{ppm.FoldMin, ppm.FoldSum} {
+			f := run(true, op)
+			if f.Reads != g.Reads || f.Work != g.Work || f.UserWork != g.UserWork {
+				t.Errorf("%s: fold %d charged reads %d, work %d, user work %d; GatherAt %d, %d, %d",
+					eng, op, f.Reads, f.Work, f.UserWork, g.Reads, g.Work, g.UserWork)
+			}
+		}
 	}
 }
 
@@ -263,14 +314,15 @@ func runBatch(t *testing.T, eng ppm.Engine, n int, init []uint64, body func(c pp
 	return batchRun{append(a.Snapshot(), out.Snapshot()...), rt.Stats(), rt.WARViolations()}
 }
 
-// TestBatchedAccessorsMatchLoops holds Gather, CAMAt, ScatterAt and Scatter
-// to the per-span or per-word loops they replace, on both engines: the same
-// words, the same Stats (on the model, the same block transfers), and the
-// same WAR checker lines for a conflict planted behind each batch. The spans
-// have lengths 0, 1, 2, 8, 9 and 1 000, out of order, one ending on the
-// array's last word; Gather reads them into a nil dst and appends them to a
-// non-nil one, and Scatter writes them. CAMAt's indices repeat, so the first
-// claim of each must win.
+// TestBatchedAccessorsMatchLoops holds Gather, FoldAt, CAMAt, ScatterAt and
+// Scatter to the per-span or per-word loops they replace, on both engines:
+// the same words, the same Stats (on the model, the same block transfers),
+// and the same WAR checker lines for a conflict planted behind each batch.
+// The spans have lengths 0, 1, 2, 8, 9 and 1 000, out of order, one ending on
+// the array's last word; Gather reads them into a nil dst and appends them to
+// a non-nil one, and Scatter writes them. The indices repeat, one is the
+// array's last word, and FoldAt cuts them into segments of 3, 0, 4 and 1;
+// CAMAt's first claim of each index must win.
 func TestBatchedAccessorsMatchLoops(t *testing.T) {
 	const n = 2048
 	spans := [][2]int{{700, 709}, {5, 5}, {1048, 2048}, {40, 42}, {3, 4}, {100, 108}, {0, 1}}
@@ -284,18 +336,48 @@ func TestBatchedAccessorsMatchLoops(t *testing.T) {
 		claimable[i] = 0
 	}
 	claimable[512] = 1
+	lens := []uint64{3, 0, 4, 1}
+	accs := map[ppm.Fold][]uint64{
+		ppm.FoldMin: {^uint64(0), 5, 1 << 40, 1},
+		ppm.FoldSum: {0, math.Float64bits(1.5), math.Float64bits(-0.25), math.Float64bits(1e-3)},
+	}
+	type batchCase struct {
+		name        string
+		init        []uint64
+		batch, loop func(c ppm.Ctx, a, out ppm.Array)
+		want        func([]uint64) []uint64 // the array and out's prefix after the run
+	}
+	// foldCase folds idx's segments into out, then plants a write into the
+	// block of the array's last word, which the fold read.
+	foldCase := func(name string, op ppm.Fold, init []uint64) batchCase {
+		return batchCase{name, init,
+			func(c ppm.Ctx, a, out ppm.Array) {
+				acc := append(c.Scratch(len(lens))[:0], accs[op]...)
+				a.FoldAt(c, op, idx, lens, acc)
+				out.SetRange(c, 0, acc)
+				//ppm:allow warfree this test plants the conflict both dynamic checkers must flag
+				a.Set(c, n-1, 1)
+			},
+			func(c ppm.Ctx, a, out ppm.Array) {
+				get := func(i uint64) uint64 { return a.Get(c, int(i)) }
+				out.SetRange(c, 0, foldLoop(op, get, idx, lens, accs[op]))
+				//ppm:allow warfree this test plants the conflict both dynamic checkers must flag
+				a.Set(c, n-1, 1)
+			},
+			func(w []uint64) []uint64 {
+				acc := foldLoop(op, func(i uint64) uint64 { return w[i] }, idx, lens, accs[op])
+				w[n-1] = 1
+				return slices.Concat(w, acc)
+			},
+		}
+	}
 	src := make([]uint64, 0, n)
 	for _, s := range spans {
 		for i := s[0]; i < s[1]; i++ {
 			src = append(src, uint64(5000+i))
 		}
 	}
-	cases := []struct {
-		name        string
-		init        []uint64
-		batch, loop func(c ppm.Ctx, a, out ppm.Array)
-		want        func([]uint64) []uint64 // the array and out's prefix after the run
-	}{
+	cases := []batchCase{
 		{"gather", seqWords(n),
 			func(c ppm.Ctx, a, out ppm.Array) {
 				g := a.Gather(c, spans, nil)
@@ -327,6 +409,8 @@ func TestBatchedAccessorsMatchLoops(t *testing.T) {
 				return slices.Concat(w, g, prefix, g)
 			},
 		},
+		foldCase("foldmin", ppm.FoldMin, seqWords(n)),
+		foldCase("foldsum", ppm.FoldSum, floatWords(n)),
 		{"camat", claimable,
 			func(c ppm.Ctx, a, out ppm.Array) {
 				_ = a.Get(c, 33)
@@ -419,6 +503,32 @@ func TestBatchedAccessorsMatchLoops(t *testing.T) {
 	}
 }
 
+// foldLoop is FoldAt's plain loop: acc (a copy of init) folds get(i) for
+// the indices i of each segment of idx, in order.
+func foldLoop(op ppm.Fold, get func(uint64) uint64, idx, lens, init []uint64) []uint64 {
+	acc := slices.Clone(init)
+	for s, l := range lens {
+		for _, i := range idx[:l] {
+			if op == ppm.FoldSum {
+				acc[s] = math.Float64bits(math.Float64frombits(acc[s]) + math.Float64frombits(get(i)))
+			} else {
+				acc[s] = min(acc[s], get(i))
+			}
+		}
+		idx = idx[l:]
+	}
+	return acc
+}
+
+// floatWords returns n float64 bit patterns whose sums round.
+func floatWords(n int) []uint64 {
+	vals := make([]uint64, n)
+	for i := range vals {
+		vals[i] = math.Float64bits(1 / float64(i+3))
+	}
+	return vals
+}
+
 // batchFuzzWords is the fuzzed array's length; batchFuzzMax caps the spans
 // and the indices one input decodes to.
 const (
@@ -453,14 +563,40 @@ func batchFuzzInput(data []byte) (spans [][2]int, idx []uint64) {
 	return spans, idx
 }
 
+// foldFuzzLens cuts idx into the fuzz target's FoldAt segments, appending
+// their lengths to lens: a segment ends after every index ≡ 3 (mod 4), one
+// ≡ 15 (mod 16) adds an empty segment behind it, and the last segment, which
+// may be empty, ends with idx.
+func foldFuzzLens(idx, lens []uint64) []uint64 {
+	run := uint64(0)
+	for _, i := range idx {
+		run++
+		if i%4 == 3 {
+			lens, run = append(lens, run), 0
+			if i%16 == 15 {
+				lens = append(lens, 0)
+			}
+		}
+	}
+	return append(lens, run)
+}
+
+// foldFuzzInit is the fuzz target's starting min and sum for segment s:
+// a min above, at or inside the array's values, a sum that rounds.
+func foldFuzzInit(s int) (minAcc, sumAcc uint64) {
+	return 4 - uint64(s%3), math.Float64bits(float64(s) / 7)
+}
+
 // batchFuzzProgram is the fuzz target's program on one runtime: a Seq of a
-// read phase (two forked leaves, each a Gather of half the spans and a
-// GatherAt of half the indices), a claim phase (one CAMAt over every index,
+// read phase (two forked leaves, each a Gather of half the spans, and a
+// GatherAt and two FoldAts — a FoldMin over the array, a FoldSum over a
+// second one of float64 words — of half the indices), a claim phase (one CAMAt over every index,
 // claiming words that hold 0), and a store phase (two forked leaves, each a
 // ScatterAt of the indices of one parity, so no word has two writers).
 type batchFuzzProgram struct {
 	rt                           *ppm.Runtime
 	arr, spanW, idxW, gOut, aOut ppm.Array
+	fArr, minOut, sumOut         ppm.Array
 	root                         ppm.FuncRef
 }
 
@@ -473,7 +609,12 @@ func newBatchFuzzProgram(procs int) *batchFuzzProgram {
 		idxW:  rt.NewArray(batchFuzzMax),
 		gOut:  rt.NewArray(32 * batchFuzzWords),
 		aOut:  rt.NewArray(batchFuzzMax),
+		fArr:  rt.NewArray(batchFuzzWords),
+		// Two halves of indices cut into at most 2·len+1 segments each.
+		minOut: rt.NewArray(2*batchFuzzMax + 2),
+		sumOut: rt.NewArray(2*batchFuzzMax + 2),
 	}
+	p.fArr.Load(floatWords(batchFuzzWords))
 	spansOf := func(c ppm.Ctx, lo, hi int) [][2]int {
 		w := p.spanW.Slice(c, 2*lo, 2*hi)
 		spans := c.ScratchSpans(hi - lo)
@@ -482,7 +623,8 @@ func newBatchFuzzProgram(procs int) *batchFuzzProgram {
 		}
 		return spans
 	}
-	// read: args [s0, s1, i0, i1], a half of the spans and of the indices.
+	// read: args [s0, s1, i0, i1, second], a half of the spans and of the
+	// indices, the second half when second is 1.
 	read := rt.Register("fuzz/batch/read", func(c ppm.Ctx) {
 		s0, s1, i0, i1 := c.Int(0), c.Int(1), c.Int(2), c.Int(3)
 		off := 0
@@ -490,12 +632,26 @@ func newBatchFuzzProgram(procs int) *batchFuzzProgram {
 			off += s[1] - s[0]
 		}
 		p.gOut.SetRange(c, off, p.arr.Gather(c, spansOf(c, s0, s1), nil))
-		p.aOut.SetRange(c, i0, p.arr.GatherAt(c, p.idxW.Slice(c, i0, i1), nil))
+		half := p.idxW.Slice(c, i0, i1)
+		p.aOut.SetRange(c, i0, p.arr.GatherAt(c, half, nil))
+		seg := 0 // the first half's segments come first
+		if c.Int(4) == 1 {
+			seg = len(foldFuzzLens(p.idxW.Slice(c, 0, i0), c.Scratch(2*i0 + 1)[:0]))
+		}
+		lens := foldFuzzLens(half, c.Scratch(2*len(half) + 1)[:0])
+		mins, sums := c.Scratch(len(lens)), c.Scratch(len(lens))
+		for s := range lens {
+			mins[s], sums[s] = foldFuzzInit(seg + s)
+		}
+		p.arr.FoldAt(c, ppm.FoldMin, half, lens, mins)
+		p.fArr.FoldAt(c, ppm.FoldSum, half, lens, sums)
+		p.minOut.SetRange(c, seg, mins)
+		p.sumOut.SetRange(c, seg, sums)
 		c.Done()
 	})
 	readP := rt.Register("fuzz/batch/readP", func(c ppm.Ctx) {
 		ns, ni := c.Int(0), c.Int(1)
-		c.Fork(read.Call(0, ns/2, 0, ni/2), read.Call(ns/2, ns, ni/2, ni))
+		c.Fork(read.Call(0, ns/2, 0, ni/2, 0), read.Call(ns/2, ns, ni/2, ni, 1))
 	})
 	claim := rt.Register("fuzz/batch/claim", func(c ppm.Ctx) {
 		idx := p.idxW.Slice(c, 0, c.Int(0))
@@ -530,11 +686,13 @@ func newBatchFuzzProgram(procs int) *batchFuzzProgram {
 	return p
 }
 
-// FuzzBatchedAccessors runs Gather, GatherAt, CAMAt and ScatterAt over
-// random spans and index lists on the native engine, at one worker and at
-// two, against the same operations on a plain-Go copy of the array. The
+// FuzzBatchedAccessors runs Gather, GatherAt, FoldAt, CAMAt and ScatterAt
+// over random spans and index lists on the native engine, at one worker and
+// at two, against the same operations on a plain-Go copy of the array. The
 // array starts as i mod 4, so a quarter of the claims find the 0 they CAM
-// from and the first claim of a repeated index wins.
+// from and the first claim of a repeated index wins; FoldAt's segments come
+// from the indices themselves (foldFuzzLens), and its sums must match the
+// plain loop's bit for bit.
 func FuzzBatchedAccessors(f *testing.F) {
 	progs := []*batchFuzzProgram{newBatchFuzzProgram(1), newBatchFuzzProgram(2)}
 	defer func() {
@@ -560,6 +718,17 @@ func FuzzBatchedAccessors(f *testing.F) {
 		for _, i := range idx {
 			at = append(at, ref[i])
 		}
+		var mins, sums []uint64
+		fvals := floatWords(batchFuzzWords)
+		for _, half := range [][]uint64{idx[:len(idx)/2], idx[len(idx)/2:]} {
+			lens := foldFuzzLens(half, nil)
+			minInit, sumInit := make([]uint64, len(lens)), make([]uint64, len(lens))
+			for s := range lens {
+				minInit[s], sumInit[s] = foldFuzzInit(len(mins) + s)
+			}
+			mins = append(mins, foldLoop(ppm.FoldMin, func(i uint64) uint64 { return ref[i] }, half, lens, minInit)...)
+			sums = append(sums, foldLoop(ppm.FoldSum, func(i uint64) uint64 { return fvals[i] }, half, lens, sumInit)...)
+		}
 		for k, i := range idx {
 			if ref[i] == 0 {
 				ref[i] = 1000 + uint64(k)
@@ -578,6 +747,8 @@ func FuzzBatchedAccessors(f *testing.F) {
 			// previous input's result.
 			p.gOut.LoadAt(0, complement(gathered))
 			p.aOut.LoadAt(0, complement(at))
+			p.minOut.LoadAt(0, complement(mins))
+			p.sumOut.LoadAt(0, complement(sums))
 			p.arr.Load(init)
 			p.spanW.LoadAt(0, sw)
 			p.idxW.LoadAt(0, idx)
@@ -590,6 +761,8 @@ func FuzzBatchedAccessors(f *testing.F) {
 			}{
 				{"Gather", p.gOut.SnapshotRange(0, len(gathered)), gathered},
 				{"GatherAt", p.aOut.SnapshotRange(0, len(at)), at},
+				{"FoldAt min", p.minOut.SnapshotRange(0, len(mins)), mins},
+				{"FoldAt sum", p.sumOut.SnapshotRange(0, len(sums)), sums},
 				{"CAMAt, then ScatterAt", p.arr.Snapshot(), ref},
 			} {
 				if !slices.Equal(chk.got, chk.want) {

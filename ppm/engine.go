@@ -2,6 +2,7 @@ package ppm
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"repro/internal/algos/blockio"
@@ -84,6 +85,7 @@ type capCtx interface {
 	Slice(base pmem.Addr, lo, hi int) []uint64
 	Gather(base pmem.Addr, n int, spans [][2]int, dst []uint64) ([]uint64, bool)
 	GatherAt(base pmem.Addr, n int, idx []uint64, dst []uint64) ([]uint64, bool)
+	FoldAt(base pmem.Addr, n int, op Fold, idx, lens, acc []uint64) bool
 	CAMAt(base pmem.Addr, n int, idx []uint64, old uint64, vals []uint64) bool
 	ScatterAt(base pmem.Addr, n int, idx []uint64, vals []uint64) bool
 	Scratch(n int) []uint64
@@ -265,6 +267,29 @@ func (m *modelCtx) GatherAt(base pmem.Addr, n int, idx []uint64, dst []uint64) (
 		dst = append(dst, m.e.Read(base+pmem.Addr(i)))
 	}
 	return dst, true
+}
+
+// FoldAt charges what GatherAt charges for the same idx, one Read per index
+// in index order, and folds each word into its segment's accumulator instead
+// of a buffer.
+func (m *modelCtx) FoldAt(base pmem.Addr, n int, op Fold, idx, lens, acc []uint64) bool {
+	for s, l := range lens {
+		a := acc[s]
+		for _, i := range idx[:l] {
+			if i >= uint64(n) {
+				return false
+			}
+			v := m.e.Read(base + pmem.Addr(i))
+			if op == FoldSum {
+				a = math.Float64bits(math.Float64frombits(a) + math.Float64frombits(v))
+			} else {
+				a = min(a, v)
+			}
+		}
+		acc[s] = a
+		idx = idx[l:]
+	}
+	return true
 }
 
 // CAMAt and ScatterAt are the loops they batch: one charged, fault-pointed

@@ -27,8 +27,8 @@ const (
 // leaf does at most ≈ 2·leaf words whatever the degrees, unless it is one
 // vertex whose arcs alone pass the budget: a hub keeps a leaf of its own.
 //
-// The model engine charges a block transfer per claim and per GatherAt
-// index, so leaves whose cost is per arc stay small enough that C is a few
+// The model engine charges a block transfer per claim and per GatherAt or
+// FoldAt index, so leaves whose cost is per arc stay small enough that C is a few
 // hundred transfers at typical degrees, under 1/(2f) at the f = 0.002 its
 // fault sweeps use. Its leaf budget of 80 holds ≈ 11 vertices at degree 4,
 // a largest cc leaf of ≈ 100 transfers. A budget of 60 kept every model

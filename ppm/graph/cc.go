@@ -15,9 +15,11 @@ import (
 //	m = min(cur[v], min over arcs v→u of cur[u])
 //	next[v] = min(cur[cur[v]], cur[m])
 //
-// The leaf gathers each arc's label once and then, per vertex, the two
-// labels' labels. It only reads cur (a Slice, the adjacency, two GatherAt
-// calls on cur) and only writes next (ping-pong), so every capsule is
+// The leaf folds each arc's label into its vertex's m once, with one FoldMin
+// over the leaf's arcs whose accumulators start at the vertices' own labels,
+// and then gathers, per vertex, the two labels' labels. It only reads cur (a
+// Slice, the adjacency, a FoldAt and a GatherAt on cur) and only writes next
+// (ping-pong), so every capsule is
 // WAR-free and replay-safe exactly as plain label propagation is (Theorem
 // 3.1). The init leaf writes the first round straight from the arcs,
 // min(v, min over arcs v→u of u): with cur the identity the formula reduces
@@ -130,24 +132,21 @@ func (a *CC) Build(rt *ppm.Runtime) {
 			c.Done()
 			return
 		}
-		// One gather of the live vertices' arc labels gives each its m; a
-		// second, per vertex, reads cur[cur[v]] and cur[m].
+		// One fold of the live vertices' arc labels, each starting from the
+		// vertex's own, gives each its m; a gather then reads cur[cur[v]]
+		// and cur[m].
 		offs, arcs := cs.adjLive(c, lo, hi, mine)
-		nlab := cur.GatherAt(c, arcs, nil)
-		idx := c.Scratch(2 * live)
-		i, j := 0, 0
+		lens, ms, idx := c.Scratch(live), c.Scratch(live), c.Scratch(2*live)
+		j := 0
 		for k, l := range mine {
-			if l == 0 {
-				continue
+			if l != 0 {
+				lens[j], ms[j], idx[2*j] = offs[k+1]-offs[k], l, l
+				j++
 			}
-			end := i + int(offs[k+1]-offs[k])
-			m := l
-			for _, x := range nlab[i:end] {
-				m = min(m, x)
-			}
-			i = end
-			idx[j], idx[j+1] = l, m
-			j += 2
+		}
+		cur.FoldAt(c, ppm.FoldMin, arcs, lens, ms)
+		for j, m := range ms {
+			idx[2*j+1] = m
 		}
 		got := cur.GatherAt(c, idx, nil)
 		vals := c.Scratch(hi - lo) // zeroed: a label-0 vertex stays 0

@@ -30,10 +30,12 @@
 // a range, reads their offsets in place) and reads its targets' claimant
 // words or levels back with one GatherAt, and a scan leaf over a contiguous
 // vertex range reads its arcs as one Slice (cc's, once some of its labels
-// are final, one Gather of the rest's) and the per-arc labels or
-// contributions with one GatherAt. The model charges each as a single round
-// of block transfers; the native engine runs each as one tight loop into the
-// worker's ephemeral memory, so a leaf allocates nothing on the Go heap.
+// are final, one Gather of the rest's) and folds the per-arc labels or
+// contributions into each vertex's minimum or sum with one FoldAt, which
+// keeps no per-arc buffer. The model charges each as a single round of block
+// transfers; the native engine runs each as one tight loop, into the
+// worker's ephemeral memory or its accumulators, so a leaf allocates nothing
+// on the Go heap.
 //
 // Importing this package (even blank) registers bfs, cc, and pagerank in
 // ppm.Catalog(), so catalog-driven experiments and tests pick the graph
@@ -362,9 +364,9 @@ func (v vcsr) gatherAdj(c ppm.Ctx, vs []uint64) (spans [][2]int, nbrs []uint64) 
 // table, so the Slice holds at most the leaf budget's arcs at epoch 0,
 // unless the leaf is one hub; a later epoch's leaf holds what mutations
 // added or removed besides. The
-// per-arc leaves walk arcs with that running cursor: pagerank's scan fetches
-// the per-arc words with GatherAt(arcs), cc's init takes the targets
-// themselves.
+// per-arc leaves walk arcs with that running cursor: pagerank's scan folds
+// the per-arc words with FoldAt(arcs), its segments the vertices' degrees,
+// and cc's init takes the targets themselves.
 func (v vcsr) adjRange(c ppm.Ctx, lo, hi int) (offs, arcs []uint64) {
 	ob, ab := v.bases(c)
 	offs = v.offs.Slice(c, ob+lo, ob+hi+1)

@@ -336,14 +336,16 @@ func (a msbfsAlgo) Output() []uint64 { return a.Levels(0) }
 // allocates nothing. Tasks and joins come off per-worker free lists, argument
 // words ride inline in the task and travel by value from Call, a Seq fills
 // the worker's own step vectors, and a leaf takes every vector — slices,
-// gathers, result buffers — from the worker's ephemeral memory. What a run
-// still allocates is per run (the root task and join, its argument words, a
-// MultiBFS batch's argument list), a few thousandths of an object per capsule
-// at most of these sizes. One heap object per leaf, fork or phase would cost
-// 0.25 or more; the mesh, 255 thin rounds of two capsules each, is where a
-// per-phase object shows. Arc-budgeted leaves make the star's run short: 73
-// capsules over 9 leaves, so its 3 per-run objects read 0.041, near the
-// limit, and one more object per run would fail it.
+// gathers, result buffers — from the worker's ephemeral memory, and the scan
+// leaves fold their arc targets' words with FoldAt, which allocates nothing.
+// The root task and join are made once per runtime; what a run still
+// allocates is per run (its argument words, a MultiBFS batch's argument
+// list), a few thousandths of an object per capsule at most of these sizes.
+// One heap object per leaf, fork or phase would cost 0.25 or more; the mesh,
+// 255 thin rounds of two capsules each, is where a per-phase object shows.
+// Arc-budgeted leaves make the star's run short: 73 capsules over 9 leaves,
+// so its one per-run object reads 0.014, and three more objects per run
+// would fail it.
 //
 // The star row is cc's init at full weight: its init leaves read every arc
 // and write the final labels, so the run is the init and one scan round that

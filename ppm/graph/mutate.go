@@ -187,15 +187,17 @@ func NewResident(tag string, g *Graph, slots, arcCap, batchCap int) *Resident {
 }
 
 // MinBuildWords is a lower bound on the heap words that Build allocates for
-// a Resident of n vertices with NewResident's slots and batchCap, and for a
-// MultiBFS of width kMax, Components and PageRank over it: the arrays whose
-// lengths n and those widths fix, each slot's arcs counted at the least
-// capacity NewResident gives it. A runtime with fewer MemWords cannot build
-// them, so a caller can refuse such a graph before generating it.
-func MinBuildWords(n, slots, batchCap, kMax int) int {
+// a Resident of n vertices and at least arcs epoch-0 arcs, with
+// NewResident's slots and batchCap, and for a MultiBFS of width kMax,
+// Components and PageRank over it: the arrays whose lengths n, arcs and
+// those widths fix, each slot's arcs counted at the least capacity
+// NewResident gives it. A runtime with fewer MemWords cannot build them, so
+// a caller can refuse such a graph before generating it; pass 0 for arcs
+// when the generator does not fix the count.
+func MinBuildWords(n, arcs, slots, batchCap, kMax int) int {
 	slots, batchCap = max(slots, 2), max(batchCap, 1)
 	kMax = min(max(kMax, 1), maxBatchWidth)
-	resident := slots*(n+1) + slots*2*batchCap + // offsets and arcs ring
+	resident := slots*(n+1) + slots*(max(arcs, 0)+2*batchCap) + // offsets and arcs ring
 		1 + 2*n + 2*(n+1) + 4*batchCap + 2 // epoch, degrees, staging, mutW
 	msbfs := 5*kMax*n + n + 1 + 2       // owner, levels, fronts, kinds, done
 	return resident + msbfs + 2*n + 4*n // CC: 2 label vectors; PageRank: 2 rank, 2 contribution

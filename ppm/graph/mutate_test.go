@@ -563,17 +563,28 @@ func TestMutationBatchApplyTo(t *testing.T) {
 }
 
 // TestMinBuildWordsIsALowerBound: the serving layer's four builds on one
-// native runtime take at least MinBuildWords heap words, so a refusal from
-// the bound never refuses a graph that fits. kMax 20 checks the bound caps
-// the width as NewMultiBFS does.
+// native runtime take at least MinBuildWords heap words, given the graph's
+// exact arc count, so a refusal from the bound never refuses a graph that
+// fits. kMax 20 checks the bound caps the width as NewMultiBFS does; the
+// grid rows include a prime n (one row) and n = 1 (no arcs).
 func TestMinBuildWordsIsALowerBound(t *testing.T) {
-	for _, tc := range []struct{ n, slots, batchCap, kMax int }{
-		{1, 2, 1, 1},
-		{200, 2, 1024, 4},
-		{3000, 3, 64, 8},
-		{3000, 2, 16, 20},
+	for _, tc := range []struct {
+		kind                     string
+		n, slots, batchCap, kMax int
+	}{
+		{"rand", 1, 2, 1, 1},
+		{"rand", 200, 2, 1024, 4},
+		{"rand", 3000, 3, 64, 8},
+		{"rand", 3000, 2, 16, 20},
+		{"grid", 1, 2, 1, 1},
+		{"grid", 3000, 2, 16, 8},
+		{"grid", 4096, 3, 64, 4},
+		{"grid", 2999, 2, 16, 8},
 	} {
-		g := graph.Rand(tc.n, 2*tc.n, 3)
+		g, err := graph.Generate(tc.kind, tc.n, 2*tc.n, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
 		rt := ppm.New(ppm.WithEngine(ppm.EngineNative), ppm.WithProcs(2), ppm.WithMemWords(1<<22))
 		before := rt.AllocStats().HeapWords
 		res := graph.NewResident("floor", g, tc.slots, 0, tc.batchCap)
@@ -583,7 +594,7 @@ func TestMinBuildWordsIsALowerBound(t *testing.T) {
 		graph.PageRank("floor", res, 2).Build(rt)
 		used := rt.AllocStats().HeapWords - before
 		rt.Close()
-		bound := graph.MinBuildWords(tc.n, tc.slots, tc.batchCap, tc.kMax)
+		bound := graph.MinBuildWords(tc.n, len(g.Adj), tc.slots, tc.batchCap, tc.kMax)
 		if int64(bound) > used {
 			t.Errorf("%+v: bound %d words, builds used %d", tc, bound, used)
 		}

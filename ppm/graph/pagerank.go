@@ -19,8 +19,9 @@ const damping = 0.85
 //	init — c₀[u] = (1/n)/deg(u), deg(u) read off the in-lists' offsets of
 //	       the run's slot
 //	scan — r[v] = (1-d)/n + d · Σ c_it[u] over in-neighbours u, summed
-//	       sequentially in in-list order, then c_{it+1}[v] = r[v]/deg(v) in
-//	       the same capsule; the last iteration writes no contribution.
+//	       sequentially in in-list order by one FoldSum over the leaf's arcs
+//	       (a segment per vertex, from +0.0), then c_{it+1}[v] = r[v]/deg(v)
+//	       in the same capsule; the last iteration writes no contribution.
 //
 // Only the last two iterations also write r, into ranks[(it+1)%2], so Output
 // and Verify read r_K and r_{K−1} (with K = 1, init writes r_0). The divisions
@@ -98,31 +99,30 @@ func (a *PR) Build(rt *ppm.Runtime) {
 		lo, hi := in.leaves.at(c, c.Int(0))
 		it := c.Int(2)
 		offs, srcs := in.adjRange(c, lo, hi)
-		// One batched round: the contribution of every in-neighbour.
-		cvals := contribs[it%2].GatherAt(c, srcs, nil)
-		base := (1 - damping) / float64(n)
+		// One batched round folds every in-neighbour's contribution into its
+		// vertex's sum, in in-list order, starting from +0.0.
+		deg := c.Scratch(hi - lo)
+		for i := range deg {
+			deg[i] = offs[i+1] - offs[i]
+		}
 		ranks := c.Scratch(hi - lo)
-		i := 0
-		for idx := range ranks {
-			sum := 0.0
-			end := i + int(offs[idx+1]-offs[idx])
-			for _, cv := range cvals[i:end] {
-				sum += math.Float64frombits(cv)
-			}
-			i = end
-			ranks[idx] = math.Float64bits(base + damping*sum)
+		contribs[it%2].FoldAt(c, ppm.FoldSum, srcs, deg, ranks)
+		base := (1 - damping) / float64(n)
+		for i, sum := range ranks {
+			ranks[i] = math.Float64bits(base + damping*math.Float64frombits(sum))
 		}
 		if it >= a.iters-2 {
 			a.ranks[(it+1)%2].SetRange(c, lo, ranks)
 		}
 		if it < a.iters-1 {
-			vals := c.Scratch(hi - lo)
-			for idx, r := range ranks {
-				if d := offs[idx+1] - offs[idx]; d > 0 {
-					vals[idx] = math.Float64bits(math.Float64frombits(r) / float64(d))
+			// deg becomes the contribution vector in place; a dangling
+			// vertex's 0 is already +0.0.
+			for i, r := range ranks {
+				if d := deg[i]; d > 0 {
+					deg[i] = math.Float64bits(math.Float64frombits(r) / float64(d))
 				}
 			}
-			contribs[(it+1)%2].SetRange(c, lo, vals)
+			contribs[(it+1)%2].SetRange(c, lo, deg)
 		}
 		c.Done()
 	})

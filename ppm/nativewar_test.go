@@ -1,6 +1,7 @@
 package ppm_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -85,5 +86,41 @@ func TestNativeWARCheckCleanWorkload(t *testing.T) {
 					strings.Join(vs, "\n"))
 			}
 		})
+	}
+}
+
+// TestWARCheckFoldAt: FoldAt marks a read of every block it indexes, on both
+// engines' checkers, so a write into one of them is flagged on that block,
+// and a write into a block it did not index is not.
+func TestWARCheckFoldAt(t *testing.T) {
+	for _, eng := range bothEngines {
+		for _, at := range []int{41, 20} {
+			rt := ppm.New(ppm.WithEngine(eng), ppm.WithWARCheck())
+			cells := rt.NewArray(64)
+			bad := rt.Register("war/foldat", func(c ppm.Ctx) {
+				acc := c.Scratch(2)
+				cells.FoldAt(c, ppm.FoldMin, []uint64{40, 3, 40}, []uint64{2, 1}, acc)
+				//ppm:allow warfree this test plants the conflict both dynamic checkers must flag
+				cells.Set(c, at, acc[0]+acc[1])
+				c.Halt()
+			})
+			rt.RunOnAll(bad)
+			vs, block := rt.WARViolations(), int(cells.At(at))/rt.BlockWords()
+			rt.Close()
+			if at == 20 {
+				if len(vs) != 0 {
+					t.Errorf("%s: a write to a block FoldAt did not read was flagged: %v", eng, vs)
+				}
+				continue
+			}
+			if len(vs) == 0 {
+				t.Fatalf("%s: FoldAt then a write to a block it read was not flagged", eng)
+			}
+			for _, v := range vs {
+				if !strings.Contains(v, fmt.Sprintf("conflict on block %d ", block)) {
+					t.Errorf("%s: violation %q is not on block %d", eng, v, block)
+				}
+			}
+		}
 	}
 }

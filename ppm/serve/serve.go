@@ -175,6 +175,24 @@ func (s GraphSpec) Key() string {
 	return fmt.Sprintf("%s:n%d:m%d:s%d", s.Kind, s.N, s.M, s.Seed)
 }
 
+// arcs is the spec's arc count where its generator fixes it from n alone:
+// the grid's, whose dimensions graph.Generate picks as rows the largest
+// divisor of n up to √n. rand and rmat drop self-loops (and rmat out-of-range
+// draws), so their count is only known once generated: 0.
+func (s GraphSpec) arcs() int {
+	if s.Kind != "grid" || s.N <= 0 {
+		return 0
+	}
+	rows := 1
+	for r := 2; r*r <= s.N; r++ {
+		if s.N%r == 0 {
+			rows = r
+		}
+	}
+	cols := s.N / rows
+	return 2 * (rows*(cols-1) + (rows-1)*cols)
+}
+
 // regionName flattens the key into a POSIX-friendly region file name; the
 // mapping is reversible (specFromRegion) so a restarted server can re-admit
 // surviving regions without being told what was resident.
@@ -694,7 +712,7 @@ func (s *Server) buildEntry(spec GraphSpec) (*entry, error) {
 	// A fresh build that cannot fit is refused from the spec, before any
 	// work in proportion to the graph. A surviving region keeps the
 	// geometry it was written with, so it is left to recovery.
-	need := graph.MinBuildWords(spec.N, s.cfg.EpochSlots, s.cfg.MutBatchCap, s.cfg.MaxBatch)
+	need := graph.MinBuildWords(spec.N, spec.arcs(), s.cfg.EpochSlots, s.cfg.MutBatchCap, s.cfg.MaxBatch)
 	if !recoverable && need > s.cfg.MemWords {
 		return nil, fmt.Errorf("serve: graph %s needs at least %d words, over MemWords %d",
 			spec.Key(), need, s.cfg.MemWords)

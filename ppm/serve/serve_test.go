@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/durable"
+	"repro/ppm/graph"
 )
 
 // testConfig keeps graphs tiny so the suite stays fast on small machines.
@@ -396,6 +397,41 @@ func TestGraphOverMemWordsIsRefused(t *testing.T) {
 	// A graph that fits is still served.
 	if _, err := s.Submit(Query{Graph: smallGraph(1), Kind: "bfs", Source: 0}); err != nil {
 		t.Fatalf("small graph: %v", err)
+	}
+}
+
+// TestGridSpecArcsRefused: a grid spec's arc count is known from n, so its
+// refusal counts the version ring's arcs: a grid that the vertex-only floor
+// admits but whose arcs push it over MemWords is refused from the spec,
+// with the bound's message and no region file, before it is generated. The
+// count matches the generator's for square, oblong, prime and 1-vertex n.
+func TestGridSpecArcsRefused(t *testing.T) {
+	for _, n := range []int{1, 2, 7, 3000, 2999, 16384} {
+		g, err := graph.Generate("grid", n, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := (GraphSpec{Kind: "grid", N: n}).arcs(); got != len(g.Adj) {
+			t.Errorf("grid n=%d: spec counts %d arcs, the generator makes %d", n, got, len(g.Adj))
+		}
+	}
+	cfg := testConfig()
+	cfg.DurableDir = t.TempDir()
+	spec := GraphSpec{Kind: "grid", N: 40000, Seed: 1}
+	floor := graph.MinBuildWords(spec.N, 0, cfg.EpochSlots, cfg.MutBatchCap, cfg.MaxBatch)
+	need := graph.MinBuildWords(spec.N, spec.arcs(), cfg.EpochSlots, cfg.MutBatchCap, cfg.MaxBatch)
+	cfg.MemWords = (floor + need) / 2
+	if floor > cfg.MemWords || need <= cfg.MemWords {
+		t.Fatalf("floor %d, need %d: no MemWords between them", floor, need)
+	}
+	s := New(cfg)
+	defer s.Close()
+	_, err := s.Submit(Query{Graph: spec, Kind: "bfs", Source: 0})
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("needs at least %d words", need)) {
+		t.Fatalf("err = %v, want a refusal of %d words from the spec", err, need)
+	}
+	if files, _ := os.ReadDir(cfg.DurableDir); len(files) != 0 {
+		t.Fatalf("durable dir holds %d files, want none", len(files))
 	}
 }
 
