@@ -56,6 +56,7 @@ type Fold uint8
 const (
 	FoldMin Fold = iota
 	FoldSum
+	FoldOr
 )
 
 // Array is a handle to a persistent array.

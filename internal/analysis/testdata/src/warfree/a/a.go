@@ -117,6 +117,26 @@ func foldAtIntoNext(c ppm.Ctx) {
 	c.Done()
 }
 
+// A FoldOr reads the masks it folds: or-ing the frontier masks of cur and
+// writing the union back into cur conflicts, and writing it into next, the
+// MultiBFS sweep leaf's ping-pong, is clean.
+func foldOrThenWrite(c ppm.Ctx) {
+	idx, lens, acc := c.Scratch(4), c.Scratch(1), c.Scratch(1)
+	lens[0] = 4
+	src.FoldAt(c, ppm.FoldOr, idx, lens, acc)
+	src.SetRange(c, 0, acc) // want `write-after-read conflict`
+	c.Done()
+}
+
+func foldOrIntoNext(c ppm.Ctx) {
+	cur, next := src, dst
+	idx, lens, acc := c.Scratch(4), c.Scratch(1), c.Scratch(1)
+	lens[0] = 4
+	cur.FoldAt(c, ppm.FoldOr, idx, lens, acc)
+	next.SetRange(c, 0, acc)
+	c.Done()
+}
+
 // CAM a set of words, then GatherAt the same words: every word read is one
 // the capsule already wrote, so a replay re-reads what the first execution
 // left — the frontier claim leaf's shape (claim every target, then read the

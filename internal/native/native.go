@@ -1204,6 +1204,7 @@ type Fold uint8
 const (
 	FoldMin Fold = iota // uint64 minimum
 	FoldSum             // float64 addition on the words' bit patterns
+	FoldOr              // uint64 bitwise or
 )
 
 // FoldAt reduces the words GatherAt would read for idx into acc instead of
@@ -1222,7 +1223,12 @@ func (w *Ctx) FoldAt(base pmem.Addr, n int, op Fold, idx, lens, acc []uint64) (o
 	}
 	win := w.window(base, n)
 	w.batch(int64(len(idx)), &w.reads)
-	if !foldWindow(win, op, idx, lens, acc) {
+	if op == FoldOr {
+		ok = foldOrWindow(win, idx, lens, acc)
+	} else {
+		ok = foldWindow(win, op, idx, lens, acc)
+	}
+	if !ok {
 		return false
 	}
 	if w.war.Enabled() {
@@ -1258,6 +1264,23 @@ func foldWindow(win []uint64, op Fold, idx, lens, acc []uint64) bool {
 				return false
 			}
 			m = min(m, atomic.LoadUint64(&win[i]))
+		}
+		idx = idx[l:]
+		acc[s] = m
+	}
+	return true
+}
+
+// foldOrWindow is foldWindow for FoldOr, a function of its own so that
+// the min and sum loops keep their registers.
+func foldOrWindow(win []uint64, idx, lens, acc []uint64) bool {
+	for s, l := range lens {
+		m := acc[s]
+		for _, i := range idx[:l] {
+			if i >= uint64(len(win)) {
+				return false
+			}
+			m |= atomic.LoadUint64(&win[i])
 		}
 		idx = idx[l:]
 		acc[s] = m

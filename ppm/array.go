@@ -169,6 +169,7 @@ type Fold = native.Fold
 const (
 	FoldMin = native.FoldMin // uint64 minimum
 	FoldSum = native.FoldSum // float64 addition on the words' bit patterns, in index order
+	FoldOr  = native.FoldOr  // uint64 bitwise or
 )
 
 // FoldAt reduces the elements at the given indices into acc in one batched
@@ -177,14 +178,16 @@ const (
 // acc[s] = op(acc[s], a[i]). The lens must sum to len(idx) and acc must hold
 // one accumulator per segment; an empty segment leaves its accumulator as it
 // is. It is the reduce form of GatherAt: a scan leaf folds every arc
-// target's label or contribution into its vertex's minimum or sum. It is
+// target's label or contribution into its vertex's minimum or sum, and a
+// MultiBFS sweep leaf its arc targets' source masks into their union. It is
 // charged exactly as GatherAt(c, idx, …) on both engines — one block
 // transfer per index on the model, one batched read natively. A FoldSum is
 // added in index order, so its result is bit-exact against the sequential
-// loop; FoldMin's does not depend on order. Only for word-packed arrays.
+// loop; FoldMin's and FoldOr's do not depend on order. Only for word-packed
+// arrays.
 func (a Array) FoldAt(c Ctx, op Fold, idx, lens, acc []uint64) {
 	a.needPacked()
-	if op != FoldMin && op != FoldSum {
+	if op != FoldMin && op != FoldSum && op != FoldOr {
 		panic("ppm: FoldAt unknown fold")
 	}
 	rest := uint64(len(idx))

@@ -202,6 +202,7 @@ func TestIndexedAccessOutOfRange(t *testing.T) {
 		"ppm: FoldAt index out of range",
 		"ppm: FoldAt length mismatch",
 		"ppm: FoldAt length mismatch",
+		"ppm: FoldAt index out of range",
 		"ppm: FoldAt unknown fold",
 	}
 	for _, eng := range bothEngines {
@@ -225,7 +226,8 @@ func TestIndexedAccessOutOfRange(t *testing.T) {
 				panicText(func() { in.FoldAt(c, ppm.FoldSum, []uint64{^uint64(0)}, one, c.Scratch(1)) }),
 				panicText(func() { in.FoldAt(c, ppm.FoldMin, []uint64{1, 2}, []uint64{1, ^uint64(0)}, c.Scratch(2)) }),
 				panicText(func() { in.FoldAt(c, ppm.FoldSum, []uint64{1}, one, nil) }),
-				panicText(func() { in.FoldAt(c, ppm.Fold(2), []uint64{1}, one, c.Scratch(1)) }),
+				panicText(func() { in.FoldAt(c, ppm.FoldOr, []uint64{0, n}, []uint64{2}, c.Scratch(1)) }),
+				panicText(func() { in.FoldAt(c, ppm.Fold(3), []uint64{1}, one, c.Scratch(1)) }),
 			}
 			for k, msg := range got {
 				if msg == want[k] {
@@ -248,7 +250,7 @@ func TestIndexedAccessOutOfRange(t *testing.T) {
 
 // TestFoldAtCost: FoldAt charges exactly what GatherAt charges for the same
 // indices — on the model one block transfer per index, natively one batch of
-// len(idx) words — for both folds.
+// len(idx) words — for every fold.
 func TestFoldAtCost(t *testing.T) {
 	const n = 512
 	idx := []uint64{0, 1, 9, 8, 8, 511, 64, 300, 301, 7}
@@ -276,7 +278,7 @@ func TestFoldAtCost(t *testing.T) {
 			return rt.Stats()
 		}
 		g := run(false, 0)
-		for _, op := range []ppm.Fold{ppm.FoldMin, ppm.FoldSum} {
+		for _, op := range []ppm.Fold{ppm.FoldMin, ppm.FoldSum, ppm.FoldOr} {
 			f := run(true, op)
 			if f.Reads != g.Reads || f.Work != g.Work || f.UserWork != g.UserWork {
 				t.Errorf("%s: fold %d charged reads %d, work %d, user work %d; GatherAt %d, %d, %d",
@@ -340,6 +342,7 @@ func TestBatchedAccessorsMatchLoops(t *testing.T) {
 	accs := map[ppm.Fold][]uint64{
 		ppm.FoldMin: {^uint64(0), 5, 1 << 40, 1},
 		ppm.FoldSum: {0, math.Float64bits(1.5), math.Float64bits(-0.25), math.Float64bits(1e-3)},
+		ppm.FoldOr:  {0, 1 << 63, 6, 0},
 	}
 	type batchCase struct {
 		name        string
@@ -411,6 +414,7 @@ func TestBatchedAccessorsMatchLoops(t *testing.T) {
 		},
 		foldCase("foldmin", ppm.FoldMin, seqWords(n)),
 		foldCase("foldsum", ppm.FoldSum, floatWords(n)),
+		foldCase("foldor", ppm.FoldOr, maskWords(n)),
 		{"camat", claimable,
 			func(c ppm.Ctx, a, out ppm.Array) {
 				_ = a.Get(c, 33)
@@ -509,15 +513,28 @@ func foldLoop(op ppm.Fold, get func(uint64) uint64, idx, lens, init []uint64) []
 	acc := slices.Clone(init)
 	for s, l := range lens {
 		for _, i := range idx[:l] {
-			if op == ppm.FoldSum {
+			switch op {
+			case ppm.FoldSum:
 				acc[s] = math.Float64bits(math.Float64frombits(acc[s]) + math.Float64frombits(get(i)))
-			} else {
+			case ppm.FoldOr:
+				acc[s] |= get(i)
+			default:
 				acc[s] = min(acc[s], get(i))
 			}
 		}
 		idx = idx[l:]
 	}
 	return acc
+}
+
+// maskWords returns n words of one to three set bits each, spread over
+// the whole word, as MultiBFS source masks are.
+func maskWords(n int) []uint64 {
+	vals := make([]uint64, n)
+	for i := range vals {
+		vals[i] = 1<<(i%64) | 1<<(i*7%61)
+	}
+	return vals
 }
 
 // floatWords returns n float64 bit patterns whose sums round.
@@ -581,22 +598,25 @@ func foldFuzzLens(idx, lens []uint64) []uint64 {
 	return append(lens, run)
 }
 
-// foldFuzzInit is the fuzz target's starting min and sum for segment s:
-// a min above, at or inside the array's values, a sum that rounds.
-func foldFuzzInit(s int) (minAcc, sumAcc uint64) {
-	return 4 - uint64(s%3), math.Float64bits(float64(s) / 7)
+// foldFuzzInit is the fuzz target's starting min, sum and or for segment
+// s: a min above, at or inside the array's values, a sum that rounds, and
+// an or that is empty or holds one high bit.
+func foldFuzzInit(s int) (minAcc, sumAcc, orAcc uint64) {
+	return 4 - uint64(s%3), math.Float64bits(float64(s) / 7), uint64(s%2) << 63
 }
 
 // batchFuzzProgram is the fuzz target's program on one runtime: a Seq of a
 // read phase (two forked leaves, each a Gather of half the spans, and a
-// GatherAt and two FoldAts — a FoldMin over the array, a FoldSum over a
-// second one of float64 words — of half the indices), a claim phase (one CAMAt over every index,
+// GatherAt and three FoldAts — a FoldMin over the array, a FoldSum over a
+// second one of float64 words and a FoldOr over a third of source masks —
+// of half the indices), a claim phase (one CAMAt over every index,
 // claiming words that hold 0), and a store phase (two forked leaves, each a
 // ScatterAt of the indices of one parity, so no word has two writers).
 type batchFuzzProgram struct {
 	rt                           *ppm.Runtime
 	arr, spanW, idxW, gOut, aOut ppm.Array
 	fArr, minOut, sumOut         ppm.Array
+	mArr, orOut                  ppm.Array
 	root                         ppm.FuncRef
 }
 
@@ -613,8 +633,11 @@ func newBatchFuzzProgram(procs int) *batchFuzzProgram {
 		// Two halves of indices cut into at most 2·len+1 segments each.
 		minOut: rt.NewArray(2*batchFuzzMax + 2),
 		sumOut: rt.NewArray(2*batchFuzzMax + 2),
+		mArr:   rt.NewArray(batchFuzzWords),
+		orOut:  rt.NewArray(2*batchFuzzMax + 2),
 	}
 	p.fArr.Load(floatWords(batchFuzzWords))
+	p.mArr.Load(maskWords(batchFuzzWords))
 	spansOf := func(c ppm.Ctx, lo, hi int) [][2]int {
 		w := p.spanW.Slice(c, 2*lo, 2*hi)
 		spans := c.ScratchSpans(hi - lo)
@@ -639,14 +662,16 @@ func newBatchFuzzProgram(procs int) *batchFuzzProgram {
 			seg = len(foldFuzzLens(p.idxW.Slice(c, 0, i0), c.Scratch(2*i0 + 1)[:0]))
 		}
 		lens := foldFuzzLens(half, c.Scratch(2*len(half) + 1)[:0])
-		mins, sums := c.Scratch(len(lens)), c.Scratch(len(lens))
+		mins, sums, ors := c.Scratch(len(lens)), c.Scratch(len(lens)), c.Scratch(len(lens))
 		for s := range lens {
-			mins[s], sums[s] = foldFuzzInit(seg + s)
+			mins[s], sums[s], ors[s] = foldFuzzInit(seg + s)
 		}
 		p.arr.FoldAt(c, ppm.FoldMin, half, lens, mins)
 		p.fArr.FoldAt(c, ppm.FoldSum, half, lens, sums)
+		p.mArr.FoldAt(c, ppm.FoldOr, half, lens, ors)
 		p.minOut.SetRange(c, seg, mins)
 		p.sumOut.SetRange(c, seg, sums)
+		p.orOut.SetRange(c, seg, ors)
 		c.Done()
 	})
 	readP := rt.Register("fuzz/batch/readP", func(c ppm.Ctx) {
@@ -718,16 +743,17 @@ func FuzzBatchedAccessors(f *testing.F) {
 		for _, i := range idx {
 			at = append(at, ref[i])
 		}
-		var mins, sums []uint64
-		fvals := floatWords(batchFuzzWords)
+		var mins, sums, ors []uint64
+		fvals, mvals := floatWords(batchFuzzWords), maskWords(batchFuzzWords)
 		for _, half := range [][]uint64{idx[:len(idx)/2], idx[len(idx)/2:]} {
 			lens := foldFuzzLens(half, nil)
-			minInit, sumInit := make([]uint64, len(lens)), make([]uint64, len(lens))
+			minInit, sumInit, orInit := make([]uint64, len(lens)), make([]uint64, len(lens)), make([]uint64, len(lens))
 			for s := range lens {
-				minInit[s], sumInit[s] = foldFuzzInit(len(mins) + s)
+				minInit[s], sumInit[s], orInit[s] = foldFuzzInit(len(mins) + s)
 			}
 			mins = append(mins, foldLoop(ppm.FoldMin, func(i uint64) uint64 { return ref[i] }, half, lens, minInit)...)
 			sums = append(sums, foldLoop(ppm.FoldSum, func(i uint64) uint64 { return fvals[i] }, half, lens, sumInit)...)
+			ors = append(ors, foldLoop(ppm.FoldOr, func(i uint64) uint64 { return mvals[i] }, half, lens, orInit)...)
 		}
 		for k, i := range idx {
 			if ref[i] == 0 {
@@ -749,6 +775,7 @@ func FuzzBatchedAccessors(f *testing.F) {
 			p.aOut.LoadAt(0, complement(at))
 			p.minOut.LoadAt(0, complement(mins))
 			p.sumOut.LoadAt(0, complement(sums))
+			p.orOut.LoadAt(0, complement(ors))
 			p.arr.Load(init)
 			p.spanW.LoadAt(0, sw)
 			p.idxW.LoadAt(0, idx)
@@ -763,6 +790,7 @@ func FuzzBatchedAccessors(f *testing.F) {
 				{"GatherAt", p.aOut.SnapshotRange(0, len(at)), at},
 				{"FoldAt min", p.minOut.SnapshotRange(0, len(mins)), mins},
 				{"FoldAt sum", p.sumOut.SnapshotRange(0, len(sums)), sums},
+				{"FoldAt or", p.orOut.SnapshotRange(0, len(ors)), ors},
 				{"CAMAt, then ScatterAt", p.arr.Snapshot(), ref},
 			} {
 				if !slices.Equal(chk.got, chk.want) {

@@ -280,9 +280,12 @@ func (m *modelCtx) FoldAt(base pmem.Addr, n int, op Fold, idx, lens, acc []uint6
 				return false
 			}
 			v := m.e.Read(base + pmem.Addr(i))
-			if op == FoldSum {
+			switch op {
+			case FoldSum:
 				a = math.Float64bits(math.Float64frombits(a) + math.Float64frombits(v))
-			} else {
+			case FoldOr:
+				a |= v
+			default:
 				a = min(a, v)
 			}
 		}

@@ -19,11 +19,13 @@ const (
 // capsule work C, and C is counted in each engine's own unit.
 //
 // The per-arc sweeps — cc's init and scan, pagerank's scan, a BFS pull and
-// its compaction, and Resident.Apply's deg and emit — run over a leaf table
+// its compaction, a MultiBFS sweep (over halves of the leaves, sweep.go)
+// and Resident.Apply's deg and emit — run over a leaf table
 // (leafTable): consecutive vertex ranges cut from the epoch-0 offsets so that
 // a leaf's arcs plus leafVertexCost per vertex fit grains.leaf. Each leaf
 // reads at most 5 words per vertex and 2 per arc (cc's scan; a pull reads 4
-// per unvisited id and 2 per arc of those, pagerank's scan 2 and 2), so a
+// per unvisited id and 2 per arc of those, pagerank's scan 2 and 2, and a
+// sweep leaf up to 3 per arc over half a table leaf), so a
 // leaf does at most ≈ 2·leaf words whatever the degrees, unless it is one
 // vertex whose arcs alone pass the budget: a hub keeps a leaf of its own.
 //

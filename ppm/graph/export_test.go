@@ -25,7 +25,8 @@ func Leaves(eng ppm.Engine, g *Graph) int {
 }
 
 // RoundKinds reads the round log of the last search a BFS or MultiBFS ran:
-// "fused", "tree", "pull", "compact+fused" or "compact+tree" per round.
+// "fused", "tree", "pull", "compact+fused", "compact+tree" or "sweep" per
+// round.
 func RoundKinds(a any) []string {
 	var f *frontier
 	switch a := a.(type) {
@@ -39,6 +40,7 @@ func RoundKinds(a any) []string {
 	names := map[uint64]string{
 		roundFused: "fused", roundTree: "tree", roundPull: "pull",
 		roundCompact | roundFused: "compact+fused", roundCompact | roundTree: "compact+tree",
+		roundSweep: "sweep",
 	}
 	var out []string
 	for _, k := range f.roundKinds() {
@@ -50,3 +52,19 @@ func RoundKinds(a any) []string {
 // HoldsHostGraph reports whether r still points at the host graph it was
 // made from: Build drops it once epoch 0 is loaded.
 func HoldsHostGraph(r *Resident) bool { return r.base != nil }
+
+// NextProgram makes the next batch of ms run the named program, "rows" or
+// "sweep" (the sweep only at widths of 2 or more, as the rule has it), by
+// setting the rounds the program rule reads: 0, no search of record, or 1.
+// The batch's own search sets them again.
+func NextProgram(ms *MultiBFS, name string) {
+	var r int64
+	if name == "sweep" {
+		r = 1
+	}
+	ms.rounds.Store(r)
+}
+
+// ResumedBatch tells a MultiBFS rebuilt on a recovered runtime which batch
+// the resumed run searched from, so Levels and Verify read it.
+func ResumedBatch(ms *MultiBFS, srcs []int) { ms.lastSrcs = srcs }

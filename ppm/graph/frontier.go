@@ -6,13 +6,16 @@ import (
 	"repro/ppm"
 )
 
-// frontier is the round driver of the BFS kernels: rows independent
-// searches over one graph, search s owning the combined ids [s·n, (s+1)·n),
-// so a frontier entry s·n+v means "vertex v, search s" (BFS is the one-row
-// case). Round d turns the frontier, the ids at level d-1, into the ids at
-// level d. It pushes from the frontier while the frontier is a small share of
-// the search, and pulls into the unvisited ids once it is a large one
-// (direction optimisation, Beamer et al.; roundKind has the rule).
+// frontier is the round driver of the BFS kernels' rows program: rows
+// independent searches over one graph, search s owning the combined ids
+// [s·n, (s+1)·n), so a frontier entry s·n+v means "vertex v, search s" (BFS
+// is the one-row case). Its level[0], owner, round log, done words and sums
+// are also where a MultiBFS sweep (sweep.go) writes its levels and parents
+// and counts its rounds, so one reader serves both programs. Round d turns
+// the frontier, the ids at level d-1, into the ids at level d. It pushes
+// from the frontier while the frontier is a small share of the search, and
+// pulls into the unvisited ids once it is a large one (direction
+// optimisation, Beamer et al.; roundKind has the rule).
 //
 // A pushing round costs what its frontier and that frontier's arcs cost,
 // never n. A frontier small enough for the engine's fuse budget (grains.fuse,
@@ -85,7 +88,11 @@ type frontier struct {
 	level [2]ppm.Array // rows·n levels each, ping-pong across pulls
 	front [2]ppm.Array
 	kinds ppm.Array // n+1 words: the kind of each round of the last search
-	done  ppm.Array // 2 words the last round writes: entries swept, level buffer
+	done  ppm.Array // 2 words the last round writes: entries swept, and level buffer + 2·its round number
+	// sums holds the round trees' partial sums, heap-numbered from the root
+	// at 1, one block each; upCmb combines a node's two children.
+	sums  ppm.Array
+	upCmb ppm.FuncRef
 
 	// A search is Seq(init(extent), seed(ids...), round(1, 0, 0, extent, 0,
 	// 0)): reset the rows below extent, make the ids level-0 entries, run
@@ -100,6 +107,7 @@ const (
 	roundTree    = 2 // Seq(up, down, round')
 	roundPull    = 3 // Seq(pull, round')
 	roundCompact = 4 // or'ed into a push that follows a pull: compact first
+	roundSweep   = 8 // Seq(sweep, round'): a round of the sweep program (sweep.go)
 )
 
 // roundKind is the direction rule. A round pulls when its frontier holds at
@@ -144,6 +152,7 @@ func newFrontier(rt *ppm.Runtime, name string, cs vcsr, arcs, rows int) *frontie
 	// of the frontier tree, over at most rows·n slots, and the pull tree,
 	// over rows·L leaves.
 	sums := rt.NewBlockArray(4 * (max(rows*n/grain.frontier, rows*cs.leaves.count()) + 2))
+	f.sums = sums
 
 	initLeaf := rt.Register(name+"/init", func(c ppm.Ctx) {
 		lo, hi := c.Int(0), c.Int(1)
@@ -185,6 +194,7 @@ func newFrontier(rt *ppm.Runtime, name string, cs vcsr, arcs, rows int) *frontie
 		sums.Set(c, node, l+r)
 		c.Done()
 	})
+	f.upCmb = upCmb
 	// up covers slots [lo, hi) of front[parity]: args [node, lo, hi, parity].
 	var up ppm.FuncRef
 	up = rt.Register(name+"/up", func(c ppm.Ctx) {
@@ -285,8 +295,7 @@ func newFrontier(rt *ppm.Runtime, name string, cs vcsr, arcs, rows int) *frontie
 		next := f.round.Call(d+1, 1-parity, seen+cnt, extent, 0, 0)
 		switch kind {
 		case roundEnd:
-			f.done.Set(c, 0, seen)
-			f.done.Set(c, 1, uint64(cur))
+			f.finish(c, seen, uint64(cur), d)
 			c.Done()
 		case roundPull:
 			c.Seq(
@@ -435,11 +444,23 @@ func (f *frontier) pull(c ppm.Ctx, j int, d uint64, cur int) uint64 {
 	return uint64(len(found))
 }
 
+// finish records the end of a search in its end round d: the entries swept,
+// and the level buffer holding the levels with d, which rounds reads back,
+// in one word.
+func (f *frontier) finish(c ppm.Ctx, seen, cur, d uint64) {
+	f.done.Set(c, 0, seen)
+	f.done.Set(c, 1, cur|d<<1)
+}
+
 // levels copies combined ids [lo, hi) of the last search's levels out of
 // the buffer its last round recorded.
 func (f *frontier) levels(lo, hi int) []uint64 {
-	return f.level[f.done.Snapshot()[1]].SnapshotRange(lo, hi)
+	return f.level[f.done.Snapshot()[1]&1].SnapshotRange(lo, hi)
 }
+
+// rounds is the number of rounds the last search ran before its end round:
+// its depth plus one.
+func (f *frontier) rounds() int { return int(f.done.Snapshot()[1]>>1) - 1 }
 
 // visited is the number of frontier entries the last search swept.
 func (f *frontier) visited() uint64 { return f.done.Snapshot()[0] }

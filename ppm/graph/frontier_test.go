@@ -252,6 +252,7 @@ func TestFrontierEmitsExactlyOnce(t *testing.T) {
 				if err := bfs.Verify(); err != nil {
 					t.Fatalf("run %d: %v", run, err)
 				}
+				graph.NextProgram(ms, "rows") // the sweep's run is TestMultiBFSSweepMatchesRows
 				// Duplicate sources, the hub, a self-looped tail vertex, an
 				// unreachable one.
 				if ok, err := ms.RunBatch([]int{0, 0, 1, 7, 160, 0, 199}); err != nil || !ok {

@@ -21,10 +21,13 @@
 // large share of the ids is pulled: one phase sweeps the unvisited ids, each
 // adopting a neighbour of the frontier as its parent, with no CAM and no
 // second sweep, and a compaction lists the frontier again before the search
-// returns to pushing. Capsule grains come from a per-engine table, and the
-// direction thresholds are two constants beside it (bfs.go); the per-arc
-// sweeps split the vertices by a leaf table cut once from the offsets,
-// each leaf's arcs plus vertices within a budget (leafTable). The bulk edge
+// returns to pushing. A MultiBFS batch over a shallow graph runs instead as
+// one bit-parallel sweep for all its sources, each round one dense pull that
+// ORs its vertices' arc targets' source masks (sweep.go). Capsule grains
+// come from a per-engine table, and the direction thresholds are two
+// constants beside it (bfs.go); the per-arc sweeps split the vertices by a
+// leaf table cut once from the offsets, each leaf's arcs plus vertices
+// within a budget (leafTable). The bulk edge
 // reads are batched: a frontier or pull leaf Gathers the adjacency lists of
 // all its vertices in one multi-range operation (a pull leaf, whose ids are
 // a range, reads their offsets in place) and reads its targets' claimant
@@ -424,10 +427,16 @@ func (b *binding) bind(rt *ppm.Runtime) vcsr {
 // before the run, whose capsules would read past the CSR ring; a run that was
 // refused records no slot.
 func (b *binding) runAt(slot int, args ...any) (bool, error) {
+	return b.runFrom(b.root, slot, args...)
+}
+
+// runFrom is runAt from another root program of the kernel's, with the same
+// arguments.
+func (b *binding) runFrom(root ppm.FuncRef, slot int, args ...any) (bool, error) {
 	if n := b.src.numSlots(); slot < 0 || slot >= n {
 		return false, fmt.Errorf("graph: version slot %d out of range for a source of %d slots", slot, n)
 	}
-	ok, err := b.rt.TryRun(b.root, append([]any{slot}, args...)...)
+	ok, err := b.rt.TryRun(root, append([]any{slot}, args...)...)
 	if err == nil {
 		b.slot = slot
 	}

@@ -199,7 +199,10 @@ func MinBuildWords(n, arcs, slots, batchCap, kMax int) int {
 	kMax = min(max(kMax, 1), maxBatchWidth)
 	resident := slots*(n+1) + slots*(max(arcs, 0)+2*batchCap) + // offsets and arcs ring
 		1 + 2*n + 2*(n+1) + 4*batchCap + 2 // epoch, degrees, staging, mutW
-	msbfs := 5*kMax*n + n + 1 + 2       // owner, levels, fronts, kinds, done
+	msbfs := 5*kMax*n + n + 1 + 2 // owner, levels, fronts, kinds, done
+	if kMax > 1 {
+		msbfs += 4 * n // the sweep's seen and front masks, two of each
+	}
 	return resident + msbfs + 2*n + 4*n // CC: 2 label vectors; PageRank: 2 rank, 2 contribution
 }
 

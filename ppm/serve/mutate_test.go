@@ -381,3 +381,121 @@ func fileExists(path string) bool {
 	_, err := os.Stat(path)
 	return err == nil
 }
+
+// TestColdBFSFillsLastEpochSources: after a commit, the first cold BFS runs
+// the sweep (graph.MultiBFS's program rule holds on the small random graph)
+// and fills its free width with the sources the memo answered at the old
+// epoch and read from there, so the next reads of those sources are memo
+// hits at the new epoch, with the answers of the new graph. A source the
+// old epoch read only once is not filled, and a filled answer ranks behind
+// the one the read asked for. Before the commit there is nothing to fill:
+// each new source is one run, and a repeated one a memo hit.
+func TestColdBFSFillsLastEpochSources(t *testing.T) {
+	cfg := testConfig()
+	cfg.MaxBatch = 8
+	s := New(cfg)
+	defer s.Close()
+	spec := smallGraph(23)
+	host := serveGraph(t, cfg, spec)
+	hot, once := []int{0, 1, 2, 3, 4}, 5
+	for _, src := range append(hot, once) {
+		if r, err := s.Submit(Query{Graph: spec, Kind: "bfs", Source: src}); err != nil || r.Cached {
+			t.Fatalf("bfs(%d)@0 = %+v, %v; want a fresh run", src, r, err)
+		}
+	}
+	for _, src := range hot {
+		if r, err := s.Submit(Query{Graph: spec, Kind: "bfs", Source: src}); err != nil || !r.Cached {
+			t.Fatalf("repeated bfs(%d)@0 = %+v, %v; want a memo hit", src, r, err)
+		}
+	}
+	e, err := s.entryFor(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !e.ms.Sweeps(cfg.MaxBatch) {
+		t.Fatal("the small random graph does not sweep at full width: the test shows no fill")
+	}
+	if st := s.Stats(); st.Runs != 6 || st.CacheHits != 5 || len(e.memo) != 6 {
+		t.Fatalf("epoch 0: Runs/CacheHits/memo = %d/%d/%d, want 6/5/6: no commit, no fill",
+			st.Runs, st.CacheHits, len(e.memo))
+	}
+
+	b := mkBatch(host, spec.Seed, 1)
+	if _, err := s.Mutate(Mutation{Graph: spec, Insert: b.Insert, Delete: b.Delete}); err != nil {
+		t.Fatalf("mutate: %v", err)
+	}
+	host2, err := b.ApplyTo(host)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := s.Submit(Query{Graph: spec, Kind: "bfs", Source: 2})
+	if err != nil || r.Cached || r.Epoch != 1 || r.Batched != 1 || r.Checksum != refBFSChecksum(host2, 2) {
+		t.Fatalf("bfs(2)@1 = %+v, %v; want one fresh run, checksum %d", r, err, refBFSChecksum(host2, 2))
+	}
+	e.memoMu.Lock()
+	front := e.memoLRU.Front().Value.(*memoEntry).key
+	_, filledOnce := e.memo[memoKey{"bfs", once, 1}]
+	e.memoMu.Unlock()
+	if front != (memoKey{"bfs", 2, 1}) || filledOnce {
+		t.Fatalf("after the filled run: most recent memo key %+v, bfs(%d)@1 memoized %v; want bfs(2)@1 and false",
+			front, once, filledOnce)
+	}
+	for _, src := range hot {
+		r, err := s.Submit(Query{Graph: spec, Kind: "bfs", Source: src})
+		if err != nil || !r.Cached || r.Epoch != 1 || r.Checksum != refBFSChecksum(host2, src) {
+			t.Fatalf("bfs(%d)@1 = %+v, %v; want a memo hit, checksum %d", src, r, err, refBFSChecksum(host2, src))
+		}
+	}
+	if r, err := s.Submit(Query{Graph: spec, Kind: "bfs", Source: once}); err != nil || r.Cached || r.Epoch != 1 {
+		t.Fatalf("bfs(%d)@1 = %+v, %v; want a fresh run", once, r, err)
+	}
+	// One mutation and two read runs at epoch 1, the first filled with
+	// the four other hot sources; five hits before the commit and five
+	// after, four of them filled.
+	st := s.Stats()
+	if st.Runs != 9 || st.CacheHits != 10 || st.RunQueries != 8 || st.Mutations != 1 {
+		t.Fatalf("Runs/CacheHits/RunQueries/Mutations = %d/%d/%d/%d, want 9/10/8/1",
+			st.Runs, st.CacheHits, st.RunQueries, st.Mutations)
+	}
+}
+
+// TestDeepGridIsNeverFilled: on a 30×30 mesh every search of record runs
+// more rounds than the program rule allows at any width, so a cold BFS
+// after a commit runs its own source alone, and each old source is a run of
+// its own again, though each was read from the memo at epoch 0. The commit
+// cuts corner 0 off the mesh, and the first read after it searches from
+// there: one round, reaching one vertex, which the rule does not take for
+// the mesh's depth, so the reads after it are not filled either.
+func TestDeepGridIsNeverFilled(t *testing.T) {
+	cfg := testConfig()
+	cfg.MaxBatch = 8
+	s := New(cfg)
+	defer s.Close()
+	spec := GraphSpec{Kind: "grid", N: 900}
+	hot := []int{0, 450, 899, 31}
+	for range 2 {
+		for _, src := range hot {
+			if _, err := s.Submit(Query{Graph: spec, Kind: "bfs", Source: src}); err != nil {
+				t.Fatalf("bfs(%d)@0: %v", src, err)
+			}
+		}
+	}
+	if _, err := s.Mutate(Mutation{Graph: spec, Delete: [][2]int{{0, 1}, {0, 30}}}); err != nil {
+		t.Fatalf("mutate: %v", err)
+	}
+	e, err := s.entryFor(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range hot {
+		if r, err := s.Submit(Query{Graph: spec, Kind: "bfs", Source: src}); err != nil || r.Cached || r.Epoch != 1 {
+			t.Fatalf("bfs(%d)@1 = %+v, %v; want a fresh run at epoch 1", src, r, err)
+		}
+		if e.ms.Sweeps(cfg.MaxBatch) {
+			t.Fatalf("after bfs(%d)@1 the mesh sweeps at full width", src)
+		}
+	}
+	if st := s.Stats(); st.Runs != 9 || st.CacheHits != 4 || st.RunQueries != 8 {
+		t.Fatalf("Runs/CacheHits/RunQueries = %d/%d/%d, want 9/4/8", st.Runs, st.CacheHits, st.RunQueries)
+	}
+}

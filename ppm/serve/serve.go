@@ -871,9 +871,12 @@ type memoKey struct {
 
 // memoEntry is one memoized answer. Only the summary is kept — a raw BFS
 // level row is n words, and nothing downstream reads more than the summary.
+// hit records that a read was answered from it, the evidence a kind's fill
+// asks for before it answers the same source again at a newer epoch.
 type memoEntry struct {
 	key memoKey
 	res *Result
+	hit bool
 }
 
 // entry is one resident graph: its runtime, version ring, built programs,
@@ -965,7 +968,9 @@ func (e *entry) cachedResult(q Query, epoch uint64) *Result {
 		return nil
 	}
 	e.memoLRU.MoveToFront(el)
-	r := *el.Value.(*memoEntry).res
+	me := el.Value.(*memoEntry)
+	me.hit = true
+	r := *me.res
 	r.Cached = true
 	r.Batched = 1
 	return &r
@@ -974,15 +979,63 @@ func (e *entry) cachedResult(q Query, epoch uint64) *Result {
 // remember memoizes the answer to a key not yet memoized, evicting the least
 // recently used past LevelCacheEntries. The runner is the memo's only
 // writer, and serveEpoch runs only keys it found missing.
-func (e *entry) remember(k memoKey, res *Result) {
+//
+// A filled key, one no waiter asked for, is not placed as the most recently
+// used: it goes just ahead of the most recent older answer for its source
+// (the one staleSources found), so it ranks by the reads that answer had,
+// behind the keys reads asked for since.
+func (e *entry) remember(k memoKey, res *Result, filled bool) {
 	e.memoMu.Lock()
 	defer e.memoMu.Unlock()
-	e.memo[k] = e.memoLRU.PushFront(&memoEntry{key: k, res: res})
+	me := &memoEntry{key: k, res: res}
+	var older *list.Element
+	if filled {
+		older = e.olderAnswer(k)
+	}
+	if older != nil {
+		e.memo[k] = e.memoLRU.InsertBefore(me, older)
+	} else {
+		e.memo[k] = e.memoLRU.PushFront(me)
+	}
 	for e.memoLRU.Len() > e.srv.cfg.LevelCacheEntries {
 		back := e.memoLRU.Back()
 		e.memoLRU.Remove(back)
 		delete(e.memo, back.Value.(*memoEntry).key)
 	}
+}
+
+// olderAnswer returns the most recently used memo element of k's kind and
+// source at an epoch older than k's, or nil. The caller holds memoMu.
+func (e *entry) olderAnswer(k memoKey) *list.Element {
+	for el := e.memoLRU.Front(); el != nil; el = el.Next() {
+		o := el.Value.(*memoEntry).key
+		if o.kind == k.kind && o.source == k.source && o.epoch < k.epoch {
+			return el
+		}
+	}
+	return nil
+}
+
+// staleSources returns up to free sources of kind that the memo answered
+// at an epoch older than ep, and not at ep, in an answer some read was
+// served from (memoEntry.hit), most recently used first, none of them in
+// srcs. A source read again after its answer was memoized is the evidence
+// that it will be read at ep too.
+func (e *entry) staleSources(kind string, ep uint64, srcs []int, free int) []int {
+	e.memoMu.Lock()
+	defer e.memoMu.Unlock()
+	var out []int
+	for el := e.memoLRU.Front(); el != nil && len(out) < free; el = el.Next() {
+		me := el.Value.(*memoEntry)
+		k := me.key
+		if !me.hit || k.kind != kind || k.epoch >= ep || slices.Contains(srcs, k.source) || slices.Contains(out, k.source) {
+			continue
+		}
+		if _, ok := e.memo[memoKey{kind, k.source, ep}]; !ok {
+			out = append(out, k.source)
+		}
+	}
+	return out
 }
 
 // pruneMemos drops memoized answers for epochs that left the version ring
@@ -1132,13 +1185,16 @@ func (e *entry) runOnce(ps *[]*pending, run func() (bool, error)) bool {
 
 // kind is one read query kind, a row of the kinds table. One run of the
 // kind's program answers up to width distinct sources; answer summarises the
-// i-th of them (the caller fills in Kind, Source, N and Epoch).
+// i-th of them (the caller fills in Kind, Source, N and Epoch). fill, when
+// set, may add sources no waiter asked for to a run's srcs at epoch ep, whose
+// answers are memoized like the rest.
 type kind struct {
 	name    string
 	sourced bool // answers depend on Query.Source; otherwise it is 0
 	width   func(e *entry) int
 	run     func(e *entry, srcs []int, slot int) (bool, error)
 	answer  func(e *entry, i, src int) *Result
+	fill    func(e *entry, srcs []int, ep uint64) []int
 }
 
 // kinds is every read kind, in the order the runner serves them. A new kind
@@ -1176,6 +1232,25 @@ var kinds = []kind{
 		width:   func(e *entry) int { return e.ms.KMax() },
 		run:     func(e *entry, srcs []int, slot int) (bool, error) { return e.ms.RunBatchAt(srcs, slot) },
 		answer:  func(e *entry, i, src int) *Result { return summarizeBFS(src, e.ms.Levels(i)) },
+		// A sweeping batch costs little more for each source it adds (see
+		// graph.MultiBFS), so when the run would sweep at the width it can
+		// fill, its free slots take the sources answered at an older epoch,
+		// and read from the memo there, but not answered at ep, most
+		// recently used first: the first cold BFS after a commit answers the
+		// last epoch's hot sources in the same run. The fill pays off only
+		// where those sources are read again at ep; a source its old epoch
+		// read once is not filled.
+		fill: func(e *entry, srcs []int, ep uint64) []int {
+			kMax := e.ms.KMax()
+			if len(srcs) == kMax || !e.ms.Sweeps(kMax) {
+				return srcs
+			}
+			more := e.staleSources("bfs", ep, srcs, kMax-len(srcs))
+			if len(more) == 0 || !e.ms.Sweeps(len(srcs)+len(more)) {
+				return srcs
+			}
+			return append(srcs, more...)
+		},
 	},
 }
 
@@ -1187,8 +1262,8 @@ func kindIndex(name string) int {
 // serveEpoch answers one kind's waiters pinned at epoch ep. A waiter whose
 // key was memoized since its admission is answered from the memo; the rest
 // are answered by runs of at most width distinct keys each — duplicates ride
-// along, leftovers wait for the next run — and every key a run answers is
-// memoized.
+// along, leftovers wait for the next run, and the kind's fill may add keys
+// no waiter asked for — and every key a run answers is memoized.
 func (e *entry) serveEpoch(k *kind, ep uint64, ps []*pending) {
 	cold := ps[:0]
 	for _, p := range ps {
@@ -1225,6 +1300,9 @@ func (e *entry) serveEpoch(k *kind, ep uint64, ps []*pending) {
 			runPs = append(runPs, p)
 		}
 		ps = rest
+		if k.fill != nil {
+			srcs = k.fill(e, srcs, ep)
+		}
 		if !e.runOnce(&runPs, func() (bool, error) { return k.run(e, srcs, slot) }) {
 			continue
 		}
@@ -1232,7 +1310,7 @@ func (e *entry) serveEpoch(k *kind, ep uint64, ps []*pending) {
 		for i, src := range srcs {
 			r := k.answer(e, i, src)
 			r.Kind, r.Source, r.N, r.Epoch = k.name, src, e.n, ep
-			e.remember(memoKey{k.name, src, ep}, r)
+			e.remember(memoKey{k.name, src, ep}, r, i >= len(at))
 			rows[i] = r
 		}
 		e.srv.ctr.readRuns.Add(1)
